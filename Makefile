@@ -9,7 +9,7 @@ SHELL := /bin/bash
 # the new one and bench-check can diff them.
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke cover profile
+.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
@@ -19,9 +19,27 @@ BENCH_OUT ?= BENCH_PR10.json
 # SIGKILLed mid-batch and another injecting connection faults), a
 # short fuzz leg over the reader-vector, pattern-key, and checkpoint
 # decoders, a one-iteration benchmark smoke run so the benches cannot
-# silently rot, and the bench-history regression check over the
-# committed BENCH_PR<N>.json records.
-check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check
+# silently rot, the bench-history regression check over the committed
+# BENCH_PR<N>.json records, and the end-to-end benchmark module's vet
+# and tests.
+check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench
+
+# perfbench vets and tests the end-to-end benchmark module. It has its
+# own go.mod (replace specdsm => ../), so `go test ./...` at the root
+# skips it; this target is what makes a root API change that breaks the
+# benchmark fail the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc tracks size next to speed: per package, the code-only lines
+# (non-blank, non-comment, outside _test.go files), all lines of those
+# files, and the exported-API line count (`go doc -short`).
+loc:
+	@for d in . internal/sweep internal/remote; do \
+		ls $$d/*.go | grep -v '_test\.go$$' | xargs awk -v pkg=$$d -v api=$$($(GO) doc -short ./$$d | wc -l) \
+			'{ t = $$0; sub(/^[ \t]+/, "", t) } t != "" && substr(t, 1, 2) != "//" { code++ } \
+			END { printf "%-16s %5d code lines %5d total lines %4d API lines\n", pkg, code, NR, api }'; \
+	done | awk '{ print; code += $$2; total += $$5 } END { printf "%-16s %5d code lines %5d total lines\n", "all", code, total }'
 
 # chaos-remote runs the distributed sweep under real process death and a
 # real torn transport: three local sweepd workers serve a fig9 sweep,

@@ -79,9 +79,9 @@ func SpeculationStudySeeds(cfg StudyConfig, seeds []int64) ([]Figure9Aggregate, 
 	if cfg.KeepGoing {
 		fail = func(j int, jerr error) error { return push(j, nil, jerr.Error()) }
 	}
-	rs := cfg.remoteSpec("seeds")
+	rs := cfg.spec("seeds")
 	rs.Seeds = seeds
-	err := streamStudy(cfg, rs, n, fmt.Sprintf("|seeds=%v", seeds), seedsJob(cfg, seeds),
+	err := streamStudy(cfg, rs, n, seedsJob(cfg, seeds),
 		func(j int, r *RunResult) error { return push(j, r, "") },
 		fail)
 	if err != nil {
@@ -233,9 +233,9 @@ func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int
 	if cfg.KeepGoing {
 		fail = func(j int, jerr error) error { return push(j, nil, jerr.Error()) }
 	}
-	rs := cfg.remoteSpec("rtl")
+	rs := cfg.spec("rtl")
 	rs.RTLApp, rs.RTLParams, rs.RTLFlights = app, p, flights
-	return streamStudy(cfg, rs, n, fmt.Sprintf("|rtl=%s/%+v/%v", app, p, flights), rtlJob(w, flights),
+	return streamStudy(cfg, rs, n, rtlJob(w, flights),
 		func(j int, r *RunResult) error { return push(j, r, "") },
 		fail)
 }
@@ -329,8 +329,8 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 	fail := failRow(cfg, emit, func(i int, errText string) AppCharacterization {
 		return AppCharacterization{App: cfg.Apps[i], Failed: errText}
 	})
-	err = sweep.StreamFail(context.Background(), p, len(cfg.Apps),
-		func(_ context.Context, i int) (AppCharacterization, error) {
+	err = sweep.Run(context.Background(), p, len(cfg.Apps), sweep.Options{Fail: fail}, nil,
+		func(_ context.Context, _ struct{}, i int) (AppCharacterization, error) {
 			name := cfg.Apps[i]
 			app, ok := workload.ByName(name)
 			if !ok {
@@ -344,7 +344,7 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 			})
 			return characterize(name, progs), nil
 		},
-		emit, fail)
+		emit)
 	if err != nil {
 		return nil, err
 	}

@@ -97,8 +97,8 @@ func run(spec runSpec, out io.Writer) error {
 		p.Retries = spec.Retries
 		p.RetrySeed = uint64(spec.WP.Seed)
 		p.Inject = spec.Inject
-		return sweep.Stream(context.Background(), p, len(workloads),
-			func(_ context.Context, i int) (*specdsm.RunResult, error) {
+		return sweep.Run(context.Background(), p, len(workloads), sweep.Options{}, nil,
+			func(_ context.Context, _ struct{}, i int) (*specdsm.RunResult, error) {
 				return specdsm.Run(workloads[i], spec.Opts)
 			},
 			func(i int, r *specdsm.RunResult) error {

@@ -29,7 +29,7 @@ type daemonSpec struct {
 // connFaultKeys are the fault-spec keys that make sense on a worker's
 // connections. Job-level keys (transient, panic, delay) are refused
 // here: job faults belong in the dispatcher's study spec, where every
-// executor — any shard, or the dispatcher's local fallback — applies
+// executor — any shard, or the dispatcher's in-process worker — applies
 // the identical schedule. A worker injecting private job faults would
 // break the contract that a job's outcome is shard-independent.
 var connFaultKeys = map[string]bool{

@@ -98,14 +98,15 @@ type StudyConfig struct {
 	// output against clean runs.
 	FaultSpec string
 	// Remote, when non-empty, fans the study's simulation jobs out to
-	// sweepd shard workers at these host:port addresses instead of an
-	// in-process pool. The dispatcher (internal/remote) heartbeats every
-	// shard, re-dispatches work from dead or straggling ones, and
-	// degrades down to in-process execution when no shard is reachable;
-	// results stream back in index order, so output — including
-	// checkpoint contents — is byte-identical to a local Parallel: 1 run
-	// at any shard count and under any shard failures. Parallel is
-	// ignored on this path (the fleet is the parallelism).
+	// sweepd shard workers at these host:port addresses instead of the
+	// in-process workers. Each shard connection (internal/remote) is
+	// heartbeated and has its work re-dispatched when it dies or
+	// straggles; a single in-process worker takes jobs that keep killing
+	// shards and everything once no shard is reachable. Results are
+	// delivered in index order, so output — including checkpoint
+	// contents — is byte-identical to a local Parallel: 1 run at any
+	// shard count and under any shard failures. Parallel is ignored on
+	// this path (the fleet is the parallelism).
 	Remote []string
 	// RemoteLogf, when non-nil, receives the dispatcher's shard
 	// lifecycle diagnostics (connects, deaths, reconnects). Purely
@@ -136,11 +137,15 @@ func (c StudyConfig) withDefaults() StudyConfig {
 }
 
 // pool builds the worker pool all study drivers fan their simulation
-// jobs out on; total is the study's job count (it sizes the ETA).
-// Call on a config that already has defaults applied. An unparsable
-// FaultSpec is the only error.
+// jobs out on: the spec's retry/fault policy on Parallel workers, plus
+// the progress hooks. total is how many jobs will actually run (it
+// sizes the ETA — rows replayed from a checkpoint never report
+// progress). Call on a config that already has defaults applied.
 func (c StudyConfig) pool(total int) (*sweep.Pool, error) {
-	p := sweep.New(c.Parallel)
+	p, err := c.spec("").pool(c.Parallel)
+	if err != nil {
+		return nil, err
+	}
 	p.OnJobDone = c.OnJobDone
 	if c.Progress != nil {
 		eta := sweep.ProgressETA(c.Progress, total)
@@ -153,34 +158,20 @@ func (c StudyConfig) pool(total int) (*sweep.Pool, error) {
 			p.OnJobDone = eta
 		}
 	}
-	p.Retries = c.Retries
-	p.RetrySeed = uint64(c.Seed)
-	if c.FaultSpec != "" {
-		inj, err := fault.ParseSpec(c.FaultSpec)
-		if err != nil {
-			return nil, fmt.Errorf("specdsm: %w", err)
-		}
-		p.Inject = inj
-	}
 	return p, nil
 }
 
-// checkpoint opens the named study's checkpoint, or returns nil when
-// checkpointing is unconfigured. The key ties the file to this exact
-// study shape — study name, every config knob that influences job
-// results, and the job count — so resuming under different flags fails
-// loudly instead of splicing incompatible rows. extra carries
-// study-specific identity (seeds list, rtl flights).
-func (c StudyConfig) checkpoint(study string, jobs int, extra string) (*sweep.Checkpoint, error) {
+// checkpoint opens the study's checkpoint at <CheckpointPath>.<study>,
+// or returns nil when checkpointing is unconfigured. The key is the
+// study spec plus keep-going and the job count, so resuming under
+// different flags fails loudly instead of splicing incompatible rows.
+// Retries, FaultSpec and KeepGoing belong to it: under injected faults
+// they decide which jobs end up as FAILED frames.
+func (c StudyConfig) checkpoint(rs studySpec, jobs int) (*sweep.Checkpoint, error) {
 	if c.CheckpointPath == "" {
 		return nil, nil
 	}
-	// Retries/KeepGoing/FaultSpec are part of the key: under injected
-	// faults they decide which jobs end up as FAILED frames, so splicing
-	// rows across different settings would mix incompatible prefixes.
-	key := fmt.Sprintf("specdsm/%s|apps=%s|nodes=%d|iters=%d|scale=%g|seed=%d|depths=%v|checks=%t|retries=%d|keepgoing=%t|faults=%s|jobs=%d%s",
-		study, strings.Join(c.Apps, ","), c.Nodes, c.Iterations, c.Scale, c.Seed,
-		c.Depths, !c.DisableChecks, c.Retries, c.KeepGoing, c.FaultSpec, jobs, extra)
+	study, key := rs.Study, rs.key(c.KeepGoing, jobs)
 	path := c.CheckpointPath + "." + study
 	switch {
 	case c.Resume && c.Salvage:
@@ -252,7 +243,7 @@ func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) e
 	fail := failRow(cfg, emit, func(i int, errText string) AppPrediction {
 		return AppPrediction{App: cfg.Apps[i], Failed: errText}
 	})
-	return streamStudy(cfg, cfg.remoteSpec("predictor"), n, "", predictorJob(cfg), emit, fail)
+	return streamStudy(cfg, cfg.spec("predictor"), n, predictorJob(cfg), emit, fail)
 }
 
 // predictorJob builds the predictor study's job function: application i
@@ -360,7 +351,7 @@ func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation
 	if cfg.KeepGoing {
 		fail = func(j int, err error) error { return push(j, nil, err.Error()) }
 	}
-	return streamStudy(cfg, cfg.remoteSpec("speculation"), n, "", speculationJob(cfg),
+	return streamStudy(cfg, cfg.spec("speculation"), n, speculationJob(cfg),
 		func(j int, r *RunResult) error { return push(j, r, "") },
 		fail)
 }

@@ -18,7 +18,7 @@ import (
 // per-run construction entirely.
 //
 // An arena is NOT safe for concurrent use; give each sweep worker its
-// own (sweep.MapWorker's worker-local state is the intended carrier).
+// own (sweep.Run's worker-local state is the intended carrier).
 type Arena struct {
 	machines map[string]*Machine
 }

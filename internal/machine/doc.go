@@ -25,6 +25,6 @@
 // of once per cell. Network timing is not part of a machine's identity —
 // Arena reconfigures the interconnect in place (ReconfigureNetwork), so
 // a latency sweep like RTLSweep shares one machine per mode across all
-// its sweep points. Arenas are single-goroutine; sweep.MapWorker is the
-// intended carrier.
+// its sweep points. Arenas are single-goroutine; sweep.Run's worker-local
+// state is the intended carrier.
 package machine

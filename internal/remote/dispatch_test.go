@@ -3,21 +3,34 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"specdsm/internal/fault"
+	"specdsm/internal/sweep"
 )
 
-// rowPayload is the deterministic "row" every runner in these tests
-// produces for a job index, so any executor — remote shard, resurrected
-// shard, local lifeline — yields identical bytes and the merge contract
-// can be pinned exactly.
-func rowPayload(i int) []byte { return []byte(fmt.Sprintf("row-%04d", i)) }
+// row is the deterministic result every executor in these tests
+// produces for a job index — remote shard, resurrected shard, or the
+// sweep's in-process workers — so the merge contract can be pinned
+// exactly. rowPayload is its wire form.
+func row(i int) string { return fmt.Sprintf("row-%04d", i) }
+
+func rowPayload(i int) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(row(i)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
 
 func testRunner() Runner {
 	return RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
@@ -25,22 +38,43 @@ func testRunner() Runner {
 	})
 }
 
+// localRow is the in-process workers' copy of testRunner's job.
+func localRow(_ context.Context, _ struct{}, i int) (string, error) { return row(i), nil }
+
+// delivery is one settled index as the sweep handed it over: a row, or
+// a failure's text in keep-going mode.
 type delivery struct {
-	i int
-	r Result
+	i   int
+	row string
+	err string
 }
 
-func collector() (func(int, Result) error, *[]delivery) {
+// runSweep runs jobs [0, n) through sweep.Run with d's shards as
+// transports and one in-process worker running local, collecting the
+// ordered deliveries. keepGoing routes job failures into the result.
+func runSweep(ctx context.Context, d *Dispatcher, p *sweep.Pool, n int, keepGoing bool,
+	local func(context.Context, struct{}, int) (string, error)) ([]delivery, error) {
+	if p == nil {
+		p = sweep.New(1)
+	}
 	var got []delivery
-	return func(i int, r Result) error {
-		got = append(got, delivery{i, r})
+	o := sweep.Options{Transports: d.Transports()}
+	if keepGoing {
+		o.Fail = func(i int, err error) error {
+			got = append(got, delivery{i: i, err: err.Error()})
+			return nil
+		}
+	}
+	err := sweep.Run(ctx, p, n, o, nil, local, func(i int, r string) error {
+		got = append(got, delivery{i: i, row: r})
 		return nil
-	}, &got
+	})
+	return got, err
 }
 
 // verifyDeliveries pins the full contract: every index in [start, n)
 // delivered exactly once, in ascending order, with the deterministic
-// payload. Any duplicate, gap, or reorder fails here.
+// row. Any duplicate, gap, or reorder fails here.
 func verifyDeliveries(t *testing.T, got []delivery, start, n int) {
 	t.Helper()
 	if len(got) != n-start {
@@ -51,13 +85,20 @@ func verifyDeliveries(t *testing.T, got []delivery, start, n int) {
 		if d.i != want {
 			t.Fatalf("delivery %d has index %d, want %d (reorder or duplicate)", k, d.i, want)
 		}
-		if d.r.Err != "" {
-			t.Fatalf("index %d delivered failure %q, want success", d.i, d.r.Err)
+		if d.err != "" {
+			t.Fatalf("index %d delivered failure %q, want success", d.i, d.err)
 		}
-		if !bytes.Equal(d.r.Payload, rowPayload(d.i)) {
-			t.Fatalf("index %d delivered payload %q, want %q", d.i, d.r.Payload, rowPayload(d.i))
+		if d.row != row(d.i) {
+			t.Fatalf("index %d delivered row %q, want %q", d.i, d.row, row(d.i))
 		}
 	}
+}
+
+// countDone is a pool whose OnJobDone counts successful settlements.
+func countDone(done *atomic.Int64) *sweep.Pool {
+	p := sweep.New(1)
+	p.OnJobDone = func(int, time.Duration) { done.Add(1) }
+	return p
 }
 
 // startServer runs a worker Server on a loopback listener for the test's
@@ -90,14 +131,20 @@ func TestLoopbackSweep(t *testing.T) {
 	d := &Dispatcher{
 		Hosts: []string{addr},
 		Spec:  []byte("spec-v1"),
-		Local: testRunner(),
 		Seed:  1,
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 40, deliver); err != nil {
+	var local atomic.Int64
+	got, err := runSweep(context.Background(), d, nil, 40, false, func(ctx context.Context, s struct{}, i int) (string, error) {
+		local.Add(1)
+		return localRow(ctx, s, i)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 40)
+	verifyDeliveries(t, got, 0, 40)
+	if local.Load() != 0 {
+		t.Fatalf("%d jobs ran in-process although the shard stayed healthy", local.Load())
+	}
 }
 
 func TestLoopbackMultiShard(t *testing.T) {
@@ -109,30 +156,46 @@ func TestLoopbackMultiShard(t *testing.T) {
 	d := &Dispatcher{
 		Hosts:     hosts,
 		Spec:      []byte("spec-v1"),
-		Local:     testRunner(),
 		BatchSize: 3,
 		Seed:      2,
-		OnJobDone: func(i int, dur time.Duration) { done.Add(1) },
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 60, deliver); err != nil {
+	got, err := runSweep(context.Background(), d, countDone(&done), 60, false, localRow)
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 60)
+	verifyDeliveries(t, got, 0, 60)
 	if done.Load() != 60 {
 		t.Fatalf("OnJobDone fired %d times, want 60", done.Load())
 	}
 }
 
 // TestLocalOnly pins the degenerate fleet: no hosts at all runs the
-// whole range on the Local runner, including a non-zero resume offset.
+// whole range on the in-process workers, including a non-zero resume
+// offset (a checkpoint holding the first ten rows).
 func TestLocalOnly(t *testing.T) {
-	d := &Dispatcher{Local: testRunner(), Seed: 3}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 10, 30, deliver); err != nil {
+	ck, err := sweep.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"), "local-only", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 10, 30)
+	for i := range 10 {
+		if err := sweep.AppendRow(ck, row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d := &Dispatcher{Seed: 3}
+	var got []delivery
+	err = sweep.Run(context.Background(), sweep.New(2), 30, sweep.Options{Checkpoint: ck, Transports: d.Transports()}, nil, localRow,
+		func(i int, r string) error {
+			got = append(got, delivery{i: i, row: r})
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDeliveries(t, got, 0, 30)
 }
 
 // TestUnreachableHostsDegradeToLocal pins graceful degradation: every
@@ -141,17 +204,16 @@ func TestLocalOnly(t *testing.T) {
 func TestUnreachableHostsDegradeToLocal(t *testing.T) {
 	d := &Dispatcher{
 		Hosts: []string{"shard-a", "shard-b"},
-		Local: testRunner(),
 		Seed:  4,
 		Dial: func(addr string) (net.Conn, error) {
 			return nil, errors.New("no route to host")
 		},
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 20, deliver); err != nil {
+	got, err := runSweep(context.Background(), d, nil, 20, false, localRow)
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 20)
+	verifyDeliveries(t, got, 0, 20)
 }
 
 // TestRefusedWorkerFallsBackToLocal pins the permanent-refusal path: a
@@ -165,14 +227,13 @@ func TestRefusedWorkerFallsBackToLocal(t *testing.T) {
 	d := &Dispatcher{
 		Hosts: []string{addr},
 		Spec:  []byte("spec-v1"),
-		Local: testRunner(),
 		Seed:  5,
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 12, deliver); err != nil {
+	got, err := runSweep(context.Background(), d, nil, 12, false, localRow)
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 12)
+	verifyDeliveries(t, got, 0, 12)
 }
 
 // --- scripted shards -------------------------------------------------
@@ -339,19 +400,17 @@ func TestScriptedShardFailures(t *testing.T) {
 			var done atomic.Int64
 			d := &Dispatcher{
 				Hosts:            []string{"scripted"},
-				Local:            testRunner(),
 				Dial:             scriptedDialer(tc.script()),
 				BatchSize:        4,
 				HeartbeatTimeout: time.Second,
 				StealAfter:       100 * time.Millisecond,
 				Seed:             42,
-				OnJobDone:        func(i int, dur time.Duration) { done.Add(1) },
 			}
-			deliver, got := collector()
-			if err := d.Run(context.Background(), 0, 25, deliver); err != nil {
+			got, err := runSweep(context.Background(), d, countDone(&done), 25, false, localRow)
+			if err != nil {
 				t.Fatal(err)
 			}
-			verifyDeliveries(t, *got, 0, 25)
+			verifyDeliveries(t, got, 0, 25)
 			if done.Load() != 25 {
 				t.Fatalf("OnJobDone fired %d times, want 25 (duplicate completion leaked)", done.Load())
 			}
@@ -379,7 +438,7 @@ func behaveShardLoop(conn net.Conn) {
 
 // TestPoisonBatchFallsBackToLocal pins the fatal-everywhere path: a
 // shard that dies whenever its batch contains a particular index burns
-// that batch's transport budget, and the local lifeline adopts the
+// that batch's transport budget, and the in-process workers adopt the
 // poisoned jobs while the fleet keeps serving the rest.
 func TestPoisonBatchFallsBackToLocal(t *testing.T) {
 	const poison = 5
@@ -410,7 +469,6 @@ func TestPoisonBatchFallsBackToLocal(t *testing.T) {
 	}
 	d := &Dispatcher{
 		Hosts:            []string{"scripted"},
-		Local:            testRunner(),
 		Dial:             scriptedDialer(script),
 		BatchSize:        2,
 		HeartbeatTimeout: time.Second,
@@ -418,56 +476,96 @@ func TestPoisonBatchFallsBackToLocal(t *testing.T) {
 		MaxRedispatch:    2,
 		Seed:             7,
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 16, deliver); err != nil {
+	var local atomic.Int64
+	got, err := runSweep(context.Background(), d, nil, 16, false, func(ctx context.Context, s struct{}, i int) (string, error) {
+		local.Add(1)
+		return localRow(ctx, s, i)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 16)
+	verifyDeliveries(t, got, 0, 16)
+	if local.Load() == 0 {
+		t.Fatal("no job ran in-process: the poisoned batch was never adopted")
+	}
+}
+
+// TestUndecodableRowIsRequeued pins that a row the dispatcher cannot
+// decode is a transport failure, never a job outcome: even in keep-going
+// mode it must not become a FAILED row. The session is dropped, the job
+// requeued, and once it exhausts its budget the in-process worker's
+// correct row is delivered.
+func TestUndecodableRowIsRequeued(t *testing.T) {
+	const garbled = 3
+	script := func(sess int, conn net.Conn) {
+		defer conn.Close()
+		if !shardHandshake(conn) {
+			return
+		}
+		for {
+			m, err := readMsg(conn)
+			if err != nil || m.Op != opExec {
+				return
+			}
+			for _, i := range m.Indices {
+				payload := rowPayload(i)
+				if i == garbled {
+					payload = []byte{0xff, 0x00, 0x13}
+				}
+				if writeMsg(conn, &msg{Op: opJobDone, Seq: m.Seq, Index: i, Payload: payload}) != nil {
+					return
+				}
+			}
+			if writeMsg(conn, &msg{Op: opBatchDone, Seq: m.Seq}) != nil {
+				return
+			}
+		}
+	}
+	d := &Dispatcher{
+		Hosts:            []string{"scripted"},
+		Dial:             scriptedDialer(script),
+		BatchSize:        2,
+		HeartbeatTimeout: time.Second,
+		MaxRedispatch:    2,
+		Seed:             13,
+	}
+	var local []int
+	var mu sync.Mutex
+	got, err := runSweep(context.Background(), d, nil, 12, true, func(ctx context.Context, s struct{}, i int) (string, error) {
+		mu.Lock()
+		local = append(local, i)
+		mu.Unlock()
+		return localRow(ctx, s, i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDeliveries(t, got, 0, 12)
+	if !slices.Contains(local, garbled) {
+		t.Fatalf("in-process worker ran %v, want it to adopt job %d", local, garbled)
+	}
 }
 
 // TestJobFailureDeliveredInOrder pins that a job-level failure is a
-// delivered outcome, not a transport event: it arrives at its index
-// position with the runner's error text, and a deliver error (the
-// stop-on-error sweep aborting) propagates out of Run.
+// settled outcome, not a transport event: the rows before it are
+// delivered in order and the sweep stops with the runner's error text.
 func TestJobFailureDeliveredInOrder(t *testing.T) {
 	const failAt = 7
+	const text = "job 7: deterministic fatal failure"
 	failing := RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
 		if i == failAt {
-			return nil, errors.New("job 7: deterministic fatal failure")
+			return nil, errors.New(text)
 		}
 		return rowPayload(i), nil
 	})
 	srv := &Server{NewRunner: func(spec []byte) (Runner, error) { return failing, nil }}
 	addr := startServer(t, srv)
-	d := &Dispatcher{
-		Hosts: []string{addr},
-		Local: failing,
-		Seed:  8,
+	d := &Dispatcher{Hosts: []string{addr}, Seed: 8}
+	got, err := runSweep(context.Background(), d, nil, 30, false, localRow)
+	if err == nil || err.Error() != text {
+		t.Fatalf("Run returned %v, want the job's failure %q", err, text)
 	}
-	var got []delivery
-	abort := errors.New("sweep aborted")
-	err := d.Run(context.Background(), 0, 30, func(i int, r Result) error {
-		got = append(got, delivery{i, r})
-		if r.Err != "" {
-			return abort
-		}
-		return nil
-	})
-	if !errors.Is(err, abort) {
-		t.Fatalf("Run returned %v, want the deliver abort error", err)
-	}
-	if len(got) != failAt+1 {
-		t.Fatalf("delivered %d results, want %d (0..%d)", len(got), failAt+1, failAt)
-	}
-	for k, dv := range got[:failAt] {
-		if dv.i != k || dv.r.Err != "" {
-			t.Fatalf("delivery %d = index %d err %q, want clean index %d", k, dv.i, dv.r.Err, k)
-		}
-	}
-	last := got[failAt]
-	if last.i != failAt || last.r.Err != "job 7: deterministic fatal failure" {
-		t.Fatalf("failure delivered as index %d err %q", last.i, last.r.Err)
-	}
+	verifyDeliveries(t, got, 0, failAt)
 }
 
 // TestKeepGoingDeliversAllFailures pins keep-going mode: failures are
@@ -481,29 +579,24 @@ func TestKeepGoingDeliversAllFailures(t *testing.T) {
 	})
 	srv := &Server{NewRunner: func(spec []byte) (Runner, error) { return flaky, nil }}
 	addr := startServer(t, srv)
-	d := &Dispatcher{
-		Hosts:     []string{addr},
-		Local:     flaky,
-		KeepGoing: true,
-		Seed:      9,
-	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 20, deliver); err != nil {
+	d := &Dispatcher{Hosts: []string{addr}, Seed: 9}
+	got, err := runSweep(context.Background(), d, nil, 20, true, localRow)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(*got) != 20 {
-		t.Fatalf("delivered %d results, want 20", len(*got))
+	if len(got) != 20 {
+		t.Fatalf("delivered %d results, want 20", len(got))
 	}
-	for k, dv := range *got {
+	for k, dv := range got {
 		if dv.i != k {
 			t.Fatalf("delivery %d has index %d", k, dv.i)
 		}
 		if k%5 == 2 {
-			if want := fmt.Sprintf("job %d failed", k); dv.r.Err != want {
-				t.Fatalf("index %d err %q, want %q", k, dv.r.Err, want)
+			if want := fmt.Sprintf("job %d failed", k); dv.err != want {
+				t.Fatalf("index %d err %q, want %q", k, dv.err, want)
 			}
-		} else if dv.r.Err != "" || !bytes.Equal(dv.r.Payload, rowPayload(k)) {
-			t.Fatalf("index %d = (%q, %q), want clean row", k, dv.r.Payload, dv.r.Err)
+		} else if dv.err != "" || dv.row != row(k) {
+			t.Fatalf("index %d = (%q, %q), want clean row", k, dv.row, dv.err)
 		}
 	}
 }
@@ -528,67 +621,90 @@ func TestConnFaultsByteIdentical(t *testing.T) {
 	d := &Dispatcher{
 		Hosts:            []string{addr, addr},
 		Spec:             []byte("spec-v1"),
-		Local:            testRunner(),
 		Inject:           dialInj,
 		BatchSize:        3,
 		HeartbeatTimeout: 2 * time.Second,
 		StealAfter:       200 * time.Millisecond,
 		Seed:             11,
 	}
-	deliver, got := collector()
-	if err := d.Run(context.Background(), 0, 50, deliver); err != nil {
+	got, err := runSweep(context.Background(), d, nil, 50, false, localRow)
+	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDeliveries(t, *got, 0, 50)
+	verifyDeliveries(t, got, 0, 50)
 }
 
-// TestBoardFirstWriteWins pins the duplicate-resolution primitive
-// directly: the second completion of an index is dropped.
+// TestBoardFirstWriteWins pins the duplicate-resolution primitive: a
+// shard that answers every job twice, the second time with a different
+// row, delivers each index exactly once with the first write, and the
+// completion hook fires once per job.
 func TestBoardFirstWriteWins(t *testing.T) {
-	b := newBoard(0, 4, 64)
-	if !b.complete(2, Result{Payload: []byte("first")}) {
-		t.Fatal("first completion reported as duplicate")
+	script := func(sess int, conn net.Conn) {
+		defer conn.Close()
+		if !shardHandshake(conn) {
+			return
+		}
+		for {
+			m, err := readMsg(conn)
+			if err != nil || m.Op != opExec {
+				return
+			}
+			for _, i := range m.Indices {
+				writeMsg(conn, &msg{Op: opJobDone, Seq: m.Seq, Index: i, Payload: rowPayload(i)})
+				writeMsg(conn, &msg{Op: opJobDone, Seq: m.Seq, Index: i, Payload: rowPayload(i + 1000)})
+			}
+			if writeMsg(conn, &msg{Op: opBatchDone, Seq: m.Seq}) != nil {
+				return
+			}
+		}
 	}
-	if b.complete(2, Result{Payload: []byte("second")}) {
-		t.Fatal("duplicate completion reported as a win")
+	var done atomic.Int64
+	d := &Dispatcher{Hosts: []string{"scripted"}, Dial: scriptedDialer(script), Seed: 10}
+	got, err := runSweep(context.Background(), d, countDone(&done), 24, false, localRow)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r, ok := b.awaitDone(context.Background(), 2)
-	if !ok || string(r.Payload) != "first" {
-		t.Fatalf("board holds %q, want the first write", r.Payload)
+	verifyDeliveries(t, got, 0, 24)
+	if done.Load() != 24 {
+		t.Fatalf("OnJobDone fired %d times, want 24", done.Load())
 	}
 }
 
-// TestRunCancelled pins that ctx cancellation unblocks Run.
+// TestRunCancelled pins that ctx cancellation unblocks a sweep whose
+// only shard took a batch and went silent.
 func TestRunCancelled(t *testing.T) {
-	stall := RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	d := &Dispatcher{Local: stall, Seed: 12}
+	stall := func(sess int, conn net.Conn) {
+		defer conn.Close()
+		if shardHandshake(conn) {
+			readMsg(conn) // take the batch, never answer
+			readMsg(conn) // returns when the dispatcher hangs up
+		}
+	}
+	d := &Dispatcher{Hosts: []string{"stalled"}, Dial: scriptedDialer(stall), HeartbeatTimeout: time.Minute, Seed: 12}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	deliver, _ := collector()
-	if err := d.Run(ctx, 0, 4, deliver); !errors.Is(err, context.Canceled) {
+	if _, err := runSweep(ctx, d, nil, 4, false, localRow); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 }
 
-// BenchmarkLoopbackDispatch measures per-job dispatcher overhead over a
+// BenchmarkLoopbackDispatch measures per-job dispatch overhead over a
 // real TCP loopback worker with a trivial runner: framing, batching,
-// board bookkeeping, and ordered delivery with no simulation cost.
+// board bookkeeping, row decoding, and ordered delivery with no
+// simulation cost.
 func BenchmarkLoopbackDispatch(b *testing.B) {
 	addr := startServer(b, specCheckedServer(b, "bench"))
 	d := &Dispatcher{
 		Hosts: []string{addr},
 		Spec:  []byte("bench"),
-		Local: testRunner(),
 		Seed:  13,
 	}
 	b.ResetTimer()
-	err := d.Run(context.Background(), 0, b.N, func(i int, r Result) error { return nil })
+	err := sweep.Run(context.Background(), sweep.New(1), b.N, sweep.Options{Transports: d.Transports()}, nil, localRow,
+		func(int, string) error { return nil })
 	if err != nil {
 		b.Fatal(err)
 	}

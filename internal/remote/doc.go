@@ -1,9 +1,11 @@
-// Package remote shards a deterministic sweep across worker processes:
-// a Dispatcher fans job indices out to long-running sweepd workers over
-// TCP and merges the results back in strict index order, so a study's
-// output — rows, keep-going failures, checkpoint contents — is
-// byte-identical to a local single-worker run at any shard count,
-// under any pattern of shard death, restart, or transport damage.
+// Package remote is the transport that lets a sweep run jobs on worker
+// processes: each shard a Dispatcher names becomes a sweep.Transport,
+// one more executor on the sweep's lease board next to the in-process
+// workers. sweep.Run owns everything else — ordered delivery, the
+// merge window, stop-on-failure, checkpointing — so a study's output
+// (rows, keep-going failures, checkpoint contents) is byte-identical to
+// a local single-worker run at any shard count, under any pattern of
+// shard death, restart, or transport damage.
 //
 // # Wire protocol
 //
@@ -21,45 +23,48 @@
 //	worker → dispatcher:  heartbeat  liveness while a long job computes
 //
 // Results stream back per job, not per batch, so a worker that dies
-// mid-batch loses only its unanswered indices. A refuse is permanent
-// (the spec cannot get better on retry); any transport error is
-// temporary and handled by reconnection.
+// mid-batch loses only its unanswered indices. Each result is a
+// gob-encoded row, which the dispatcher decodes into the sweep's row
+// type before settling it on the board; a row that does not decode is a
+// transport error, never a job failure. A refuse is permanent (the spec
+// cannot get better on retry); any transport error is temporary and
+// handled by reconnection.
 //
 // # Failure handling
 //
-// The dispatcher tracks every job on a lease board. The failure matrix:
+// A shard session claims batches from the board and settles what comes
+// back. The failure matrix:
 //
 //   - Worker death mid-batch: the connection read fails (or the
-//     per-frame heartbeat deadline expires), the session's leased jobs
-//     return to the board, and another shard — or the same one after
-//     reconnect — re-runs them.
+//     per-frame heartbeat deadline expires), the session's unanswered
+//     leases return to the board, and another shard — or the same one
+//     after reconnect — re-runs them.
 //   - Silent stall: a shard whose lease outlives StealAfter has its
 //     jobs claimable by idle shards (work-stealing). Heartbeats prove
 //     liveness but deliberately do not refresh leases, so a live
 //     straggler's work is still stolen; duplicate completions settle
 //     first-write-wins, which is safe because every executor computes
-//     the identical result.
-//   - Repeated poison: a job failing MaxRedispatch shard deaths in a
-//     row falls back to the dispatcher's local runner.
-//   - Dead fleet: when no shard is reachable, the local runner claims
-//     jobs directly — graceful degradation to in-process execution.
+//     the identical result. In-process leases are never stolen.
+//   - Repeated poison: a job requeued by MaxRedispatch dead sessions is
+//     left to the sweep's in-process workers.
+//   - Dead fleet: once every shard is down, the in-process workers take
+//     all remaining jobs — graceful degradation to local execution.
 //   - Reconnect storms: dial retries use seeded deterministic backoff
 //     (fault.Mix jitter, no wall-clock randomness in results).
 //
 // Job-level failures are not transport failures: a job that fails
-// fatally after its retry budget settles as a Result with Err text and
-// is never re-dispatched.
+// fatally after its retry budget settles with its error text and is
+// never re-dispatched.
 //
 // # Determinism
 //
-// Three invariants make shard execution invisible in the output.
-// Results are delivered to the caller in strict index order on one
-// goroutine, regardless of completion order. Every executor — any
-// shard, and the local fallback — rebuilds the job function from the
-// same spec and settles each job under the same retry/fault schedule
-// (sweep.RunOne), so a job's outcome does not depend on where it ran.
-// And duplicate settlements are idempotent by first-write-wins. The
-// fault.Conn seam (connection drops, short reads, scheduling delays)
-// exists so tests can tear the transport while byte-comparing output
-// against a clean local run.
+// Every executor — any shard, and the in-process workers — runs the
+// job function the same spec describes and settles each job under the
+// same retry/fault schedule, keyed on the job's index relative to the
+// checkpoint resume point (sweep.RunOne on a worker), so a job's
+// outcome does not depend on where it ran. Duplicate settlements are
+// idempotent by first-write-wins, and delivery order is the board's,
+// not the network's. The fault.Conn seam (connection drops, short
+// reads, scheduling delays) exists so tests can tear the transport
+// while byte-comparing output against a clean local run.
 package remote

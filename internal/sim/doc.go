@@ -58,8 +58,8 @@
 // structure — O(1) after a drained run — so an arena-reused kernel replays
 // tie-breaks identically (the seq counter restarts).
 //
-// ReferenceKernel is the retained pre-wheel implementation (a single
-// 4-ary heap): the differential-testing oracle that pins the wheel's
-// dispatch order, and the baseline its microbenchmarks are judged
-// against.
+// ReferenceKernel, defined in the package's tests, is the retained
+// pre-wheel implementation (a single 4-ary heap): the differential
+// oracle that pins the wheel's dispatch order, and the baseline its
+// microbenchmarks are judged against.
 package sim

@@ -7,7 +7,7 @@ import "fmt"
 // the differential-testing oracle for Kernel — the wheel must dispatch
 // every schedule in exactly the order this heap does — and as the
 // baseline for the scheduler microbenchmarks. It is not used by the
-// simulator itself.
+// simulator itself, so it lives in a test file.
 type ReferenceKernel struct {
 	now      Cycle
 	seq      uint64

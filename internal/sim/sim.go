@@ -53,7 +53,8 @@ type fifo struct {
 // (cur), and far-future events wait in a 4-ary overflow heap from which
 // they are promoted — in (time, insertion-seq) order — as the clock
 // advances. Dispatch order is exactly (time, insertion-seq), bit-identical
-// to ReferenceKernel's heap order; the differential tests pin this.
+// to the test-only ReferenceKernel's heap order; the differential tests
+// pin this.
 type Kernel struct {
 	now     Cycle
 	seq     uint64

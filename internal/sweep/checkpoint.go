@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -184,9 +183,9 @@ type SalvageReport struct {
 // Checkpoint persists the settled-prefix of one streaming sweep.
 // Create one with OpenCheckpoint (fresh), ResumeCheckpoint (continue,
 // strict), or SalvageCheckpoint (continue, tolerating a damaged tail);
-// pass it to StreamCheckpoint or StreamCheckpointFail, and frames are
-// appended and flushed automatically. A Checkpoint is used from the
-// merge goroutine only and is not safe for concurrent use.
+// pass it to Run (Options.Checkpoint), and frames are appended and
+// flushed automatically. A Checkpoint is used from the delivering
+// goroutine only and is not safe for concurrent use.
 type Checkpoint struct {
 	fsys  fault.FS
 	path  string
@@ -677,17 +676,17 @@ func (e recordedError) Error() string { return string(e) }
 
 // ReplayCheckpoint decodes the saved frames in order and hands each row
 // to emit with its original job index. A failure frame (written by a
-// keep-going sweep) is an error here: resuming such a file requires a
-// failure sink — use ReplayCheckpointFail.
+// keep-going sweep) is an error here; Run replays those to its Fail
+// sink.
 func ReplayCheckpoint[T any](ck *Checkpoint, emit func(i int, v T) error) error {
-	return ReplayCheckpointFail(ck, emit, nil)
+	return replay(ck, emit, nil)
 }
 
-// ReplayCheckpointFail is ReplayCheckpoint with a failure sink: rows go
-// to emit, recorded failures go to fail (carrying the persisted error
-// text), each with its original job index. With a nil fail, a failure
-// frame aborts the replay.
-func ReplayCheckpointFail[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) error {
+// replay is ReplayCheckpoint with a failure sink: rows go to emit,
+// recorded failures to fail (carrying the persisted error text), each
+// with its original job index. With a nil fail, a failure frame aborts
+// the replay.
+func replay[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) error {
 	if ck.rows == 0 {
 		return nil
 	}
@@ -727,75 +726,4 @@ func ReplayCheckpointFail[T any](ck *Checkpoint, emit func(i int, v T) error, fa
 		}
 	}
 	return nil
-}
-
-// ValidateJobs checks that the checkpoint's recorded frames fit a sweep
-// of n jobs, with the same error StreamCheckpointFail reports — for
-// callers that replay the checkpoint themselves and run the remaining
-// indices through another executor (the remote dispatcher).
-func (ck *Checkpoint) ValidateJobs(n int) error {
-	if ck.rows > n {
-		return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, n)
-	}
-	return nil
-}
-
-// StreamCheckpoint is StreamWorker with persistence: frames already in
-// the checkpoint are replayed through emit without re-running their
-// jobs, the remaining indices run on the pool, and every newly emitted
-// row is appended to the checkpoint (flushed on the checkpoint's
-// cadence, and once more when the sweep ends, successfully or not). A
-// nil checkpoint degenerates to plain StreamWorker.
-//
-// Because replayed rows are byte-identical to the rows the original run
-// emitted and new rows are produced by the same deterministic jobs, an
-// interrupted-then-resumed sweep emits exactly the sequence an
-// uninterrupted run would have — at any worker count.
-func StreamCheckpoint[S, T any](ctx context.Context, p *Pool, n int, ck *Checkpoint, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamCheckpointFail(ctx, p, n, ck, newState, fn, emit, nil)
-}
-
-// StreamCheckpointFail is StreamCheckpoint in keep-going mode: fatal
-// job failures are recorded as failure frames in the checkpoint and
-// routed to fail in index order instead of aborting the sweep (see
-// StreamWorkerFail). Replayed failure frames reach fail too, so an
-// interrupted keep-going sweep resumes with the same complete
-// emit/fail sequence an uninterrupted run would have produced.
-func StreamCheckpointFail[S, T any](ctx context.Context, p *Pool, n int, ck *Checkpoint, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	if ck == nil {
-		return StreamWorkerFail(ctx, p, n, newState, fn, emit, fail)
-	}
-	if ck.rows > n {
-		return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, n)
-	}
-	if err := ReplayCheckpointFail(ck, emit, fail); err != nil {
-		return err
-	}
-	if ck.rows == n {
-		return nil
-	}
-	base := ck.rows
-	var ckFail FailFunc
-	if fail != nil {
-		ckFail = func(j int, ferr error) error {
-			if err := ck.AppendFail(ferr); err != nil {
-				return err
-			}
-			return fail(base+j, ferr)
-		}
-	}
-	err := StreamWorkerFail(ctx, p, n-base, newState,
-		func(ctx context.Context, s S, j int) (T, error) { return fn(ctx, s, base+j) },
-		func(j int, v T) error {
-			if err := AppendRow(ck, v); err != nil {
-				return err
-			}
-			return emit(base+j, v)
-		}, ckFail)
-	// Persist whatever settled even when the sweep failed or was
-	// cancelled — that is the resume point. The sweep's own error wins.
-	if ferr := ck.Flush(); err == nil {
-		err = ferr
-	}
-	return err
 }

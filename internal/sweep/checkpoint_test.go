@@ -51,7 +51,7 @@ func runCheckpointed(t *testing.T, path string, n, workers, every, failAt int, r
 		return nil, err
 	}
 	var out []row
-	err = sweep.StreamCheckpoint(context.Background(), sweep.New(workers), n, ck, func() struct{} { return struct{}{} },
+	err = sweep.Run(context.Background(), sweep.New(workers), n, sweep.Options{Checkpoint: ck}, nil,
 		func(_ context.Context, _ struct{}, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
@@ -72,8 +72,8 @@ func TestCheckpointInterruptResumeEqualsFresh(t *testing.T) {
 	const n = 50
 	// Uninterrupted reference run, no checkpoint.
 	var want []row
-	if err := sweep.Stream(context.Background(), sweep.New(1), n,
-		func(_ context.Context, i int) (row, error) { return mkRow(i), nil },
+	if err := sweep.Run(context.Background(), sweep.New(1), n, sweep.Options{}, nil,
+		sweep.Stateless(func(_ context.Context, i int) (row, error) { return mkRow(i), nil }),
 		func(i int, v row) error { want = append(want, v); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestStreamWindowBoundsLookahead(t *testing.T) {
 	var maxAhead atomic.Int64
 	p := sweep.New(16)
 	p.Window = window
-	err := sweep.Stream(context.Background(), p, n,
-		func(_ context.Context, i int) (int, error) {
+	err := sweep.Run(context.Background(), p, n, sweep.Options{}, nil,
+		sweep.Stateless(func(_ context.Context, i int) (int, error) {
 			ahead := int64(i) - emitted.Load()
 			for {
 				cur := maxAhead.Load()
@@ -248,7 +248,7 @@ func TestStreamWindowBoundsLookahead(t *testing.T) {
 				}
 			}
 			return i, nil
-		},
+		}),
 		func(i, v int) error {
 			emitted.Add(1)
 			return nil

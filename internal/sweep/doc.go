@@ -1,74 +1,84 @@
-// Package sweep is a deterministic worker pool for the paper studies.
+// Package sweep is the deterministic ordered-sweep engine behind every
+// paper study.
 //
-// Every experiment in the evaluation (Figures 7-9, Tables 3-5, the rtl
-// and multi-seed sweeps) is a set of independent app×mode×depth×seed
-// simulations. The pool fans those jobs out across GOMAXPROCS
-// goroutines while guaranteeing that the observable outcome — results,
-// their order, and which error is reported — is identical to running
-// the jobs sequentially:
+// Every experiment in the evaluation (Figures 7-9, Tables 3-5, the rtl,
+// multi-seed and scaling sweeps) is a set of independent simulations
+// run in index order. Run is the one way to execute such a sweep: jobs
+// may run anywhere — on the pool's in-process workers, or on remote
+// shards attached as Transports — and the observable outcome (results,
+// their order, which error is reported) is identical to running the
+// jobs sequentially:
 //
-//   - Jobs are dispatched in index order and results are merged back in
-//     index order, regardless of completion order.
+//   - Every executor claims jobs from one lease board, and results are
+//     delivered to emit in index order on the calling goroutine,
+//     regardless of completion order or which executor ran the job.
 //   - When jobs fail, the failure with the lowest index wins, exactly
-//     as a sequential loop would have reported it. Dispatch of new jobs
-//     stops, but lower-index jobs already in flight run to completion so
-//     an earlier (more authoritative) failure is never lost.
+//     as a sequential loop would have reported it: claims past a
+//     settled failure stop, but lower-index jobs still run, so an
+//     earlier (more authoritative) failure is never lost.
 //   - A panicking job is captured as a *PanicError rather than taking
-//     down the process, on both the sequential and parallel paths.
+//     down the process, with the same trimmed text on every executor.
 //
-// A Pool with one worker executes jobs strictly sequentially on the
-// calling goroutine — byte-identical to the pre-pool study loops.
-//
-// MapWorker and StreamWorker add worker-local state to the same
-// contract: each worker goroutine lazily builds one state value
+// Each in-process worker lazily builds one worker-local state value
 // (typically a machine.Arena that amortizes simulated-machine
 // construction across the worker's jobs) and threads it through every
-// job it claims. State never crosses workers; since job results must not
-// depend on which worker ran them, the ordered-merge guarantee is
+// job it claims. State never crosses workers; since job results must
+// not depend on which worker ran them, the ordered delivery is
 // unchanged.
 //
-// Streaming is bounded-memory: Pool.Window caps how far job claiming may
-// run ahead of the ordered merge, so completed-but-unemitted results
-// never exceed the window regardless of the total job count — the
-// property that lets million-job sweeps aggregate online instead of
-// buffering every result.
+// Memory is bounded by the window: the board is a ring of Pool.Window
+// slots, no job starts until it is within the window of the delivery
+// frontier, and a slot is cleared the moment its result is delivered,
+// so buffered results and board state are O(window) whatever the job
+// count — the property that lets million-job sweeps aggregate online.
 //
-// Checkpointing makes streams restartable. A Checkpoint persists the
-// emitted-row prefix (versioned header, CRC-verified payload, every
-// flush an atomic temp-file+rename snapshot) and StreamCheckpoint
-// replays saved rows then runs only the missing indices, so an
-// interrupted-then-resumed sweep emits exactly the sequence an
+// Options turns on the rest. A Checkpoint makes a sweep restartable:
+// it persists the delivered prefix (versioned header, CRC-verified
+// frames, every flush an atomic temp-file+rename snapshot), and Run
+// replays the saved frames and then runs only the missing indices, so
+// an interrupted-then-resumed sweep emits exactly the sequence an
 // uninterrupted run would have, at any worker count. Resume validation
 // is strict: truncated, corrupt, or mismatched (wrong study, wrong
 // version) files fail with descriptive errors instead of silently
-// recomputing.
+// recomputing. Fail selects keep-going mode (see below), and
+// Transports attach remote executors (see Link and internal/remote):
+// they lease jobs in batches, have their leases stolen when they
+// straggle and requeued when they die, and leave jobs that keep
+// killing them to the in-process workers, which take over entirely
+// when no transport is live. Only transport leases are ever stolen, so
+// a slow in-process job never runs twice.
 //
-// Pool.OnJobDone is an optional per-job completion hook (index +
-// wall-clock duration) for live progress on big matrices; Progress
-// adapts it to a log/slog logger, and ProgressETA adds completed/total
-// counts plus an ETA from a sliding window of recent completions. The
-// hook observes jobs, never influences them.
+// Pool.OnJobDone is an optional per-job completion hook (absolute
+// study index + wall-clock duration) for live progress on big
+// matrices; it fires once per job that runs and succeeds, never for
+// rows replayed from a checkpoint. Progress adapts it to a log/slog
+// logger, and ProgressETA adds completed/total counts plus an ETA from
+// a sliding window of recent completions. The hook observes jobs,
+// never influences them.
 //
 // # Failure model
 //
 // Job errors are classified transient or fatal. An error wrapped with
 // Transient (detectable via IsTransient) is worth retrying: with
-// Pool.Retries > 0 the pool reruns the job up to that many extra
-// attempts before giving up, with deterministic backoff — seeded yield
-// bursts derived from (RetrySeed, index, attempt), never wall-clock
-// sleeps, so a retried sweep stays bit-reproducible. Everything else,
-// including *PanicError, is fatal on the first attempt. Because retries
-// happen inside the job slot, a sweep whose transient failures all
-// resolve within budget produces output byte-identical to one that
-// never failed.
+// Pool.Retries > 0 the job is rerun in place up to that many extra
+// attempts, with deterministic backoff — seeded yield bursts derived
+// from (RetrySeed, index, attempt), never wall-clock sleeps, so a
+// retried sweep stays bit-reproducible. Everything else, including
+// *PanicError, is fatal on the first attempt. Because retries happen
+// inside the job slot, a sweep whose transient failures all resolve
+// within budget produces output byte-identical to one that never
+// failed. Retry, backoff and fault-injection schedules are keyed on the
+// index relative to the checkpoint's resume point on every executor
+// (RunOne is the single-job form a remote worker uses), so a job
+// settles to the same value or error text wherever it runs.
 //
-// Fatal errors abort the sweep with the lowest-index failure, unless
-// the caller supplies a FailFunc (StreamFail and the *Fail variants):
-// then each fatal failure is delivered to the fail sink in strict index
-// order, interleaved with emitted successes exactly as a sequential
-// loop would observe them, and the sweep keeps going. Checkpoints
-// record such failures as failure frames so a resumed run replays the
-// same outcome rather than retrying failed indices.
+// Fatal errors stop the sweep with the lowest-index failure, unless
+// the caller sets Options.Fail: then each fatal failure is delivered to
+// the fail sink in strict index order, interleaved with emitted
+// successes exactly as a sequential loop would observe them, and the
+// sweep keeps going. Checkpoints record such failures as failure frames
+// so a resumed run replays the same outcome rather than retrying
+// failed indices.
 //
 // Resume has a second, forgiving mode: SalvageCheckpoint scans a
 // damaged checkpoint and adopts the longest valid frame prefix,

@@ -65,8 +65,7 @@ func FuzzCheckpointFrames(f *testing.F) {
 		// The salvaged prefix must replay cleanly end to end (decode
 		// failures surface as errors, never panics), and the rewritten
 		// file must now satisfy the strict path.
-		replayErr := sweep.StreamCheckpoint(context.Background(), sweep.New(1), 8, salvaged,
-			func() struct{} { return struct{}{} },
+		replayErr := sweep.Run(context.Background(), sweep.New(1), 8, sweep.Options{Checkpoint: salvaged}, nil,
 			func(_ context.Context, _ struct{}, i int) (map[string]int, error) {
 				return map[string]int{"row": i}, nil
 			},

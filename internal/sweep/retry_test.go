@@ -45,7 +45,7 @@ func TestRetryClearsTransient(t *testing.T) {
 		perJob := make([]atomic.Int32, n)
 		p := New(workers)
 		p.Retries = flakes
-		got, err := Map(context.Background(), p, n, func(_ context.Context, i int) (int, error) {
+		got, err := Collect(context.Background(), p, n, func(_ context.Context, i int) (int, error) {
 			attempts.Add(1)
 			if a := perJob[i].Add(1); i%5 == 0 && int(a) <= flakes {
 				return 0, Transient(fmt.Errorf("job %d attempt %d flaked", i, a))
@@ -74,7 +74,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	var attempts atomic.Int64
 	p := New(1)
 	p.Retries = budget
-	_, err := Map(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
+	_, err := Collect(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
 		attempts.Add(1)
 		return 0, Transient(errors.New("never clears"))
 	})
@@ -92,7 +92,7 @@ func TestFatalNotRetried(t *testing.T) {
 	p := New(1)
 	p.Retries = 10
 	var ran atomic.Int64
-	_, err := Map(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
+	_, err := Collect(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		return 0, errors.New("fatal")
 	})
@@ -100,7 +100,7 @@ func TestFatalNotRetried(t *testing.T) {
 		t.Fatalf("fatal error ran %d times (err=%v), want 1", ran.Load(), err)
 	}
 	ran.Store(0)
-	_, err = Map(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
+	_, err = Collect(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		panic("bug")
 	})
@@ -119,7 +119,7 @@ func TestInjectedFaultsParallelInvariance(t *testing.T) {
 	job := func(_ context.Context, i int) (string, error) {
 		return fmt.Sprintf("row %04d = %d", i, i*7), nil
 	}
-	clean, err := Map(context.Background(), New(1), n, job)
+	clean, err := Collect(context.Background(), New(1), n, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestInjectedFaultsParallelInvariance(t *testing.T) {
 		p.Retries = 8
 		p.RetrySeed = 42
 		p.Inject = inj
-		got, err := Map(context.Background(), p, n, job)
+		got, err := Collect(context.Background(), p, n, job)
 		if err != nil {
 			t.Fatalf("workers=%d under faults: %v", workers, err)
 		}
@@ -153,20 +153,20 @@ func TestKeepGoingOrdering(t *testing.T) {
 	run := func(workers int) ([]string, []int) {
 		var trace []string
 		var failed []int
-		err := StreamFail(context.Background(), New(workers), n,
-			func(_ context.Context, i int) (int, error) {
+		fail := func(i int, err error) error {
+			trace = append(trace, fmt.Sprintf("fail %d: %v", i, err))
+			failed = append(failed, i)
+			return nil
+		}
+		err := Run(context.Background(), New(workers), n, Options{Fail: fail}, nil,
+			Stateless(func(_ context.Context, i int) (int, error) {
 				if bad[i] {
 					return 0, fmt.Errorf("job %d broke", i)
 				}
 				return i * 2, nil
-			},
+			}),
 			func(i, v int) error {
 				trace = append(trace, fmt.Sprintf("ok %d=%d", i, v))
-				return nil
-			},
-			func(i int, err error) error {
-				trace = append(trace, fmt.Sprintf("fail %d: %v", i, err))
-				failed = append(failed, i)
 				return nil
 			})
 		if err != nil {
@@ -198,18 +198,18 @@ func TestKeepGoingFailErrorStops(t *testing.T) {
 	tooMuch := errors.New("too many failures")
 	for _, workers := range []int{1, 8} {
 		var fails int
-		err := StreamFail(context.Background(), New(workers), 100,
-			func(_ context.Context, i int) (int, error) {
+		fail := func(i int, err error) error {
+			fails++
+			if fails == 3 {
+				return tooMuch
+			}
+			return nil
+		}
+		err := Run(context.Background(), New(workers), 100, Options{Fail: fail}, nil,
+			Stateless(func(_ context.Context, i int) (int, error) {
 				return 0, fmt.Errorf("job %d broke", i)
-			},
-			func(i, v int) error { return nil },
-			func(i int, err error) error {
-				fails++
-				if fails == 3 {
-					return tooMuch
-				}
-				return nil
-			})
+			}),
+			func(i, v int) error { return nil })
 		if !errors.Is(err, tooMuch) {
 			t.Fatalf("workers=%d: err = %v, want fail sink's error", workers, err)
 		}
@@ -228,7 +228,11 @@ func TestKeepGoingRetriesFirst(t *testing.T) {
 	p := New(4)
 	p.Retries = 2
 	var failed []int
-	err := StreamWorkerFail(context.Background(), p, n, nothing,
+	fail := func(i int, err error) error {
+		failed = append(failed, i)
+		return nil
+	}
+	err := Run(context.Background(), p, n, Options{Fail: fail}, nil,
 		func(_ context.Context, _ struct{}, i int) (int, error) {
 			if i == 5 && once.Add(1) == 1 {
 				return 0, Transient(errors.New("one-shot flake"))
@@ -238,11 +242,7 @@ func TestKeepGoingRetriesFirst(t *testing.T) {
 			}
 			return i, nil
 		},
-		func(i, v int) error { return nil },
-		func(i int, err error) error {
-			failed = append(failed, i)
-			return nil
-		})
+		func(i, v int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func panicDeep(depth int) {
 func TestPanicErrorMessage(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 8} {
-		_, err := Map(context.Background(), New(workers), 64,
+		_, err := Collect(context.Background(), New(workers), 64,
 			func(_ context.Context, i int) (int, error) {
 				if i == 17 {
 					panicDeep(3)
@@ -304,14 +304,14 @@ func TestInjectedPanicsKeepGoing(t *testing.T) {
 		p := New(workers)
 		p.Inject = inj
 		var rows []string
-		err := StreamWorkerFail(context.Background(), p, n, nothing,
+		fail := func(i int, err error) error {
+			rows = append(rows, fmt.Sprintf("%d: %v", i, err))
+			return nil
+		}
+		err := Run(context.Background(), p, n, Options{Fail: fail}, nil,
 			func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil },
 			func(i, v int) error {
 				t.Fatalf("workers=%d: job %d emitted despite injected panic", workers, i)
-				return nil
-			},
-			func(i int, err error) error {
-				rows = append(rows, fmt.Sprintf("%d: %v", i, err))
 				return nil
 			})
 		if err != nil {
@@ -339,7 +339,7 @@ func TestRetryHookFiresOncePerSuccess(t *testing.T) {
 	p := New(4)
 	p.Retries = 3
 	p.OnJobDone = func(index int, _ time.Duration) { done.Add(1) }
-	_, err := Map(context.Background(), p, n, func(_ context.Context, i int) (int, error) {
+	_, err := Collect(context.Background(), p, n, func(_ context.Context, i int) (int, error) {
 		if i == 3 && tries.Add(1) <= 2 {
 			return 0, Transient(errors.New("flake"))
 		}

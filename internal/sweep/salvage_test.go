@@ -34,7 +34,7 @@ func writeFullCheckpoint(t *testing.T, path string, n int) []row {
 func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int64) []row {
 	t.Helper()
 	var out []row
-	err := sweep.StreamCheckpoint(context.Background(), sweep.New(1), n, ck, func() struct{} { return struct{}{} },
+	err := sweep.Run(context.Background(), sweep.New(1), n, sweep.Options{Checkpoint: ck}, nil,
 		func(_ context.Context, _ struct{}, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
@@ -279,13 +279,13 @@ func keepGoingEvents(t *testing.T, path string, n, workers int, interruptAt int)
 		events = append(events, fmt.Sprintf("FAILED %d: %v", i, err))
 		return nil
 	}
-	err := sweep.StreamCheckpointFail(context.Background(), sweep.New(workers), n, ck, func() struct{} { return struct{}{} },
+	err := sweep.Run(context.Background(), sweep.New(workers), n, sweep.Options{Checkpoint: ck, Fail: fail}, nil,
 		func(_ context.Context, _ struct{}, i int) (row, error) {
 			if bad[i] {
 				return row{}, fmt.Errorf("job %d broke", i)
 			}
 			return mkRow(i), nil
-		}, emit, fail)
+		}, emit)
 	return events, err
 }
 
@@ -332,7 +332,7 @@ func TestReplayFailureFrameWithoutSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sweep.StreamCheckpoint(context.Background(), sweep.New(1), n, ck, func() struct{} { return struct{}{} },
+	err = sweep.Run(context.Background(), sweep.New(1), n, sweep.Options{Checkpoint: ck}, nil,
 		func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
 		func(i int, v row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "recorded failure") {

@@ -17,25 +17,27 @@ import (
 	"specdsm/internal/report"
 )
 
-// Pool sizes the worker set for Map, Stream, and their worker-state
-// variants. The zero value and New(0) both select runtime.NumCPU()
-// workers. Pools carry no per-sweep state and may be reused and shared
-// freely; a non-nil OnJobDone must itself be safe for concurrent use.
+// Pool is the execution policy of Run: in-process worker count, merge
+// window, retry budget, fault injector and completion hook. The zero
+// value and New(0) both select runtime.NumCPU() workers. Pools carry
+// no per-sweep state and may be reused and shared freely; a non-nil
+// OnJobDone must itself be safe for concurrent use.
 type Pool struct {
 	workers int
-	// Window bounds how far job claiming may run ahead of the ordered
-	// merge: a worker only starts job i once i falls within Window slots
-	// of the next index to be emitted. Completed-but-unemitted results
-	// are therefore capped at Window, so a streaming sweep's buffer
-	// memory is a function of the window, not of the total job count.
-	// Zero selects a default of max(4×workers, 64). The window only
-	// throttles; it never changes results or their order.
+	// Window is the size of Run's lease board: no executor starts job i
+	// until i falls within Window slots of the next index to be
+	// delivered, so a sweep's buffered results — and the board itself —
+	// are bounded by the window, not by the job count. Zero selects
+	// max(4×executors, 64), where a transport counts as four executors.
+	// The window only throttles; it never changes results or their
+	// order.
 	Window int
-	// OnJobDone, when non-nil, is invoked after every successfully
-	// completed job with the job's index and wall-clock duration, from
-	// the goroutine that ran the job — concurrently and out of index
-	// order on a multi-worker pool. It exists for progress reporting
-	// (see Progress and ProgressETA) and must not affect results.
+	// OnJobDone, when non-nil, is invoked once per job that runs and
+	// succeeds, with the job's absolute study index and wall-clock
+	// duration, from the executor that settled it — concurrently and
+	// out of index order. Jobs replayed from a checkpoint do not fire
+	// it. It exists for progress reporting (see Progress and
+	// ProgressETA) and must not affect results.
 	OnJobDone func(index int, d time.Duration)
 	// Retries is the per-job retry budget for transient failures: a job
 	// whose error satisfies IsTransient is re-run in place — same index,
@@ -74,70 +76,13 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Sequential reports whether the pool degenerates to in-order,
-// single-goroutine execution.
-func (p *Pool) Sequential() bool { return p.Workers() == 1 }
-
-// window resolves the merge-window size for the given worker count.
+// window resolves the lease-board size for the given executor count.
 func (p *Pool) window(workers int) int {
 	if p != nil && p.Window > 0 {
 		return p.Window
 	}
-	w := 4 * workers
-	if w < 64 {
-		w = 64
-	}
-	return w
+	return max(4*workers, 64)
 }
-
-// mergeGate throttles job claiming so that no job whose index lies at or
-// beyond base+window starts before the merge has emitted up to base.
-// With emission strictly in index order this caps completed-but-unemitted
-// results at window entries.
-type mergeGate struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	base   int // results emitted so far
-	window int
-	closed bool
-}
-
-func newMergeGate(window int) *mergeGate {
-	g := &mergeGate{window: window}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// waitTurn blocks until job i may run (i < base+window), the gate closes,
-// or ctx is cancelled, and reports whether the job should still run.
-func (g *mergeGate) waitTurn(ctx context.Context, i int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i >= g.base+g.window && !g.closed && ctx.Err() == nil {
-		g.cond.Wait()
-	}
-	return !g.closed && ctx.Err() == nil
-}
-
-// advance publishes the new emitted count and wakes gated workers.
-func (g *mergeGate) advance(base int) {
-	g.mu.Lock()
-	g.base = base
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// close releases every current and future waiter; used when the sweep
-// stops early (failure, emit error) so gated workers can exit.
-func (g *mergeGate) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// wake re-evaluates every waiter's condition (e.g. after ctx cancel).
-func (g *mergeGate) wake() { g.cond.Broadcast() }
 
 // transientError marks an error as retryable. It is created by
 // Transient and detected by IsTransient; the wrapped error stays
@@ -220,7 +165,7 @@ func trimStack(stack []byte) string {
 		}
 		if strings.Contains(fn, "specdsm/internal/sweep.") {
 			// The pool's own job runner: everything below differs
-			// between streamSeq and the worker goroutines. If the panic
+			// between Run's workers and RunOne's callers. If the panic
 			// originated here (an injected panic), keep this one frame
 			// so the line is never empty.
 			if len(frames) == 0 {
@@ -258,303 +203,56 @@ func frameText(fn, loc string) string {
 	return fn + " (" + loc + ")"
 }
 
-// Map runs fn for every index in [0, n) on the pool and returns the
-// results in index order. On failure it returns the error of the
-// lowest-index failed job — the same error a sequential loop over the
-// jobs would have returned — and no results. Cancelling ctx stops
-// dispatch of not-yet-started jobs and is reported as ctx.Err() unless
-// a job failure takes precedence.
-func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorker(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) })
+// RunOne executes job base+j alone under the pool's retry policy, the
+// code path Run's in-process workers take per job, for executors that
+// receive job indices one at a time (a remote shard worker). As in Run,
+// fn sees the absolute index base+j while the retry backoff, the fault
+// injector and a *PanicError are keyed on j, the index relative to the
+// resume point, so a job settles to the same value or error text on
+// every executor.
+func RunOne[S, T any](ctx context.Context, p *Pool, s S, base, j int, fn func(ctx context.Context, s S, i int) (T, error)) (T, error) {
+	v, _, err := runJob(ctx, p, s, base, j, fn)
+	return v, err
 }
 
-// MapWorker is Map with worker-local state: every worker goroutine calls
-// newState once, lazily, before its first job, and that state is passed
-// to each job the worker claims. It exists for expensive reusable
-// per-worker scaffolding — a machine.Arena that amortizes simulated
-// machine construction across a worker's jobs is the motivating case.
-// State never crosses workers, and fn must keep results independent of
-// which worker (and therefore which state instance) ran the job, so
-// output stays identical for every worker count.
-func MapWorker[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := StreamWorker(ctx, p, n, newState, fn, func(i int, v T) error {
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// nothing is the no-state constructor behind Map and Stream.
-func nothing() struct{} { return struct{}{} }
-
-// Stream runs fn for every index in [0, n) on the pool and delivers
-// each result to emit in index order, as soon as the result and all of
-// its predecessors are available. emit always runs on the calling
-// goroutine and is never invoked for an index at or beyond a failed
-// one. A non-nil error from emit stops the sweep and is returned.
-func Stream[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamWorker(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }, emit)
-}
-
-// FailFunc receives a fatal job failure in keep-going mode. It is
-// called from the same goroutine as emit, in strict index order
-// interleaved with emissions: for every index exactly one of emit or
-// fail runs. Returning a non-nil error stops the sweep, exactly as an
-// emit error would.
-type FailFunc func(index int, err error) error
-
-// StreamFail is Stream in keep-going mode: a job whose failure is
-// fatal (after the pool's retry budget, if any) is routed to fail
-// instead of aborting the sweep, and later jobs still run and emit.
-// The sweep then returns nil even if jobs failed — the caller owns the
-// failure manifest fail accumulated.
-func StreamFail[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	return StreamWorkerFail(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }, emit, fail)
-}
-
-// StreamWorker is Stream with worker-local state (see MapWorker).
-func StreamWorker[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamWorkerFail(ctx, p, n, newState, fn, emit, nil)
-}
-
-// StreamWorkerFail is StreamWorker with an optional keep-going failure
-// sink: with a nil fail the first fatal job failure stops the sweep
-// (StreamWorker semantics); with a non-nil fail every index reaches
-// exactly one of emit or fail, in index order, and job failures do not
-// stop dispatch. Because the failed indices and their errors flow
-// through the same ordered merge as results, the interleaved
-// emit/fail sequence is identical at every worker count.
-func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return streamSeq(ctx, p, n, newState, fn, emit, fail)
-	}
-
-	type item struct {
-		i   int
-		v   T
-		err error
-	}
-	// The merge window bounds buffered results: jobs at or beyond
-	// base+window do not start until the merge catches up, so at most
-	// window completed results plus workers in-flight jobs exist at any
-	// moment. Sizing the channel to that bound means workers never block
-	// on send and the merger is free to drain until close without any
-	// further worker-side coordination.
-	window := p.window(workers)
-	results := make(chan item, window+workers)
-	gate := newMergeGate(window)
-	stopWake := context.AfterFunc(ctx, gate.wake)
-	defer stopWake()
-	var (
-		next atomic.Int64 // next index to claim
-		stop atomic.Bool  // set on failure: claim no further jobs
-		wg   sync.WaitGroup
-	)
-	// halt stops dispatch: no new claims, and gated workers wake to exit.
-	halt := func() {
-		stop.Store(true)
-		gate.close()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Worker-local state is built lazily: a worker that never
-			// claims a job (all indices taken, or an early failure) never
-			// pays for it.
-			var (
-				state    S
-				hasState bool
-			)
-			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !gate.waitTurn(ctx, i) {
-					return
-				}
-				if !hasState {
-					state = newState()
-					hasState = true
-				}
-				v, err := runJob(ctx, p, state, i, fn)
-				results <- item{i: i, v: v, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Ordered merge. pending buffers out-of-order completions (carrying
-	// their errors in keep-going mode); failIdx tracks the lowest failed
-	// index seen so far. With a nil fail, dispatch stops on the first
-	// failure, but in-flight lower-index jobs still finish and may lower
-	// failIdx further — exactly matching what a sequential loop would
-	// have hit first. With a non-nil fail, failures are buffered like
-	// results and delivered to fail when their turn in the order comes.
-	pending := make(map[int]item, workers)
-	nextEmit := 0
-	failIdx := n
-	var failErr, emitErr error
-	for it := range results {
-		if it.err != nil && fail == nil {
-			if it.i < failIdx {
-				failIdx, failErr = it.i, it.err
-			}
-			halt()
-			continue
-		}
-		if it.i >= failIdx || emitErr != nil {
-			continue
-		}
-		pending[it.i] = it
-		for emitErr == nil && nextEmit < failIdx {
-			cur, ok := pending[nextEmit]
-			if !ok {
-				break
-			}
-			delete(pending, nextEmit)
-			var err error
-			if cur.err != nil {
-				err = fail(nextEmit, cur.err)
-			} else {
-				err = emit(nextEmit, cur.v)
-			}
-			if err != nil {
-				emitErr = err
-				halt()
-				break
-			}
-			nextEmit++
-			gate.advance(nextEmit)
-		}
-	}
-	switch {
-	case emitErr != nil && nextEmit < failIdx:
-		// emit(nextEmit) failed with every job before it successful: a
-		// sequential loop would have died there too, before reaching any
-		// later job failure.
-		return emitErr
-	case failErr != nil:
-		return failErr
-	case emitErr != nil:
-		return emitErr
-	default:
-		return ctx.Err()
-	}
-}
-
-// streamSeq is the one-worker fast path: in-order execution on the
-// calling goroutine with a single state instance, stopping at the first
-// failure (or routing failures to fail in keep-going mode) — the exact
-// shape of the study loops the pool replaced.
-func streamSeq[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	state := newState()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v, err := runJob(ctx, p, state, i, fn)
-		if err != nil {
-			if fail == nil {
-				return err
-			}
-			if ferr := fail(i, err); ferr != nil {
-				return ferr
-			}
-			continue
-		}
-		if err := emit(i, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunOne executes a single job under the pool's retry policy — the same
-// code path StreamWorker runs per index, exposed for executors that
-// dispatch indices one at a time (a remote shard worker). The pool
-// contributes Retries, RetrySeed, Inject, and OnJobDone; workers and
-// windowing do not apply. Because the retry loop, injector seams, panic
-// capture, and backoff schedule are identical to the in-process pool's,
-// a job's settled outcome (value or error text) is the same wherever it
-// executes.
-func RunOne[S, T any](ctx context.Context, p *Pool, s S, i int, fn func(ctx context.Context, s S, i int) (T, error)) (T, error) {
-	return runJob(ctx, p, s, i, fn)
-}
-
-// runJob runs job i under the pool's retry policy: runOnce per attempt,
-// re-running in place while the error is Transient, budget remains, and
-// the context is live. Retrying in place — same index, same worker,
-// same worker-local state — leaves the ordered merge untouched, so a
-// sweep whose transient faults clear within budget is indistinguishable
-// from a fault-free one.
-func runJob[S, T any](ctx context.Context, p *Pool, s S, i int, fn func(ctx context.Context, s S, i int) (T, error)) (T, error) {
+// runJob runs job base+j under the pool's retry policy, re-running it
+// in place while the error is Transient, budget remains, and the
+// context is live, and reports the duration of the last attempt.
+func runJob[S, T any](ctx context.Context, p *Pool, s S, base, j int, fn func(ctx context.Context, s S, i int) (T, error)) (T, time.Duration, error) {
 	var retries int
+	var seed uint64
 	if p != nil {
-		retries = p.Retries
+		retries, seed = p.Retries, p.RetrySeed
 	}
 	for attempt := 0; ; attempt++ {
-		v, err := runOnce(ctx, p, s, i, attempt, fn)
+		start := time.Now()
+		v, err := runOnce(ctx, p, s, base, j, attempt, fn)
 		if err == nil || attempt >= retries || !IsTransient(err) || ctx.Err() != nil {
-			return v, err
+			return v, time.Since(start), err
 		}
-		var seed uint64
-		if p != nil {
-			seed = p.RetrySeed
-		}
-		backoff(seed, i, attempt)
+		backoff(seed, j, attempt)
 	}
 }
 
-// runOnce executes a single attempt of job i: injector seams first
+// runOnce executes a single attempt of job base+j: injector seams first
 // (delay, panic, transient error), then the job itself, with panics
-// converted to *PanicError and the completion hook fired on success.
-func runOnce[S, T any](ctx context.Context, p *Pool, s S, i, attempt int, fn func(ctx context.Context, s S, i int) (T, error)) (v T, err error) {
+// converted to *PanicError.
+func runOnce[S, T any](ctx context.Context, p *Pool, s S, base, j, attempt int, fn func(ctx context.Context, s S, i int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Index: j, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if inj := p.injector(); inj != nil {
-		inj.JobDelay(i, attempt)
-		if inj.JobPanic(i, attempt) {
-			panic(fmt.Sprintf("%v: injected panic (job %d, attempt %d)", fault.ErrInjected, i, attempt))
+		inj.JobDelay(j, attempt)
+		if inj.JobPanic(j, attempt) {
+			panic(fmt.Sprintf("%v: injected panic (job %d, attempt %d)", fault.ErrInjected, j, attempt))
 		}
-		if inj.JobTransient(i, attempt) {
-			return v, Transient(fmt.Errorf("%w: transient job fault (job %d, attempt %d)", fault.ErrInjected, i, attempt))
+		if inj.JobTransient(j, attempt) {
+			return v, Transient(fmt.Errorf("%w: transient job fault (job %d, attempt %d)", fault.ErrInjected, j, attempt))
 		}
 	}
-	hook := p.jobDoneHook()
-	if hook == nil {
-		return fn(ctx, s, i)
-	}
-	start := time.Now()
-	v, err = fn(ctx, s, i)
-	if err == nil {
-		hook(i, time.Since(start))
-	}
-	return v, err
+	return fn(ctx, s, base+j)
 }
 
 // backoffSite salts the backoff-length hash away from the injector's
@@ -574,15 +272,6 @@ func backoff(seed uint64, i, attempt int) {
 	for k := 0; k < n; k++ {
 		runtime.Gosched()
 	}
-}
-
-// jobDoneHook returns the pool's OnJobDone callback, tolerating nil
-// pools (which Workers already treats as a default pool).
-func (p *Pool) jobDoneHook() func(int, time.Duration) {
-	if p == nil {
-		return nil
-	}
-	return p.OnJobDone
 }
 
 // injector returns the pool's fault injector, tolerating nil pools.

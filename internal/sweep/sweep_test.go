@@ -22,7 +22,7 @@ func TestMapOrderedUnderMixedLatency(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			got, err := Map(context.Background(), New(workers), n,
+			got, err := Collect(context.Background(), New(workers), n,
 				func(_ context.Context, i int) (int, error) {
 					time.Sleep(mixedLatency(i, n))
 					return i * i, nil
@@ -45,11 +45,11 @@ func TestMapOrderedUnderMixedLatency(t *testing.T) {
 func TestStreamEmitsInSubmissionOrder(t *testing.T) {
 	const n = 200
 	var order []int
-	err := Stream(context.Background(), New(8), n,
-		func(_ context.Context, i int) (int, error) {
+	err := Run(context.Background(), New(8), n, Options{}, nil,
+		Stateless(func(_ context.Context, i int) (int, error) {
 			time.Sleep(mixedLatency(i, n))
 			return i, nil
-		},
+		}),
 		func(i, v int) error {
 			if i != v {
 				t.Fatalf("emit index %d carries value %d", i, v)
@@ -76,7 +76,7 @@ func TestStreamEmitsInSubmissionOrder(t *testing.T) {
 func TestHammer(t *testing.T) {
 	const n = 2000
 	var started, sum atomic.Int64
-	got, err := Map(context.Background(), New(runtime.NumCPU()*4), n,
+	got, err := Collect(context.Background(), New(runtime.NumCPU()*4), n,
 		func(_ context.Context, i int) (int, error) {
 			started.Add(1)
 			if i%13 == 0 {
@@ -105,7 +105,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	const n = 500
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := Map(ctx, New(4), n, func(ctx context.Context, i int) (int, error) {
+	_, err := Collect(ctx, New(4), n, func(ctx context.Context, i int) (int, error) {
 		if ran.Add(1) == 20 {
 			cancel()
 		}
@@ -127,7 +127,7 @@ func TestCancellationBeforeStart(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	for _, workers := range []int{1, 4} {
-		_, err := Map(ctx, New(workers), 50, func(_ context.Context, i int) (int, error) {
+		_, err := Collect(ctx, New(workers), 50, func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			return i, nil
 		})
@@ -144,7 +144,7 @@ func TestPanicCaptured(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, err := Map(context.Background(), New(workers), 64,
+			_, err := Collect(context.Background(), New(workers), 64,
 				func(_ context.Context, i int) (int, error) {
 					if i == 17 {
 						panic("boom")
@@ -172,7 +172,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	const n = 120
 	fail := map[int]bool{7: true, 8: true, 40: true, 90: true}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(context.Background(), New(16), n,
+		_, err := Collect(context.Background(), New(16), n,
 			func(_ context.Context, i int) (int, error) {
 				time.Sleep(mixedLatency(i, n))
 				if fail[i] {
@@ -190,7 +190,7 @@ func TestErrorStopsDispatch(t *testing.T) {
 	const n = 10000
 	var ran atomic.Int64
 	boom := errors.New("early failure")
-	_, err := Map(context.Background(), New(4), n, func(_ context.Context, i int) (int, error) {
+	_, err := Collect(context.Background(), New(4), n, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -209,8 +209,8 @@ func TestErrorStopsDispatch(t *testing.T) {
 func TestStreamEmitErrorStops(t *testing.T) {
 	stopAt := errors.New("enough")
 	var emitted []int
-	err := Stream(context.Background(), New(8), 100,
-		func(_ context.Context, i int) (int, error) { return i, nil },
+	err := Run(context.Background(), New(8), 100, Options{}, nil,
+		Stateless(func(_ context.Context, i int) (int, error) { return i, nil }),
 		func(i, v int) error {
 			emitted = append(emitted, i)
 			if i == 5 {
@@ -227,10 +227,10 @@ func TestStreamEmitErrorStops(t *testing.T) {
 }
 
 // TestSingleWorkerIsStrictlySequential pins the -parallel 1 contract:
-// jobs run one at a time, in order, on the calling goroutine.
+// jobs run one at a time, in index order.
 func TestSingleWorkerIsStrictlySequential(t *testing.T) {
 	var order []int // no lock: single-worker jobs must not overlap
-	_, err := Map(context.Background(), New(1), 50,
+	_, err := Collect(context.Background(), New(1), 50,
 		func(_ context.Context, i int) (int, error) {
 			order = append(order, i)
 			return i, nil
@@ -247,7 +247,7 @@ func TestSingleWorkerIsStrictlySequential(t *testing.T) {
 
 func TestSequentialStopsAtFirstError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(context.Background(), New(1), 50,
+	_, err := Collect(context.Background(), New(1), 50,
 		func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			if i == 3 {
@@ -274,16 +274,13 @@ func TestPoolDefaults(t *testing.T) {
 	if got := p.Workers(); got != runtime.NumCPU() {
 		t.Fatalf("nil pool Workers() = %d", got)
 	}
-	if !New(1).Sequential() || New(2).Sequential() {
-		t.Fatal("Sequential misreports")
-	}
 	if got := New(7).Workers(); got != 7 {
 		t.Fatalf("Workers() = %d, want 7", got)
 	}
 }
 
 func TestZeroJobs(t *testing.T) {
-	got, err := Map(context.Background(), New(8), 0,
+	got, err := Collect(context.Background(), New(8), 0,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
@@ -299,12 +296,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		time.Sleep(mixedLatency(i, n))
 		return fmt.Sprintf("r%04d", i*3), nil
 	}
-	seq, err := Map(context.Background(), New(1), n, job)
+	seq, err := Collect(context.Background(), New(1), n, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 32} {
-		par, err := Map(context.Background(), New(workers), n, job)
+		par, err := Collect(context.Background(), New(workers), n, job)
 		if err != nil {
 			t.Fatal(err)
 		}

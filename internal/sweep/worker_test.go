@@ -31,7 +31,7 @@ func TestMapWorkerStateStaysWithinWorker(t *testing.T) {
 	newState := func() *counter {
 		return &counter{id: built.Add(1)}
 	}
-	out, err := sweep.MapWorker(context.Background(), sweep.New(4), n, newState,
+	out, err := sweep.CollectWorker(context.Background(), sweep.New(4), n, newState,
 		func(_ context.Context, s *counter, i int) (int64, error) {
 			s.jobs++ // unsynchronized: the race detector verifies exclusivity
 			time.Sleep(time.Duration(i%3) * time.Millisecond)
@@ -53,11 +53,11 @@ func TestMapWorkerStateStaysWithinWorker(t *testing.T) {
 	}
 }
 
-// TestMapWorkerSequentialBuildsOneState pins the one-worker fast path:
+// TestMapWorkerSequentialBuildsOneState pins the one-worker pool:
 // a single state instance carries the whole sweep, in order.
 func TestMapWorkerSequentialBuildsOneState(t *testing.T) {
 	var built, order []int
-	_, err := sweep.MapWorker(context.Background(), sweep.New(1), 5,
+	_, err := sweep.CollectWorker(context.Background(), sweep.New(1), 5,
 		func() int { built = append(built, len(built)); return 42 },
 		func(_ context.Context, s int, i int) (int, error) {
 			if s != 42 {
@@ -70,7 +70,7 @@ func TestMapWorkerSequentialBuildsOneState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(built) != 1 {
-		t.Fatalf("sequential path built %d states, want 1", len(built))
+		t.Fatalf("one worker built %d states, want 1", len(built))
 	}
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("sequential order = %v", order)
@@ -78,8 +78,8 @@ func TestMapWorkerSequentialBuildsOneState(t *testing.T) {
 }
 
 // TestOnJobDoneReportsEveryJob checks the progress hook fires exactly
-// once per successful job with a plausible duration, on both the
-// sequential and the parallel path.
+// once per successful job with a plausible duration, and before the
+// job's row is delivered, with one worker and with several.
 func TestOnJobDoneReportsEveryJob(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 16
@@ -96,10 +96,18 @@ func TestOnJobDoneReportsEveryJob(t *testing.T) {
 			}
 			seen[i] = d
 		}
-		_, err := sweep.Map(context.Background(), p, n,
-			func(_ context.Context, i int) (int, error) {
+		err := sweep.Run(context.Background(), p, n, sweep.Options{}, nil,
+			sweep.Stateless(func(_ context.Context, i int) (int, error) {
 				time.Sleep(100 * time.Microsecond)
 				return i, nil
+			}),
+			func(i, _ int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, ok := seen[i]; !ok {
+					t.Errorf("workers=%d: job %d delivered before its hook fired", workers, i)
+				}
+				return nil
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +128,7 @@ func TestOnJobDoneSkipsFailedJobs(t *testing.T) {
 	var fired atomic.Int64
 	p := sweep.New(1)
 	p.OnJobDone = func(int, time.Duration) { fired.Add(1) }
-	_, err := sweep.Map(context.Background(), p, 5,
+	_, err := sweep.Collect(context.Background(), p, 5,
 		func(_ context.Context, i int) (int, error) {
 			if i == 3 {
 				return 0, fmt.Errorf("boom")
@@ -145,7 +153,7 @@ func TestProgressLogsThroughSlog(t *testing.T) {
 	p := sweep.New(4)
 	p.OnJobDone = sweep.Progress(logger)
 	const n = 8
-	_, err := sweep.Map(context.Background(), p, n,
+	_, err := sweep.Collect(context.Background(), p, n,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +182,7 @@ func TestProgressETALogsTotalsAndETA(t *testing.T) {
 	const n = 12
 	p := sweep.New(4)
 	p.OnJobDone = sweep.ProgressETA(logger, n)
-	_, err := sweep.Map(context.Background(), p, n,
+	_, err := sweep.Collect(context.Background(), p, n,
 		func(_ context.Context, i int) (int, error) {
 			time.Sleep(200 * time.Microsecond)
 			return i, nil

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"specdsm/internal/fault"
 	"specdsm/internal/machine"
@@ -13,22 +14,22 @@ import (
 	"specdsm/internal/sweep"
 )
 
-// remoteSpec is the self-contained, gob-able description of one study's
-// job space — everything a sweepd worker needs to rebuild the exact job
-// function the dispatcher's process would run locally. It carries only
-// value data (no callbacks, no checkpoint state): execution-side knobs
-// like Parallel, Remote, and the checkpoint fields stay dispatcher-side
-// because they cannot change any job's result.
-type remoteSpec struct {
+// studySpec is the one description of a study's job space: everything
+// a sweepd worker needs to rebuild the exact job function this process
+// would run, and — rendered field by field by key — the identity its
+// checkpoint is recorded under. It carries only value data (no
+// callbacks, no checkpoint state): execution knobs like Parallel,
+// Remote, and the checkpoint fields stay out because they cannot change
+// any job's result.
+type studySpec struct {
 	// Study selects the job function: predictor, speculation, seeds,
 	// scaling, rtl, or sweep.
-	Study string
+	Study string `key:"-"`
 	// Base is the resume offset: job index j on the wire means absolute
 	// study index Base+j. Shipping it keeps the worker's retry/injector
-	// schedule keyed on the same relative indices the in-process pool
-	// uses after a checkpoint replay, so a resumed remote sweep stays
-	// byte-identical to a resumed local one.
-	Base int
+	// schedule keyed on the same relative indices the in-process workers
+	// use after a checkpoint replay.
+	Base int `key:"-"`
 
 	Apps          []string
 	Nodes         int
@@ -49,11 +50,11 @@ type remoteSpec struct {
 	Opts       MachineOptions // sweep (the CLI's machine configuration)
 }
 
-// remoteSpec lifts the config's job-identity scalars into a shippable
-// spec for the named study. Call on a config that already has defaults
-// applied, so both ends resolve to the same concrete values.
-func (c StudyConfig) remoteSpec(study string) remoteSpec {
-	return remoteSpec{
+// spec lifts the config's job-identity scalars into the named study's
+// spec. Call on a config that already has defaults applied, so both
+// ends of a remote sweep resolve to the same concrete values.
+func (c StudyConfig) spec(study string) studySpec {
+	return studySpec{
 		Study:         study,
 		Apps:          c.Apps,
 		Nodes:         c.Nodes,
@@ -67,8 +68,8 @@ func (c StudyConfig) remoteSpec(study string) remoteSpec {
 	}
 }
 
-// config is the worker-side inverse of StudyConfig.remoteSpec.
-func (rs remoteSpec) config() StudyConfig {
+// config is the worker-side inverse of StudyConfig.spec.
+func (rs studySpec) config() StudyConfig {
 	return StudyConfig{
 		Apps:          rs.Apps,
 		Nodes:         rs.Nodes,
@@ -82,7 +83,60 @@ func (rs remoteSpec) config() StudyConfig {
 	}
 }
 
-func (rs remoteSpec) encode() ([]byte, error) {
+// key renders the study's checkpoint identity: the study name, every
+// non-zero spec field as a "|name=value" segment (nested structs
+// flatten to parent.field, pointers are followed, so the key describes
+// values, never addresses), keep-going, and the job count — the
+// segments KeyMismatchError.Diff compares.
+func (rs studySpec) key(keepGoing bool, jobs int) string {
+	var b strings.Builder
+	b.WriteString("specdsm/" + rs.Study)
+	writeKeyFields(&b, "", reflect.ValueOf(rs))
+	fmt.Fprintf(&b, "|keepgoing=%t|jobs=%d", keepGoing, jobs)
+	return b.String()
+}
+
+func writeKeyFields(b *strings.Builder, prefix string, v reflect.Value) {
+	for i := range v.NumField() {
+		f, fv := v.Type().Field(i), v.Field(i)
+		if f.Tag.Get("key") == "-" || fv.IsZero() {
+			continue
+		}
+		name := prefix + strings.ToLower(f.Name)
+		if fv.Kind() == reflect.Pointer {
+			fv = fv.Elem()
+		}
+		switch v := fv.Interface().(type) {
+		case []string:
+			fmt.Fprintf(b, "|%s=%s", name, strings.Join(v, ","))
+		default:
+			if fv.Kind() == reflect.Struct {
+				writeKeyFields(b, name+".", fv)
+			} else {
+				fmt.Fprintf(b, "|%s=%v", name, v)
+			}
+		}
+	}
+}
+
+// pool is the spec's job-settling policy — retry budget, backoff seed,
+// fault injector — on a pool of the given width: identical on every
+// executor, so a job settles the same way wherever it runs.
+func (rs studySpec) pool(workers int) (*sweep.Pool, error) {
+	p := sweep.New(workers)
+	p.Retries = rs.Retries
+	p.RetrySeed = uint64(rs.Seed)
+	if rs.FaultSpec != "" {
+		inj, err := fault.ParseSpec(rs.FaultSpec)
+		if err != nil {
+			return nil, fmt.Errorf("specdsm: %w", err)
+		}
+		p.Inject = inj
+	}
+	return p, nil
+}
+
+func (rs studySpec) encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rs); err != nil {
 		return nil, fmt.Errorf("specdsm: encoding study spec: %w", err)
@@ -102,7 +156,7 @@ func (rs remoteSpec) encode() ([]byte, error) {
 // server refuses the connection so the dispatcher abandons this worker
 // instead of retrying a spec that cannot get better.
 func NewRemoteRunner(spec []byte) (remote.Runner, error) {
-	var rs remoteSpec
+	var rs studySpec
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("specdsm: decoding study spec: %w", err)
 	}
@@ -132,133 +186,65 @@ func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 // runnerFor wraps a study's job function as a remote.Runner: one arena,
 // a single-job pool carrying the spec's retry/fault policy, and gob
 // encoding of each settled row.
-func runnerFor[T any](rs remoteSpec, fn func(context.Context, *machine.Arena, int) (T, error)) (remote.Runner, error) {
-	p := sweep.New(1)
-	p.Retries = rs.Retries
-	p.RetrySeed = uint64(rs.Seed)
-	if rs.FaultSpec != "" {
-		inj, err := fault.ParseSpec(rs.FaultSpec)
-		if err != nil {
-			return nil, fmt.Errorf("specdsm: %w", err)
-		}
-		p.Inject = inj
+func runnerFor[T any](rs studySpec, fn func(context.Context, *machine.Arena, int) (T, error)) (remote.Runner, error) {
+	p, err := rs.pool(1)
+	if err != nil {
+		return nil, err
 	}
 	arena := machine.NewArena()
-	base := rs.Base
 	return remote.RunnerFunc(func(ctx context.Context, j int) ([]byte, error) {
-		v, err := sweep.RunOne(ctx, p, arena, j,
-			func(ctx context.Context, a *machine.Arena, j int) (T, error) { return fn(ctx, a, base+j) })
+		v, err := sweep.RunOne(ctx, p, arena, rs.Base, j, fn)
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, fmt.Errorf("specdsm: encoding job %d result: %w", base+j, err)
+			return nil, fmt.Errorf("specdsm: encoding job %d result: %w", rs.Base+j, err)
 		}
 		return buf.Bytes(), nil
 	}), nil
 }
 
 // streamStudy is the execution backend every study driver fans out on:
-// checkpoint replay plus an in-process worker pool (sweep.
-// StreamCheckpointFail), or — when cfg.Remote names shard workers — the
-// fault-tolerant remote dispatcher. Both paths deliver rows and
-// keep-going failures to emit/fail strictly in index order, so a study
-// cannot tell how (or where) its jobs ran.
-func streamStudy[T any](cfg StudyConfig, rs remoteSpec, n int, extra string,
+// one sweep.Run that replays the study's checkpoint, runs the remaining
+// jobs on in-process workers and — when cfg.Remote names shard workers
+// — on those shards, and delivers rows and keep-going failures to
+// emit/fail strictly in index order, so a study cannot tell how (or
+// where) its jobs ran. With shards the in-process side is a single
+// worker: the degradation floor for a dead fleet and poison jobs.
+func streamStudy[T any](cfg StudyConfig, rs studySpec, n int,
 	fn func(context.Context, *machine.Arena, int) (T, error),
 	emit func(int, T) error, fail sweep.FailFunc) error {
-	ck, err := cfg.checkpoint(rs.Study, n, extra)
+	ck, err := cfg.checkpoint(rs, n)
 	if err != nil {
 		return err
 	}
-	pool, err := cfg.pool(n)
-	if err != nil {
-		return err
-	}
-	if len(cfg.Remote) == 0 {
-		return sweep.StreamCheckpointFail(context.Background(), pool, n, ck, machine.NewArena, fn, emit, fail)
-	}
-	return streamRemote(cfg, rs, n, ck, pool, emit, fail)
-}
-
-// streamRemote is streamStudy's dispatcher path, mirroring
-// sweep.StreamCheckpointFail exactly: replay the checkpointed prefix,
-// dispatch the remaining relative indices across the shard fleet,
-// append every newly settled frame before handing it to the caller, and
-// flush the checkpoint even when the sweep fails — that is the resume
-// point. Job results come back as gob payloads; failures come back as
-// error text, which is all the local path persists or prints either.
-func streamRemote[T any](cfg StudyConfig, rs remoteSpec, n int, ck *sweep.Checkpoint, pool *sweep.Pool,
-	emit func(int, T) error, fail sweep.FailFunc) error {
-	base := 0
+	o := sweep.Options{Checkpoint: ck, Fail: fail}
 	if ck != nil {
-		if err := ck.ValidateJobs(n); err != nil {
+		rs.Base = ck.Rows()
+	}
+	if len(cfg.Remote) > 0 {
+		cfg.Parallel = 1
+	}
+	pool, err := cfg.pool(n - rs.Base)
+	if err != nil {
+		return err
+	}
+	if len(cfg.Remote) > 0 {
+		spec, err := rs.encode()
+		if err != nil {
 			return err
 		}
-		if err := sweep.ReplayCheckpointFail(ck, emit, fail); err != nil {
-			return err
+		d := &remote.Dispatcher{
+			Hosts:  cfg.Remote,
+			Spec:   spec,
+			Seed:   uint64(cfg.Seed),
+			Inject: pool.Inject,
+			Logf:   cfg.RemoteLogf,
 		}
-		base = ck.Rows()
-		if base == n {
-			return nil
-		}
+		o.Transports = d.Transports()
 	}
-	rs.Base = base
-	spec, err := rs.encode()
-	if err != nil {
-		return err
-	}
-	// The degradation floor runs the exact worker-side code path — spec
-	// decode, per-runner arena, RunOne — so a sweep that falls back to
-	// local execution (dead fleet, poison job) is byte-identical to one
-	// a shard served.
-	local, err := NewRemoteRunner(spec)
-	if err != nil {
-		return err
-	}
-	d := &remote.Dispatcher{
-		Hosts:     cfg.Remote,
-		Spec:      spec,
-		Local:     local,
-		KeepGoing: cfg.KeepGoing,
-		Seed:      uint64(cfg.Seed),
-		OnJobDone: pool.OnJobDone,
-		Inject:    pool.Inject,
-		Logf:      cfg.RemoteLogf,
-	}
-	deliver := func(j int, r remote.Result) error {
-		i := base + j
-		if r.Err != "" {
-			ferr := errors.New(r.Err)
-			if fail == nil {
-				return ferr
-			}
-			if ck != nil {
-				if err := ck.AppendFail(ferr); err != nil {
-					return err
-				}
-			}
-			return fail(i, ferr)
-		}
-		var v T
-		if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&v); err != nil {
-			return fmt.Errorf("specdsm: remote job %d: decoding result: %w", i, err)
-		}
-		if ck != nil {
-			if err := sweep.AppendRow(ck, v); err != nil {
-				return err
-			}
-		}
-		return emit(i, v)
-	}
-	err = d.Run(context.Background(), 0, n-base, deliver)
-	if ck != nil {
-		if ferr := ck.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	return sweep.Run(context.Background(), pool, n, o, machine.NewArena, fn, emit)
 }
 
 // RunSweepStream runs every cfg.Apps workload on one machine
@@ -272,10 +258,9 @@ func streamRemote[T any](cfg StudyConfig, rs remoteSpec, n int, ck *sweep.Checkp
 // renders failures itself.
 func RunSweepStream(cfg StudyConfig, opts MachineOptions, emit func(i int, r *RunResult) error, fail sweep.FailFunc) error {
 	cfg = cfg.withDefaults()
-	n := len(cfg.Apps)
-	rs := cfg.remoteSpec("sweep")
+	rs := cfg.spec("sweep")
 	rs.Opts = opts
-	return streamStudy(cfg, rs, n, "|opts="+optsKey(opts), sweepJob(cfg, opts), emit, fail)
+	return streamStudy(cfg, rs, len(cfg.Apps), sweepJob(cfg, opts), emit, fail)
 }
 
 // sweepJob builds the CLI sweep's job function: application i of
@@ -289,17 +274,4 @@ func sweepJob(cfg StudyConfig, opts MachineOptions) func(context.Context, *machi
 		}
 		return runInArena(arena, w, opts)
 	}
-}
-
-// optsKey renders the machine configuration's job-identity fields for
-// the sweep study's checkpoint key. Explicit (rather than %+v) because
-// Active is a pointer: the key must describe its value, not its
-// address.
-func optsKey(o MachineOptions) string {
-	active := "-"
-	if o.Active != nil {
-		active = fmt.Sprintf("%s/%d/%d", o.Active.Kind, o.Active.Depth, o.Active.Confidence)
-	}
-	return fmt.Sprintf("mode=%s|active=%s|obs=%v|specup=%t|cap=%d|flight=%d",
-		o.Mode, active, o.Observers, o.SpecUpgrades, o.CacheCapacity, o.NetworkFlight)
 }

@@ -88,9 +88,9 @@ func NodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, 
 	fail := failRow(cfg, emit, func(j int, errText string) NodeScaling {
 		return NodeScaling{App: cfg.Apps[j/k], Nodes: nodeCounts[j%k], Failed: errText}
 	})
-	rs := cfg.remoteSpec("scaling")
+	rs := cfg.spec("scaling")
 	rs.NodeCounts = nodeCounts
-	return streamStudy(cfg, rs, n, fmt.Sprintf("|scalenodes=%v", nodeCounts), scalingJob(cfg, nodeCounts),
+	return streamStudy(cfg, rs, n, scalingJob(cfg, nodeCounts),
 		func(j int, r *RunResult) error {
 			return emit(j, NodeScaling{App: cfg.Apps[j/k], Nodes: nodeCounts[j%k], Run: r})
 		},

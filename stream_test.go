@@ -1,9 +1,15 @@
 package specdsm_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"log/slog"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,4 +169,71 @@ func TestRTLSweepStreamInterruptResume(t *testing.T) {
 	if n := ran.Load(); n == 0 || n >= total {
 		t.Fatalf("resume ran %d of %d jobs, want a proper suffix", n, total)
 	}
+}
+
+// TestResumeProgressCountsRunJobs pins progress reporting after a
+// resume, locally and over a shard: OnJobDone sees absolute study
+// indices, and the ETA's total counts only the jobs that actually run
+// (replayed rows never report progress).
+func TestResumeProgressCountsRunJobs(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := specdsm.StudyConfig{
+				Apps:            []string{"em3d", "moldyn", "tomcatv", "ocean"},
+				Scale:           0.1,
+				Depths:          []int{1},
+				Parallel:        1,
+				CheckpointPath:  filepath.Join(t.TempDir(), "ck"),
+				CheckpointEvery: 1,
+			}
+			if shards > 0 {
+				cfg.Remote = startWorkers(t, shards)
+			}
+			// Interrupt after two rows: both are in the checkpoint.
+			stop := errors.New("interrupted")
+			if err := specdsm.PredictorStudyStream(cfg, func(i int, _ specdsm.AppPrediction) error {
+				if i == 1 {
+					return stop
+				}
+				return nil
+			}); !errors.Is(err, stop) {
+				t.Fatalf("err = %v, want the interruption", err)
+			}
+
+			var (
+				mu      sync.Mutex
+				indices []int
+				log     bytes.Buffer
+			)
+			cfg.Resume = true
+			cfg.OnJobDone = func(i int, _ time.Duration) {
+				mu.Lock()
+				defer mu.Unlock()
+				indices = append(indices, i)
+			}
+			cfg.Progress = slog.New(slog.NewTextHandler(&lockedBuffer{b: &log, mu: &mu}, nil))
+			if err := specdsm.PredictorStudyStream(cfg, func(int, specdsm.AppPrediction) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			sort.Ints(indices)
+			if fmt.Sprint(indices) != "[2 3]" {
+				t.Fatalf("OnJobDone indices = %v, want [2 3]", indices)
+			}
+			if out := log.String(); !strings.Contains(out, "completed=2 total=2") || strings.Contains(out, "total=4") {
+				t.Fatalf("progress not sized by the jobs that ran:\n%s", out)
+			}
+		})
+	}
+}
+
+// lockedBuffer serializes concurrent log writes.
+type lockedBuffer struct {
+	b  *bytes.Buffer
+	mu *sync.Mutex
+}
+
+func (lb *lockedBuffer) Write(p []byte) (int, error) {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	return lb.b.Write(p)
 }
