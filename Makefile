@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # BENCH_OUT names the trajectory point `make bench` records. Bump the PR
 # number when landing a perf PR so the old point stays committed next to
 # the new one and bench-check can diff them.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR14.json
 
 .PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench cover profile loc
 
@@ -18,7 +18,7 @@ BENCH_OUT ?= BENCH_PR10.json
 # distributed chaos harness (a real sweepd fleet with one worker
 # SIGKILLed mid-batch and another injecting connection faults), a
 # short fuzz leg over the reader-vector, pattern-key, and checkpoint
-# decoders, a one-iteration benchmark smoke run so the benches cannot
+# decoders and the predictor's successor links, a one-iteration benchmark smoke run so the benches cannot
 # silently rot, the bench-history regression check over the committed
 # BENCH_PR<N>.json records, and the end-to-end benchmark module's vet
 # and tests.
@@ -61,14 +61,17 @@ chaos:
 
 # fuzzsmoke runs the differential fuzz targets briefly on every gate:
 # the reader-vector ops against the map-backed oracle, the packed
-# pattern-key encoding against its bijection/table oracle, and the
-# checkpoint decoder's strict-vs-salvage verdict consistency. Five
+# pattern-key encoding against its bijection/table oracle, the
+# checkpoint decoder's strict-vs-salvage verdict consistency, and the
+# predictor's successor links against a twin that probes for every
+# history (link invariants after every operation, identical results). Five
 # seconds each is a smoke test, not a campaign — run `go test -fuzz`
 # with a longer -fuzztime for real exploration; the corpus persists
 # under the build cache either way.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderVec -fuzztime=5s ./internal/mem
 	$(GO) test -run='^$$' -fuzz=FuzzPatKeyPack -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzObserveLinks -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointFrames -fuzztime=5s ./internal/sweep
 
 # cover prints per-package statement coverage over the full test suite.
@@ -118,8 +121,9 @@ race:
 	$(GO) test -race ./...
 
 # bench runs every benchmark — the per-table/figure study benches, the
-# hot-path microbenches (Observe, KernelSchedule, DirectoryServe,
-# CacheHit), and the loopback remote-dispatch leg (per-job dispatcher
+# hot-path microbenches (Observe — including the nine-predictor,
+# 4096-block leg whose tables outgrow the caches — KernelSchedule,
+# DirectoryServe, CacheHit), and the loopback remote-dispatch leg (per-job dispatcher
 # overhead: claim/exec/result round-trips over a real TCP connection,
 # microseconds per job, so distribution cost stays visible next to the
 # simulation benches it amortizes into) — with -benchmem, and records

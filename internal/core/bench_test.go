@@ -42,6 +42,59 @@ func BenchmarkObserve(b *testing.B) {
 			})
 		}
 	}
+	b.Run("nine/4096blocks", benchObserveNine)
+}
+
+// manyBlockStream interleaves one producer/consumer iteration per block
+// over blocks blocks of a 16-node machine: every block's first message,
+// then every block's second, and so on, so consecutive observations land
+// on different blocks the way a directory's traffic does. Block i's
+// producer is node i%16 and its readers the nodes 5 and 11 places on.
+func manyBlockStream(blocks int) (addrs []mem.BlockAddr, seq []Observation) {
+	const nodes = 16
+	iter := func(i int) []Observation {
+		w, r1, r2 := mem.NodeID(i%nodes), mem.NodeID((i+5)%nodes), mem.NodeID((i+11)%nodes)
+		return []Observation{obs(MsgUpgrade, w), obs(MsgAckInv, r1), obs(MsgAckInv, r2), obs(MsgRead, r1), obs(MsgRead, r2)}
+	}
+	for k := range iter(0) {
+		for i := 0; i < blocks; i++ {
+			addrs = append(addrs, mem.MakeAddr(mem.NodeID(i%nodes), uint64(i)))
+			seq = append(seq, iter(i)[k])
+		}
+	}
+	return addrs, seq
+}
+
+// benchObserveNine is the predictor study's observation load: all nine
+// kind×depth observers score every message of a 4096-block stream. The
+// single-block legs keep every table in L1; here the pattern tables and
+// block registers far exceed it, so the cost of reaching an entry shows.
+// One op is one message observed by all nine predictors.
+func benchObserveNine(b *testing.B) {
+	var preds []*TwoLevel
+	for _, kind := range []Kind{KindCosmos, KindMSP, KindVMSP} {
+		for _, depth := range []int{1, 2, 4} {
+			preds = append(preds, New(kind, depth))
+		}
+	}
+	addrs, seq := manyBlockStream(4096)
+	// Warm up until every pattern at depth 4 is learned, so the timed loop
+	// exercises only the existing-pattern path.
+	for r := 0; r < 4*MaxDepth+4; r++ {
+		for i, o := range seq {
+			for _, p := range preds {
+				p.Observe(addrs[i], o)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(seq)
+		for _, p := range preds {
+			p.Observe(addrs[k], seq[k])
+		}
+	}
 }
 
 // BenchmarkObserveColdBlocks measures the allocation path: every access

@@ -222,7 +222,7 @@ func (rp ReadPrediction) Prune(n mem.NodeID) {
 			if vec.Empty() {
 				s.clearPred(idx)
 			} else {
-				s.hot[idx].vec = s.vecID(vec)
+				s.setPred(idx, tn, s.vecID(vec))
 			}
 		} else if tnNode(tn) == n {
 			s.clearPred(idx)

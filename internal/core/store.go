@@ -7,31 +7,41 @@ import "specdsm/internal/mem"
 // A pattern entry used to be a 40-byte struct (predicted Symbol, 2-bit
 // confidence, SWI premature bit, uses/hits instrumentation) behind a Go
 // map with 48-byte keys. The hot surfaces — Observe's score-and-learn,
-// PredictReaders, PredictNext — read only the predicted symbol and the
-// confidence bits, so the store splits each entry across parallel arrays
-// keyed by one int32 index:
+// PredictReaders, PredictNext — read only the predicted symbol, the
+// confidence bits and the successor link, so the store splits each entry
+// across parallel arrays keyed by one int32 index:
 //
 //   - hot:  the predicted symbol (vec holds the reader vector, tn the
 //     packed (type, node) pair — a zero low byte means MsgInvalid, i.e.
-//     "no prediction") plus the meta byte (2-bit confidence counter and
-//     the SWI premature bit). 16 bytes — everything a score, predict, or
-//     confidence update touches, in one cache-line-friendly record.
+//     "no prediction"), the meta byte (2-bit confidence counter and the
+//     SWI premature bit) and succ. 16 bytes — everything a score,
+//     predict, or confidence update touches, in one cache-line-friendly
+//     record.
 //   - keys: the (addr, packed history) identity of the entry, read only
 //     to confirm a probe match.
-//   - stats: uses/hits instrumentation (learning-speed analysis), off
-//     every predict path. It is write-hot on Observe but never read
-//     there, so keeping it out of keys preserves the probe path's
-//     read-only cache lines.
+//
+// succ is the successor link: noEntry, or the index of the entry keyed by
+// this entry's history advanced by this entry's own prediction — exactly
+// what a patTable probe for the block's next history would return once
+// this entry's prediction has been pushed. A block records the entry it
+// just learned in blockState.from and resolves its new history through
+// from's succ into blockState.cur, so an observation that follows the
+// prediction skips the probe (and its key compare) entirely; a missing
+// link is filled by the one probe that resolves the history (see
+// TwoLevel.current). Because the table is insert-only and reset clears
+// every entry and block, a link never goes stale on its own; the one
+// thing that can break it is a change of the prediction it follows, so
+// every prediction change (setPred with a new value, clearPred) clears
+// succ.
 //
 // The fast path therefore drags 16 hot bytes per entry through the cache
 // instead of the whole record. Indices are stable across growth
 // (append-only slices), which is what SWIGuard and ReadPrediction
 // handles rely on; gen counts Resets so stale handles degrade to no-ops.
 type entryStore struct {
-	keys  []patternKey
-	hot   []entryHot
-	stats []entryStats
-	gen   uint32
+	keys []patternKey
+	hot  []entryHot
+	gen  uint32
 	// vecs is the reader-vector interner, non-nil only on wide predictors
 	// (machines with more than mem.InlineNodes nodes). Narrow predictors
 	// store the vector's inline word directly in entryHot.vec/patKey.vec —
@@ -70,17 +80,12 @@ func (s *entryStore) vecAt(id uint64) mem.ReaderVec {
 }
 
 // entryHot packs the per-entry words every scoring/predict path reads.
+// succ sits in what was the record's tail padding, so it stays 16 bytes.
 type entryHot struct {
 	vec  uint64
 	tn   uint16
 	meta uint8
-}
-
-// entryStats instruments per-entry reuse; nothing on a predict or score
-// path reads it, so it lives in its own cold array.
-type entryStats struct {
-	uses uint64
-	hits uint64
+	succ int32
 }
 
 // meta byte layout: bits 0-1 hold the saturating confidence counter,
@@ -97,8 +102,7 @@ const confMax = 3
 // index. tn/vid are the pack()/vecID packings of the predicted symbol.
 func (s *entryStore) alloc(key patternKey, tn uint16, vid uint64) int32 {
 	s.keys = append(s.keys, key)
-	s.hot = append(s.hot, entryHot{tn: tn, vec: vid})
-	s.stats = append(s.stats, entryStats{})
+	s.hot = append(s.hot, entryHot{tn: tn, vec: vid, succ: noEntry})
 	return int32(len(s.keys) - 1)
 }
 
@@ -116,15 +120,21 @@ func (s *entryStore) pred(i int32) Symbol {
 }
 
 // setPred replaces entry i's predicted symbol with the packed (tn, vid).
+// A changed prediction advances to a different history, so it drops the
+// successor link.
 func (s *entryStore) setPred(i int32, tn uint16, vid uint64) {
-	s.hot[i].tn = tn
-	s.hot[i].vec = vid
+	if h := &s.hot[i]; h.tn != tn || h.vec != vid {
+		h.tn, h.vec, h.succ = tn, vid, noEntry
+	}
 }
 
 // clearPred erases entry i's prediction (MsgInvalid, empty vector).
-func (s *entryStore) clearPred(i int32) {
-	s.hot[i].tn = 0
-	s.hot[i].vec = 0
+func (s *entryStore) clearPred(i int32) { s.setPred(i, 0, 0) }
+
+// predIs reports whether entry i predicts the packed symbol (tn, vid).
+func (s *entryStore) predIs(i int32, tn uint16, vid uint64) bool {
+	h := &s.hot[i]
+	return h.tn == tn && h.vec == vid
 }
 
 // predValid reports whether entry i holds a real prediction (the packed
@@ -151,7 +161,6 @@ func (s *entryStore) confDown(i int32) {
 func (s *entryStore) reset() {
 	s.keys = s.keys[:0]
 	s.hot = s.hot[:0]
-	s.stats = s.stats[:0]
 	s.gen++
 	if s.vecs != nil {
 		s.vecs.reset()

@@ -90,25 +90,36 @@ type patternKey struct {
 	key  patKey
 }
 
-// noEntry marks an empty entry reference (blockState.lastWrite).
+// noEntry marks an empty entry reference (blockState.lastWrite/cur/from,
+// entryHot.succ).
 const noEntry int32 = -1
 
-// blockState holds the per-block history register.
+// blockState holds the per-block history register. The fields are ordered
+// so the record packs into 72 bytes.
 type blockState struct {
 	// key is the packed history, maintained incrementally by push.
 	key patKey
-	// n is the number of symbols currently in the history (≤ depth).
-	n uint8
 	// open is the read run accumulated since the last non-read symbol
 	// (VMSP only).
 	open mem.ReaderVec
 	// lastWrite indexes the entry whose prediction recorded the block's
 	// most recent write/upgrade; it carries the SWI premature bit.
 	lastWrite int32
+	// cur is noEntry or the entry keyed by the current history — what a
+	// table probe of (addr, key) returns. See TwoLevel.current.
+	cur int32
+	// from is noEntry or the entry whose learning pushed the newest
+	// history symbol, i.e. the entry whose succ link names cur.
+	from int32
+	// n is the number of symbols currently in the history (≤ depth).
+	n uint8
 }
 
-func (bs *blockState) push(tn uint16, vid uint64, depth int) {
-	bs.n = uint8(bs.key.push(tn, vid, int(bs.n), depth))
+// newest returns the packed (tn, vid) of the most recently pushed symbol;
+// the history must be non-empty.
+func (bs *blockState) newest() (uint16, uint64) {
+	i := uint(bs.n) - 1
+	return uint16(bs.key.tn >> (16 * i)), bs.key.vec[i]
 }
 
 // TwoLevel is the shared two-level adaptive predictor engine. It is
@@ -167,9 +178,8 @@ func NewSized(kind Kind, depth, nodes int) *TwoLevel {
 		blockStates: make([]blockState, 0, 128),
 		table:       patTable{vecKeys: kind == KindVMSP},
 		store: &entryStore{
-			keys:  make([]patternKey, 0, presize),
-			hot:   make([]entryHot, 0, presize),
-			stats: make([]entryStats, 0, presize),
+			keys: make([]patternKey, 0, presize),
+			hot:  make([]entryHot, 0, presize),
 		},
 		maxChain: mem.InlineNodes,
 	}
@@ -252,7 +262,7 @@ func (p *TwoLevel) tracks(t MsgType) bool {
 func (p *TwoLevel) block(addr mem.BlockAddr) *blockState {
 	idx, created := p.blocks.Reserve(addr, int32(len(p.blockStates)))
 	if created {
-		p.blockStates = append(p.blockStates, blockState{lastWrite: noEntry})
+		p.blockStates = append(p.blockStates, blockState{lastWrite: noEntry, cur: noEntry, from: noEntry})
 	}
 	return &p.blockStates[idx]
 }
@@ -264,6 +274,43 @@ func (p *TwoLevel) lookup(addr mem.BlockAddr) *blockState {
 		return nil
 	}
 	return &p.blockStates[idx]
+}
+
+// current returns the entry keyed by bs's current history, or noEntry when
+// the table holds none. A history reached by following a successor link is
+// already resolved in bs.cur; otherwise one table probe resolves it, and
+// the result is linked as the successor of bs.from — provided from still
+// predicts the newest history symbol, so that from's history advanced by
+// its own prediction is exactly the current one.
+func (p *TwoLevel) current(addr mem.BlockAddr, bs *blockState) int32 {
+	if bs.cur != noEntry {
+		return bs.cur
+	}
+	idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key})
+	if !ok {
+		return noEntry
+	}
+	p.resolved(bs, idx)
+	return idx
+}
+
+// resolved records idx as the entry for bs's current history.
+func (p *TwoLevel) resolved(bs *blockState, idx int32) {
+	bs.cur = idx
+	if f := bs.from; f != noEntry {
+		if tn, vid := bs.newest(); p.store.predIs(f, tn, vid) {
+			p.store.hot[f].succ = idx
+		}
+	}
+}
+
+// learned pushes the packed symbol (tn, vid) that entry idx now predicts
+// and moves the block onto the new history, resolving it through idx's
+// successor link.
+func (p *TwoLevel) learned(bs *blockState, idx int32, tn uint16, vid uint64) {
+	bs.n = uint8(bs.key.push(tn, vid, int(bs.n), p.depth))
+	bs.from = idx
+	bs.cur = p.store.hot[idx].succ
 }
 
 // Observe implements Predictor. Messages must be fed in directory arrival
@@ -292,18 +339,16 @@ func (p *TwoLevel) Observe(addr mem.BlockAddr, obs Observation) Outcome {
 func (p *TwoLevel) observeVMSP(addr mem.BlockAddr, bs *blockState, obs Observation) Outcome {
 	if obs.Type == MsgRead {
 		out := Outcome{Tracked: true}
-		if idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key}); ok {
+		if idx := p.current(addr, bs); idx != noEntry {
 			s := p.store
 			if s.predValid(idx) {
 				out.Predicted = true
-				s.stats[idx].uses++
 				h := &s.hot[idx]
 				// A read type with Node 0 is how a vector symbol packs,
 				// but membership is what scores a VMSP read.
 				if tnType(h.tn) == MsgRead &&
 					s.vecAt(h.vec).Has(obs.Node) && !bs.open.Has(obs.Node) {
 					out.Correct = true
-					s.stats[idx].hits++
 					s.confUp(idx)
 				} else {
 					s.confDown(idx)
@@ -334,18 +379,15 @@ func (p *TwoLevel) observeVMSP(addr mem.BlockAddr, bs *blockState, obs Observati
 func (p *TwoLevel) scoreAndLearn(addr mem.BlockAddr, bs *blockState, sym Symbol) Outcome {
 	out := Outcome{Tracked: true}
 	tn, vid := sym.pack(), p.store.vecID(sym.Vec)
-	pk := patternKey{addr, bs.key}
-	idx, ok := p.table.lookup(p.store, pk)
-	if ok {
+	idx := p.current(addr, bs)
+	if idx != noEntry {
 		s := p.store
 		if s.predValid(idx) {
 			out.Predicted = true
-			s.stats[idx].uses++
 			// Packed equality: (type, node) word and vector word match ⟺
 			// Symbol.Equal, since pack() and vecID are bijections.
-			if h := &s.hot[idx]; h.tn == tn && h.vec == vid {
+			if s.predIs(idx, tn, vid) {
 				out.Correct = true
-				s.stats[idx].hits++
 				s.confUp(idx)
 			} else {
 				s.confDown(idx)
@@ -353,27 +395,36 @@ func (p *TwoLevel) scoreAndLearn(addr mem.BlockAddr, bs *blockState, sym Symbol)
 		}
 		s.setPred(idx, tn, vid)
 	} else {
-		idx = p.store.alloc(pk, tn, vid)
-		p.table.insert(p.store, pk, idx)
+		idx = p.insert(addr, bs, tn, vid)
 	}
 	if sym.Type.IsWriteLike() {
 		bs.lastWrite = idx
 	}
-	bs.push(tn, vid, p.depth)
+	p.learned(bs, idx, tn, vid)
 	return out
+}
+
+// insert allocates the entry for bs's current history, absent from the
+// table, predicting the packed symbol (tn, vid).
+func (p *TwoLevel) insert(addr mem.BlockAddr, bs *blockState, tn uint16, vid uint64) int32 {
+	pk := patternKey{addr, bs.key}
+	idx := p.store.alloc(pk, tn, vid)
+	p.table.insert(p.store, pk, idx)
+	p.resolved(bs, idx)
+	return idx
 }
 
 // learn records sym as the successor of the current history without
 // scoring (used when closing VMSP read runs).
 func (p *TwoLevel) learn(addr mem.BlockAddr, bs *blockState, sym Symbol) {
 	tn, vid := sym.pack(), p.store.vecID(sym.Vec)
-	pk := patternKey{addr, bs.key}
-	if idx, ok := p.table.lookup(p.store, pk); ok {
+	idx := p.current(addr, bs)
+	if idx != noEntry {
 		p.store.setPred(idx, tn, vid)
 	} else {
-		p.table.insert(p.store, pk, p.store.alloc(pk, tn, vid))
+		idx = p.insert(addr, bs, tn, vid)
 	}
-	bs.push(tn, vid, p.depth)
+	p.learned(bs, idx, tn, vid)
 }
 
 // PredictNext implements Predictor: the predicted successor of the
@@ -383,11 +434,8 @@ func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
 	if bs == nil {
 		return Symbol{}, false
 	}
-	idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key})
-	if !ok {
-		return Symbol{}, false
-	}
-	if !p.store.predValid(idx) || !p.confident(idx) {
+	idx := p.current(addr, bs)
+	if idx == noEntry || !p.store.predValid(idx) || !p.confident(idx) {
 		return Symbol{}, false
 	}
 	return p.store.pred(idx), true
@@ -407,11 +455,11 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 	if bs == nil {
 		return ReadPrediction{}, false
 	}
+	idx := p.current(addr, bs)
+	if idx == noEntry {
+		return ReadPrediction{}, false
+	}
 	if p.kind == KindVMSP {
-		idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key})
-		if !ok {
-			return ReadPrediction{}, false
-		}
 		s := p.store
 		vec := s.vecAt(s.hot[idx].vec)
 		if tnType(s.hot[idx].tn) != MsgRead || vec.Empty() || !p.confident(idx) {
@@ -422,16 +470,13 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 		return rp, true
 	}
 
-	// Chain expansion over a stack copy of the packed history key (the
-	// old implementation cloned the whole blockState here).
+	// Chain expansion over a stack copy of the packed history key. Each
+	// step pushes exactly the entry's own prediction, so the next entry is
+	// its successor link; a missing link is filled by one probe.
 	key := bs.key
 	n := int(bs.n)
 	rp := ReadPrediction{store: p.store, gen: p.store.gen}
 	for i := 0; i < p.maxChain; i++ {
-		idx, ok := p.table.lookup(p.store, patternKey{addr, key})
-		if !ok {
-			break
-		}
 		h := &p.store.hot[idx]
 		if tnType(h.tn) != MsgRead || !p.confident(idx) {
 			break
@@ -443,6 +488,14 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 		rp.Readers = rp.Readers.With(node)
 		rp.addEntry(idx)
 		n = key.push(h.tn, h.vec, n, p.depth)
+		if h.succ == noEntry {
+			next, ok := p.table.lookup(p.store, patternKey{addr, key})
+			if !ok {
+				break
+			}
+			h.succ = next
+		}
+		idx = h.succ
 	}
 	if rp.Readers.Empty() {
 		return ReadPrediction{}, false
@@ -460,7 +513,7 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 	if bs == nil {
 		return false
 	}
-	key := bs.key
+	var idx int32
 	if p.kind == KindVMSP {
 		// A run vector that was never learned cannot key any entry, so a
 		// missing intern id is already a miss (vecIDIfPresent avoids
@@ -469,13 +522,15 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 		if !ok {
 			return false
 		}
+		key := bs.key
 		key.push(packTN(MsgRead, 0), vid, int(bs.n), p.depth)
+		if idx, ok = p.table.lookup(p.store, patternKey{addr, key}); !ok {
+			return false
+		}
+	} else {
+		idx = p.current(addr, bs)
 	}
-	idx, ok := p.table.lookup(p.store, patternKey{addr, key})
-	if !ok {
-		return false
-	}
-	if !p.store.predValid(idx) || !p.confident(idx) {
+	if idx == noEntry || !p.store.predValid(idx) || !p.confident(idx) {
 		return false
 	}
 	tn := p.store.hot[idx].tn
