@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # BENCH_OUT names the trajectory point `make bench` records. Bump the PR
 # number when landing a perf PR so the old point stays committed next to
 # the new one and bench-check can diff them.
-BENCH_OUT ?= BENCH_PR14.json
+BENCH_OUT ?= BENCH_PR16.json
 
 .PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench cover profile loc
 
@@ -206,7 +206,9 @@ benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # bench-check compares the two newest committed BENCH_PR<N>.json records
-# and fails on any allocs/op increase or a >15% ns/op regression. Use
+# and fails on any allocs/op increase or a >15% ns/op regression, or —
+# before comparing anything — when the two records' host stamps (CPU
+# model, nproc, GOMAXPROCS, written by benchjson) differ. Use
 # `go run ./cmd/benchcheck -base BENCH_PR<N>.json` to diff the newest
 # record against an arbitrary older baseline instead of the adjacent one.
 bench-check:

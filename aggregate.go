@@ -3,7 +3,6 @@ package specdsm
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"specdsm/internal/machine"
 	"specdsm/internal/report"
@@ -44,51 +43,35 @@ func SpeculationStudySeeds(cfg StudyConfig, seeds []int64) ([]Figure9Aggregate, 
 		return nil, fmt.Errorf("specdsm: no seeds")
 	}
 	cfg = cfg.withDefaults()
-	nApps, nModes := len(cfg.Apps), len(specModes)
-	n := len(seeds) * nApps * nModes
+	apps := cfg.Apps
 	var fr, swi report.Grouped
 	// failed is lazily allocated: it only exists on runs where some
 	// (seed, app) cell actually failed under KeepGoing.
 	var failed map[string]int
-	// triple is the assembly window: the ordered merge delivers runs
-	// (seed, app, mode)-major, so every nModes deliveries complete one
-	// (seed, app) cell, which normalizes against its own Base run and
-	// folds into that application's accumulators. Under KeepGoing a cell
-	// with any failed mode is counted and skipped instead of folded.
-	triple := make([]modeRun, 0, nModes)
-	push := func(j int, r *RunResult, errText string) error {
-		triple = append(triple, modeRun{r: r, errText: errText})
-		if len(triple) < nModes {
-			return nil
-		}
-		app := cfg.Apps[(j/nModes)%nApps]
-		if tripleFailure(triple) != "" {
+	rs := cfg.spec("seeds", MachineOptions{DisableChecks: cfg.DisableChecks})
+	rs.Seeds, rs.Modes = seeds, specModes
+	// Cells arrive (seed, app)-major; each normalizes against its own
+	// Base run and folds into its application's accumulators. Under
+	// KeepGoing a cell with any failed mode is counted and skipped.
+	err := streamStudy(cfg, rs, func(i int, runs []*RunResult, fails string) error {
+		app := apps[i%len(apps)]
+		if fails != "" {
 			if failed == nil {
 				failed = map[string]int{}
 			}
 			failed[app]++
-		} else {
-			base := float64(triple[0].r.Cycles)
-			fr.Add(app, float64(triple[1].r.Cycles)/base*100)
-			swi.Add(app, float64(triple[2].r.Cycles)/base*100)
+			return nil
 		}
-		triple = triple[:0]
+		base := float64(runs[0].Cycles)
+		fr.Add(app, float64(runs[1].Cycles)/base*100)
+		swi.Add(app, float64(runs[2].Cycles)/base*100)
 		return nil
-	}
-	var fail sweep.FailFunc
-	if cfg.KeepGoing {
-		fail = func(j int, jerr error) error { return push(j, nil, jerr.Error()) }
-	}
-	rs := cfg.spec("seeds")
-	rs.Seeds = seeds
-	err := streamStudy(cfg, rs, n, seedsJob(cfg, seeds),
-		func(j int, r *RunResult) error { return push(j, r, "") },
-		fail)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Figure9Aggregate, 0, nApps)
-	for _, app := range cfg.Apps {
+	out := make([]Figure9Aggregate, 0, len(apps))
+	for _, app := range apps {
 		f, s := fr.Get(app), swi.Get(app)
 		if f == nil {
 			if failed[app] > 0 {
@@ -105,29 +88,6 @@ func SpeculationStudySeeds(cfg StudyConfig, seeds []int64) ([]Figure9Aggregate, 
 		})
 	}
 	return out, nil
-}
-
-// seedsJob builds the multi-seed speculation study's job function:
-// (seed, app, mode)-major over the seeds×apps×modes matrix. Shared
-// between the in-process pool and remote workers.
-func seedsJob(cfg StudyConfig, seeds []int64) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	apps, baseWP, checks := cfg.Apps, cfg.workloadParams(), cfg.DisableChecks
-	nApps, nModes := len(apps), len(specModes)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
-		wp := baseWP
-		wp.Seed = seeds[j/(nApps*nModes)]
-		if wp.Seed == 0 {
-			wp.Seed = 1
-		}
-		w, err := AppWorkload(apps[(j/nModes)%nApps], wp)
-		if err != nil {
-			return nil, err
-		}
-		return runInArena(arena, w, MachineOptions{
-			Mode:          specModes[j%nModes],
-			DisableChecks: checks,
-		})
-	}
 }
 
 // RenderFigure9Aggregate prints the multi-seed Figure 9.
@@ -168,105 +128,36 @@ type RTLPoint struct {
 	Failed string
 }
 
-// RTLSweep measures SWI-DSM's benefit as the interconnect slows down —
-// the empirical analogue of Figure 6's bottom-right panel: the higher the
-// remote-to-local ratio (clusters like NUMA-Q), the more a speculative
-// coherent DSM helps. Runs with default parallelism (one worker per
-// CPU); use RTLSweepParallel to pin the worker count.
-func RTLSweep(app string, p WorkloadParams, flights []int) ([]RTLPoint, error) {
-	return RTLSweepParallel(app, p, flights, 0)
-}
-
-// RTLSweepParallel is RTLSweep on a parallel-wide worker pool (0 or
-// negative selects runtime.NumCPU()). The flight×{Base, SWI} simulation
-// matrix fans out as independent jobs; output is identical for every
-// worker count.
-func RTLSweepParallel(app string, p WorkloadParams, flights []int, parallel int) ([]RTLPoint, error) {
-	var out []RTLPoint
-	err := RTLSweepStream(StudyConfig{Parallel: parallel}, app, p, flights,
-		func(_ int, pt RTLPoint) error {
-			out = append(out, pt)
-			return nil
-		})
-	return out, err
-}
-
-// RTLSweepStream is the streaming rtl sweep: each flight point is
-// emitted (in flight order, regardless of completion order) as soon as
-// its Base and SWI runs merge, instead of collecting the whole sweep.
-// Only cfg's execution fields matter — Parallel, OnJobDone/Progress,
-// and the checkpoint fields, which make the sweep resumable per
-// simulation; workload shape comes from p. Returning an error from emit
-// stops the sweep.
+// RTLSweepStream measures SWI-DSM's benefit as the interconnect slows
+// down — the empirical analogue of Figure 6's bottom-right panel: the
+// higher the remote-to-local ratio (clusters like NUMA-Q), the more a
+// speculative coherent DSM helps. Each flight point (nil flights
+// selects 20, 80, 200 and 320 cycles) is emitted in flight order,
+// regardless of completion order, as soon as its Base and SWI runs
+// merge. Only cfg's execution fields matter — Parallel,
+// OnJobDone/Progress, KeepGoing, Retries, FaultSpec, Remote, and the
+// checkpoint fields, which make the sweep resumable per simulation;
+// workload shape comes from p. Returning an error from emit stops the
+// sweep.
 func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int, emit func(i int, pt RTLPoint) error) error {
 	if len(flights) == 0 {
 		flights = []int{20, 80, 200, 320}
 	}
 	cfg = cfg.withDefaults()
-	n := 2 * len(flights)
-	w, err := AppWorkload(app, p)
-	if err != nil {
+	if _, err := AppWorkload(app, p); err != nil {
 		return err
 	}
-	// pair is the assembly window for the current flight's {Base, SWI}
-	// runs; under KeepGoing a pair with any failed run emits a FAILED
-	// point instead of a ratio.
-	pair := make([]modeRun, 0, 2)
-	push := func(j int, r *RunResult, errText string) error {
-		pair = append(pair, modeRun{r: r, errText: errText})
-		if len(pair) < 2 {
-			return nil
+	rs := cfg.spec("rtl", MachineOptions{DisableChecks: true})
+	rs.Apps, rs.WP, rs.Flights, rs.Modes = []string{app}, p, flights, []Mode{ModeBase, ModeSWI}
+	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
+		f := flights[i]
+		pt := RTLPoint{Flight: f, RTL: (258 + 2*float64(f)) / 104, Failed: failed}
+		if failed == "" {
+			pt.BaseCycles, pt.SWICycles = runs[0].Cycles, runs[1].Cycles
+			pt.Speedup = float64(pt.BaseCycles) / float64(pt.SWICycles)
 		}
-		i, f := j/2, flights[j/2]
-		pt := RTLPoint{Flight: f, RTL: (258 + 2*float64(f)) / 104}
-		if ft := rtlFailure(pair); ft != "" {
-			pt.Failed = ft
-		} else {
-			pt.BaseCycles = pair[0].r.Cycles
-			pt.SWICycles = pair[1].r.Cycles
-			pt.Speedup = float64(pair[0].r.Cycles) / float64(pair[1].r.Cycles)
-		}
-		pair = pair[:0]
 		return emit(i, pt)
-	}
-	var fail sweep.FailFunc
-	if cfg.KeepGoing {
-		fail = func(j int, jerr error) error { return push(j, nil, jerr.Error()) }
-	}
-	rs := cfg.spec("rtl")
-	rs.RTLApp, rs.RTLParams, rs.RTLFlights = app, p, flights
-	return streamStudy(cfg, rs, n, rtlJob(w, flights),
-		func(j int, r *RunResult) error { return push(j, r, "") },
-		fail)
-}
-
-// rtlJob builds the rtl sweep's job function: flight j/2 of the axis,
-// Base for even j, SWI for odd. Shared between the in-process pool and
-// remote workers (which regenerate w from the spec's app and params).
-func rtlJob(w Workload, flights []int) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
-		mode := ModeBase
-		if j%2 == 1 {
-			mode = ModeSWI
-		}
-		return runInArena(arena, w, MachineOptions{Mode: mode, NetworkFlight: flights[j/2], DisableChecks: true})
-	}
-}
-
-// rtlFailure joins the failed modes of an assembled {Base, SWI} pair.
-func rtlFailure(pair []modeRun) string {
-	var parts []string
-	for k, e := range pair {
-		if e.errText == "" {
-			continue
-		}
-		mode := ModeBase
-		if k == 1 {
-			mode = ModeSWI
-		}
-		parts = append(parts, fmt.Sprintf("%s: %s", mode, e.errText))
-	}
-	return strings.Join(parts, "; ")
+	})
 }
 
 // RenderRTLSweep prints the sweep.
@@ -317,7 +208,7 @@ type AppCharacterization struct {
 // the cfg.Parallel-wide worker pool.
 func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 	cfg = cfg.withDefaults()
-	p, err := cfg.pool(len(cfg.Apps))
+	p, err := cfg.pool(cfg.spec("characterize", MachineOptions{}), len(cfg.Apps))
 	if err != nil {
 		return nil, err
 	}
@@ -326,10 +217,13 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 		out = append(out, c)
 		return nil
 	}
-	fail := failRow(cfg, emit, func(i int, errText string) AppCharacterization {
-		return AppCharacterization{App: cfg.Apps[i], Failed: errText}
-	})
-	err = sweep.Run(context.Background(), p, len(cfg.Apps), sweep.Options{Fail: fail}, nil,
+	var o sweep.Options
+	if cfg.KeepGoing {
+		o.Fail = func(i int, err error) error {
+			return emit(i, AppCharacterization{App: cfg.Apps[i], Failed: err.Error()})
+		}
+	}
+	err = sweep.Run(context.Background(), p, len(cfg.Apps), o, nil,
 		func(_ context.Context, _ struct{}, i int) (AppCharacterization, error) {
 			name := cfg.Apps[i]
 			app, ok := workload.ByName(name)

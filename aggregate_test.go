@@ -115,7 +115,7 @@ func TestRTLSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow for -short")
 	}
-	points, err := specdsm.RTLSweep("em3d", specdsm.WorkloadParams{
+	points, err := rtlPoints(specdsm.StudyConfig{}, "em3d", specdsm.WorkloadParams{
 		Nodes: 8, Iterations: 4, Scale: 0.25,
 	}, []int{20, 80, 240})
 	if err != nil {

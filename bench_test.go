@@ -17,9 +17,15 @@ import (
 	"specdsm"
 )
 
+// benchApps names the paper's seven applications explicitly, so
+// collecting a study's rows sizes its slice once.
+var benchApps = specdsm.AppNames()
+
 // benchCfg keeps bench runs fast while preserving the paper's shapes.
+// One worker makes a study's cost — allocs/op in particular, since each
+// worker builds its own run arena — independent of the host's CPU count.
 func benchCfg() specdsm.StudyConfig {
-	return specdsm.StudyConfig{Scale: 0.5, DisableChecks: true}
+	return specdsm.StudyConfig{Apps: benchApps, Scale: 0.5, DisableChecks: true, Parallel: 1}
 }
 
 var (
@@ -56,7 +62,7 @@ func predictorStudy(b *testing.B, depths []int) []specdsm.AppPrediction {
 	b.Helper()
 	cfg := benchCfg()
 	cfg.Depths = depths
-	study, err := specdsm.PredictorStudy(cfg)
+	study, err := collect(cfg, specdsm.PredictorStudyStream)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func BenchmarkTable4StorageOverhead(b *testing.B) {
 
 func speculationStudy(b *testing.B) []specdsm.AppSpeculation {
 	b.Helper()
-	study, err := specdsm.SpeculationStudy(benchCfg())
+	study, err := collect(benchCfg(), specdsm.SpeculationStudyStream)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,7 +346,7 @@ func BenchmarkAblationHistoryDepthCost(b *testing.B) {
 				c := cfg
 				c.Depths = []int{d}
 				var err error
-				study, err = specdsm.PredictorStudy(c)
+				study, err = collect(c, specdsm.PredictorStudyStream)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,12 +18,40 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Report mirrors cmd/benchjson's emitted document.
+// Host mirrors cmd/benchjson's machine stamp.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (h *Host) String() string {
+	if h == nil {
+		return "unknown host"
+	}
+	return fmt.Sprintf("%q (nproc %d, GOMAXPROCS %d)", h.CPU, h.NProc, h.GOMAXPROCS)
+}
+
+// Report mirrors cmd/benchjson's emitted document. Host is nil in
+// records written before benchjson stamped them.
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
+	Host       *Host       `json:"host"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// sameHost refuses to compare records measured on different machines:
+// every ns/op — and, through the worker count, study allocs/op — moves
+// with the host, so a cross-host diff would flag the host, not the
+// change. An unstamped record is from an unknown host and matches none.
+func sameHost(oldPath string, oldRep Report, newPath string, newRep Report) error {
+	if oldRep.Host == nil || newRep.Host == nil || *oldRep.Host != *newRep.Host {
+		return fmt.Errorf("records come from different hosts: %s from %s, %s from %s",
+			oldPath, oldRep.Host, newPath, newRep.Host)
+	}
+	return nil
 }
 
 type config struct {

@@ -189,11 +189,11 @@ func TestRunEndToEndWithBase(t *testing.T) {
 	// PR1 -> PR4 regresses allocs; PR3 -> PR4 does not. The adjacent
 	// default compares PR3, -base reaches back to PR1.
 	writeJSON("BENCH_PR1.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":2}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":2}}]}`)
 	writeJSON("BENCH_PR3.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":5}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":5}}]}`)
 	writeJSON("BENCH_PR4.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":95,"allocs/op":5}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":95,"allocs/op":5}}]}`)
 	var out, errOut strings.Builder
 	if code := run([]string{"-dir", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("adjacent run = %d, want 0; stdout: %s", code, out.String())
@@ -217,15 +217,15 @@ func TestRunEndToEnd(t *testing.T) {
 		}
 	}
 	writeJSON("BENCH_PR1.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":5}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":100,"allocs/op":5}}]}`)
 	writeJSON("BENCH_PR2.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":90,"allocs/op":5}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":90,"allocs/op":5}}]}`)
 	var out, errOut strings.Builder
 	if code := run([]string{"-dir", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errOut.String())
 	}
 	writeJSON("BENCH_PR3.json",
-		`{"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":90,"allocs/op":6}}]}`)
+		`{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":1,"metrics":{"ns/op":90,"allocs/op":6}}]}`)
 	out.Reset()
 	errOut.Reset()
 	if code := run([]string{"-dir", dir}, &out, &errOut); code != 1 {
@@ -233,5 +233,45 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("missing REGRESSION line in output: %s", out.String())
+	}
+}
+
+// TestRunRefusesDifferentHosts pins the host gate: records measured on
+// different machines — or one written before records carried a host
+// stamp — fail with one error naming both hosts, and no per-benchmark
+// verdicts that would blame the change for the host.
+func TestRunRefusesDifferentHosts(t *testing.T) {
+	for name, oldHost := range map[string]string{
+		"other host": `"host":{"cpu":"other cpu","nproc":1,"gomaxprocs":1},`,
+		"unstamped":  ``,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, body := range map[string]string{
+				"BENCH_PR1.json": `{` + oldHost + `"benchmarks":[{"name":"X","iterations":5,"metrics":{"ns/op":100,"allocs/op":5}}]}`,
+				"BENCH_PR2.json": `{"host":{"cpu":"test cpu","nproc":2,"gomaxprocs":2},"benchmarks":[{"name":"X","iterations":5,"metrics":{"ns/op":500,"allocs/op":9}}]}`,
+			} {
+				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var out, errOut strings.Builder
+			if code := run([]string{"-dir", dir}, &out, &errOut); code != 1 {
+				t.Fatalf("run = %d, want 1; stderr: %s", code, errOut.String())
+			}
+			msg := errOut.String()
+			want := "unknown host"
+			if oldHost != "" {
+				want = `"other cpu" (nproc 1, GOMAXPROCS 1)`
+			}
+			for _, frag := range []string{"records come from different hosts", want, `"test cpu" (nproc 2, GOMAXPROCS 2)`} {
+				if !strings.Contains(msg, frag) {
+					t.Errorf("stderr missing %q: %s", frag, msg)
+				}
+			}
+			if strings.Count(msg, "\n") != 1 || strings.Contains(out.String(), "REGRESSION") {
+				t.Errorf("want exactly one error line and no verdicts; stdout: %s stderr: %s", out.String(), msg)
+			}
+		})
 	}
 }

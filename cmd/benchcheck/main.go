@@ -12,6 +12,10 @@
 //     (single-shot timings of full study simulations are noise, not
 //     measurements; allocation counts are exact at any count).
 //
+// Both records must carry the same host stamp (cmd/benchjson writes
+// it); records from different or unknown hosts fail with one error
+// naming both instead of a flag per benchmark.
+//
 // Benchmarks appearing for the first time in the newest record are
 // reported (not failed): they have no history to regress against, and
 // their first record becomes the baseline the next comparison enforces.
@@ -59,6 +63,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
 		return 2
+	}
+	if err := sameHost(oldPath, oldRep, newPath, newRep); err != nil {
+		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
+		return 1
 	}
 	result := compare(oldRep, newRep, cfg.maxNsRegress)
 	fmt.Fprintf(stdout, "benchcheck: %s -> %s: %d benchmarks compared, %d improved ns/op, %d reduced allocs/op\n",

@@ -22,16 +22,29 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// Host identifies the machine a record was measured on. Timings, and
+// through the worker count even allocation counts, depend on it, so
+// benchcheck only compares records whose hosts match.
+type Host struct {
+	// CPU is the model the bench log's "cpu:" header names.
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
 // Report is the emitted JSON document.
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
+	Host       Host        `json:"host"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // parse reads a `go test -bench` log from r, echoing every line to echo,
-// and returns the structured report. A benchmark appearing several times
+// and returns the structured report, stamped with this process's CPU
+// count and GOMAXPROCS (run it under the same environment as the
+// benchmarks) and the log's CPU model. A benchmark appearing several times
 // (a `-count=K` run) is folded into one entry holding the per-metric
 // minimum: simulated results and allocation counts are deterministic, so
 // repeated samples only differ by scheduling noise, and the minimum of K
@@ -42,6 +55,7 @@ func parse(r io.Reader, echo io.Writer) (Report, error) {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		Host:       Host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Benchmarks: []Benchmark{},
 	}
 	index := make(map[string]int)
@@ -50,6 +64,10 @@ func parse(r io.Reader, echo io.Writer) (Report, error) {
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(echo, line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			report.Host.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		b, ok := parseLine(line)
 		if !ok {
 			continue

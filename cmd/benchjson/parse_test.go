@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -9,6 +10,7 @@ import (
 const sampleLog = `goos: linux
 goarch: amd64
 pkg: specdsm
+cpu: Intel(R) Xeon(R) CPU @ 2.20GHz
 BenchmarkFig7PredictorAccuracy 	       1	 86783413 ns/op	        77.75 meanCosmos%	        94.92 meanVMSP%	16781808 B/op	   79749 allocs/op
 --- BENCH: BenchmarkFig7PredictorAccuracy
     bench_test.go:37:
@@ -58,6 +60,10 @@ func TestParse(t *testing.T) {
 
 	if report.Benchmarks[2].Name != "KernelSchedule-8" {
 		t.Errorf("name with GOMAXPROCS suffix = %q", report.Benchmarks[2].Name)
+	}
+	host := report.Host
+	if host.CPU != "Intel(R) Xeon(R) CPU @ 2.20GHz" || host.NProc != runtime.NumCPU() || host.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("host stamp = %+v", host)
 	}
 }
 

@@ -99,6 +99,9 @@ func TestParseOptionsErrors(t *testing.T) {
 		{"resume without checkpoint", []string{"-resume"}, "-resume requires -checkpoint"},
 		{"negative checkpoint cadence", []string{"-checkpoint", "ck", "-checkpoint-every", "-2"}, "-checkpoint-every"},
 		{"negative crash-after", []string{"-crash-after", "-1"}, "-crash-after"},
+		{"one node", []string{"-only", "fig7", "-apps", "em3d", "-nodes", "1"}, "invalid node count 1"},
+		{"negative nodes", []string{"-nodes", "-4"}, "invalid node count -4"},
+		{"too many nodes", []string{"-nodes", "5000"}, "invalid node count 5000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

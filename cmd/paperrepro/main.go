@@ -262,14 +262,16 @@ func run(o options) error {
 	needPred := o.want("fig7") || o.want("fig8") || o.want("table3") || o.want("table4")
 	if needPred {
 		start := time.Now()
-		study, err := specdsm.PredictorStudy(cfg)
-		if err != nil {
-			return err
-		}
-		for _, r := range study {
+		var study []specdsm.AppPrediction
+		err := specdsm.PredictorStudyStream(cfg, func(_ int, r specdsm.AppPrediction) error {
 			if r.Failed != "" {
 				note("predictor %s: %s", r.App, r.Failed)
 			}
+			study = append(study, r)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		if o.want("fig7") {
 			fmt.Println(specdsm.RenderFigure7(specdsm.Figure7(study)))
@@ -289,14 +291,16 @@ func run(o options) error {
 	needSpec := o.want("fig9") || o.want("table5")
 	if needSpec {
 		start := time.Now()
-		study, err := specdsm.SpeculationStudy(cfg)
-		if err != nil {
-			return err
-		}
-		for _, r := range study {
+		var study []specdsm.AppSpeculation
+		err := specdsm.SpeculationStudyStream(cfg, func(_ int, r specdsm.AppSpeculation) error {
 			if r.Failed != "" {
 				note("speculation %s: %s", r.App, r.Failed)
 			}
+			study = append(study, r)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		if o.want("fig9") {
 			fmt.Println(specdsm.RenderFigure9(specdsm.Figure9(study)))

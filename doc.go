@@ -13,7 +13,8 @@
 //	swi, _ := specdsm.Run(w, specdsm.MachineOptions{Mode: specdsm.ModeSWI})
 //	fmt.Printf("speedup %.2f\n", float64(base.Cycles)/float64(swi.Cycles))
 //
-// The experiment drivers (PredictorStudy, SpeculationStudy) and table
-// builders (Figure7 ... Table5) regenerate every figure and table of the
-// paper's evaluation; cmd/paperrepro wires them to the command line.
+// The experiment drivers (PredictorStudyStream, SpeculationStudyStream,
+// and the seeds, node-scaling and rtl sweeps) and table builders
+// (Figure7 ... Table5) regenerate every figure and table of the paper's
+// evaluation; cmd/paperrepro wires them to the command line.
 package specdsm

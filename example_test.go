@@ -56,27 +56,28 @@ func ExampleRun() {
 	// speculative hits occurred: true
 }
 
-// ExamplePredictorStudy runs the Figure 7 methodology on two
-// applications with the study fanned out across a worker pool.
+// ExamplePredictorStudyStream runs the Figure 7 methodology on two
+// applications with the study fanned out across a worker pool; each
+// application's row is delivered, in order, as soon as it is ready.
 // StudyConfig.Parallel only sizes the pool: results, their order, and
 // every simulated cycle are identical for any worker count (0 means one
 // worker per CPU, 1 is the exact sequential path), so study output can
 // be compared across machines.
-func ExamplePredictorStudy() {
-	study, err := specdsm.PredictorStudy(specdsm.StudyConfig{
+func ExamplePredictorStudyStream() {
+	err := specdsm.PredictorStudyStream(specdsm.StudyConfig{
 		Apps:     []string{"em3d", "moldyn"},
 		Depths:   []int{1},
 		Scale:    0.25,
 		Parallel: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	for _, app := range study {
+	}, func(_ int, app specdsm.AppPrediction) error {
 		msp := app.Get(specdsm.MSP, 1)
 		vmsp := app.Get(specdsm.VMSP, 1)
 		fmt.Printf("%s: VMSP at least as accurate as MSP: %v\n",
 			app.App, vmsp.Accuracy >= msp.Accuracy)
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
 	// Output:
 	// em3d: VMSP at least as accurate as MSP: true

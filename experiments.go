@@ -1,18 +1,15 @@
 package specdsm
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"net"
 	"runtime"
-	"strings"
 	"time"
 
 	"specdsm/internal/analytic"
 	"specdsm/internal/core"
 	"specdsm/internal/fault"
-	"specdsm/internal/machine"
 	"specdsm/internal/sweep"
 )
 
@@ -45,12 +42,13 @@ type StudyConfig struct {
 	// the recent completion rate (sweep.ProgressETA). It composes with
 	// OnJobDone and, like it, never affects study results.
 	Progress *slog.Logger
-	// CheckpointPath, when non-empty, streams every study through a
-	// crash-safe on-disk checkpoint at <path>.<study> (e.g. ck.predictor,
-	// ck.speculation, ck.seeds, ck.rtl): completed rows are persisted
-	// periodically via atomic write-rename, so an interrupted sweep can
-	// be resumed instead of restarted. See internal/sweep for the file
-	// format.
+	// CheckpointPath, when non-empty, streams every simulating study
+	// through a crash-safe on-disk checkpoint at <path>.<study>
+	// (ck.predictor, ck.speculation, ck.seeds, ck.scaling, ck.rtl or
+	// ck.sweep): every settled simulation — one *RunResult, or a
+	// keep-going failure — is persisted periodically via atomic
+	// write-rename, so an interrupted sweep can be resumed instead of
+	// restarted. See internal/sweep for the file format.
 	CheckpointPath string
 	// Resume continues from an existing checkpoint written by an
 	// identically configured earlier run (a missing file starts fresh,
@@ -136,13 +134,13 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	return c
 }
 
-// pool builds the worker pool all study drivers fan their simulation
-// jobs out on: the spec's retry/fault policy on Parallel workers, plus
-// the progress hooks. total is how many jobs will actually run (it
-// sizes the ETA — rows replayed from a checkpoint never report
-// progress). Call on a config that already has defaults applied.
-func (c StudyConfig) pool(total int) (*sweep.Pool, error) {
-	p, err := c.spec("").pool(c.Parallel)
+// pool builds the worker pool all study drivers fan their jobs out on:
+// rs's retry/fault policy on Parallel workers, plus the progress hooks.
+// total is how many jobs will actually run (it sizes the ETA — rows
+// replayed from a checkpoint never report progress). Call on a config
+// that already has defaults applied.
+func (c StudyConfig) pool(rs studySpec, total int) (*sweep.Pool, error) {
+	p, err := rs.pool(c.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -190,17 +188,6 @@ func (c StudyConfig) checkpoint(rs studySpec, jobs int) (*sweep.Checkpoint, erro
 	}
 }
 
-// failSink adapts a study's FAILED-row constructor into the sweep's
-// keep-going failure callback: nil (abort on first failure) unless
-// KeepGoing is set, otherwise every fatal job failure is turned into an
-// explicit row carrying the error text and emitted in index order.
-func failRow[T any](c StudyConfig, emit func(i int, row T) error, mk func(i int, errText string) T) sweep.FailFunc {
-	if !c.KeepGoing {
-		return nil
-	}
-	return func(i int, err error) error { return emit(i, mk(i, err.Error())) }
-}
-
 func (c StudyConfig) workloadParams() WorkloadParams {
 	return WorkloadParams{
 		Nodes:      c.Nodes,
@@ -236,67 +223,30 @@ func (a AppPrediction) Get(kind PredictorKind, depth int) PredictorResult {
 // pool's bounded merge window (and, when configured, the study
 // checkpoint) instead of accumulating in a result slice. The
 // per-application runs execute on a cfg.Parallel-wide worker pool, each
-// worker replaying its jobs through one run arena.
+// worker replaying its jobs through one run arena. The data behind
+// Figures 7-8 and Tables 3-4.
 func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) error) error {
 	cfg = cfg.withDefaults()
-	n := len(cfg.Apps)
-	fail := failRow(cfg, emit, func(i int, errText string) AppPrediction {
-		return AppPrediction{App: cfg.Apps[i], Failed: errText}
-	})
-	return streamStudy(cfg, cfg.spec("predictor"), n, predictorJob(cfg), emit, fail)
-}
-
-// predictorJob builds the predictor study's job function: application i
-// of cfg.Apps run once under Base-DSM with every predictor variant
-// observing. Shared between the in-process pool and remote workers.
-func predictorJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (AppPrediction, error) {
-	observers := make([]PredictorConfig, 0, len(Kinds())*len(cfg.Depths))
-	for _, kind := range Kinds() {
+	kinds, apps := Kinds(), cfg.Apps
+	opts := MachineOptions{Mode: ModeBase, DisableChecks: cfg.DisableChecks,
+		Observers: make([]PredictorConfig, 0, len(kinds)*len(cfg.Depths))}
+	for _, kind := range kinds {
 		for _, d := range cfg.Depths {
-			observers = append(observers, PredictorConfig{Kind: kind, Depth: d})
+			opts.Observers = append(opts.Observers, PredictorConfig{Kind: kind, Depth: d})
 		}
 	}
-	return func(_ context.Context, arena *machine.Arena, i int) (AppPrediction, error) {
-		app := cfg.Apps[i]
-		w, err := AppWorkload(app, cfg.workloadParams())
-		if err != nil {
-			return AppPrediction{}, err
+	return streamStudy(cfg, cfg.spec("predictor", opts), func(i int, runs []*RunResult, failed string) error {
+		ap := AppPrediction{App: apps[i], Failed: failed}
+		if failed == "" {
+			r := runs[0]
+			ap.Results = make(map[PredictorConfig]PredictorResult, len(r.Predictors))
+			ap.Reads, ap.Writes, ap.Upgrades = r.Reads, r.Writes, r.Upgrades
+			for _, pr := range r.Predictors {
+				ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
+			}
 		}
-		res, err := runInArena(arena, w, MachineOptions{
-			Mode:          ModeBase,
-			Observers:     observers,
-			DisableChecks: cfg.DisableChecks,
-		})
-		if err != nil {
-			return AppPrediction{}, err
-		}
-		ap := AppPrediction{
-			App:      app,
-			Results:  make(map[PredictorConfig]PredictorResult),
-			Reads:    res.Reads,
-			Writes:   res.Writes,
-			Upgrades: res.Upgrades,
-		}
-		for _, pr := range res.Predictors {
-			ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
-		}
-		return ap, nil
-	}
-}
-
-// PredictorStudy is PredictorStudyStream collected into a slice — the
-// convenient form for the paper's seven-application tables, where the
-// full study is small. The data behind Figures 7-8 and Tables 3-4.
-func PredictorStudy(cfg StudyConfig) ([]AppPrediction, error) {
-	cfg = cfg.withDefaults()
-	out := make([]AppPrediction, 0, len(cfg.Apps))
-	if err := PredictorStudyStream(cfg, func(_ int, row AppPrediction) error {
-		out = append(out, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return emit(i, ap)
+	})
 }
 
 // AppSpeculation holds the Base/FR/SWI runs for one application (§7.4).
@@ -314,97 +264,27 @@ type AppSpeculation struct {
 }
 
 // specModes is the mode column order of §7.4's comparison.
-var specModes = [3]Mode{ModeBase, ModeFR, ModeSWI}
+var specModes = []Mode{ModeBase, ModeFR, ModeSWI}
 
 // SpeculationStudyStream runs every application under Base-DSM, FR-DSM,
 // and SWI-DSM (VMSP depth 1 active, as in the paper) and streams each
 // application's assembled row, in cfg.Apps order, to emit. The
 // len(Apps)×3 simulations fan out as individual jobs across the
 // cfg.Parallel-wide worker pool (one run arena per worker) and are
-// merged back mode-major; at most one application's partial mode runs
-// are buffered while its triple completes, and checkpointing operates
-// at single-simulation granularity so a resume re-runs only the missing
-// mode runs.
+// merged back mode-major; checkpointing operates at single-simulation
+// granularity, so a resume re-runs only the missing mode runs.
 func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation) error) error {
 	cfg = cfg.withDefaults()
-	nModes := len(specModes)
-	n := len(cfg.Apps) * nModes
-	// triple is the assembly window: the ordered merge delivers runs
-	// mode-major (apps outer, Base/FR/SWI inner), so an application's
-	// row completes every nModes emissions. In keep-going mode a failed
-	// run occupies its slot as an error text instead of a result.
-	triple := make([]modeRun, 0, nModes)
-	push := func(j int, r *RunResult, errText string) error {
-		triple = append(triple, modeRun{r: r, errText: errText})
-		if len(triple) < nModes {
-			return nil
+	rs := cfg.spec("speculation", MachineOptions{DisableChecks: cfg.DisableChecks})
+	rs.Modes = specModes
+	apps := cfg.Apps
+	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
+		row := AppSpeculation{App: apps[i], Failed: failed}
+		if failed == "" {
+			row.Base, row.FR, row.SWI = runs[0], runs[1], runs[2]
 		}
-		i := j / nModes
-		row := AppSpeculation{App: cfg.Apps[i], Failed: tripleFailure(triple)}
-		if row.Failed == "" {
-			row.Base, row.FR, row.SWI = triple[0].r, triple[1].r, triple[2].r
-		}
-		triple = triple[:0]
 		return emit(i, row)
-	}
-	var fail sweep.FailFunc
-	if cfg.KeepGoing {
-		fail = func(j int, err error) error { return push(j, nil, err.Error()) }
-	}
-	return streamStudy(cfg, cfg.spec("speculation"), n, speculationJob(cfg),
-		func(j int, r *RunResult) error { return push(j, r, "") },
-		fail)
-}
-
-// speculationJob builds the speculation study's job function: run
-// j%3 ∈ {Base, FR, SWI} of application j/3. Shared between the
-// in-process pool and remote workers.
-func speculationJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	apps, wp, checks := cfg.Apps, cfg.workloadParams(), cfg.DisableChecks
-	nModes := len(specModes)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
-		// Workload generation is served by the process-wide cache, so
-		// the three mode runs of an application share one program set
-		// no matter which workers claim them.
-		w, err := AppWorkload(apps[j/nModes], wp)
-		if err != nil {
-			return nil, err
-		}
-		return runInArena(arena, w, MachineOptions{Mode: specModes[j%nModes], DisableChecks: checks})
-	}
-}
-
-// modeRun is one slot of a mode-major assembly window: a completed run
-// or, in keep-going mode, the error text of a failed one.
-type modeRun struct {
-	r       *RunResult
-	errText string
-}
-
-// tripleFailure summarizes a (Base, FR, SWI) window's failures, empty
-// if every mode run succeeded.
-func tripleFailure(triple []modeRun) string {
-	var fails []string
-	for k, e := range triple {
-		if e.errText != "" {
-			fails = append(fails, fmt.Sprintf("%s: %s", specModes[k], e.errText))
-		}
-	}
-	return strings.Join(fails, "; ")
-}
-
-// SpeculationStudy is SpeculationStudyStream collected into a slice,
-// yielding the data behind Figure 9 and Table 5.
-func SpeculationStudy(cfg StudyConfig) ([]AppSpeculation, error) {
-	cfg = cfg.withDefaults()
-	out := make([]AppSpeculation, 0, len(cfg.Apps))
-	if err := SpeculationStudyStream(cfg, func(_ int, row AppSpeculation) error {
-		out = append(out, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	})
 }
 
 // Figure7Row is one group of bars of Figure 7: base predictor accuracy at
@@ -693,6 +573,9 @@ func (c StudyConfig) Validate() error {
 		if _, ok := appExists(app); !ok {
 			return fmt.Errorf("specdsm: unknown application %q", app)
 		}
+	}
+	if err := checkNodes(cc.Nodes); err != nil {
+		return err
 	}
 	for _, d := range cc.Depths {
 		if d < 1 || d > core.MaxDepth {

@@ -26,7 +26,7 @@ func faultCfg() specdsm.StudyConfig {
 // faults and delays, given a retry budget, produces results deep-equal
 // to a fault-free run, sequentially and in parallel.
 func TestStudyTransientFaultInvariance(t *testing.T) {
-	clean, err := specdsm.PredictorStudy(faultCfg())
+	clean, err := collect(faultCfg(), specdsm.PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStudyTransientFaultInvariance(t *testing.T) {
 		cfg.Parallel = parallel
 		cfg.FaultSpec = "seed=7,transient=0.4,delay=0.5,delaymax=16"
 		cfg.Retries = 8
-		faulty, err := specdsm.PredictorStudy(cfg)
+		faulty, err := collect(cfg, specdsm.PredictorStudyStream)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -58,7 +58,7 @@ func TestStudyKeepGoingFailedRows(t *testing.T) {
 		cfg.Parallel = parallel
 		cfg.FaultSpec = "seed=3,panic=1"
 		cfg.KeepGoing = true
-		rows, err := specdsm.SpeculationStudy(cfg)
+		rows, err := collect(cfg, specdsm.SpeculationStudyStream)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -104,7 +104,7 @@ func TestStudyKeepGoingFailedRows(t *testing.T) {
 // (fatal, not retryable) and checks the survivors are untouched: their
 // rows match a clean run of the same configuration.
 func TestStudyKeepGoingPartialFailure(t *testing.T) {
-	clean, err := specdsm.PredictorStudy(faultCfg())
+	clean, err := collect(faultCfg(), specdsm.PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStudyKeepGoingPartialFailure(t *testing.T) {
 		cfg := faultCfg()
 		cfg.KeepGoing = true
 		cfg.FaultSpec = fmt.Sprintf("seed=%d,panic=0.5", seed)
-		rows, err := specdsm.PredictorStudy(cfg)
+		rows, err := collect(cfg, specdsm.PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,28 +60,28 @@ func TestStudiesParallelInvariant(t *testing.T) {
 		seq, par := cfg, cfg
 		seq.Parallel, par.Parallel = 1, 8
 
-		p1, err := specdsm.PredictorStudy(seq)
+		p1, err := collect(seq, specdsm.PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p8, err := specdsm.PredictorStudy(par)
+		p8, err := collect(par, specdsm.PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p1, p8) {
-			t.Fatalf("seed %d: PredictorStudy diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, p1, p8)
+			t.Fatalf("seed %d: PredictorStudyStream diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, p1, p8)
 		}
 
-		s1, err := specdsm.SpeculationStudy(seq)
+		s1, err := collect(seq, specdsm.SpeculationStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s8, err := specdsm.SpeculationStudy(par)
+		s8, err := collect(par, specdsm.SpeculationStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(s1, s8) {
-			t.Fatalf("seed %d: SpeculationStudy diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, s1, s8)
+			t.Fatalf("seed %d: SpeculationStudyStream diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, s1, s8)
 		}
 	}
 }
@@ -111,16 +111,16 @@ func TestAggregatesParallelInvariant(t *testing.T) {
 	}
 
 	wp := specdsm.WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11}
-	r1, err := specdsm.RTLSweepParallel("em3d", wp, []int{20, 200}, 1)
+	r1, err := rtlPoints(specdsm.StudyConfig{Parallel: 1}, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := specdsm.RTLSweepParallel("em3d", wp, []int{20, 200}, 8)
+	r8, err := rtlPoints(specdsm.StudyConfig{Parallel: 8}, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r8) {
-		t.Fatalf("RTLSweep diverged:\n%+v\nvs\n%+v", r1, r8)
+		t.Fatalf("RTLSweepStream diverged:\n%+v\nvs\n%+v", r1, r8)
 	}
 }
 

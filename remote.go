@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -14,16 +15,23 @@ import (
 	"specdsm/internal/sweep"
 )
 
-// studySpec is the one description of a study's job space: everything
-// a sweepd worker needs to rebuild the exact job function this process
-// would run, and — rendered field by field by key — the identity its
-// checkpoint is recorded under. It carries only value data (no
-// callbacks, no checkpoint state): execution knobs like Parallel,
-// Remote, and the checkpoint fields stay out because they cannot change
-// any job's result.
+// studySpec is the one description of a study: a grid of simulation
+// cells, each one application run on one DSM configuration. Everything
+// a sweepd worker needs to rebuild any job of the study is here, and —
+// rendered field by field by key — so is the identity its checkpoint is
+// recorded under. It carries only value data (no callbacks, no
+// checkpoint state): execution knobs like Parallel, Remote, and the
+// checkpoint fields stay out because they cannot change any job's
+// result.
+//
+// The axes are Seeds, Apps, NodeCounts, Flights and Modes. Job j
+// decodes mixed-radix over them in that order — seeds outermost, modes
+// innermost — and an empty axis has one point: the value already in WP
+// or Opts. A cell is the len(Modes) consecutive runs (one when Modes is
+// empty) that differ only in mode.
 type studySpec struct {
-	// Study selects the job function: predictor, speculation, seeds,
-	// scaling, rtl, or sweep.
+	// Study names the checkpoint (<CheckpointPath>.<Study>) and prefixes
+	// its key.
 	Study string `key:"-"`
 	// Base is the resume offset: job index j on the wire means absolute
 	// study index Base+j. Shipping it keeps the worker's retry/injector
@@ -31,55 +39,69 @@ type studySpec struct {
 	// use after a checkpoint replay.
 	Base int `key:"-"`
 
-	Apps          []string
-	Nodes         int
-	Iterations    int
-	Scale         float64
-	Seed          int64
-	Depths        []int
-	DisableChecks bool
-	Retries       int
-	FaultSpec     string
+	Seeds      []int64
+	Apps       []string
+	NodeCounts []int
+	Flights    []int
+	Modes      []Mode
 
-	// Study-specific axes.
-	Seeds      []int64        // seeds
-	NodeCounts []int          // scaling
-	RTLApp     string         // rtl
-	RTLParams  WorkloadParams // rtl
-	RTLFlights []int          // rtl
-	Opts       MachineOptions // sweep (the CLI's machine configuration)
+	// WP and Opts are every run's workload and machine configuration
+	// before the axes overwrite their own fields.
+	WP        WorkloadParams
+	Opts      MachineOptions
+	Retries   int
+	FaultSpec string
 }
 
-// spec lifts the config's job-identity scalars into the named study's
-// spec. Call on a config that already has defaults applied, so both
+// spec lifts the config's job-identity values into the named study's
+// spec, with opts as the base machine configuration and no axis but
+// Apps. Call on a config that already has defaults applied, so both
 // ends of a remote sweep resolve to the same concrete values.
-func (c StudyConfig) spec(study string) studySpec {
+func (c StudyConfig) spec(study string, opts MachineOptions) studySpec {
 	return studySpec{
-		Study:         study,
-		Apps:          c.Apps,
-		Nodes:         c.Nodes,
-		Iterations:    c.Iterations,
-		Scale:         c.Scale,
-		Seed:          c.Seed,
-		Depths:        c.Depths,
-		DisableChecks: c.DisableChecks,
-		Retries:       c.Retries,
-		FaultSpec:     c.FaultSpec,
+		Study:     study,
+		Apps:      c.Apps,
+		WP:        c.workloadParams(),
+		Opts:      opts,
+		Retries:   c.Retries,
+		FaultSpec: c.FaultSpec,
 	}
 }
 
-// config is the worker-side inverse of StudyConfig.spec.
-func (rs studySpec) config() StudyConfig {
-	return StudyConfig{
-		Apps:          rs.Apps,
-		Nodes:         rs.Nodes,
-		Iterations:    rs.Iterations,
-		Scale:         rs.Scale,
-		Seed:          rs.Seed,
-		Depths:        rs.Depths,
-		DisableChecks: rs.DisableChecks,
-		Retries:       rs.Retries,
-		FaultSpec:     rs.FaultSpec,
+// size returns the study's job count and the runs per cell.
+func (rs studySpec) size() (jobs, cell int) {
+	cell = max(1, len(rs.Modes))
+	jobs = cell * max(1, len(rs.Seeds)) * max(1, len(rs.Apps)) *
+		max(1, len(rs.NodeCounts)) * max(1, len(rs.Flights))
+	return jobs, cell
+}
+
+// job is the study's only job function, shared by the in-process
+// workers and the shards: job j's configuration is decoded from the
+// axes, innermost first, and simulated once.
+func (rs studySpec) job(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+	wp, opts := rs.WP, rs.Opts
+	var app string
+	digit(&j, rs.Modes, &opts.Mode)
+	digit(&j, rs.Flights, &opts.NetworkFlight)
+	digit(&j, rs.NodeCounts, &wp.Nodes)
+	digit(&j, rs.Apps, &app)
+	digit(&j, rs.Seeds, &wp.Seed)
+	// Workload generation is served by the process-wide cache, so the
+	// runs of a cell share one program set whichever workers claim them.
+	w, err := AppWorkload(app, wp)
+	if err != nil {
+		return nil, err
+	}
+	return runInArena(arena, w, opts)
+}
+
+// digit peels the lowest mixed-radix digit of *j off an axis into *v;
+// an empty axis leaves both alone.
+func digit[T any](j *int, axis []T, v *T) {
+	if len(axis) > 0 {
+		*v = axis[*j%len(axis)]
+		*j /= len(axis)
 	}
 }
 
@@ -125,7 +147,7 @@ func writeKeyFields(b *strings.Builder, prefix string, v reflect.Value) {
 func (rs studySpec) pool(workers int) (*sweep.Pool, error) {
 	p := sweep.New(workers)
 	p.Retries = rs.Retries
-	p.RetrySeed = uint64(rs.Seed)
+	p.RetrySeed = uint64(rs.WP.Seed)
 	if rs.FaultSpec != "" {
 		inj, err := fault.ParseSpec(rs.FaultSpec)
 		if err != nil {
@@ -152,53 +174,26 @@ func (rs studySpec) encode() ([]byte, error) {
 // the in-process pool would apply, which is what makes a job's outcome
 // — row bytes or failure text — independent of where it executes.
 //
-// An unknown study or an unparsable spec is a construction error; the
-// server refuses the connection so the dispatcher abandons this worker
-// instead of retrying a spec that cannot get better.
+// An unparsable spec is a construction error; the server refuses the
+// connection so the dispatcher abandons this worker instead of retrying
+// a spec that cannot get better.
 func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 	var rs studySpec
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("specdsm: decoding study spec: %w", err)
 	}
-	cfg := rs.config()
-	switch rs.Study {
-	case "predictor":
-		return runnerFor(rs, predictorJob(cfg))
-	case "speculation":
-		return runnerFor(rs, speculationJob(cfg))
-	case "seeds":
-		return runnerFor(rs, seedsJob(cfg, rs.Seeds))
-	case "scaling":
-		return runnerFor(rs, scalingJob(cfg, rs.NodeCounts))
-	case "rtl":
-		w, err := AppWorkload(rs.RTLApp, rs.RTLParams)
-		if err != nil {
-			return nil, err
-		}
-		return runnerFor(rs, rtlJob(w, rs.RTLFlights))
-	case "sweep":
-		return runnerFor(rs, sweepJob(cfg, rs.Opts))
-	default:
-		return nil, fmt.Errorf("specdsm: unknown remote study %q", rs.Study)
-	}
-}
-
-// runnerFor wraps a study's job function as a remote.Runner: one arena,
-// a single-job pool carrying the spec's retry/fault policy, and gob
-// encoding of each settled row.
-func runnerFor[T any](rs studySpec, fn func(context.Context, *machine.Arena, int) (T, error)) (remote.Runner, error) {
 	p, err := rs.pool(1)
 	if err != nil {
 		return nil, err
 	}
 	arena := machine.NewArena()
 	return remote.RunnerFunc(func(ctx context.Context, j int) ([]byte, error) {
-		v, err := sweep.RunOne(ctx, p, arena, rs.Base, j, fn)
+		r, err := sweep.RunOne(ctx, p, arena, rs.Base, j, rs.job)
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(r); err != nil {
 			return nil, fmt.Errorf("specdsm: encoding job %d result: %w", rs.Base+j, err)
 		}
 		return buf.Bytes(), nil
@@ -208,25 +203,34 @@ func runnerFor[T any](rs studySpec, fn func(context.Context, *machine.Arena, int
 // streamStudy is the execution backend every study driver fans out on:
 // one sweep.Run that replays the study's checkpoint, runs the remaining
 // jobs on in-process workers and — when cfg.Remote names shard workers
-// — on those shards, and delivers rows and keep-going failures to
-// emit/fail strictly in index order, so a study cannot tell how (or
-// where) its jobs ran. With shards the in-process side is a single
-// worker: the degradation floor for a dead fleet and poison jobs.
-func streamStudy[T any](cfg StudyConfig, rs studySpec, n int,
-	fn func(context.Context, *machine.Arena, int) (T, error),
-	emit func(int, T) error, fail sweep.FailFunc) error {
+// — on those shards, and delivers each cell to emit strictly in index
+// order, so a study cannot tell how (or where) its jobs ran. With
+// shards the in-process side is a single worker: the degradation floor
+// for a dead fleet and poison jobs.
+//
+// emit receives cell i's runs in mode order; runs is reused once emit
+// returns. Under cfg.KeepGoing a fatal job failure occupies its slot as
+// a nil run and its text joins failed ("; "-separated, each prefixed
+// "<mode>: " when the cell has several runs); without it the first
+// failure aborts the study.
+func streamStudy(cfg StudyConfig, rs studySpec, emit func(i int, runs []*RunResult, failed string) error) error {
+	n, cell := rs.size()
 	ck, err := cfg.checkpoint(rs, n)
 	if err != nil {
 		return err
 	}
-	o := sweep.Options{Checkpoint: ck, Fail: fail}
+	w := &cellWindow{cell: cell, modes: rs.Modes, runs: make([]*RunResult, 0, cell), emit: emit}
+	o := sweep.Options{Checkpoint: ck}
+	if cfg.KeepGoing {
+		o.Fail = func(j int, err error) error { return w.add(j, nil, err.Error()) }
+	}
 	if ck != nil {
 		rs.Base = ck.Rows()
 	}
 	if len(cfg.Remote) > 0 {
 		cfg.Parallel = 1
 	}
-	pool, err := cfg.pool(n - rs.Base)
+	pool, err := cfg.pool(rs, n-rs.Base)
 	if err != nil {
 		return err
 	}
@@ -244,7 +248,36 @@ func streamStudy[T any](cfg StudyConfig, rs studySpec, n int,
 		}
 		o.Transports = d.Transports()
 	}
-	return sweep.Run(context.Background(), pool, n, o, machine.NewArena, fn, emit)
+	return sweep.Run(context.Background(), pool, n, o, machine.NewArena, rs.job,
+		func(j int, r *RunResult) error { return w.add(j, r, "") })
+}
+
+// cellWindow assembles the runs of the cell being delivered: every cell
+// consecutive deliveries complete one.
+type cellWindow struct {
+	cell  int
+	modes []Mode
+	runs  []*RunResult
+	fails []string
+	emit  func(i int, runs []*RunResult, failed string) error
+}
+
+// add files job j's run, or its keep-going failure text, and emits the
+// cell once it is complete.
+func (w *cellWindow) add(j int, r *RunResult, errText string) error {
+	if errText != "" {
+		if w.cell > 1 {
+			errText = fmt.Sprintf("%s: %s", w.modes[j%w.cell], errText)
+		}
+		w.fails = append(w.fails, errText)
+	}
+	if w.runs = append(w.runs, r); len(w.runs) < w.cell {
+		return nil
+	}
+	failed := strings.Join(w.fails, "; ")
+	full := w.runs
+	w.runs, w.fails = w.runs[:0], w.fails[:0]
+	return w.emit(j/w.cell, full, failed)
 }
 
 // RunSweepStream runs every cfg.Apps workload on one machine
@@ -252,26 +285,17 @@ func streamStudy[T any](cfg StudyConfig, rs studySpec, n int,
 // and streams each run's result, in Apps order, to emit. All of cfg's
 // execution machinery applies: worker-pool parallelism, checkpointing
 // and resume, retry budgets, fault injection, and remote dispatch.
-// fail receives fatal job failures in index order when the sweep runs
-// keep-going (pass nil to abort on the first failure); unlike the
-// figure studies there is no FAILED row shape here, so the caller
-// renders failures itself.
+// A non-nil fail selects keep-going, superseding cfg.KeepGoing: it
+// receives fatal job failures in index order (pass nil to abort on the
+// first failure); unlike the figure studies there is no FAILED row
+// shape here, so the caller renders failures itself.
 func RunSweepStream(cfg StudyConfig, opts MachineOptions, emit func(i int, r *RunResult) error, fail sweep.FailFunc) error {
 	cfg = cfg.withDefaults()
-	rs := cfg.spec("sweep")
-	rs.Opts = opts
-	return streamStudy(cfg, rs, len(cfg.Apps), sweepJob(cfg, opts), emit, fail)
-}
-
-// sweepJob builds the CLI sweep's job function: application i of
-// cfg.Apps simulated once under opts.
-func sweepJob(cfg StudyConfig, opts MachineOptions) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	wp := cfg.workloadParams()
-	return func(_ context.Context, arena *machine.Arena, i int) (*RunResult, error) {
-		w, err := AppWorkload(cfg.Apps[i], wp)
-		if err != nil {
-			return nil, err
+	cfg.KeepGoing = fail != nil
+	return streamStudy(cfg, cfg.spec("sweep", opts), func(i int, runs []*RunResult, failed string) error {
+		if failed != "" {
+			return fail(i, errors.New(failed))
 		}
-		return runInArena(arena, w, opts)
-	}
+		return emit(i, runs[0])
+	})
 }

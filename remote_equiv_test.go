@@ -40,27 +40,58 @@ func equivCfg() specdsm.StudyConfig {
 	}
 }
 
-// TestRemotePredictorStudyMatchesLocal pins the tentpole contract at
-// the study level: the identical row sequence whether the jobs run on
-// an in-process Parallel: 1 pool or fan out across shard workers.
-func TestRemotePredictorStudyMatchesLocal(t *testing.T) {
-	collect := func(cfg specdsm.StudyConfig) []specdsm.AppPrediction {
-		var rows []specdsm.AppPrediction
-		if err := specdsm.PredictorStudyStream(cfg, func(_ int, row specdsm.AppPrediction) error {
-			rows = append(rows, row)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	local := collect(equivCfg())
+// rows erases a study's row type so one table can drive every study.
+func rows[T any](r []T, err error) (any, error) { return r, err }
 
-	rcfg := equivCfg()
-	rcfg.Remote = startWorkers(t, 2)
-	got := collect(rcfg)
-	if !reflect.DeepEqual(got, local) {
-		t.Fatalf("remote rows differ from local:\nremote: %+v\nlocal:  %+v", got, local)
+// TestRemoteStudiesMatchLocal pins the shard contract for every grid
+// study: the spec alone rebuilds each study's jobs on a worker, so the
+// rows a 2-shard fleet delivers deep-equal a local Parallel: 1 run's.
+func TestRemoteStudiesMatchLocal(t *testing.T) {
+	hosts := startWorkers(t, 2)
+	wp := specdsm.WorkloadParams{Nodes: 8, Scale: 0.1, Seed: 3}
+	studies := []struct {
+		name string
+		run  func(specdsm.StudyConfig) (any, error)
+	}{
+		{"predictor", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(collect(cfg, specdsm.PredictorStudyStream))
+		}},
+		{"speculation", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(collect(cfg, specdsm.SpeculationStudyStream))
+		}},
+		{"seeds", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(specdsm.SpeculationStudySeeds(cfg, []int64{2, 5}))
+		}},
+		{"scaling", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, specdsm.NodeScaling) error) error {
+				return specdsm.NodeScalingStudyStream(cfg, []int{4, 8}, emit)
+			}))
+		}},
+		{"rtl", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(rtlPoints(cfg, "em3d", wp, []int{20, 200}))
+		}},
+		{"sweep", func(cfg specdsm.StudyConfig) (any, error) {
+			return rows(collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, *specdsm.RunResult) error) error {
+				return specdsm.RunSweepStream(cfg, specdsm.MachineOptions{Mode: specdsm.ModeFR}, emit, nil)
+			}))
+		}},
+	}
+	for _, st := range studies {
+		t.Run(st.name, func(t *testing.T) {
+			local, err := st.run(equivCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg := equivCfg()
+			rcfg.Remote = hosts
+			got, err := st.run(rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, local) {
+				t.Fatalf("remote rows differ from local:\nremote: %+v\nlocal:  %+v", got, local)
+			}
+		})
 	}
 }
 
@@ -76,7 +107,7 @@ func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 		Row  *specdsm.RunResult
 		Fail string
 	}
-	collect := func(cfg specdsm.StudyConfig) []event {
+	run := func(cfg specdsm.StudyConfig) []event {
 		var events []event
 		err := specdsm.RunSweepStream(cfg, specdsm.MachineOptions{Mode: specdsm.ModeSWI},
 			func(i int, r *specdsm.RunResult) error {
@@ -97,7 +128,7 @@ func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 	base.KeepGoing = true
 	base.FaultSpec = "seed=5,panic=0.4"
 
-	local := collect(base)
+	local := run(base)
 	var failures int
 	for _, e := range local {
 		if e.Fail != "" {
@@ -110,7 +141,7 @@ func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 
 	rcfg := base
 	rcfg.Remote = startWorkers(t, 2)
-	got := collect(rcfg)
+	got := run(rcfg)
 	if !reflect.DeepEqual(got, local) {
 		t.Fatalf("remote event stream differs from local:\nremote: %+v\nlocal:  %+v", got, local)
 	}
@@ -121,7 +152,7 @@ func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 // the stitched row sequence against an uninterrupted local run — the
 // dispatcher-restart leg of the determinism contract.
 func TestRemoteCheckpointResumeMatchesLocal(t *testing.T) {
-	collect := func(cfg specdsm.StudyConfig, stopAfter int) ([]specdsm.NodeScaling, error) {
+	run := func(cfg specdsm.StudyConfig, stopAfter int) ([]specdsm.NodeScaling, error) {
 		var rows []specdsm.NodeScaling
 		err := specdsm.NodeScalingStudyStream(cfg, []int{4, 8}, func(_ int, row specdsm.NodeScaling) error {
 			rows = append(rows, row)
@@ -132,7 +163,7 @@ func TestRemoteCheckpointResumeMatchesLocal(t *testing.T) {
 		})
 		return rows, err
 	}
-	local, err := collect(equivCfg(), 0)
+	local, err := run(equivCfg(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +173,12 @@ func TestRemoteCheckpointResumeMatchesLocal(t *testing.T) {
 	rcfg.Remote = hosts
 	rcfg.CheckpointPath = filepath.Join(t.TempDir(), "ck")
 	rcfg.CheckpointEvery = 1
-	partial, err := collect(rcfg, 2)
+	partial, err := run(rcfg, 2)
 	if err != errAbort {
 		t.Fatalf("interrupted run returned %v, want the abort error", err)
 	}
 	rcfg.Resume = true
-	resumed, err := collect(rcfg, 0)
+	resumed, err := run(rcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

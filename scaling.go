@@ -1,10 +1,8 @@
 package specdsm
 
 import (
-	"context"
 	"fmt"
 
-	"specdsm/internal/machine"
 	"specdsm/internal/report"
 )
 
@@ -72,57 +70,28 @@ func (s NodeScaling) MsgsPerRequest() float64 {
 }
 
 // NodeScalingStudyStream runs every application under SWI-DSM at each
-// node count (nil selects DefaultScalingNodes) and streams the rows,
-// application-major (node counts inner), to emit. cfg.Nodes is
-// superseded by the node-count axis; every other config knob (scale,
-// seed, iterations, parallelism, checkpointing) applies as in the
-// other studies, and rows merge in submission order so output is
-// independent of cfg.Parallel.
+// node count (nil selects DefaultScalingNodes; every count must lie in
+// [2, 4096]) and streams the rows, application-major (node counts
+// inner), to emit. cfg.Nodes is superseded by the node-count axis;
+// every other config knob (scale, seed, iterations, parallelism,
+// checkpointing) applies as in the other studies, and rows merge in
+// submission order so output is independent of cfg.Parallel.
 func NodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, row NodeScaling) error) error {
 	cfg = cfg.withDefaults()
 	if len(nodeCounts) == 0 {
 		nodeCounts = DefaultScalingNodes
 	}
-	k := len(nodeCounts)
-	n := len(cfg.Apps) * k
-	fail := failRow(cfg, emit, func(j int, errText string) NodeScaling {
-		return NodeScaling{App: cfg.Apps[j/k], Nodes: nodeCounts[j%k], Failed: errText}
-	})
-	rs := cfg.spec("scaling")
-	rs.NodeCounts = nodeCounts
-	return streamStudy(cfg, rs, n, scalingJob(cfg, nodeCounts),
-		func(j int, r *RunResult) error {
-			return emit(j, NodeScaling{App: cfg.Apps[j/k], Nodes: nodeCounts[j%k], Run: r})
-		},
-		fail)
-}
-
-// scalingJob builds the node-scaling study's job function: application
-// j/k at node count j%k of the axis, under SWI-DSM. Shared between the
-// in-process pool and remote workers.
-func scalingJob(cfg StudyConfig, nodeCounts []int) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	k := len(nodeCounts)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
-		wp := cfg.workloadParams()
-		wp.Nodes = nodeCounts[j%k]
-		w, err := AppWorkload(cfg.Apps[j/k], wp)
-		if err != nil {
-			return nil, err
+	for _, n := range nodeCounts {
+		if err := checkNodes(n); err != nil {
+			return err
 		}
-		return runInArena(arena, w, MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
 	}
-}
-
-// NodeScalingStudy is NodeScalingStudyStream collected into a slice.
-func NodeScalingStudy(cfg StudyConfig, nodeCounts []int) ([]NodeScaling, error) {
-	var out []NodeScaling
-	if err := NodeScalingStudyStream(cfg, nodeCounts, func(_ int, row NodeScaling) error {
-		out = append(out, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	k, apps := len(nodeCounts), cfg.Apps
+	rs := cfg.spec("scaling", MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
+	rs.NodeCounts = nodeCounts
+	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
+		return emit(i, NodeScaling{App: apps[i/k], Nodes: nodeCounts[i%k], Run: runs[0], Failed: failed})
+	})
 }
 
 // RenderNodeScaling prints the scaling study in the style of the

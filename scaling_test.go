@@ -17,6 +17,16 @@ var scalingCfg = StudyConfig{
 	Seed:       1,
 }
 
+// nodeScalingRows gathers the study's rows in delivery order.
+func nodeScalingRows(cfg StudyConfig, nodes []int) ([]NodeScaling, error) {
+	var rows []NodeScaling
+	err := NodeScalingStudyStream(cfg, nodes, func(_ int, r NodeScaling) error {
+		rows = append(rows, r)
+		return nil
+	})
+	return rows, err
+}
+
 // TestNodeScalingStudy runs the study across both reader-vector tiers
 // up to N = 1024 and checks that every cell carries live data: the
 // run completed, speculation actually happened, and the traffic metric
@@ -26,7 +36,7 @@ func TestNodeScalingStudy(t *testing.T) {
 		t.Skip("wide machines are slow in -short mode")
 	}
 	nodes := []int{16, 64, 256, 1024}
-	rows, err := NodeScalingStudy(scalingCfg, nodes)
+	rows, err := nodeScalingRows(scalingCfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestNodeScalingParallelInvariance(t *testing.T) {
 	run := func(parallel int) []NodeScaling {
 		cfg := scalingCfg
 		cfg.Parallel = parallel
-		rows, err := NodeScalingStudy(cfg, nodes)
+		rows, err := nodeScalingRows(cfg, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"specdsm/internal/core"
 	"specdsm/internal/machine"
+	"specdsm/internal/mem"
 	"specdsm/internal/network"
 	"specdsm/internal/sim"
 	"specdsm/internal/workload"
@@ -130,7 +131,18 @@ func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	if wp.Nodes == 0 {
 		wp.Nodes = 16
 	}
+	if err := checkNodes(wp.Nodes); err != nil {
+		return Workload{}, err
+	}
 	return Workload{Name: name, Nodes: wp.Nodes, programs: workload.Programs(app, wp)}, nil
+}
+
+// checkNodes rejects machine sizes the workload generators cannot build.
+func checkNodes(n int) error {
+	if n < 2 || n > mem.MaxNodes {
+		return fmt.Errorf("specdsm: invalid node count %d (supported range [2,%d])", n, mem.MaxNodes)
+	}
+	return nil
 }
 
 // MicroPattern names a synthetic micro-workload for examples and tests.

@@ -32,6 +32,36 @@ func TestAppWorkloadErrors(t *testing.T) {
 	}
 }
 
+// TestNodeCountRange pins the machine-size bounds the workload
+// generators support, [2, 4096]: out-of-range counts are errors at
+// every entry point — before any job runs — never a panic inside one.
+func TestNodeCountRange(t *testing.T) {
+	for _, n := range []int{1, -4, 5000} {
+		if _, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: n}); err == nil {
+			t.Errorf("AppWorkload accepted %d nodes", n)
+		}
+		if err := (specdsm.StudyConfig{Nodes: n}).Validate(); err == nil || !strings.Contains(err.Error(), "invalid node count") {
+			t.Errorf("Validate(Nodes: %d) = %v, want an invalid node count error", n, err)
+		}
+		cfg := specdsm.StudyConfig{Apps: []string{"em3d"}, Scale: 0.1, KeepGoing: true}
+		err := specdsm.NodeScalingStudyStream(cfg, []int{8, n}, func(int, specdsm.NodeScaling) error {
+			t.Fatalf("scaling study with %d nodes emitted a row", n)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "invalid node count") {
+			t.Errorf("NodeScalingStudyStream(%d nodes) = %v, want an invalid node count error", n, err)
+		}
+	}
+	for _, n := range []int{0, 2, 4096} {
+		if err := (specdsm.StudyConfig{Nodes: n}).Validate(); err != nil {
+			t.Errorf("Validate(Nodes: %d) = %v", n, err)
+		}
+	}
+	if _, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 2, Scale: 0.1}); err != nil {
+		t.Errorf("AppWorkload(2 nodes) = %v", err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
 	if err != nil {
@@ -122,11 +152,11 @@ func TestFigure7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := specdsm.PredictorStudy(specdsm.StudyConfig{
+	study, err := collect(specdsm.StudyConfig{
 		Scale:         0.5,
 		Depths:        []int{1},
 		DisableChecks: true,
-	})
+	}, specdsm.PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +196,11 @@ func TestFigure8DepthMonotonicityOnAverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := specdsm.PredictorStudy(specdsm.StudyConfig{
+	study, err := collect(specdsm.StudyConfig{
 		Scale:         0.25,
 		Depths:        []int{1, 2, 4},
 		DisableChecks: true,
-	})
+	}, specdsm.PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +222,11 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := specdsm.PredictorStudy(specdsm.StudyConfig{
+	study, err := collect(specdsm.StudyConfig{
 		Scale:         0.25,
 		Depths:        []int{1, 4},
 		DisableChecks: true,
-	})
+	}, specdsm.PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}

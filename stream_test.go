@@ -32,9 +32,32 @@ func streamCfg() specdsm.StudyConfig {
 	}
 }
 
+// collect gathers a streaming study's rows in delivery order, sized
+// for one row per configured application.
+func collect[T any](cfg specdsm.StudyConfig, stream func(specdsm.StudyConfig, func(int, T) error) error) ([]T, error) {
+	rows := make([]T, 0, len(cfg.Apps))
+	err := stream(cfg, func(_ int, row T) error {
+		rows = append(rows, row)
+		return nil
+	})
+	return rows, err
+}
+
+// rtlPoints gathers an rtl sweep's points in flight order.
+func rtlPoints(cfg specdsm.StudyConfig, app string, wp specdsm.WorkloadParams, flights []int) ([]specdsm.RTLPoint, error) {
+	return collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, specdsm.RTLPoint) error) error {
+		return specdsm.RTLSweepStream(cfg, app, wp, flights, emit)
+	})
+}
+
+// TestSpeculationStudyStreamMatchesCollect checks the stream's row
+// indices arrive in order on a parallel pool and that the rows equal a
+// collected sequential run.
 func TestSpeculationStudyStreamMatchesCollect(t *testing.T) {
 	cfg := streamCfg()
-	want, err := specdsm.SpeculationStudy(cfg)
+	seq := cfg
+	seq.Parallel = 1
+	want, err := collect(seq, specdsm.SpeculationStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
