@@ -7,9 +7,9 @@ SHELL := /bin/bash
 # BENCH_OUT names the trajectory point `make bench` records. Bump the PR
 # number when landing a perf PR so the old point stays committed next to
 # the new one and bench-check can diff them.
-BENCH_OUT ?= BENCH_PR16.json
+BENCH_OUT ?= BENCH_PR19.json
 
-.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench cover profile loc
+.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench leaks cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
@@ -17,12 +17,23 @@ BENCH_OUT ?= BENCH_PR16.json
 # harness (kill + corrupt + salvage-resume under injected faults), the
 # distributed chaos harness (a real sweepd fleet with one worker
 # SIGKILLed mid-batch and another injecting connection faults), a
-# short fuzz leg over the reader-vector, pattern-key, and checkpoint
-# decoders and the predictor's successor links, a one-iteration benchmark smoke run so the benches cannot
-# silently rot, the bench-history regression check over the committed
-# BENCH_PR<N>.json records, and the end-to-end benchmark module's vet
-# and tests.
-check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench
+# short fuzz leg over the reader-vector, pattern-key, checkpoint, row
+# and wire-frame decoders and the predictor's successor links, a
+# one-iteration benchmark smoke run so the benches cannot silently rot,
+# the bench-history regression check over the committed BENCH_PR<N>.json
+# records, the end-to-end benchmark module's vet and tests, and a last
+# check that none of them left a process running.
+check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench leaks
+
+# leaks fails the gate, naming the processes, if any sweepd, perfbench
+# or paperrepro process is still running: every target above must stop
+# what it starts (test harnesses start their children with Pdeathsig).
+# pgrep's stderr only carries its warning that the pattern is longer
+# than a 15-character process name; -x still matches each alternative.
+leaks:
+	@if pgrep -ax 'sweepd|perfbench|paperrepro' 2>/dev/null; then \
+		echo "leaks: the processes above are still running"; exit 1; fi; \
+	echo "leaks: no sweepd, perfbench or paperrepro process left running"
 
 # perfbench vets and tests the end-to-end benchmark module. It has its
 # own go.mod (replace specdsm => ../), so `go test ./...` at the root
@@ -62,7 +73,9 @@ chaos:
 # fuzzsmoke runs the differential fuzz targets briefly on every gate:
 # the reader-vector ops against the map-backed oracle, the packed
 # pattern-key encoding against its bijection/table oracle, the
-# checkpoint decoder's strict-vs-salvage verdict consistency, and the
+# checkpoint decoder's strict-vs-salvage verdict consistency, the
+# RunResult row codec and the wire-frame decoder (no panic, no
+# allocation past the input, every valid encoding round-trips), and the
 # predictor's successor links against a twin that probes for every
 # history (link invariants after every operation, identical results). Five
 # seconds each is a smoke test, not a campaign — run `go test -fuzz`
@@ -73,6 +86,8 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPatKeyPack -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzObserveLinks -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointFrames -fuzztime=5s ./internal/sweep
+	$(GO) test -run='^$$' -fuzz=FuzzRowCodec -fuzztime=5s .
+	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/remote
 
 # cover prints per-package statement coverage over the full test suite.
 cover:

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -38,6 +39,9 @@ func startSweepd(t *testing.T, bin string, extra ...string) *sweepdWorker {
 	t.Helper()
 	w := &sweepdWorker{execSeen: make(chan struct{})}
 	w.cmd = exec.Command(bin, append([]string{"-listen", "127.0.0.1:0"}, extra...)...)
+	// The worker dies with the test binary even if that is killed
+	// outright (a -timeout or a panic), so no sweepd is orphaned.
+	w.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stdout, err := w.cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +99,7 @@ func TestChaosRemote(t *testing.T) {
 
 	run := func(extra ...string) (stdout []byte, stderr string, code int) {
 		cmd := exec.Command(paperreproBin, append(append([]string{}, chaosArgs...), extra...)...)
+		cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 		var errBuf bytes.Buffer
 		cmd.Stderr = &errBuf
 		out, err := cmd.Output()

@@ -9,12 +9,14 @@ package main
 // `make chaos` runs this with more rounds (-args -chaos-rounds=N).
 
 import (
+	"encoding/binary"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"syscall"
 	"testing"
 )
 
@@ -32,6 +34,15 @@ func normalize(out []byte) string {
 // per round, big enough (9 simulations) that kill points land mid-sweep.
 var chaosArgs = []string{"-only", "fig9", "-scale", "0.1", "-apps", "em3d,moldyn,appbt"}
 
+// frameStart returns where a checkpoint file's frames begin: after the
+// 16-byte fixed header (magic, version, key length) and the key.
+func frameStart(data []byte) int {
+	if len(data) < 16 {
+		return len(data)
+	}
+	return 16 + int(binary.LittleEndian.Uint32(data[12:16]))
+}
+
 func TestChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness is slow for -short")
@@ -45,6 +56,7 @@ func TestChaos(t *testing.T) {
 
 	run := func(extra ...string) ([]byte, int) {
 		cmd := exec.Command(bin, append(append([]string{}, chaosArgs...), extra...)...)
+		cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 		out, err := cmd.Output()
 		code := 0
 		if ee, ok := err.(*exec.ExitError); ok {
@@ -78,15 +90,18 @@ func TestChaos(t *testing.T) {
 				t.Fatalf("killed run exited %d, want 3 (crash-after %d)", code, kill)
 			}
 
-			// Corrupt the frame region (never the header: a flipped key
-			// byte would read as a different study — a hard error by
-			// design, not salvageable damage). The file can legitimately
-			// be missing when the kill landed before the first flush.
+			// Corrupt the file. Truncation may cut into the header of a
+			// file the kill left with no frames (salvage then restarts
+			// from job 0); a bit flip stays in the frame region, never
+			// the key: a flipped key byte would read as a different
+			// study — a hard error by design, not salvageable damage.
+			// The file can legitimately be missing when the kill landed
+			// before the first flush.
 			if data, err := os.ReadFile(ck + ".speculation"); err == nil && len(data) > 64 {
 				if round%2 == 0 {
 					data = data[:len(data)-1-(round*3)%16]
-				} else {
-					data[len(data)-17] ^= 0x40
+				} else if off := len(data) - 17; off >= frameStart(data) {
+					data[off] ^= 0x40
 				}
 				if err := os.WriteFile(ck+".speculation", data, 0o644); err != nil {
 					t.Fatal(err)

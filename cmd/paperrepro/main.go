@@ -86,6 +86,12 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, sweep.ErrCheckpointMismatch) {
+			// Any other mismatch — a checkpoint of another format
+			// version, more rows than the sweep has jobs — is a wrong
+			// invocation too, not a runtime failure.
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }

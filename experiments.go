@@ -46,9 +46,9 @@ type StudyConfig struct {
 	// through a crash-safe on-disk checkpoint at <path>.<study>
 	// (ck.predictor, ck.speculation, ck.seeds, ck.scaling, ck.rtl or
 	// ck.sweep): every settled simulation — one *RunResult, or a
-	// keep-going failure — is persisted periodically via atomic
-	// write-rename, so an interrupted sweep can be resumed instead of
-	// restarted. See internal/sweep for the file format.
+	// keep-going failure — is appended periodically and synced, so an
+	// interrupted sweep can be resumed instead of restarted. See
+	// internal/sweep for the file format.
 	CheckpointPath string
 	// Resume continues from an existing checkpoint written by an
 	// identically configured earlier run (a missing file starts fresh,

@@ -14,9 +14,9 @@
 //
 //   - The sweep pool (sweep.Pool.Inject) asks it per job attempt for
 //     transient errors, panics, and artificial scheduling delays.
-//   - The checkpoint writer takes an FS (see NewFS) whose operations
-//     fail on the injector's schedule: short writes that tear a frame
-//     mid-flush, and renames that fail before the snapshot swap.
+//   - The checkpoint writer takes an FS (see NewFS) whose writes fail
+//     on the injector's schedule: short writes that tear the frames a
+//     flush appends.
 //
 // A nil *Injector is valid everywhere and injects nothing; callers pay
 // one nil check on the disabled path.
@@ -43,7 +43,6 @@ const (
 	siteDelay     uint64 = 0xDE1A4
 	siteDelayLen  uint64 = 0xDE1A5
 	siteWrite     uint64 = 0x3317E
-	siteRename    uint64 = 0x4E4AE
 	siteConnDrop  uint64 = 0xD40BB
 	siteConnShort uint64 = 0x54027
 	siteConnSLen  uint64 = 0x54028
@@ -70,12 +69,9 @@ type Injector struct {
 	// DelayMax bounds the yield burst length (0 selects 64).
 	DelayMax int
 	// ShortWrite is the per-operation probability that a checkpoint
-	// file write stops short and errors, tearing the frame being
+	// file write stops short and errors, tearing the frames being
 	// flushed.
 	ShortWrite float64
-	// Rename is the per-operation probability that the checkpoint's
-	// atomic snapshot rename fails.
-	Rename float64
 	// ConnDrop is the per-operation probability that a wrapped network
 	// connection (see Wrap) breaks: the op errors and the connection is
 	// closed, so every later op fails too — a shard death or partition
@@ -159,11 +155,6 @@ func (in *Injector) writeFault(op uint64) bool {
 	return in != nil && in.ShortWrite > 0 && in.roll(siteWrite, op, 0) < in.ShortWrite
 }
 
-// renameFault reports whether checkpoint rename operation op fails.
-func (in *Injector) renameFault(op uint64) bool {
-	return in != nil && in.Rename > 0 && in.roll(siteRename, op, 0) < in.Rename
-}
-
 // connDrop reports whether connection operation op draws a drop.
 func (in *Injector) connDrop(op uint64) bool {
 	return in != nil && in.ConnDrop > 0 && in.roll(siteConnDrop, op, 0) < in.ConnDrop
@@ -199,7 +190,7 @@ func (in *Injector) connDelay(op uint64) {
 // ParseSpec builds an injector from a compact comma-separated spec, the
 // form the CLIs accept:
 //
-//	seed=7,transient=0.2,panic=0.01,delay=0.5,delaymax=32,shortwrite=0.05,rename=0.05
+//	seed=7,transient=0.2,panic=0.01,delay=0.5,delaymax=32,shortwrite=0.05
 //
 // Every key is optional; seed defaults to 1 and omitted rates to 0. An
 // empty spec is an error — disabling injection is done by not passing
@@ -241,8 +232,6 @@ func ParseSpec(spec string) (*Injector, error) {
 			}
 		case "shortwrite":
 			in.ShortWrite, err = rate()
-		case "rename":
-			in.Rename, err = rate()
 		case "conndrop":
 			in.ConnDrop, err = rate()
 		case "connshort":
@@ -250,7 +239,7 @@ func ParseSpec(spec string) (*Injector, error) {
 		case "conndelay":
 			in.ConnDelay, err = rate()
 		default:
-			return nil, fmt.Errorf("fault: unknown spec key %q (have seed, transient, panic, delay, delaymax, shortwrite, rename, conndrop, connshort, conndelay)", k)
+			return nil, fmt.Errorf("fault: unknown spec key %q (have seed, transient, panic, delay, delaymax, shortwrite, conndrop, connshort, conndelay)", k)
 		}
 		if err != nil {
 			return nil, err

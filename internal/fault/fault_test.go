@@ -69,17 +69,17 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	in, err := ParseSpec("seed=7,transient=0.2,panic=0.01,delay=0.5,delaymax=32,shortwrite=0.05,rename=0.1")
+	in, err := ParseSpec("seed=7,transient=0.2,panic=0.01,delay=0.5,delaymax=32,shortwrite=0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.Seed() != 7 || in.Transient != 0.2 || in.Panic != 0.01 ||
-		in.Delay != 0.5 || in.DelayMax != 32 || in.ShortWrite != 0.05 || in.Rename != 0.1 {
+		in.Delay != 0.5 || in.DelayMax != 32 || in.ShortWrite != 0.05 {
 		t.Fatalf("spec parsed into %+v", in)
 	}
 	for _, bad := range []string{
 		"", "transient", "transient=", "transient=1.5", "transient=-0.1",
-		"seed=x", "bogus=1", "delaymax=0",
+		"seed=x", "bogus=1", "delaymax=0", "rename=0.1",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -95,12 +95,12 @@ func TestFaultyFSShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
 	fsys := NewFS(in, nil)
-	f, err := fsys.Create(path)
+	f, err := fsys.OpenWrite(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xAB}, 100)
-	n, err := f.Write(payload)
+	n, err := f.WriteAt(payload, 0)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("write err = %v, want ErrInjected", err)
 	}
@@ -116,22 +116,5 @@ func TestFaultyFSShortWrite(t *testing.T) {
 	}
 	if len(b) != n {
 		t.Fatalf("file holds %d bytes, write reported %d", len(b), n)
-	}
-}
-
-func TestFaultyFSRename(t *testing.T) {
-	in := New(5)
-	in.Rename = 1.0
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src")
-	if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fsys := NewFS(in, nil)
-	if err := fsys.Rename(src, filepath.Join(dir, "dst")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("rename err = %v, want ErrInjected", err)
-	}
-	if _, err := os.Stat(src); err != nil {
-		t.Fatalf("failed rename moved the source: %v", err)
 	}
 }

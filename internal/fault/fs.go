@@ -8,16 +8,17 @@ import (
 	"sync/atomic"
 )
 
-// File is the write side of the checkpoint FS seam: what the checkpoint
-// writer needs from a freshly created snapshot temp file.
+// File is the write side of the checkpoint FS seam: positioned writes
+// (a flush appends its frames at the end of the valid prefix) and a
+// sync.
 type File interface {
-	io.Writer
+	io.WriterAt
 	io.Closer
 	Sync() error
 }
 
-// ReadFile is the read side: sequential reads plus seeking past the
-// header, which is all load, replay, and copy-forward use.
+// ReadFile is the read side: sequential reads plus seeking (to size the
+// file and to skip the header), which is all scan and replay use.
 type ReadFile interface {
 	io.Reader
 	io.Seeker
@@ -28,10 +29,11 @@ type ReadFile interface {
 // through. The production implementation is OS; NewFS wraps any FS with
 // injected I/O faults.
 type FS interface {
-	Create(name string) (File, error)
+	// OpenWrite opens name for writing, creating it if it is missing.
+	OpenWrite(name string) (File, error)
 	Open(name string) (ReadFile, error)
-	Rename(oldpath, newpath string) error
-	Remove(name string) error
+	// Truncate cuts name to size bytes (dropping a torn tail).
+	Truncate(name string, size int64) error
 	Lstat(name string) (fs.FileInfo, error)
 }
 
@@ -40,18 +42,19 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) Create(name string) (File, error)       { return os.Create(name) }
+func (osFS) OpenWrite(name string) (File, error) {
+	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE, 0o644)
+}
 func (osFS) Open(name string) (ReadFile, error)     { return os.Open(name) }
-func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error               { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 func (osFS) Lstat(name string) (fs.FileInfo, error) { return os.Lstat(name) }
 
 // NewFS wraps base (nil selects OS) with the injector's I/O fault
-// schedule: writes may stop short (tearing the frame being written) and
-// renames may fail. Decisions are drawn per operation from a counter,
-// so a fixed seed yields a fixed fault script over the sequence of
-// checkpoint operations. Reads are never faulted — read-side corruption
-// is exercised by mutating real files instead (see the salvage tests).
+// schedule: writes may stop short, tearing the frames being appended.
+// Decisions are drawn per operation from a counter, so a fixed seed
+// yields a fixed fault script over the sequence of checkpoint writes.
+// Reads are never faulted — read-side corruption is exercised by
+// mutating real files instead (see the salvage tests).
 func NewFS(in *Injector, base FS) FS {
 	if base == nil {
 		base = OS
@@ -65,24 +68,16 @@ type faultFS struct {
 	op   atomic.Uint64
 }
 
-func (f *faultFS) Create(name string) (File, error) {
-	file, err := f.base.Create(name)
+func (f *faultFS) OpenWrite(name string) (File, error) {
+	file, err := f.base.OpenWrite(name)
 	if err != nil {
 		return nil, err
 	}
 	return &faultFile{fs: f, f: file}, nil
 }
 
-func (f *faultFS) Open(name string) (ReadFile, error) { return f.base.Open(name) }
-
-func (f *faultFS) Rename(oldpath, newpath string) error {
-	if f.in.renameFault(f.op.Add(1)) {
-		return fmt.Errorf("%w: rename %s", ErrInjected, newpath)
-	}
-	return f.base.Rename(oldpath, newpath)
-}
-
-func (f *faultFS) Remove(name string) error               { return f.base.Remove(name) }
+func (f *faultFS) Open(name string) (ReadFile, error)     { return f.base.Open(name) }
+func (f *faultFS) Truncate(name string, size int64) error { return f.base.Truncate(name, size) }
 func (f *faultFS) Lstat(name string) (fs.FileInfo, error) { return f.base.Lstat(name) }
 
 // faultFile injects short writes: the fault writes a prefix of the
@@ -93,12 +88,12 @@ type faultFile struct {
 	f  File
 }
 
-func (w *faultFile) Write(p []byte) (int, error) {
+func (w *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if w.fs.in.writeFault(w.fs.op.Add(1)) {
-		n, _ := w.f.Write(p[:len(p)/2])
+		n, _ := w.f.WriteAt(p[:len(p)/2], off)
 		return n, fmt.Errorf("%w: short write (%d of %d bytes)", ErrInjected, n, len(p))
 	}
-	return w.f.Write(p)
+	return w.f.WriteAt(p, off)
 }
 
 func (w *faultFile) Sync() error  { return w.f.Sync() }

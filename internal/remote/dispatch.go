@@ -1,9 +1,8 @@
 package remote
 
 import (
-	"bytes"
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"maps"
@@ -172,13 +171,14 @@ func (d *Dispatcher) serveShard(ctx context.Context, host string, l sweep.Link) 
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	conn = fault.Wrap(d.Inject, conn)
+	w, r := &lockedConn{c: conn}, bufio.NewReader(conn)
 
 	hbTimeout := d.heartbeatTimeout()
-	if err := writeMsg(conn, &msg{Op: opHello, Proto: ProtoVersion, Spec: d.Spec}); err != nil {
+	if err := w.write(&msg{Op: opHello, Proto: ProtoVersion, Payload: d.Spec}); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(hbTimeout))
-	m, err := readMsg(conn)
+	m, err := readMsg(r)
 	if err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
@@ -216,12 +216,12 @@ func (d *Dispatcher) serveShard(ctx context.Context, host string, l sweep.Link) 
 		for _, i := range batch {
 			outstanding[i] = true
 		}
-		if err := writeMsg(conn, &msg{Op: opExec, Seq: seq, Indices: batch}); err != nil {
+		if err := w.write(&msg{Op: opExec, Seq: seq, Indices: batch}); err != nil {
 			return fmt.Errorf("exec: %w", err)
 		}
 		for done := false; !done; {
 			conn.SetReadDeadline(time.Now().Add(hbTimeout))
-			m, err := readMsg(conn)
+			m, err := readMsg(r)
 			if err != nil {
 				return fmt.Errorf("read: %w", err)
 			}
@@ -233,9 +233,7 @@ func (d *Dispatcher) serveShard(ctx context.Context, host string, l sweep.Link) 
 			case opJobDone:
 				// An undecodable row stays outstanding: the session ends and
 				// the job is requeued like any other transport failure.
-				if err := l.Settle(m.Index, func(row any) error {
-					return gob.NewDecoder(bytes.NewReader(m.Payload)).Decode(row)
-				}, m.Err, time.Duration(m.DurNS)); err != nil {
+				if err := l.Settle(m.Index, m.Payload, m.Err, time.Duration(m.DurNS)); err != nil {
 					return err
 				}
 				delete(outstanding, m.Index)

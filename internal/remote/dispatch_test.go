@@ -1,11 +1,11 @@
 package remote
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"slices"
@@ -22,14 +22,39 @@ import (
 // produces for a job index — remote shard, resurrected shard, or the
 // sweep's in-process workers — so the merge contract can be pinned
 // exactly. rowPayload is its wire form.
-func row(i int) string { return fmt.Sprintf("row-%04d", i) }
+func row(i int) testRow { return testRow(fmt.Sprintf("row-%04d", i)) }
 
 func rowPayload(i int) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(row(i)); err != nil {
-		panic(err)
+	b, _ := row(i).AppendBinary(nil)
+	return b
+}
+
+// testRow is a string row with the binary codec a transport needs: a
+// uvarint length and the bytes, nothing after.
+type testRow string
+
+func (r testRow) AppendBinary(b []byte) ([]byte, error) {
+	return append(binary.AppendUvarint(b, uint64(len(r))), r...), nil
+}
+
+func (r *testRow) UnmarshalBinary(b []byte) error {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n != uint64(len(b)-k) {
+		return errors.New("testRow: malformed encoding")
 	}
-	return buf.Bytes()
+	*r = testRow(b[k:])
+	return nil
+}
+
+// writeMsg frames m onto w in one write — the scripted shards' side of
+// the wire.
+func writeMsg(w io.Writer, m *msg) error {
+	b, err := m.appendFrame(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 func testRunner() Runner {
@@ -39,13 +64,13 @@ func testRunner() Runner {
 }
 
 // localRow is the in-process workers' copy of testRunner's job.
-func localRow(_ context.Context, _ struct{}, i int) (string, error) { return row(i), nil }
+func localRow(_ context.Context, _ struct{}, i int) (testRow, error) { return row(i), nil }
 
 // delivery is one settled index as the sweep handed it over: a row, or
 // a failure's text in keep-going mode.
 type delivery struct {
 	i   int
-	row string
+	row testRow
 	err string
 }
 
@@ -53,7 +78,7 @@ type delivery struct {
 // transports and one in-process worker running local, collecting the
 // ordered deliveries. keepGoing routes job failures into the result.
 func runSweep(ctx context.Context, d *Dispatcher, p *sweep.Pool, n int, keepGoing bool,
-	local func(context.Context, struct{}, int) (string, error)) ([]delivery, error) {
+	local func(context.Context, struct{}, int) (testRow, error)) ([]delivery, error) {
 	if p == nil {
 		p = sweep.New(1)
 	}
@@ -65,7 +90,7 @@ func runSweep(ctx context.Context, d *Dispatcher, p *sweep.Pool, n int, keepGoin
 			return nil
 		}
 	}
-	err := sweep.Run(ctx, p, n, o, nil, local, func(i int, r string) error {
+	err := sweep.Run(ctx, p, n, o, nil, local, func(i int, r testRow) error {
 		got = append(got, delivery{i: i, row: r})
 		return nil
 	})
@@ -134,7 +159,7 @@ func TestLoopbackSweep(t *testing.T) {
 		Seed:  1,
 	}
 	var local atomic.Int64
-	got, err := runSweep(context.Background(), d, nil, 40, false, func(ctx context.Context, s struct{}, i int) (string, error) {
+	got, err := runSweep(context.Background(), d, nil, 40, false, func(ctx context.Context, s struct{}, i int) (testRow, error) {
 		local.Add(1)
 		return localRow(ctx, s, i)
 	})
@@ -188,7 +213,7 @@ func TestLocalOnly(t *testing.T) {
 	d := &Dispatcher{Seed: 3}
 	var got []delivery
 	err = sweep.Run(context.Background(), sweep.New(2), 30, sweep.Options{Checkpoint: ck, Transports: d.Transports()}, nil, localRow,
-		func(i int, r string) error {
+		func(i int, r testRow) error {
 			got = append(got, delivery{i: i, row: r})
 			return nil
 		})
@@ -234,6 +259,70 @@ func TestRefusedWorkerFallsBackToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyDeliveries(t, got, 0, 12)
+}
+
+// TestVersionRefusalFallsBackToLocal pins the version gate: a hello
+// whose protocol version is not ProtoVersion gets a refuse naming both
+// versions, and the dispatcher gives up on that host after one session
+// (errRefused, no reconnects) and finishes on the in-process worker. A
+// relay between a real dispatcher and a real server rewrites the hello
+// as a stale peer would send it.
+func TestVersionRefusalFallsBackToLocal(t *testing.T) {
+	addr := startServer(t, specCheckedServer(t, "spec-v1"))
+	var dials atomic.Int64
+	replies := make(chan *msg, 1)
+	d := &Dispatcher{
+		Hosts: []string{addr},
+		Spec:  []byte("spec-v1"),
+		Seed:  14,
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			srv, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			c, s := net.Pipe()
+			go func() {
+				defer s.Close()
+				defer srv.Close()
+				hello, err := readMsg(s)
+				if err != nil {
+					return
+				}
+				hello.Proto = ProtoVersion - 1
+				if writeMsg(srv, hello) != nil {
+					return
+				}
+				reply, err := readMsg(srv)
+				if err != nil {
+					return
+				}
+				replies <- reply
+				writeMsg(s, reply)
+			}()
+			return c, nil
+		},
+	}
+	var local atomic.Int64
+	got, err := runSweep(context.Background(), d, nil, 12, false, func(ctx context.Context, s struct{}, i int) (testRow, error) {
+		local.Add(1)
+		return localRow(ctx, s, i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDeliveries(t, got, 0, 12)
+	reply := <-replies
+	want := fmt.Sprintf("protocol version %d, worker speaks %d", ProtoVersion-1, ProtoVersion)
+	if reply.Op != opRefuse || reply.Err != want {
+		t.Fatalf("stale hello answered with op %d %q, want a refuse %q", reply.Op, reply.Err, want)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dispatcher dialed the refusing host %d times, want 1", n)
+	}
+	if n := local.Load(); n != 12 {
+		t.Fatalf("in-process worker ran %d jobs, want all 12", n)
+	}
 }
 
 // --- scripted shards -------------------------------------------------
@@ -477,7 +566,7 @@ func TestPoisonBatchFallsBackToLocal(t *testing.T) {
 		Seed:             7,
 	}
 	var local atomic.Int64
-	got, err := runSweep(context.Background(), d, nil, 16, false, func(ctx context.Context, s struct{}, i int) (string, error) {
+	got, err := runSweep(context.Background(), d, nil, 16, false, func(ctx context.Context, s struct{}, i int) (testRow, error) {
 		local.Add(1)
 		return localRow(ctx, s, i)
 	})
@@ -531,7 +620,7 @@ func TestUndecodableRowIsRequeued(t *testing.T) {
 	}
 	var local []int
 	var mu sync.Mutex
-	got, err := runSweep(context.Background(), d, nil, 12, true, func(ctx context.Context, s struct{}, i int) (string, error) {
+	got, err := runSweep(context.Background(), d, nil, 12, true, func(ctx context.Context, s struct{}, i int) (testRow, error) {
 		mu.Lock()
 		local = append(local, i)
 		mu.Unlock()
@@ -704,7 +793,7 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	err := sweep.Run(context.Background(), sweep.New(1), b.N, sweep.Options{Transports: d.Transports()}, nil, localRow,
-		func(int, string) error { return nil })
+		func(int, testRow) error { return nil })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,12 +10,15 @@
 // # Wire protocol
 //
 // One connection carries one sweep session. Every frame is a 4-byte
-// little-endian length prefix followed by a fresh gob encoding of the
-// universal msg struct, so the reader resynchronizes per frame and a
-// torn connection never corrupts decoder state shared across frames.
-// The session opens with a handshake — hello (protocol version + the
-// study spec, an opaque byte blob the worker hands to its
-// Server.NewRunner) answered by helloOK or refuse — and then loops:
+// little-endian length prefix followed by one msg in a fixed binary
+// layout (op, protocol version, seq, index, duration, then
+// length-prefixed indices, payload and error text; see msg), so the
+// reader resynchronizes per frame and no decoder state is shared across
+// frames. A decoder checks every count against the bytes that remain
+// before it allocates, and frames are bounded at 16 MiB. The session
+// opens with a handshake — hello (protocol version + the study spec, an
+// opaque byte blob the worker hands to its Server.NewRunner) answered by
+// helloOK or refuse — and then loops:
 //
 //	dispatcher → worker:  exec       seq + a batch of job indices
 //	worker → dispatcher:  jobDone    one job's result or failure text
@@ -23,12 +26,13 @@
 //	worker → dispatcher:  heartbeat  liveness while a long job computes
 //
 // Results stream back per job, not per batch, so a worker that dies
-// mid-batch loses only its unanswered indices. Each result is a
-// gob-encoded row, which the dispatcher decodes into the sweep's row
-// type before settling it on the board; a row that does not decode is a
-// transport error, never a job failure. A refuse is permanent (the spec
-// cannot get better on retry); any transport error is temporary and
-// handled by reconnection.
+// mid-batch loses only its unanswered indices. Each result is the row's
+// own binary encoding (its AppendBinary on the worker), which
+// Link.Settle decodes once with the sweep's row type's UnmarshalBinary;
+// a row that does not decode is a transport error, never a job failure.
+// No per-job byte passes through a generic serializer. A refuse is
+// permanent (a version mismatch or a spec that cannot get better on
+// retry); any transport error is temporary and handled by reconnection.
 //
 // # Failure handling
 //

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -12,10 +13,12 @@ import (
 )
 
 // Runner executes one registered study's jobs on a worker. Run returns
-// the gob-encoded result row for the given absolute job index, or the
-// job's (already retry-settled) failure. Implementations are used from
-// one goroutine at a time — the server builds a fresh Runner per
-// connection, so per-runner state (a machine.Arena) needs no locking.
+// the binary encoding of the result row (the row type's AppendBinary,
+// which the dispatcher's sweep decodes with UnmarshalBinary) for the
+// given absolute job index, or the job's (already retry-settled)
+// failure. Implementations are used from one goroutine at a time — the
+// server builds a fresh Runner per connection, so per-runner state (a
+// machine.Arena) needs no locking.
 type Runner interface {
 	Run(ctx context.Context, index int) ([]byte, error)
 }
@@ -92,8 +95,9 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
 	defer stop()
 	conn = fault.Wrap(s.Inject, conn)
 	lc := &lockedConn{c: conn}
+	r := bufio.NewReader(conn)
 
-	hello, err := readMsg(conn)
+	hello, err := readMsg(r)
 	if err != nil || hello.Op != opHello {
 		s.logf("conn %d: bad handshake: %v", id, err)
 		return
@@ -102,7 +106,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
 		lc.write(&msg{Op: opRefuse, Err: fmt.Sprintf("protocol version %d, worker speaks %d", hello.Proto, ProtoVersion)})
 		return
 	}
-	runner, err := s.NewRunner(hello.Spec)
+	runner, err := s.NewRunner(hello.Payload)
 	if err != nil {
 		s.logf("conn %d: spec refused: %v", id, err)
 		lc.write(&msg{Op: opRefuse, Err: err.Error()})
@@ -141,7 +145,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
 	}()
 
 	for {
-		m, err := readMsg(conn)
+		m, err := readMsg(r)
 		if err != nil {
 			s.logf("conn %d: dispatcher gone: %v", id, err)
 			return

@@ -23,11 +23,11 @@ func TestBoardMemoryIsWindowSized(t *testing.T) {
 		binary.LittleEndian.PutUint64(b, uint64(j))
 		return b
 	}
-	owner := func(b []byte) int { return int(binary.LittleEndian.Uint64(b)) }
+	owner := func(b blob) int { return int(binary.LittleEndian.Uint64(b)) }
 
-	boards := make(chan *board[[]byte], 1)
+	boards := make(chan *board[blob], 1)
 	shard := func(ctx context.Context, l Link) {
-		boards <- l.(link[[]byte]).b
+		boards <- l.(link[blob]).b
 		l.SetLive(true)
 		for !l.Finished() {
 			batch := l.Claim(8, time.Hour)
@@ -36,22 +36,19 @@ func TestBoardMemoryIsWindowSized(t *testing.T) {
 				continue
 			}
 			for _, j := range batch {
-				l.Settle(j, func(row any) error {
-					*row.(*[]byte) = payload(j)
-					return nil
-				}, "", time.Microsecond)
+				l.Settle(j, payload(j), "", time.Microsecond)
 			}
 		}
 	}
 	p := New(1)
 	p.Window = window
-	var b *board[[]byte]
+	var b *board[blob]
 	err := Run(context.Background(), p, n, Options{Transports: []Transport{shard}}, nil,
-		func(context.Context, struct{}, int) ([]byte, error) {
+		func(context.Context, struct{}, int) (blob, error) {
 			t.Error("in-process worker ran a job while the transport was live")
 			return nil, nil
 		},
-		func(i int, v []byte) error {
+		func(i int, v blob) error {
 			if b == nil {
 				b = <-boards
 			}
@@ -76,4 +73,14 @@ func TestBoardMemoryIsWindowSized(t *testing.T) {
 			t.Fatalf("slot %d not cleared after the sweep: state %d, payload %v", k, s.state, s.v != nil)
 		}
 	}
+}
+
+// blob is a raw-bytes row with the binary codec a transport needs.
+type blob []byte
+
+func (b blob) AppendBinary(dst []byte) ([]byte, error) { return append(dst, b...), nil }
+
+func (b *blob) UnmarshalBinary(data []byte) error {
+	*b = append(blob(nil), data...)
+	return nil
 }

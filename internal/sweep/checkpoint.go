@@ -1,21 +1,22 @@
 package sweep
 
 import (
-	"bytes"
+	"bufio"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 
 	"specdsm/internal/fault"
 )
 
-// Checkpoint file format (version 2). A checkpoint persists the ordered
+// Checkpoint file format (version 3). A checkpoint persists the ordered
 // prefix of jobs a streaming sweep has already settled — emitted rows
 // and, in keep-going mode, recorded failures — so an interrupted sweep
 // resumes by replaying the saved prefix and running only the remaining
@@ -25,41 +26,42 @@ import (
 //
 // Layout (all integers little-endian):
 //
-//	magic      [8]byte  "SPDSMCKP"
-//	version    uint32   2
-//	keyLen     uint32
-//	key        [keyLen]byte   study identity (name + config + job count)
-//	count      uint64   number of frames in the payload
-//	payloadLen uint64   payload size in bytes
-//	payloadCRC uint32   CRC-32 (IEEE) of the whole payload
-//	payload    count frames, each:
+//	magic    [8]byte  "SPDSMCKP"
+//	version  uint32   3
+//	keyLen   uint32
+//	key      [keyLen]byte   study identity (name + config + job count)
+//	frames, one per settled job, each:
 //	    len      uint32   payload byte count
-//	    kind     uint8    0 = row (gob-encoded row), 1 = failure (gob string)
+//	    kind     uint8    0 = row (the row type's AppendBinary), 1 = failure (error text)
 //	    frameCRC uint32   CRC-32 (IEEE) of len+kind+payload
 //	    payload  [len]byte
 //
-// Version 2 adds the per-frame kind and CRC. The kind lets a failure
-// (keep-going mode) occupy its index's slot in the prefix, so resume
-// semantics are unchanged by partial failure; the per-frame CRC lets
-// SalvageCheckpoint find the longest valid prefix of a damaged file
-// instead of rejecting it whole, which the single whole-payload CRC
-// cannot do.
+// The file is append-only: the header is written once when the
+// checkpoint is created, and every flush appends the pending frames at
+// the end of the valid prefix and syncs. Nothing already on disk is
+// rewritten, so a flush costs its own frames, not the whole file. A
+// crash mid-flush leaves a torn final frame (the file ends inside it);
+// opening the checkpoint scans for the longest valid frame prefix and
+// truncates the torn tail before anything is appended, so new frames
+// never land after garbage. Frames pending in memory between flushes
+// are bounded by Every.
 //
-// Every flush rewrites the whole snapshot to a temp file in the same
-// directory and renames it over the old one, so a crash at any moment
-// leaves either the previous complete snapshot or the new complete
-// snapshot — never a torn file. Frames pending in memory between
-// flushes are bounded by Every, and the rewrite streams the old payload
-// from disk, so checkpoint memory does not scale with the sweep size.
+// The header records no frame count, length or whole-file CRC: an
+// append-only file could not keep them true, and the per-frame CRCs
+// find the valid prefix without them. A file of another format version
+// is refused as a mismatch.
 const (
 	ckptMagic   = "SPDSMCKP"
-	ckptVersion = 2
+	ckptVersion = 3
+	// ckptFixed is the header size without the key: magic, version,
+	// keyLen.
+	ckptFixed = 8 + 4 + 4
 )
 
 // Frame kinds.
 const (
-	frameRow  = 0 // gob-encoded result row
-	frameFail = 1 // gob-encoded error string (keep-going mode)
+	frameRow  = 0 // the row's binary encoding
+	frameFail = 1 // the failure's error text (keep-going mode)
 )
 
 // frameOverhead is the per-frame byte cost beyond the payload:
@@ -67,7 +69,7 @@ const (
 const frameOverhead = 9
 
 // DefaultCheckpointEvery is the flush cadence used when Every is zero:
-// the snapshot is rewritten after this many newly settled frames.
+// pending frames are appended after this many newly settled jobs.
 const DefaultCheckpointEvery = 16
 
 // Sentinel errors for checkpoint validation. All are wrapped with the
@@ -173,8 +175,7 @@ type SalvageReport struct {
 	// Rows is the length of the valid prefix adopted (same as
 	// Checkpoint.Rows()).
 	Rows int
-	// DroppedBytes counts payload bytes discarded after the valid
-	// prefix.
+	// DroppedBytes counts bytes discarded after the valid prefix.
 	DroppedBytes int64
 	// Reason describes the first defect found, empty if none.
 	Reason string
@@ -192,11 +193,10 @@ type Checkpoint struct {
 	key   string
 	every int
 
-	rows    int    // frames persisted in the on-disk snapshot
-	payload int64  // payload bytes in the on-disk snapshot
-	crc     uint32 // running CRC-32 of the on-disk payload
+	rows int   // frames on disk
+	size int64 // bytes on disk: the header plus rows whole frames
 
-	pend     bytes.Buffer // serialized frames not yet flushed
+	pend     []byte // bytes not yet flushed: whole frames (and a new file's header)
 	pendRows int
 }
 
@@ -204,8 +204,8 @@ type Checkpoint struct {
 // identified by key, flushing every `every` frames (0 selects
 // DefaultCheckpointEvery). An existing file at path is an error
 // (ErrCheckpointExists): starting over must be an explicit choice. The
-// empty initial snapshot is written immediately, so an unwritable path
-// fails before any simulation work is spent.
+// header is written immediately, so an unwritable path fails before any
+// simulation work is spent.
 func OpenCheckpoint(path, key string, every int) (*Checkpoint, error) {
 	return OpenCheckpointFS(nil, path, key, every)
 }
@@ -220,6 +220,7 @@ func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, 
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 	}
+	ck.pend = ck.appendHeader(ck.pend)
 	if err := ck.Flush(); err != nil {
 		return nil, err
 	}
@@ -228,12 +229,13 @@ func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, 
 
 // ResumeCheckpoint continues from the checkpoint at path. A missing file
 // starts fresh (so the same resume-enabled command line works both
-// before and after an interruption); an existing file is fully
-// validated — magic, version, study key, frame structure, per-frame and
-// whole-payload CRCs — and any defect is reported as a descriptive
-// error rather than silently recomputing or panicking downstream. For a
-// damaged file whose valid prefix is still worth resuming from, use
-// SalvageCheckpoint instead.
+// before and after an interruption). An existing file is validated —
+// magic, version, study key, and every frame's kind and CRC — and any
+// defect is reported as a descriptive error rather than silently
+// recomputing or panicking downstream. The one defect it repairs is a
+// torn final frame, the normal outcome of a crash mid-flush: the tail is
+// truncated and its jobs run again. For a damaged file whose valid
+// prefix is still worth resuming from, use SalvageCheckpoint instead.
 func ResumeCheckpoint(path, key string, every int) (*Checkpoint, error) {
 	return ResumeCheckpointFS(nil, path, key, every)
 }
@@ -241,19 +243,8 @@ func ResumeCheckpoint(path, key string, every int) (*Checkpoint, error) {
 // ResumeCheckpointFS is ResumeCheckpoint through an explicit filesystem
 // seam (nil selects the real one).
 func ResumeCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
-	ck := newCheckpoint(fsys, path, key, every)
-	f, err := ck.fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return OpenCheckpointFS(fsys, path, key, every)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := ck.load(f); err != nil {
-		return nil, err
-	}
-	return ck, nil
+	ck, _, err := openExisting(fsys, path, key, every, false)
+	return ck, err
 }
 
 // SalvageCheckpoint continues from the checkpoint at path, recovering
@@ -268,9 +259,7 @@ func ResumeCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint
 //     "salvaging" it would silently mix configurations;
 //   - valid header: scan frames, stop at the first truncated frame, bad
 //     kind, or frame-CRC mismatch, adopt everything before it, and
-//     rewrite the snapshot so the damage is gone from disk. The
-//     header's own count/length/CRC promises are ignored — after a torn
-//     flush they describe a file that no longer exists.
+//     truncate the file there so the damage is gone from disk.
 func SalvageCheckpoint(path, key string, every int) (*Checkpoint, SalvageReport, error) {
 	return SalvageCheckpointFS(nil, path, key, every)
 }
@@ -278,6 +267,14 @@ func SalvageCheckpoint(path, key string, every int) (*Checkpoint, SalvageReport,
 // SalvageCheckpointFS is SalvageCheckpoint through an explicit
 // filesystem seam (nil selects the real one).
 func SalvageCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, SalvageReport, error) {
+	return openExisting(fsys, path, key, every, true)
+}
+
+// openExisting is Resume (salvage false) and Salvage: it scans the file
+// at path for the longest valid frame prefix, decides whether the
+// defect that ends it (if any) is acceptable, and truncates the file to
+// the prefix before anything can be appended.
+func openExisting(fsys fault.FS, path, key string, every int, salvage bool) (*Checkpoint, SalvageReport, error) {
 	ck := newCheckpoint(fsys, path, key, every)
 	f, err := ck.fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -287,14 +284,42 @@ func SalvageCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoin
 	if err != nil {
 		return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 	}
-	rep, err := ck.salvage(f)
+	end, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	var hdrErr, damage error
+	if err == nil {
+		hdrErr, damage, err = ck.scan(f, end)
+	}
 	f.Close()
 	if err != nil {
-		return nil, SalvageReport{}, err
+		return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 	}
-	// Rewrite the snapshot: Flush copies forward exactly the adopted
-	// payload prefix under a fresh, truthful header, so the damaged tail
-	// is physically gone and a later strict resume succeeds.
+	var km *KeyMismatchError
+	switch {
+	case errors.As(hdrErr, &km) || hdrErr != nil && !salvage:
+		return nil, SalvageReport{}, hdrErr
+	case damage != nil && !salvage:
+		return nil, SalvageReport{}, damage
+	}
+	rep := SalvageReport{Rows: ck.rows, DroppedBytes: end - ck.size}
+	switch {
+	case hdrErr != nil:
+		// Unreadable header or wrong version: nothing in the file can be
+		// trusted (frame boundaries depend on the key length). Restart.
+		rep.Reason = fmt.Sprintf("unreadable header (%v); restarting from job 0", hdrErr)
+		ck.pend = ck.appendHeader(ck.pend)
+	case damage != nil:
+		rep.Reason = fmt.Sprintf("%v; keeping the %d-frame prefix", damage, ck.rows)
+	case rep.DroppedBytes > 0:
+		rep.Reason = fmt.Sprintf("%d trailing bytes beyond the last whole frame", rep.DroppedBytes)
+	}
+	if end > ck.size {
+		if err := ck.fsys.Truncate(path, ck.size); err != nil {
+			return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+		}
+	}
 	if err := ck.Flush(); err != nil {
 		return nil, SalvageReport{}, err
 	}
@@ -308,10 +333,10 @@ func newCheckpoint(fsys fault.FS, path, key string, every int) *Checkpoint {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	return &Checkpoint{fsys: fsys, path: path, key: key, every: every, crc: 0}
+	return &Checkpoint{fsys: fsys, path: path, key: key, every: every}
 }
 
-// Rows returns how many frames the on-disk snapshot holds (the resume
+// Rows returns how many frames the file holds on disk (the resume
 // point: jobs [0, Rows()) will be replayed, not re-run).
 func (ck *Checkpoint) Rows() int { return ck.rows }
 
@@ -326,271 +351,140 @@ func (ck *Checkpoint) mismatch(format string, args ...any) error {
 	return fmt.Errorf("sweep: checkpoint %s: %w: %s", ck.path, ErrCheckpointMismatch, fmt.Sprintf(format, args...))
 }
 
-// header is the decoded fixed part of a checkpoint file.
-type ckptHeader struct {
-	key        string
-	count      uint64
-	payloadLen uint64
-	payloadCRC uint32
+func (ck *Checkpoint) headerLen() int64 { return int64(ckptFixed + len(ck.key)) }
+
+func (ck *Checkpoint) appendHeader(b []byte) []byte {
+	b = append(b, ckptMagic...)
+	b = binary.LittleEndian.AppendUint32(b, ckptVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ck.key)))
+	return append(b, ck.key...)
 }
 
-func (ck *Checkpoint) headerLen() int {
-	return 8 + 4 + 4 + len(ck.key) + 8 + 8 + 4
-}
-
-func writeHeader(w io.Writer, key string, count, payloadLen uint64, crc uint32) error {
-	var b bytes.Buffer
-	b.WriteString(ckptMagic)
-	var u32 [4]byte
-	var u64 [8]byte
-	put32 := func(v uint32) { binary.LittleEndian.PutUint32(u32[:], v); b.Write(u32[:]) }
-	put64 := func(v uint64) { binary.LittleEndian.PutUint64(u64[:], v); b.Write(u64[:]) }
-	put32(ckptVersion)
-	put32(uint32(len(key)))
-	b.WriteString(key)
-	put64(count)
-	put64(payloadLen)
-	put32(crc)
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// readHeader parses and structurally validates the header. Key
-// mismatches are left to the caller, which knows the expected value.
-func (ck *Checkpoint) readHeader(r io.Reader) (ckptHeader, error) {
-	var h ckptHeader
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return h, ck.corrupt("file shorter than the %d-byte magic", len(magic))
-	}
-	if string(magic[:]) != ckptMagic {
-		return h, ck.corrupt("bad magic %q (not a sweep checkpoint file)", magic[:])
-	}
-	var u32 [4]byte
-	var u64 [8]byte
-	read32 := func(what string) (uint32, error) {
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return 0, ck.corrupt("truncated header: missing %s", what)
+// scan reads the header and walks the frames of an open file of size
+// end, adopting the longest valid prefix: ck.rows whole frames ending
+// at ck.size (zero, zero when the header is unusable). hdrErr reports a
+// header that is unreadable, of another version, or recorded under
+// another key (*KeyMismatchError). damage reports the first complete
+// frame with a bad kind or CRC; a file that merely ends inside its
+// final frame is a torn append, not damage. A damaged length field that
+// points past the end of the file reads as torn too: its frames are
+// recomputed, never misread. err reports a failed read, which must not
+// pass for a short or damaged file: nothing may be truncated after it.
+func (ck *Checkpoint) scan(f io.Reader, end int64) (hdrErr, damage, err error) {
+	in := &readErr{r: f}
+	defer func() {
+		if in.err != nil {
+			hdrErr, damage, err = nil, nil, in.err
 		}
-		return binary.LittleEndian.Uint32(u32[:]), nil
+	}()
+	r := bufio.NewReader(in)
+	if err := ck.readHeader(r, end); err != nil {
+		return err, nil, nil
 	}
-	read64 := func(what string) (uint64, error) {
-		if _, err := io.ReadFull(r, u64[:]); err != nil {
-			return 0, ck.corrupt("truncated header: missing %s", what)
+	ck.size = ck.headerLen()
+	var buf []byte
+	for {
+		_, payload, err := readFrame(r, buf, end-ck.size)
+		if err == errShort {
+			return nil, nil, nil
 		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
+		if err != nil {
+			return nil, ck.corrupt("frame %d: %v", ck.rows, err), nil
+		}
+		buf = payload
+		ck.rows++
+		ck.size += int64(frameOverhead + len(payload))
 	}
-	version, err := read32("version")
-	if err != nil {
-		return h, err
-	}
-	if version != ckptVersion {
-		return h, ck.mismatch("format version %d, this build reads version %d", version, ckptVersion)
-	}
-	keyLen, err := read32("key length")
-	if err != nil {
-		return h, err
-	}
-	const maxKeyLen = 1 << 20
-	if keyLen > maxKeyLen {
-		return h, ck.corrupt("implausible key length %d", keyLen)
-	}
-	keyBuf := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, keyBuf); err != nil {
-		return h, ck.corrupt("truncated header: key cut short")
-	}
-	h.key = string(keyBuf)
-	if h.count, err = read64("frame count"); err != nil {
-		return h, err
-	}
-	if h.payloadLen, err = read64("payload length"); err != nil {
-		return h, err
-	}
-	if h.payloadCRC, err = read32("payload CRC"); err != nil {
-		return h, err
-	}
-	return h, nil
 }
 
-// maxFrameLen bounds a single frame's payload. Real rows are small
-// gobs; the bound keeps a corrupted length field from demanding a
-// multi-gigabyte allocation before the CRC check can reject the frame.
-const maxFrameLen = 1 << 24
+// readErr records the first read error other than the end of input.
+type readErr struct {
+	r   io.Reader
+	err error
+}
 
-// readFrame reads and verifies one frame: length, kind, per-frame CRC,
-// payload. It returns io.EOF cleanly at end of input before any frame
-// bytes; any other defect is an error describing it.
-func readFrame(r io.Reader, crc *uint32) (kind byte, payload []byte, err error) {
+func (e *readErr) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// readHeader parses and validates the header of a file of size end.
+func (ck *Checkpoint) readHeader(r io.Reader, end int64) error {
+	var fixed [ckptFixed]byte
+	if _, err := io.ReadFull(r, fixed[:8]); err != nil {
+		return ck.corrupt("file shorter than the %d-byte magic", 8)
+	}
+	if string(fixed[:8]) != ckptMagic {
+		return ck.corrupt("bad magic %q (not a sweep checkpoint file)", fixed[:8])
+	}
+	if _, err := io.ReadFull(r, fixed[8:]); err != nil {
+		return ck.corrupt("truncated header")
+	}
+	if version := binary.LittleEndian.Uint32(fixed[8:]); version != ckptVersion {
+		return ck.mismatch("format version %d, this build reads version %d", version, ckptVersion)
+	}
+	keyLen := int64(binary.LittleEndian.Uint32(fixed[12:]))
+	if keyLen > end-ckptFixed {
+		return ck.corrupt("truncated header: key cut short")
+	}
+	key := make([]byte, keyLen)
+	if _, err := io.ReadFull(r, key); err != nil {
+		return ck.corrupt("truncated header: key cut short")
+	}
+	if string(key) != ck.key {
+		return &KeyMismatchError{Path: ck.path, Stored: string(key), Want: ck.key}
+	}
+	return nil
+}
+
+// errShort reports an input that ends before the next frame does: at
+// a frame boundary, or inside a torn frame.
+var errShort = errors.New("frame cut short")
+
+// readFrame reads and verifies one frame from r, which holds remain
+// more bytes, reusing buf for the payload. It returns errShort if the
+// input ends first, and any other defect as an error describing it. A
+// length is checked against remain before anything is allocated.
+func readFrame(r io.Reader, buf []byte, remain int64) (kind byte, payload []byte, err error) {
 	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("frame header cut short")
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, fmt.Errorf("frame header cut short")
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, errShort
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	kind = hdr[4]
-	frameCRC := binary.LittleEndian.Uint32(hdr[5:9])
 	if kind != frameRow && kind != frameFail {
 		return 0, nil, fmt.Errorf("unknown frame kind %d", kind)
 	}
-	if length > maxFrameLen {
-		return 0, nil, fmt.Errorf("implausible frame length %d", length)
+	if int64(length) > remain-frameOverhead {
+		return 0, nil, errShort
 	}
-	payload = make([]byte, length)
+	payload = append(buf[:0], make([]byte, length)...)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("frame payload cut short (%d bytes promised)", length)
+		return 0, nil, errShort
 	}
-	sum := crc32.Update(0, crc32.IEEETable, hdr[0:5])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	if sum != frameCRC {
-		return 0, nil, fmt.Errorf("frame CRC mismatch (file %08x, computed %08x)", frameCRC, sum)
-	}
-	if crc != nil {
-		*crc = crc32.Update(*crc, crc32.IEEETable, hdr[:])
-		*crc = crc32.Update(*crc, crc32.IEEETable, payload)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:5]), crc32.IEEETable, payload)
+	if want := binary.LittleEndian.Uint32(hdr[5:9]); sum != want {
+		return 0, nil, fmt.Errorf("frame CRC mismatch (file %08x, computed %08x)", want, sum)
 	}
 	return kind, payload, nil
 }
 
-// appendFrame serializes one frame into the pending buffer.
-func (ck *Checkpoint) appendFrame(kind byte, payload []byte) {
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[4] = kind
-	sum := crc32.Update(0, crc32.IEEETable, hdr[0:5])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[5:9], sum)
-	ck.pend.Write(hdr[:])
-	ck.pend.Write(payload)
-	ck.pendRows++
-}
-
-// load validates an existing checkpoint file and adopts its state.
-func (ck *Checkpoint) load(f fault.ReadFile) error {
-	h, err := ck.readHeader(f)
-	if err != nil {
-		return err
-	}
-	if h.key != ck.key {
-		return &KeyMismatchError{Path: ck.path, Stored: h.key, Want: ck.key}
-	}
-	// Walk the payload frames, verifying each frame plus the byte
-	// length, frame count, and CRC the header promises.
-	var (
-		crc      uint32
-		frames   uint64
-		lr       = io.LimitReader(f, int64(h.payloadLen))
-		consumed = &countingReader{r: lr}
-	)
-	for {
-		_, _, err := readFrame(consumed, &crc)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return ck.corrupt("frame %d: %v", frames, err)
-		}
-		frames++
-	}
-	if consumed.n != int64(h.payloadLen) {
-		return ck.corrupt("truncated payload: %d of %d bytes present", consumed.n, h.payloadLen)
-	}
-	if frames != h.count {
-		return ck.corrupt("header promises %d frames, payload holds %d", h.count, frames)
-	}
-	if crc != h.payloadCRC {
-		return ck.corrupt("payload CRC mismatch (file %08x, computed %08x)", h.payloadCRC, crc)
-	}
-	if extra, err := io.CopyN(io.Discard, f, 1); err == nil && extra > 0 {
-		return ck.corrupt("trailing data after the payload")
-	}
-	ck.rows = int(h.count)
-	ck.payload = int64(h.payloadLen)
-	ck.crc = crc
-	return nil
-}
-
-// salvage scans the file for the longest valid frame prefix and adopts
-// it, returning a report of what was dropped. The header's
-// count/length/CRC fields are ignored: after a torn flush they promise
-// bytes that are no longer there.
-func (ck *Checkpoint) salvage(f fault.ReadFile) (SalvageReport, error) {
-	var rep SalvageReport
-	h, err := ck.readHeader(f)
-	if err != nil {
-		// Unreadable header or wrong version: nothing in the file can be
-		// trusted (frame boundaries depend on the key length). Restart.
-		ck.rows, ck.payload, ck.crc = 0, 0, 0
-		if n, serr := io.Copy(io.Discard, f); serr == nil {
-			rep.DroppedBytes = n
-		}
-		rep.Reason = fmt.Sprintf("unreadable header (%v); restarting from job 0", err)
-		return rep, nil
-	}
-	if h.key != ck.key {
-		return rep, &KeyMismatchError{Path: ck.path, Stored: h.key, Want: ck.key}
-	}
-	var (
-		crc      uint32
-		valid    int64
-		validCRC uint32
-		frames   int
-		counted  = &countingReader{r: f}
-	)
-	for {
-		kind, _, err := readFrame(counted, &crc)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rep.Reason = fmt.Sprintf("frame %d: %v; keeping the %d-frame prefix", frames, err, frames)
-			break
-		}
-		_ = kind
-		valid = counted.n
-		validCRC = crc
-		frames++
-	}
-	rep.DroppedBytes = counted.n - valid
-	if rep.Reason == "" && rep.DroppedBytes > 0 {
-		rep.Reason = fmt.Sprintf("%d trailing bytes beyond the last whole frame", rep.DroppedBytes)
-	}
-	ck.rows = frames
-	ck.payload = valid
-	ck.crc = validCRC
-	rep.Rows = frames
-	return rep, nil
-}
-
-// countingReader counts bytes consumed from r.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// AppendRow serializes one completed row into the pending buffer,
-// flushing the snapshot when the cadence is reached. Frames must be
-// appended in emission (index) order.
+// AppendRow adds one completed row to the pending frames, encoded with
+// the row type's AppendBinary, and flushes when the cadence is reached.
+// Frames must be appended in emission (index) order. A row type without
+// the codec is an error.
 func AppendRow[T any](ck *Checkpoint, v T) error {
-	var rec bytes.Buffer
-	if err := gob.NewEncoder(&rec).Encode(&v); err != nil {
+	start := len(ck.pend)
+	b, err := appendRow(append(ck.pend, make([]byte, frameOverhead)...), v)
+	if err != nil {
+		ck.pend = ck.pend[:start]
 		return fmt.Errorf("sweep: checkpoint %s: encode row %d: %w", ck.path, ck.rows+ck.pendRows, err)
 	}
-	ck.appendFrame(frameRow, rec.Bytes())
-	if ck.pendRows >= ck.every {
-		return ck.Flush()
-	}
-	return nil
+	ck.pend = b
+	return ck.seal(start, frameRow)
 }
 
 // AppendFail records a fatal job failure as the frame for its index, so
@@ -598,73 +492,52 @@ func AppendRow[T any](ck *Checkpoint, v T) error {
 // resume neither re-runs nor forgets them. Only the error text is
 // persisted.
 func (ck *Checkpoint) AppendFail(err error) error {
-	var rec bytes.Buffer
-	if gerr := gob.NewEncoder(&rec).Encode(err.Error()); gerr != nil {
-		return fmt.Errorf("sweep: checkpoint %s: encode failure %d: %w", ck.path, ck.rows+ck.pendRows, gerr)
-	}
-	ck.appendFrame(frameFail, rec.Bytes())
+	start := len(ck.pend)
+	ck.pend = append(append(ck.pend, make([]byte, frameOverhead)...), err.Error()...)
+	return ck.seal(start, frameFail)
+}
+
+// seal fills in the header of the pending frame starting at
+// pend[start] and flushes when the cadence is reached.
+func (ck *Checkpoint) seal(start int, kind byte) error {
+	f := ck.pend[start:]
+	binary.LittleEndian.PutUint32(f[0:4], uint32(len(f)-frameOverhead))
+	f[4] = kind
+	sum := crc32.Update(crc32.ChecksumIEEE(f[:5]), crc32.IEEETable, f[frameOverhead:])
+	binary.LittleEndian.PutUint32(f[5:9], sum)
+	ck.pendRows++
 	if ck.pendRows >= ck.every {
 		return ck.Flush()
 	}
 	return nil
 }
 
-// Flush rewrites the snapshot to include every pending frame: a temp
-// file in the same directory receives the new header, the old payload
-// (streamed from the previous snapshot), and the pending frames, is
-// synced, and atomically renamed over the old file.
+// Flush appends the pending frames to the file and syncs it; with
+// nothing pending it does no I/O. The write lands at the end of the
+// valid prefix, and a failed Flush keeps its frames pending, so a torn
+// tail it left behind is overwritten by the next Flush (which writes
+// those frames again, plus any newer ones).
 func (ck *Checkpoint) Flush() error {
-	newCount := uint64(ck.rows + ck.pendRows)
-	newLen := uint64(ck.payload) + uint64(ck.pend.Len())
-	newCRC := crc32.Update(ck.crc, crc32.IEEETable, ck.pend.Bytes())
-
-	tmp := ck.path + ".tmp"
-	f, err := ck.fsys.Create(tmp)
+	if len(ck.pend) == 0 {
+		return nil
+	}
+	f, err := ck.fsys.OpenWrite(ck.path)
 	if err != nil {
 		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
 	}
-	fail := func(err error) error {
-		f.Close()
-		ck.fsys.Remove(tmp)
+	_, err = f.WriteAt(ck.pend, ck.size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
 	}
-	if err := writeHeader(f, ck.key, newCount, newLen, newCRC); err != nil {
-		return fail(err)
-	}
-	if ck.payload > 0 {
-		old, err := ck.fsys.Open(ck.path)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := old.Seek(int64(ck.headerLen()), io.SeekStart); err != nil {
-			old.Close()
-			return fail(err)
-		}
-		if _, err := io.CopyN(f, old, ck.payload); err != nil {
-			old.Close()
-			return fail(err)
-		}
-		old.Close()
-	}
-	if _, err := f.Write(ck.pend.Bytes()); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		ck.fsys.Remove(tmp)
-		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
-	}
-	if err := ck.fsys.Rename(tmp, ck.path); err != nil {
-		ck.fsys.Remove(tmp)
-		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
-	}
-	ck.rows = int(newCount)
-	ck.payload = int64(newLen)
-	ck.crc = newCRC
-	ck.pend.Reset()
-	ck.pendRows = 0
+	ck.size += int64(len(ck.pend))
+	ck.rows += ck.pendRows
+	ck.pend, ck.pendRows = ck.pend[:0], 0
 	return nil
 }
 
@@ -695,28 +568,28 @@ func replay[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) e
 		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(int64(ck.headerLen()), io.SeekStart); err != nil {
+	if _, err := f.Seek(ck.headerLen(), io.SeekStart); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s: %w", ck.path, err)
 	}
+	r, off := bufio.NewReader(f), ck.headerLen()
+	var buf []byte
 	for i := 0; i < ck.rows; i++ {
-		kind, payload, err := readFrame(f, nil)
+		kind, payload, err := readFrame(r, buf, ck.size-off)
 		if err != nil {
 			return ck.corrupt("replay: frame %d: %v", i, err)
 		}
+		buf, off = payload, off+int64(frameOverhead+len(payload))
 		switch kind {
 		case frameRow:
-			var v T
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v); err != nil {
+			v, err := decodeRow[T](payload)
+			if err != nil {
 				return ck.corrupt("replay: row %d does not decode: %v", i, err)
 			}
 			if err := emit(i, v); err != nil {
 				return err
 			}
 		case frameFail:
-			var msg string
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
-				return ck.corrupt("replay: failure %d does not decode: %v", i, err)
-			}
+			msg := string(payload)
 			if fail == nil {
 				return fmt.Errorf("sweep: checkpoint %s: job %d is a recorded failure (%s); resume with keep-going enabled or start over", ck.path, i, msg)
 			}
@@ -726,4 +599,46 @@ func replay[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) e
 		}
 	}
 	return nil
+}
+
+// A row crosses a process or disk boundary — a transport's Settle, a
+// checkpoint frame — only through its own binary codec: the row type
+// implements encoding.BinaryAppender, and the row's pointer (or, for a
+// pointer row type, the row itself) encoding.BinaryUnmarshaler. There
+// is no fallback: Run refuses a checkpoint or transports for a row type
+// without the codec.
+
+// hasCodec reports whether rows of type T can be encoded and decoded.
+func hasCodec[T any]() bool {
+	t := reflect.TypeFor[T]()
+	dst := reflect.PointerTo(t)
+	if t.Kind() == reflect.Pointer {
+		dst = t
+	}
+	return t.Implements(reflect.TypeFor[encoding.BinaryAppender]()) &&
+		dst.Implements(reflect.TypeFor[encoding.BinaryUnmarshaler]())
+}
+
+// appendRow appends v's binary encoding to b.
+func appendRow[T any](b []byte, v T) ([]byte, error) {
+	enc, ok := any(v).(encoding.BinaryAppender)
+	if !ok {
+		return b, fmt.Errorf("row type %T has no AppendBinary", v)
+	}
+	return enc.AppendBinary(b)
+}
+
+// decodeRow decodes one appendRow encoding into a fresh row.
+func decodeRow[T any](b []byte) (T, error) {
+	var v T
+	dst := any(&v)
+	if t := reflect.TypeFor[T](); t.Kind() == reflect.Pointer {
+		v = reflect.New(t.Elem()).Interface().(T)
+		dst = v
+	}
+	dec, ok := dst.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return v, fmt.Errorf("row type %T has no UnmarshalBinary", v)
+	}
+	return v, dec.UnmarshalBinary(b)
 }

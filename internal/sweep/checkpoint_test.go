@@ -2,8 +2,10 @@ package sweep_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,22 +15,64 @@ import (
 	"specdsm/internal/sweep"
 )
 
-// row is a representative study row: nested struct, map, slice — the
-// shapes the real drivers checkpoint.
+// row is a representative study row: a name, floats, and a slice, with
+// the binary codec every checkpointed row type carries.
 type row struct {
-	Index  int
-	Name   string
-	Values map[string]float64
-	Series []int64
+	Index    int
+	Name     string
+	Acc, Cov float64
+	Series   []int64
 }
 
 func mkRow(i int) row {
 	return row{
 		Index:  i,
 		Name:   fmt.Sprintf("app-%d", i%3),
-		Values: map[string]float64{"acc": float64(i) * 1.5, "cov": 1 / float64(i+1)},
+		Acc:    float64(i) * 1.5,
+		Cov:    1 / float64(i+1),
 		Series: []int64{int64(i), int64(i * i)},
 	}
+}
+
+func (r row) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(r.Index))
+	b = append(binary.AppendUvarint(b, uint64(len(r.Name))), r.Name...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Acc))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Cov))
+	for _, v := range r.Series {
+		b = binary.AppendVarint(b, v)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes AppendBinary's layout; the series runs to the
+// end of the encoding.
+func (r *row) UnmarshalBinary(b []byte) error {
+	bad := errors.New("row: malformed encoding")
+	idx, n := binary.Varint(b)
+	if n <= 0 {
+		return bad
+	}
+	b = b[n:]
+	l, n := binary.Uvarint(b)
+	if n <= 0 || l > uint64(len(b)-n) {
+		return bad
+	}
+	*r = row{Index: int(idx), Name: string(b[n : n+int(l)])}
+	b = b[n+int(l):]
+	if len(b) < 16 {
+		return bad
+	}
+	r.Acc = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	r.Cov = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	for b = b[16:]; len(b) > 0; b = b[n:] {
+		var v int64
+		if v, n = binary.Varint(b); n <= 0 {
+			return bad
+		}
+		r.Series = append(r.Series, v)
+	}
+	return nil
 }
 
 func ckPath(t *testing.T) string {
@@ -154,13 +198,21 @@ func TestCheckpointMoreRowsThanJobs(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsCorruption pins what strict resume refuses: a
+// damaged header, and a complete frame that fails its CRC. A file that
+// merely ends inside its last frame is a torn append, which resume
+// repairs (TestResumeRepairsTornTail), so truncation here cuts into the
+// header and trailing data is a whole frame with a bad CRC.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	mutate := map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:len(b)-5] },
+		"truncated":    func(b []byte) []byte { return b[:12] },
 		"bad magic":    func(b []byte) []byte { b[0] ^= 0xff; return b },
 		"flipped byte": func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b },
-		"trailing":     func(b []byte) []byte { return append(b, 0xde, 0xad) },
-		"empty":        func(b []byte) []byte { return nil },
+		"trailing": func(b []byte) []byte {
+			// len 2, kind row, CRC 0 (wrong), payload.
+			return append(b, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0xde, 0xad)
+		},
+		"empty": func(b []byte) []byte { return nil },
 		"version": func(b []byte) []byte {
 			b[8] = 0xfe // version field follows the 8-byte magic
 			return b
@@ -191,6 +243,61 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestResumeRepairsTornTail pins the crash contract of the append-only
+// file: a file that ends inside its final frame — a flush torn by a
+// crash — resumes strictly from the whole frames before it, and the torn
+// bytes are truncated before anything is appended.
+func TestResumeRepairsTornTail(t *testing.T) {
+	const n = 12
+	ref := ckPath(t)
+	if _, err := runCheckpointed(t, ref, n, 1, 2, -1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastFrame := len(clean) - (9 + len(mustEncode(t, mkRow(n-1))))
+	for name, tc := range map[string]struct {
+		data []byte
+		rows int
+	}{
+		"cut in the last payload": {clean[:len(clean)-5], n - 1},
+		"cut in the last header":  {clean[:lastFrame+4], n - 1},
+		"partial next frame":      {append(append([]byte(nil), clean...), 0xde, 0xad), n},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := ckPath(t)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := sweep.ResumeCheckpoint(path, "test-study|n=unbounded", 2)
+			if err != nil {
+				t.Fatalf("strict resume refused a torn tail: %v", err)
+			}
+			if ck.Rows() != tc.rows {
+				t.Fatalf("resumed %d rows, want %d", ck.Rows(), tc.rows)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(clean) - (n-tc.rows)*(len(clean)-lastFrame); fi.Size() != int64(want) {
+				t.Fatalf("file is %d bytes after resume, want the %d-byte valid prefix", fi.Size(), want)
+			}
+		})
+	}
+}
+
+func mustEncode(t *testing.T, r row) []byte {
+	t.Helper()
+	b, err := r.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestCheckpointResumeMissingFileStartsFresh(t *testing.T) {
 	path := ckPath(t)
 	got, err := runCheckpointed(t, path, 8, 2, 2, -1, true, nil)
@@ -205,9 +312,9 @@ func TestCheckpointResumeMissingFileStartsFresh(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlushLeavesNoTempFile pins the write-rename discipline:
-// after any successful flush the temp file is gone and the snapshot is
-// complete.
+// TestCheckpointFlushLeavesNoTempFile pins the append-only discipline:
+// flushes write the checkpoint file in place, never a temp file beside
+// it, and the file holds every row.
 func TestCheckpointFlushLeavesNoTempFile(t *testing.T) {
 	path := ckPath(t)
 	if _, err := runCheckpointed(t, path, 9, 1, 2, -1, false, nil); err != nil {

@@ -33,14 +33,18 @@
 // count — the property that lets million-job sweeps aggregate online.
 //
 // Options turns on the rest. A Checkpoint makes a sweep restartable:
-// it persists the delivered prefix (versioned header, CRC-verified
-// frames, every flush an atomic temp-file+rename snapshot), and Run
-// replays the saved frames and then runs only the missing indices, so
-// an interrupted-then-resumed sweep emits exactly the sequence an
-// uninterrupted run would have, at any worker count. Resume validation
-// is strict: truncated, corrupt, or mismatched (wrong study, wrong
-// version) files fail with descriptive errors instead of silently
-// recomputing. Fail selects keep-going mode (see below), and
+// it persists the delivered prefix (versioned header, then append-only
+// CRC-verified frames, each flush appending only its new frames and
+// syncing), and Run replays the saved frames and then runs only the
+// missing indices, so an interrupted-then-resumed sweep emits exactly
+// the sequence an uninterrupted run would have, at any worker count.
+// Resume validation is strict: corrupt or mismatched (wrong study,
+// wrong version) files fail with descriptive errors instead of silently
+// recomputing. The one defect it repairs is the normal crash outcome of
+// an append-only file, a torn final frame, which it truncates. Rows
+// reach a checkpoint, and come back from a transport, only through the
+// row type's own binary codec (AppendBinary and UnmarshalBinary); Run
+// refuses a checkpoint or transports for a row type without one. Fail selects keep-going mode (see below), and
 // Transports attach remote executors (see Link and internal/remote):
 // they lease jobs in batches, have their leases stolen when they
 // straggle and requeued when they die, and leave jobs that keep
@@ -82,16 +86,18 @@
 //
 // Resume has a second, forgiving mode: SalvageCheckpoint scans a
 // damaged checkpoint and adopts the longest valid frame prefix,
-// truncating torn or corrupt tails (a crash mid-rename, a bad disk) so
-// the sweep recomputes only what was actually lost. A checkpoint whose
-// header reads cleanly but names a different study key is never
-// salvaged — that is a configuration error (*KeyMismatchError, with a
-// field-by-field Diff), not damage.
+// truncating corrupt tails (a frame that fails its CRC after a bad
+// disk or a stray write) so the sweep recomputes only what was actually
+// lost; an unreadable header restarts from job 0. Strict resume already
+// accepts a torn final frame, so salvage is needed only for damage. A
+// checkpoint whose header reads cleanly but names a different study key
+// is never salvaged — that is a configuration error (*KeyMismatchError,
+// with a field-by-field Diff), not damage.
 //
 // The fault package supplies the matching test seam: an Injector
 // (Pool.Inject) deterministically injects transient job errors, job
 // panics, and scheduling delays, and its FS wrapper injects short
-// writes and failed renames under the checkpoint writer. All decisions
+// writes that tear the frames a flush appends. All decisions
 // are pure hashes of (seed, site, index, attempt), so every injected
 // failure schedule replays exactly.
 package sweep

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 )
@@ -53,12 +54,14 @@ type Link interface {
 	// index first. With none left it steals the oldest transport lease
 	// older than stealAfter (one job). Nil means nothing to do now.
 	Claim(max int, stealAfter time.Duration) []int
-	// Settle records job j's outcome, first write wins: decode fills in
-	// the row on success, errText carries a job failure otherwise, and
-	// d is the duration Pool.OnJobDone reports. A decode error is a
-	// transport failure, not a job outcome: Settle returns it and leaves
-	// j leased, for the transport to drop its session and Requeue.
-	Settle(j int, decode func(row any) error, errText string, d time.Duration) error
+	// Settle records job j's outcome, first write wins: row is the
+	// row's binary encoding on success (decoded with the row type's
+	// UnmarshalBinary), errText carries a job failure otherwise, and d
+	// is the duration Pool.OnJobDone reports. A row that does not
+	// decode is a transport failure, not a job outcome: Settle returns
+	// the error and leaves j leased, for the transport to drop its
+	// session and Requeue.
+	Settle(j int, row []byte, errText string, d time.Duration) error
 	// Requeue hands a dead session's unanswered leases back. A job
 	// requeued maxRedispatch times is left to the in-process workers.
 	Requeue(jobs []int, maxRedispatch int)
@@ -83,6 +86,9 @@ type Link interface {
 func Run[S, T any](ctx context.Context, p *Pool, n int, o Options, newState func() S,
 	fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error) (err error) {
 	ck, base := o.Checkpoint, 0
+	if (ck != nil || len(o.Transports) > 0) && !hasCodec[T]() {
+		return fmt.Errorf("sweep: row type %v has no binary codec (AppendBinary and UnmarshalBinary), so it cannot reach a checkpoint or a transport", reflect.TypeFor[T]())
+	}
 	if ck != nil {
 		if ck.rows > n {
 			return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, n)
@@ -344,13 +350,13 @@ func (l link[T]) Claim(max int, stealAfter time.Duration) []int {
 	return got
 }
 
-func (l link[T]) Settle(j int, decode func(row any) error, errText string, d time.Duration) error {
+func (l link[T]) Settle(j int, row []byte, errText string, d time.Duration) error {
 	var v T
 	var err error
 	if errText != "" {
 		err = errors.New(errText)
-	} else if derr := decode(&v); derr != nil {
-		return fmt.Errorf("job %d: decoding row: %w", j, derr)
+	} else if v, err = decodeRow[T](row); err != nil {
+		return fmt.Errorf("job %d: decoding row: %w", j, err)
 	}
 	l.b.settle(j, v, err, d)
 	return nil

@@ -49,20 +49,24 @@ func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int
 }
 
 // TestSalvageOffsetClasses corrupts a real checkpoint at each byte
-// offset class — header, mid-frame, trailing garbage, truncation
-// mid-CRC — and verifies salvage recovers a valid prefix and the
-// completed sweep matches the clean run exactly.
+// offset class — header, mid-frame, trailing garbage, truncation in the
+// last frame — and verifies salvage recovers a valid prefix and the
+// completed sweep matches the clean run exactly. Strict resume refuses
+// the damage and accepts the two torn tails (trailing garbage shorter
+// than a frame header, a cut final frame), which a crash mid-flush
+// leaves.
 func TestSalvageOffsetClasses(t *testing.T) {
 	const n = 12
 	mutate := map[string]struct {
 		fn        func(b []byte) []byte
 		fullRerun bool // corruption destroys the header: expect zero rows salvaged
+		torn      bool // the file ends inside a frame: strict resume repairs it
 	}{
-		"header magic":    {func(b []byte) []byte { b[3] ^= 0xff; return b }, true},
-		"header version":  {func(b []byte) []byte { b[8] = 0xfe; return b }, true},
-		"mid frame":       {func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }, false},
-		"trailing":        {func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe) }, false},
-		"truncate in crc": {func(b []byte) []byte { return b[:len(b)-2] }, false},
+		"header magic":    {func(b []byte) []byte { b[3] ^= 0xff; return b }, true, false},
+		"header version":  {func(b []byte) []byte { b[8] = 0xfe; return b }, true, false},
+		"mid frame":       {func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }, false, false},
+		"trailing":        {func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe) }, false, true},
+		"truncate in crc": {func(b []byte) []byte { return b[:len(b)-2] }, false, true},
 	}
 	for name, tc := range mutate {
 		tc := tc
@@ -73,11 +77,21 @@ func TestSalvageOffsetClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.fn(append([]byte(nil), b...)), 0o644); err != nil {
+			damaged := tc.fn(append([]byte(nil), b...))
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// Strict resume must still reject the damage.
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
+			if tc.torn {
+				// Strict resume repairs a torn tail; try it on a copy so
+				// salvage below still sees the damage.
+				cp := ckPath(t)
+				if err := os.WriteFile(cp, damaged, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sweep.ResumeCheckpoint(cp, salvageKey, 4); err != nil {
+					t.Fatalf("strict resume refused a torn tail: %v", err)
+				}
+			} else if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
 				t.Fatal("strict resume accepted a corrupted file")
 			}
 			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
@@ -122,7 +136,7 @@ func TestSalvageEveryByteOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerLen := 8 + 4 + 4 + len(salvageKey) + 8 + 8 + 4
+	headerLen := 8 + 4 + 4 + len(salvageKey)
 	dir := t.TempDir()
 	// Every header byte and the file tail are tested exhaustively; deep
 	// payload offsets are strided (each salvage rewrite costs an fsync,
@@ -164,7 +178,7 @@ func TestSalvageEveryByteOffset(t *testing.T) {
 // structurally clean prefix.
 func frameBoundaries(t *testing.T, b []byte, key string) []int {
 	t.Helper()
-	off := 8 + 4 + 4 + len(key) + 8 + 8 + 4 // fixed header + key
+	off := 8 + 4 + 4 + len(key) // fixed header + key
 	bounds := []int{off}
 	for off < len(b) {
 		if off+4 > len(b) {
@@ -183,9 +197,11 @@ func frameBoundaries(t *testing.T, b []byte, key string) []int {
 // TestSalvageDegenerateFiles pins the salvage edge cases that have no
 // damaged bytes to detect — the file just ends too soon: a zero-length
 // file, a header-only file, and truncation exactly on a frame boundary.
-// Strict resume must reject each one (the header's promises are
-// unmeetable), and salvage must adopt exactly the whole frames present
-// — possibly zero — and complete to the clean run's output.
+// An append-only file records no frame count, so a header-only file or
+// one cut on a boundary is simply a shorter valid checkpoint: strict
+// resume adopts exactly its whole frames, as salvage does. Only the
+// zero-length file, which has no header, is refused. Either way the
+// sweep completes to the clean run's output.
 func TestSalvageDegenerateFiles(t *testing.T) {
 	const n = 12
 	base := ckPath(t)
@@ -200,15 +216,16 @@ func TestSalvageDegenerateFiles(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		cut  int // file length to keep
-		rows int // frames salvage must adopt
+		name   string
+		cut    int  // file length to keep
+		rows   int  // frames salvage must adopt
+		strict bool // strict resume accepts the file
 	}{
-		{"zero length", 0, 0},
-		{"header only", bounds[0], 0},
-		{"boundary after frame 1", bounds[1], 1},
-		{"boundary mid file", bounds[n/2], n / 2},
-		{"boundary before last frame", bounds[n-1], n - 1},
+		{"zero length", 0, 0, false},
+		{"header only", bounds[0], 0, true},
+		{"boundary after frame 1", bounds[1], 1, true},
+		{"boundary mid file", bounds[n/2], n / 2, true},
+		{"boundary before last frame", bounds[n-1], n - 1, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -217,10 +234,15 @@ func TestSalvageDegenerateFiles(t *testing.T) {
 			if err := os.WriteFile(path, clean[:tc.cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
-				t.Fatal("strict resume accepted a truncated file")
-			} else if !errors.Is(err, sweep.ErrCheckpointCorrupt) {
+			switch ck, err := sweep.ResumeCheckpoint(path, salvageKey, 4); {
+			case !tc.strict && err == nil:
+				t.Fatal("strict resume accepted a file without a header")
+			case !tc.strict && !errors.Is(err, sweep.ErrCheckpointCorrupt):
 				t.Fatalf("strict resume err = %v, want ErrCheckpointCorrupt", err)
+			case tc.strict && err != nil:
+				t.Fatalf("strict resume refused a valid prefix: %v", err)
+			case tc.strict && ck.Rows() != tc.rows:
+				t.Fatalf("strict resume adopted %d rows, want %d", ck.Rows(), tc.rows)
 			}
 			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
 			if err != nil {
@@ -373,43 +395,211 @@ func TestKeyMismatchDiff(t *testing.T) {
 }
 
 // TestFlushSurvivesInjectedIOFaults: a flush that dies on an injected
-// short write or failed rename must error without damaging the previous
-// snapshot — a later strict resume sees exactly the old rows.
+// short write must error without damaging the frames already on disk —
+// a later strict resume drops the torn tail and sees exactly the old
+// rows.
 func TestFlushSurvivesInjectedIOFaults(t *testing.T) {
-	for _, mode := range []string{"shortwrite", "rename"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			path := ckPath(t)
-			const n = 8
-			writeFullCheckpoint(t, path, n)
+	t.Run("shortwrite", func(t *testing.T) {
+		path := ckPath(t)
+		const n = 8
+		writeFullCheckpoint(t, path, n)
 
-			in := fault.New(11)
-			switch mode {
-			case "shortwrite":
-				in.ShortWrite = 1.0
-			case "rename":
-				in.Rename = 1.0
-			}
-			ck, err := sweep.ResumeCheckpointFS(fault.NewFS(in, nil), path, salvageKey, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sweep.AppendRow(ck, mkRow(n)); err != nil {
-				t.Fatal(err)
-			}
-			if err := ck.Flush(); !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("flush err = %v, want an injected fault", err)
-			}
-			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("failed flush left a temp file: %v", err)
-			}
-			clean, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
-			if err != nil {
-				t.Fatalf("snapshot damaged by failed flush: %v", err)
-			}
-			if clean.Rows() != n {
-				t.Fatalf("snapshot holds %d rows after failed flush, want %d", clean.Rows(), n)
-			}
-		})
+		in := fault.New(11)
+		in.ShortWrite = 1.0
+		ck, err := sweep.ResumeCheckpointFS(fault.NewFS(in, nil), path, salvageKey, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sweep.AppendRow(ck, mkRow(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Flush(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("flush err = %v, want an injected fault", err)
+		}
+		clean, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
+		if err != nil {
+			t.Fatalf("snapshot damaged by failed flush: %v", err)
+		}
+		if clean.Rows() != n {
+			t.Fatalf("snapshot holds %d rows after failed flush, want %d", clean.Rows(), n)
+		}
+	})
+}
+
+// TestTornAppendResumesInOrder is the crash-mid-flush regression: a
+// flush torn by a short write leaves part of its frames on disk; the
+// next resume must truncate them before appending, so rows appended
+// after the tear are not lost behind garbage, and a second resume
+// replays every settled row in order.
+func TestTornAppendResumesInOrder(t *testing.T) {
+	const n = 20
+	path := ckPath(t)
+	ck, err := sweep.OpenCheckpoint(path, salvageKey, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 8 {
+		if err := sweep.AppendRow(ck, mkRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	intact, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The crashing session: its first flush, of three frames, tears
+	// half-way through the second.
+	in := fault.New(5)
+	in.ShortWrite = 1.0
+	ck, err = sweep.ResumeCheckpointFS(fault.NewFS(in, nil), path, salvageKey, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 11; i++ {
+		err = sweep.AppendRow(ck, mkRow(i))
+	}
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("torn flush err = %v, want an injected fault", err)
+	}
+	if torn, err := os.Stat(path); err != nil || torn.Size() <= intact.Size() {
+		t.Fatalf("short write left no torn tail (%v)", err)
+	}
+
+	// Resume drops the tail before anything is appended, then the sweep
+	// appends the remaining rows.
+	ck, err = sweep.ResumeCheckpoint(path, salvageKey, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The short write persisted half the torn flush: its whole frame
+	// counts, the cut one does not.
+	if ck.Rows() != 9 {
+		t.Fatalf("resumed %d rows past a flush of rows 8-10 torn in row 9, want 9", ck.Rows())
+	}
+	prefix := intact.Size()
+	for i := 8; i < ck.Rows(); i++ {
+		prefix += int64(9 + len(mustEncode(t, mkRow(i))))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != prefix {
+		t.Fatalf("resume left %d bytes, want the %d-byte valid prefix (%v)", fi.Size(), prefix, err)
+	}
+	if got := completeSalvaged(t, ck, n, nil); len(got) != n {
+		t.Fatalf("completed sweep emitted %d rows, want %d", len(got), n)
+	}
+
+	ck, err = sweep.ResumeCheckpoint(path, salvageKey, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []row
+	if err := sweep.ReplayCheckpoint(ck, func(i int, v row) error {
+		if i != len(got) {
+			t.Fatalf("replayed index %d after %d rows", i, len(got))
+		}
+		got = append(got, v)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		if i >= len(got) || !reflect.DeepEqual(got[i], mkRow(i)) {
+			t.Fatalf("replayed %d rows; row %d wrong or missing", len(got), i)
+		}
+	}
+}
+
+// countingFS counts the bytes the checkpoint writes through it.
+type countingFS struct {
+	fault.FS
+	written int64
+}
+
+func (c *countingFS) OpenWrite(name string) (fault.File, error) {
+	f, err := c.FS.OpenWrite(name)
+	return countingFile{f, c}, err
+}
+
+type countingFile struct {
+	fault.File
+	fs *countingFS
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.fs.written += int64(n)
+	return n, err
+}
+
+// TestCheckpointWritesEachByteOnce pins the append-only cost model: over
+// a whole checkpointed sweep the bytes written equal the final file
+// size — no flush rewrites what an earlier one wrote.
+func TestCheckpointWritesEachByteOnce(t *testing.T) {
+	const n = 50
+	path := ckPath(t)
+	fsys := &countingFS{FS: fault.OS}
+	ck, err := sweep.OpenCheckpointFS(fsys, path, salvageKey, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := completeSalvaged(t, ck, n, nil); len(got) != n {
+		t.Fatalf("sweep emitted %d rows, want %d", len(got), n)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsys.written != fi.Size() {
+		t.Fatalf("wrote %d bytes for a %d-byte checkpoint", fsys.written, fi.Size())
+	}
+}
+
+// failingReadFS fails every read after the first `after` bytes of each
+// opened file, with an error that is not the end of input.
+type failingReadFS struct {
+	fault.FS
+	after int
+}
+
+func (f failingReadFS) Open(name string) (fault.ReadFile, error) {
+	rf, err := f.FS.Open(name)
+	return &failingRead{rf, f.after}, err
+}
+
+type failingRead struct {
+	fault.ReadFile
+	left int
+}
+
+func (r *failingRead) Read(p []byte) (int, error) {
+	if r.left <= 0 {
+		return 0, errors.New("injected read error")
+	}
+	n, err := r.ReadFile.Read(p[:min(len(p), r.left)])
+	r.left -= n
+	return n, err
+}
+
+// TestOpenReadErrorTruncatesNothing: a read that fails while a
+// checkpoint is scanned is neither a torn tail nor damage, so neither
+// resume path may adopt a prefix and truncate the file after it.
+func TestOpenReadErrorTruncatesNothing(t *testing.T) {
+	path := ckPath(t)
+	writeFullCheckpoint(t, path, 12)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []int{10, len(clean) / 2} {
+		fsys := failingReadFS{fault.OS, after}
+		if _, err := sweep.ResumeCheckpointFS(fsys, path, salvageKey, 4); err == nil {
+			t.Errorf("resume with a read failing after %d bytes succeeded", after)
+		}
+		if _, _, err := sweep.SalvageCheckpointFS(fsys, path, salvageKey, 4); err == nil {
+			t.Errorf("salvage with a read failing after %d bytes succeeded", after)
+		}
+		if b, err := os.ReadFile(path); err != nil || string(b) != string(clean) {
+			t.Fatalf("a failed read after %d bytes changed the file (%d of %d bytes left)", after, len(b), len(clean))
+		}
 	}
 }

@@ -192,11 +192,7 @@ func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-			return nil, fmt.Errorf("specdsm: encoding job %d result: %w", rs.Base+j, err)
-		}
-		return buf.Bytes(), nil
+		return r.AppendBinary(nil)
 	}), nil
 }
 
