@@ -42,11 +42,13 @@ leaks:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# loc tracks size next to speed: per package, the code-only lines
-# (non-blank, non-comment, outside _test.go files), all lines of those
-# files, and the exported-API line count (`go doc -short`).
+# loc tracks size next to speed: per package — the root, the sweep and
+# remote layers, and the CLI layer (both commands and internal/cli) —
+# the code-only lines (non-blank, non-comment, outside _test.go files),
+# all lines of those files, and the exported-API line count
+# (`go doc -short`, 0 for a command).
 loc:
-	@for d in . internal/sweep internal/remote; do \
+	@for d in . internal/sweep internal/remote cmd/paperrepro cmd/specdsm internal/cli; do \
 		ls $$d/*.go | grep -v '_test\.go$$' | xargs awk -v pkg=$$d -v api=$$($(GO) doc -short ./$$d | wc -l) \
 			'{ t = $$0; sub(/^[ \t]+/, "", t) } t != "" && substr(t, 1, 2) != "//" { code++ } \
 			END { printf "%-16s %5d code lines %5d total lines %4d API lines\n", pkg, code, NR, api }'; \

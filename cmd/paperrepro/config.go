@@ -4,17 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"specdsm"
+	"specdsm/internal/cli"
 )
-
-// experiments lists the -only values in presentation order.
-var experiments = []string{
-	"table1", "table2", "characterize", "fig6", "rtl", "scaling",
-	"fig7", "fig8", "table3", "table4", "fig9", "table5",
-}
 
 // options is the fully parsed and validated CLI configuration; flag
 // handling lives here, separated from main's orchestration, so the
@@ -39,90 +35,47 @@ type options struct {
 // parseOptions builds options from raw command-line arguments (without
 // the program name). Usage and error text go to errOut.
 func parseOptions(args []string, errOut io.Writer) (options, error) {
+	var o options
 	fs := flag.NewFlagSet("paperrepro", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	var (
-		only     = fs.String("only", "", "run one experiment: "+strings.Join(experiments, ","))
-		scale    = fs.Float64("scale", 1.0, "workload scale factor")
-		seed     = fs.Int64("seed", 1, "workload generation seed")
-		iters    = fs.Int("iters", 0, "override iteration count (0 = per-app default)")
-		apps     = fs.String("apps", "", "comma-separated application subset")
-		nodes    = fs.Int("nodes", 16, "machine size")
-		seeds    = fs.String("seeds", "", "comma-separated seeds: aggregate Figure 9 across them")
-		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = one per CPU; 1 = sequential)")
-		progress = fs.Bool("progress", false, "log per-simulation completion progress (with ETA) to stderr")
-		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprof  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		ckpt     = fs.String("checkpoint", "", "checkpoint studies to this base path (one file per study: PATH.predictor, PATH.speculation, PATH.seeds, PATH.rtl, PATH.scaling)")
-		resume   = fs.Bool("resume", false, "resume from -checkpoint files left by an interrupted run")
-		salvage  = fs.Bool("resume-salvage", false, "like -resume, but truncate a corrupted checkpoint to its longest valid prefix instead of failing")
-		ckEvery  = fs.Int("checkpoint-every", 0, "flush the checkpoint every N completed simulations (0 = default cadence)")
-		retries  = fs.Int("retries", 0, "retry budget per simulation for transient failures (0 = fail fast)")
-		keep     = fs.Bool("keep-going", false, "record fatally failed simulations as FAILED rows and continue instead of aborting")
-		faults   = fs.String("faults", "", "fault-injection spec for robustness testing, e.g. seed=7,transient=0.2,panic=0.01,delay=0.5 (see internal/fault)")
-		remote   = fs.String("remote", "", "comma-separated sweepd workers (host:port) to fan simulations out to; output stays byte-identical to -parallel 1")
-		crash    = fs.Int("crash-after", 0, "crash-injection test hook: exit(3) after N completed simulations")
-	)
+	fs.StringVar(&o.Only, "only", "", "run one experiment: "+strings.Join(experimentNames(), ","))
+	fs.Float64Var(&o.Cfg.Scale, "scale", 1.0, "workload scale factor")
+	fs.Int64Var(&o.Cfg.Seed, "seed", 1, "workload generation seed")
+	fs.IntVar(&o.Cfg.Iterations, "iters", 0, "override iteration count (0 = per-app default)")
+	apps := fs.String("apps", "", "comma-separated application subset")
+	fs.IntVar(&o.Cfg.Nodes, "nodes", 16, "machine size")
+	seeds := fs.String("seeds", "", "comma-separated seeds: aggregate Figure 9 across them")
+	fs.BoolVar(&o.Progress, "progress", false, "log per-simulation completion progress (with ETA) to stderr")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
+	fs.IntVar(&o.CrashAfter, "crash-after", 0, "crash-injection test hook: exit(3) after N completed simulations")
+	sw := cli.Bind(fs, &o.Cfg, checkpointFiles()...)
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
 	if fs.NArg() > 0 {
 		return options{}, fmt.Errorf("paperrepro: unexpected argument %q", fs.Arg(0))
 	}
-
-	o := options{
-		Only:       *only,
-		Progress:   *progress,
-		CPUProfile: *cpuprof,
-		MemProfile: *memprof,
-		CrashAfter: *crash,
-		Cfg: specdsm.StudyConfig{
-			Nodes:           *nodes,
-			Scale:           *scale,
-			Seed:            *seed,
-			Iterations:      *iters,
-			Parallel:        *parallel,
-			CheckpointPath:  *ckpt,
-			Resume:          *resume || *salvage,
-			Salvage:         *salvage,
-			CheckpointEvery: *ckEvery,
-			Retries:         *retries,
-			KeepGoing:       *keep,
-			FaultSpec:       *faults,
-		},
-	}
-	if o.Cfg.Resume && o.Cfg.CheckpointPath == "" {
-		if o.Cfg.Salvage {
-			return options{}, fmt.Errorf("paperrepro: -resume-salvage requires -checkpoint")
-		}
-		return options{}, fmt.Errorf("paperrepro: -resume requires -checkpoint")
-	}
-	if o.Cfg.CheckpointEvery < 0 {
-		return options{}, fmt.Errorf("paperrepro: -checkpoint-every must be positive, got %d", o.Cfg.CheckpointEvery)
-	}
 	if o.CrashAfter < 0 {
 		return options{}, fmt.Errorf("paperrepro: -crash-after must be positive, got %d", o.CrashAfter)
 	}
+	if o.Only != "" && !slices.Contains(experimentNames(), o.Only) {
+		return options{}, fmt.Errorf("paperrepro: unknown experiment %q (have %s)",
+			o.Only, strings.Join(experimentNames(), ","))
+	}
 	if *apps != "" {
-		list, err := splitList("-apps", *apps)
+		list, err := cli.SplitList("paperrepro", "-apps", *apps)
 		if err != nil {
 			return options{}, err
 		}
 		o.Cfg.Apps = list
 	}
-	if *remote != "" {
-		list, err := splitList("-remote", *remote)
-		if err != nil {
-			return options{}, err
-		}
-		o.Cfg.Remote = list
-	}
-	if o.Only != "" && !validExperiment(o.Only) {
-		return options{}, fmt.Errorf("paperrepro: unknown experiment %q (have %s)",
-			o.Only, strings.Join(experiments, ","))
-	}
 	if *seeds != "" {
-		list, err := splitList("-seeds", *seeds)
+		if o.Only != "" && o.Only != fig9Seeds.name {
+			return options{}, fmt.Errorf("paperrepro: -seeds aggregates Figure 9, so it runs without -only or with -only %s, not -only %s",
+				fig9Seeds.name, o.Only)
+		}
+		list, err := cli.SplitList("paperrepro", "-seeds", *seeds)
 		if err != nil {
 			return options{}, err
 		}
@@ -134,35 +87,8 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 			o.Seeds = append(o.Seeds, v)
 		}
 	}
-	if err := o.Cfg.Validate(); err != nil {
+	if err := sw.Check(); err != nil {
 		return options{}, err
 	}
 	return o, nil
-}
-
-// want reports whether the named experiment should run.
-func (o options) want(name string) bool { return o.Only == "" || o.Only == name }
-
-func validExperiment(name string) bool {
-	for _, e := range experiments {
-		if e == name {
-			return true
-		}
-	}
-	return false
-}
-
-// splitList splits a comma-separated flag value, rejecting empty
-// entries so a stray comma fails loudly instead of producing a
-// confusing downstream error (or silently selecting a default).
-func splitList(flagName, csv string) ([]string, error) {
-	var out []string
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			return nil, fmt.Errorf("paperrepro: empty entry in %s %q", flagName, csv)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

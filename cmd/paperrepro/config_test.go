@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"specdsm"
 )
 
 func TestParseOptionsDefaults(t *testing.T) {
@@ -26,9 +28,19 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.Only != "" || o.Seeds != nil {
 		t.Fatalf("options = %+v", o)
 	}
-	if !o.want("fig7") || !o.want("table5") {
+	if !planned(o, "fig7") || !planned(o, "table5") {
 		t.Fatal("default options must want every experiment")
 	}
+}
+
+// planned reports whether o's run prints the named experiment.
+func planned(o options, name string) bool {
+	for _, e := range o.plan() {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func TestParseOptionsProgress(t *testing.T) {
@@ -68,8 +80,8 @@ func TestParseOptionsFullFlagSet(t *testing.T) {
 	if o.Only != "fig9" {
 		t.Fatalf("only = %q", o.Only)
 	}
-	if o.want("fig7") || !o.want("fig9") {
-		t.Fatal("want() ignores -only")
+	if planned(o, "fig7") || !planned(o, "fig9") {
+		t.Fatal("plan ignores -only")
 	}
 }
 
@@ -102,6 +114,10 @@ func TestParseOptionsErrors(t *testing.T) {
 		{"one node", []string{"-only", "fig7", "-apps", "em3d", "-nodes", "1"}, "invalid node count 1"},
 		{"negative nodes", []string{"-nodes", "-4"}, "invalid node count -4"},
 		{"too many nodes", []string{"-nodes", "5000"}, "invalid node count 5000"},
+		{"seeds with -only fig7", []string{"-only", "fig7", "-seeds", "1,2"}, "-seeds aggregates Figure 9"},
+		{"seeds with -only table1", []string{"-only", "table1", "-seeds", "1,2"}, "-seeds aggregates Figure 9"},
+		{"seeds with -only rtl", []string{"-only", "rtl", "-seeds", "1,2"}, "-seeds aggregates Figure 9"},
+		{"seeds with -only scaling", []string{"-only", "scaling", "-seeds", "1,2"}, "-seeds aggregates Figure 9"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,5 +287,60 @@ func TestParseOptionsFailureFlags(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.frag)
 			}
 		})
+	}
+}
+
+// TestPlan pins which experiments a run prints, and the invariant run
+// relies on to run each study at most once: one study's experiments sit
+// next to each other in every plan.
+func TestPlan(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, "table1 table2 characterize fig6 fig7 fig8 table3 table4 fig9 table5"},
+		{[]string{"-only", "rtl"}, "rtl"},
+		{[]string{"-seeds", "1,2"}, "table1 table2 characterize fig6 fig9"},
+		{[]string{"-only", "fig9", "-seeds", "1,2"}, "fig9"},
+	}
+	for _, c := range cases {
+		o, err := parseOptions(c.args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := o.plan()
+		var names []string
+		ran := map[*study]bool{}
+		for i, e := range plan {
+			names = append(names, e.name)
+			if e.study == nil || i > 0 && plan[i-1].study == e.study {
+				continue
+			}
+			if ran[e.study] {
+				t.Errorf("%v: study of %s would run twice", c.args, e.name)
+			}
+			ran[e.study] = true
+		}
+		if got := strings.Join(names, " "); got != c.want {
+			t.Errorf("%v: plan %q, want %q", c.args, got, c.want)
+		}
+		if len(o.Seeds) > 0 && plan[len(plan)-1].study != seedAggregate {
+			t.Errorf("%v: Figure 9 is not the seed aggregate", c.args)
+		}
+	}
+}
+
+// TestRunInProcess drives run against a buffer.
+func TestRunInProcess(t *testing.T) {
+	o, err := parseOptions([]string{"-only", "table1"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run(o, &b); err != nil {
+		t.Fatal(err)
+	}
+	if want := specdsm.RenderTable1() + "\n"; b.String() != want {
+		t.Fatalf("output %q, want %q", b.String(), want)
 	}
 }

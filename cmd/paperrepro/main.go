@@ -1,13 +1,18 @@
 // Command paperrepro regenerates every table and figure of the paper's
 // evaluation (Lai & Falsafi, ISCA 1999) from the simulator:
 //
-//	paperrepro                 # everything
-//	paperrepro -only fig7      # one experiment (table1..table5, fig6..fig9)
+//	paperrepro                 # every table and figure of the paper
+//	paperrepro -only fig7      # one experiment: table1, table2,
+//	                           # characterize, fig6, rtl, scaling, fig7,
+//	                           # fig8, table3, table4, fig9 or table5
 //	paperrepro -only scaling -apps em3d,moldyn -scale 0.25
-//	                           # beyond-paper node-count scaling study
+//	                           # beyond-paper studies (rtl, scaling) run
+//	                           # only when -only names them
 //	paperrepro -scale 0.5      # smaller workloads (faster)
 //	paperrepro -apps em3d,moldyn
 //	paperrepro -seed 7
+//	paperrepro -seeds 1,2,3    # Figure 9 as mean ± std across seeds
+//	                           # (alone or with -only fig9)
 //	paperrepro -parallel 8     # simulations per batch; output is
 //	                           # byte-identical for every -parallel value
 //	paperrepro -progress       # per-simulation completion log with ETA
@@ -38,62 +43,34 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"specdsm"
-	"specdsm/internal/sweep"
+	"specdsm/internal/cli"
 )
 
 func main() {
 	o, err := parseOptions(os.Args[1:], os.Stderr)
 	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Exit("paperrepro", cli.Usage(err))
 	}
 	stopProfiles, err := startProfiles(o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Exit("paperrepro", cli.Usage(err))
 	}
-	err = run(o)
+	err = run(o, os.Stdout)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
-	var km *sweep.KeyMismatchError
-	if errors.As(err, &km) {
-		// The checkpoint is intact but belongs to a different study
-		// configuration — name the differing parameters and the fix
-		// instead of dumping raw keys. Exit 2 distinguishes "wrong
-		// invocation" from runtime failure (1).
-		fmt.Fprintf(os.Stderr, "paperrepro: checkpoint %s was recorded under different study parameters:\n", km.Path)
-		for _, line := range km.Diff() {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
-		fmt.Fprintf(os.Stderr, "fix: rerun with the flags listed above, or remove %s to start this configuration fresh\n", km.Path)
-		fmt.Fprintln(os.Stderr, "(-resume-salvage repairs corruption, not configuration changes; it would refuse too)")
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, sweep.ErrCheckpointMismatch) {
-			// Any other mismatch — a checkpoint of another format
-			// version, more rows than the sweep has jobs — is a wrong
-			// invocation too, not a runtime failure.
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	cli.Exit("paperrepro", err)
 }
 
 // startProfiles arms the pprof collectors the flags request and returns
@@ -135,38 +112,191 @@ func startProfiles(o options) (stop func() error, err error) {
 	}, nil
 }
 
-func run(o options) error {
-	cfg := o.Cfg
-	// failed collects keep-going FAILED jobs across studies, in study
-	// then job-index order; the manifest prints once after the tables so
-	// a long run ends with an explicit list of what did not complete.
-	var failed []string
-	note := func(format string, args ...any) {
-		failed = append(failed, fmt.Sprintf(format, args...))
+// session is one run's state: the study config, the rows of every study
+// that has run, and the keep-going failures noted so far.
+type session struct {
+	cfg     specdsm.StudyConfig
+	seeds   []int64
+	failed  []string
+	chars   []specdsm.AppCharacterization
+	rtl     []specdsm.RTLPoint
+	scaling []specdsm.NodeScaling
+	pred    []specdsm.AppPrediction
+	spec    []specdsm.AppSpeculation
+	agg     []specdsm.Figure9Aggregate
+}
+
+// note records a keep-going failure for the manifest when failed is set.
+func (s *session) note(failed bool, format string, args ...any) {
+	if failed {
+		s.failed = append(s.failed, fmt.Sprintf(format, args...))
 	}
-	manifest := func() {
-		if len(failed) == 0 {
-			return
+}
+
+// manifest lists the keep-going failures, so a long run ends with an
+// explicit list of what did not complete.
+func (s *session) manifest(out io.Writer) {
+	if len(s.failed) == 0 {
+		return
+	}
+	fmt.Fprintf(out, "FAILED jobs (%d, kept going):\n", len(s.failed))
+	for _, f := range s.failed {
+		fmt.Fprintf(out, "  %s\n", f)
+	}
+}
+
+// collect returns a study stream's emit function: it appends each row.
+func collect[T any](rows *[]T) func(int, T) error {
+	return func(_ int, r T) error {
+		*rows = append(*rows, r)
+		return nil
+	}
+}
+
+// A study is one simulation sweep. The experiments rendering it sit
+// next to each other in the table and share one run of it, timed from
+// its first experiment to its last.
+type study struct {
+	// ckpt is the -checkpoint file suffix: PATH.<ckpt> ("" = none).
+	ckpt string
+	// timing formats the wall-clock line after its last experiment
+	// ("" = none).
+	timing string
+	// optIn studies go beyond the paper and run only when -only names
+	// them.
+	optIn bool
+	// last studies end a run: the FAILED manifest prints before their
+	// timing line instead of after it.
+	last bool
+	run  func(*session) error
+}
+
+var (
+	characterization = &study{run: func(s *session) error {
+		rows, err := specdsm.Characterize(s.cfg)
+		for _, r := range rows {
+			s.note(r.Failed != "", "characterize %s: %s", r.App, r.Failed)
 		}
-		fmt.Printf("FAILED jobs (%d, kept going):\n", len(failed))
-		for _, f := range failed {
-			fmt.Printf("  %s\n", f)
+		s.chars = rows
+		return err
+	}}
+	rtlSweep = &study{ckpt: "rtl", timing: "[rtl sweep: %v]\n", optIn: true, last: true, run: func(s *session) error {
+		wp := specdsm.WorkloadParams{Nodes: s.cfg.Nodes, Scale: s.cfg.Scale, Seed: s.cfg.Seed, Iterations: s.cfg.Iterations}
+		err := specdsm.RTLSweepStream(s.cfg, "em3d", wp, nil, collect(&s.rtl))
+		for _, p := range s.rtl {
+			s.note(p.Failed != "", "rtl flight %d: %s", p.Flight, p.Failed)
+		}
+		return err
+	}}
+	nodeScaling = &study{ckpt: "scaling", timing: "[scaling study: %v]\n", optIn: true, last: true, run: func(s *session) error {
+		err := specdsm.NodeScalingStudyStream(s.cfg, nil, collect(&s.scaling))
+		for _, r := range s.scaling {
+			s.note(r.Failed != "", "scaling %s @ %d nodes: %s", r.App, r.Nodes, r.Failed)
+		}
+		return err
+	}}
+	predictor = &study{ckpt: "predictor", timing: "[predictor study: %v]\n\n", run: func(s *session) error {
+		err := specdsm.PredictorStudyStream(s.cfg, collect(&s.pred))
+		for _, r := range s.pred {
+			s.note(r.Failed != "", "predictor %s: %s", r.App, r.Failed)
+		}
+		return err
+	}}
+	speculation = &study{ckpt: "speculation", timing: "[speculation study: %v]\n", run: func(s *session) error {
+		err := specdsm.SpeculationStudyStream(s.cfg, collect(&s.spec))
+		for _, r := range s.spec {
+			s.note(r.Failed != "", "speculation %s: %s", r.App, r.Failed)
+		}
+		return err
+	}}
+	seedAggregate = &study{ckpt: "seeds", timing: "[multi-seed study: %v]\n", last: true, run: func(s *session) (err error) {
+		s.agg, err = specdsm.SpeculationStudySeeds(s.cfg, s.seeds)
+		for _, a := range s.agg {
+			s.note(a.Failed > 0, "seeds %s: %d (seed, app) cell(s) failed", a.App, a.Failed)
+		}
+		return err
+	}}
+)
+
+// An experiment is one -only value: a table or figure and the study it
+// renders (nil for the ones that simulate nothing).
+type experiment struct {
+	name   string
+	study  *study
+	render func(*session) string
+}
+
+// experiments lists every experiment in print order.
+var experiments = []experiment{
+	{"table1", nil, func(*session) string { return specdsm.RenderTable1() }},
+	{"table2", nil, func(*session) string { return specdsm.RenderTable2() }},
+	{"characterize", characterization, func(s *session) string { return specdsm.RenderCharacterization(s.chars) }},
+	{"fig6", nil, func(*session) string { return specdsm.RenderFigure6() }},
+	{"rtl", rtlSweep, func(s *session) string { return specdsm.RenderRTLSweep("em3d", s.rtl) }},
+	{"scaling", nodeScaling, func(s *session) string { return specdsm.RenderNodeScaling(s.scaling) }},
+	{"fig7", predictor, func(s *session) string { return specdsm.RenderFigure7(specdsm.Figure7(s.pred)) }},
+	{"fig8", predictor, func(s *session) string { return specdsm.RenderFigure8(specdsm.Figure8(s.pred, nil)) }},
+	{"table3", predictor, func(s *session) string { return specdsm.RenderTable3(specdsm.Table3(s.pred)) }},
+	{"table4", predictor, func(s *session) string { return specdsm.RenderTable4(specdsm.Table4(s.pred)) }},
+	{"fig9", speculation, func(s *session) string { return specdsm.RenderFigure9(specdsm.Figure9(s.spec)) }},
+	{"table5", speculation, func(s *session) string { return specdsm.RenderTable5(specdsm.Table5(s.spec)) }},
+}
+
+// fig9Seeds is Figure 9 under -seeds: mean and spread across the seeds.
+var fig9Seeds = experiment{"fig9", seedAggregate, func(s *session) string {
+	return specdsm.RenderFigure9Aggregate(s.agg)
+}}
+
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// checkpointFiles lists the suffixes of the files -checkpoint writes.
+func checkpointFiles() []string {
+	var files []string
+	for _, e := range append(experiments, fig9Seeds) {
+		if e.study != nil && e.study.ckpt != "" && !slices.Contains(files, e.study.ckpt) {
+			files = append(files, e.study.ckpt)
 		}
 	}
-	if cfg.Salvage {
-		cfg.OnSalvage = func(study string, rep sweep.SalvageReport) {
-			fmt.Fprintf(os.Stderr, "paperrepro: checkpoint %s.%s: salvaged %d rows, dropped %d bytes (%s)\n",
-				cfg.CheckpointPath, study, rep.Rows, rep.DroppedBytes, rep.Reason)
+	return files
+}
+
+// plan lists the experiments the run prints, in order: the one -only
+// names, or every one of the paper's. With -seeds, Figure 9 is the seed
+// aggregate, and the other experiments on the single-seed predictor and
+// speculation studies do not run.
+func (o options) plan() []experiment {
+	var plan []experiment
+	for _, e := range experiments {
+		optIn := e.study != nil && e.study.optIn
+		switch {
+		case o.Only != "" && e.name != o.Only, o.Only == "" && optIn:
+		case len(o.Seeds) > 0 && (e.study == predictor || e.study == speculation):
+			if e.name == fig9Seeds.name {
+				plan = append(plan, fig9Seeds)
+			}
+		default:
+			plan = append(plan, e)
 		}
 	}
+	return plan
+}
+
+func run(o options, out io.Writer) error {
+	s := &session{cfg: o.Cfg, seeds: o.Seeds}
 	if o.Progress {
 		// Per-simulation completion lines with ETA on stderr (stdout
 		// carries only the reproduced tables/figures, byte-identical
 		// either way).
-		cfg.Progress = slog.New(slog.NewTextHandler(os.Stderr, nil))
+		s.cfg.Progress = slog.New(slog.NewTextHandler(os.Stderr, nil))
 		// With a shard fleet, surface its lifecycle (connects, deaths,
 		// reconnects, degradation) on stderr too.
-		cfg.RemoteLogf = func(format string, args ...any) {
+		s.cfg.RemoteLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "paperrepro: remote: "+format+"\n", args...)
 		}
 	}
@@ -175,8 +305,8 @@ func run(o options) error {
 		// `make check`: die mid-sweep exactly where asked, leaving
 		// whatever the checkpoint cadence has flushed so far.
 		var done atomic.Int64
-		user := cfg.OnJobDone
-		cfg.OnJobDone = func(i int, d time.Duration) {
+		user := s.cfg.OnJobDone
+		s.cfg.OnJobDone = func(i int, d time.Duration) {
 			if user != nil {
 				user(i, d)
 			}
@@ -186,136 +316,26 @@ func run(o options) error {
 			}
 		}
 	}
-	if o.want("table1") {
-		fmt.Println(specdsm.RenderTable1())
-	}
-	if o.want("table2") {
-		fmt.Println(specdsm.RenderTable2())
-	}
-	if o.want("characterize") {
-		rows, err := specdsm.Characterize(cfg)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if r.Failed != "" {
-				note("characterize %s: %s", r.App, r.Failed)
+	plan := o.plan()
+	var start time.Time
+	for i, e := range plan {
+		st := e.study
+		if st != nil && (i == 0 || plan[i-1].study != st) {
+			start = time.Now()
+			if err := st.run(s); err != nil {
+				return err
 			}
 		}
-		fmt.Println(specdsm.RenderCharacterization(rows))
+		fmt.Fprintln(out, e.render(s))
+		if st == nil || st.timing == "" || i+1 < len(plan) && plan[i+1].study == st {
+			continue
+		}
+		if st.last {
+			s.manifest(out)
+			s.failed = nil
+		}
+		fmt.Fprintf(out, st.timing, time.Since(start).Round(time.Millisecond))
 	}
-	if o.want("fig6") {
-		fmt.Println(specdsm.RenderFigure6())
-	}
-	if o.Only == "rtl" {
-		start := time.Now()
-		var points []specdsm.RTLPoint
-		err := specdsm.RTLSweepStream(cfg, "em3d", specdsm.WorkloadParams{
-			Nodes: cfg.Nodes, Scale: cfg.Scale, Seed: cfg.Seed, Iterations: cfg.Iterations,
-		}, nil, func(_ int, p specdsm.RTLPoint) error {
-			if p.Failed != "" {
-				note("rtl flight %d: %s", p.Flight, p.Failed)
-			}
-			points = append(points, p)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(specdsm.RenderRTLSweep("em3d", points))
-		manifest()
-		fmt.Printf("[rtl sweep: %v]\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	if o.Only == "scaling" {
-		// Beyond-paper study: like rtl it only runs when asked for, so
-		// the default output stays the paper's tables, byte for byte.
-		start := time.Now()
-		var rows []specdsm.NodeScaling
-		err := specdsm.NodeScalingStudyStream(cfg, nil, func(_ int, r specdsm.NodeScaling) error {
-			if r.Failed != "" {
-				note("scaling %s @ %d nodes: %s", r.App, r.Nodes, r.Failed)
-			}
-			rows = append(rows, r)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(specdsm.RenderNodeScaling(rows))
-		manifest()
-		fmt.Printf("[scaling study: %v]\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	if len(o.Seeds) > 0 {
-		start := time.Now()
-		agg, err := specdsm.SpeculationStudySeeds(cfg, o.Seeds)
-		if err != nil {
-			return err
-		}
-		for _, a := range agg {
-			if a.Failed > 0 {
-				note("seeds %s: %d (seed, app) cell(s) failed", a.App, a.Failed)
-			}
-		}
-		fmt.Println(specdsm.RenderFigure9Aggregate(agg))
-		manifest()
-		fmt.Printf("[multi-seed study: %v]\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	needPred := o.want("fig7") || o.want("fig8") || o.want("table3") || o.want("table4")
-	if needPred {
-		start := time.Now()
-		var study []specdsm.AppPrediction
-		err := specdsm.PredictorStudyStream(cfg, func(_ int, r specdsm.AppPrediction) error {
-			if r.Failed != "" {
-				note("predictor %s: %s", r.App, r.Failed)
-			}
-			study = append(study, r)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if o.want("fig7") {
-			fmt.Println(specdsm.RenderFigure7(specdsm.Figure7(study)))
-		}
-		if o.want("fig8") {
-			fmt.Println(specdsm.RenderFigure8(specdsm.Figure8(study, nil)))
-		}
-		if o.want("table3") {
-			fmt.Println(specdsm.RenderTable3(specdsm.Table3(study)))
-		}
-		if o.want("table4") {
-			fmt.Println(specdsm.RenderTable4(specdsm.Table4(study)))
-		}
-		fmt.Printf("[predictor study: %v]\n\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	needSpec := o.want("fig9") || o.want("table5")
-	if needSpec {
-		start := time.Now()
-		var study []specdsm.AppSpeculation
-		err := specdsm.SpeculationStudyStream(cfg, func(_ int, r specdsm.AppSpeculation) error {
-			if r.Failed != "" {
-				note("speculation %s: %s", r.App, r.Failed)
-			}
-			study = append(study, r)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if o.want("fig9") {
-			fmt.Println(specdsm.RenderFigure9(specdsm.Figure9(study)))
-		}
-		if o.want("table5") {
-			fmt.Println(specdsm.RenderTable5(specdsm.Table5(study)))
-		}
-		fmt.Printf("[speculation study: %v]\n", time.Since(start).Round(time.Millisecond))
-	}
-	manifest()
+	s.manifest(out)
 	return nil
 }

@@ -4,45 +4,21 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"strings"
 
 	"specdsm"
-	"specdsm/internal/fault"
+	"specdsm/internal/cli"
 )
 
 // runSpec is the fully parsed and validated CLI configuration. Flag
 // handling lives here, separated from main's orchestration, so the
 // flag→options mapping is unit-testable.
 type runSpec struct {
-	// Apps holds the applications to simulate (one result block each,
-	// in order). Empty when Pattern is set.
-	Apps    []string
-	Pattern string
-	WP      specdsm.WorkloadParams
-	Opts    specdsm.MachineOptions
-	// Parallel sizes the worker pool for multi-app sweeps (0 = one per
-	// CPU). Output order and content are independent of it.
-	Parallel int
-	// Retries is the per-simulation retry budget for transient failures.
-	Retries int
-	// Inject arms deterministic fault injection (nil = off; testing).
-	Inject *fault.Injector
-	// FaultSpec is the raw -faults spec (Inject is its parsed form); the
-	// app sweep ships it through StudyConfig so remote shards apply the
-	// identical schedule.
-	FaultSpec string
-	// KeepGoing prints fatally failed simulations as FAILED blocks and
-	// continues instead of aborting the sweep (app sweeps only).
-	KeepGoing bool
-	// Checkpoint/Resume/Salvage/CheckpointEvery persist and resume the
-	// app sweep exactly as in paperrepro (see StudyConfig).
-	Checkpoint      string
-	Resume          bool
-	Salvage         bool
-	CheckpointEvery int
-	// Remote fans the app sweep out to sweepd shard workers (host:port).
-	Remote   []string
+	// Cfg holds the workload parameters and the sweep flags. Cfg.Apps
+	// names the applications to simulate (one result block each, in
+	// order); it is empty when Pattern is set.
+	Cfg      specdsm.StudyConfig
+	Pattern  string
+	Opts     specdsm.MachineOptions
 	TraceOut string
 	List     bool
 }
@@ -50,119 +26,56 @@ type runSpec struct {
 // parseRun builds a runSpec from raw command-line arguments (without
 // the program name). Usage and error text go to errOut.
 func parseRun(args []string, errOut io.Writer) (runSpec, error) {
+	var s runSpec
 	fs := flag.NewFlagSet("specdsm", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	var (
-		app       = fs.String("app", "", "application workload(s), comma-separated (see -list)")
-		pattern   = fs.String("pattern", "", "micro pattern: producer-consumer, migratory, stencil")
-		mode      = fs.String("mode", "base", "DSM mode: base, fr, swi")
-		nodes     = fs.Int("nodes", 0, "machine size (default 16 for apps, 4 for patterns)")
-		iters     = fs.Int("iters", 0, "iterations (0 = default)")
-		scale     = fs.Float64("scale", 1.0, "workload scale")
-		seed      = fs.Int64("seed", 1, "generation seed")
-		predictor = fs.String("predictor", "", "active predictor kind override (Cosmos, MSP, VMSP)")
-		depth     = fs.Int("depth", 1, "active predictor history depth")
-		conf      = fs.Int("confidence", 0, "confidence threshold for speculation (0 = paper behaviour)")
-		capacity  = fs.Int("capacity", 0, "cache capacity in lines per node (0 = unbounded, paper assumption)")
-		specUp    = fs.Bool("spec-upgrades", false, "enable the migratory speculative-upgrade extension")
-		observe   = fs.Bool("observe", false, "attach Cosmos/MSP/VMSP observers (d=1) and report accuracy")
-		traceOut  = fs.String("trace-out", "", "capture the coherence message trace to this file")
-		parallel  = fs.Int("parallel", 0, "concurrent simulations for multi-app runs (0 = one per CPU)")
-		retries   = fs.Int("retries", 0, "retry budget per simulation for transient failures (0 = fail fast)")
-		faults    = fs.String("faults", "", "fault-injection spec for robustness testing, e.g. seed=7,transient=0.2")
-		keep      = fs.Bool("keep-going", false, "print fatally failed simulations as FAILED blocks and continue instead of aborting (multi-app runs)")
-		ckpt      = fs.String("checkpoint", "", "checkpoint the app sweep to this base path (PATH.sweep)")
-		resume    = fs.Bool("resume", false, "resume from a -checkpoint file left by an interrupted run")
-		salvage   = fs.Bool("resume-salvage", false, "like -resume, but truncate a corrupted checkpoint to its longest valid prefix instead of failing")
-		ckEvery   = fs.Int("checkpoint-every", 0, "flush the checkpoint every N completed simulations (0 = default cadence)")
-		remoteF   = fs.String("remote", "", "comma-separated sweepd workers (host:port) to fan the app sweep out to; output stays byte-identical to -parallel 1")
-		list      = fs.Bool("list", false, "list applications and exit")
-	)
+	app := fs.String("app", "", "application workload(s), comma-separated (see -list)")
+	fs.StringVar(&s.Pattern, "pattern", "", "micro pattern: producer-consumer, migratory, stencil")
+	mode := fs.String("mode", "base", "DSM mode: base, fr, swi")
+	fs.IntVar(&s.Cfg.Nodes, "nodes", 0, "machine size (default 16 for apps, 4 for patterns)")
+	fs.IntVar(&s.Cfg.Iterations, "iters", 0, "iterations (0 = default)")
+	fs.Float64Var(&s.Cfg.Scale, "scale", 1.0, "workload scale")
+	fs.Int64Var(&s.Cfg.Seed, "seed", 1, "generation seed")
+	predictor := fs.String("predictor", "", "active predictor kind override (Cosmos, MSP, VMSP)")
+	depth := fs.Int("depth", 1, "active predictor history depth")
+	conf := fs.Int("confidence", 0, "confidence threshold for speculation (0 = paper behaviour)")
+	capacity := fs.Int("capacity", 0, "cache capacity in lines per node (0 = unbounded, paper assumption)")
+	specUp := fs.Bool("spec-upgrades", false, "enable the migratory speculative-upgrade extension")
+	observe := fs.Bool("observe", false, "attach Cosmos/MSP/VMSP observers (d=1) and report accuracy")
+	fs.StringVar(&s.TraceOut, "trace-out", "", "capture the coherence message trace to this file")
+	fs.BoolVar(&s.List, "list", false, "list applications and exit")
+	sw := cli.Bind(fs, &s.Cfg, "sweep")
 	if err := fs.Parse(args); err != nil {
 		return runSpec{}, err
 	}
 	if fs.NArg() > 0 {
 		return runSpec{}, fmt.Errorf("specdsm: unexpected argument %q", fs.Arg(0))
 	}
-
-	s := runSpec{
-		Pattern:         *pattern,
-		WP:              specdsm.WorkloadParams{Nodes: *nodes, Iterations: *iters, Scale: *scale, Seed: *seed},
-		Parallel:        *parallel,
-		Retries:         *retries,
-		FaultSpec:       *faults,
-		KeepGoing:       *keep,
-		Checkpoint:      *ckpt,
-		Resume:          *resume || *salvage,
-		Salvage:         *salvage,
-		CheckpointEvery: *ckEvery,
-		TraceOut:        *traceOut,
-		List:            *list,
-	}
-	if s.Retries < 0 {
-		return runSpec{}, fmt.Errorf("specdsm: -retries must not be negative, got %d", s.Retries)
-	}
-	if s.CheckpointEvery < 0 {
-		return runSpec{}, fmt.Errorf("specdsm: -checkpoint-every must be positive, got %d", s.CheckpointEvery)
-	}
-	if s.Resume && s.Checkpoint == "" {
-		if s.Salvage {
-			return runSpec{}, fmt.Errorf("specdsm: -resume-salvage requires -checkpoint")
-		}
-		return runSpec{}, fmt.Errorf("specdsm: -resume requires -checkpoint")
-	}
-	if *faults != "" {
-		inj, err := fault.ParseSpec(*faults)
-		if err != nil {
-			return runSpec{}, fmt.Errorf("specdsm: %w", err)
-		}
-		s.Inject = inj
-	}
 	if *app != "" {
-		for _, a := range strings.Split(*app, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				return runSpec{}, fmt.Errorf("specdsm: empty entry in -app %q", *app)
-			}
-			s.Apps = append(s.Apps, a)
+		list, err := cli.SplitList("specdsm", "-app", *app)
+		if err != nil {
+			return runSpec{}, err
 		}
+		s.Cfg.Apps = list
 	}
-	if *remoteF != "" {
-		for _, h := range strings.Split(*remoteF, ",") {
-			h = strings.TrimSpace(h)
-			if h == "" {
-				return runSpec{}, fmt.Errorf("specdsm: empty entry in -remote %q", *remoteF)
-			}
-			if _, _, err := net.SplitHostPort(h); err != nil {
-				return runSpec{}, fmt.Errorf("specdsm: invalid -remote shard address %q (want host:port): %v", h, err)
-			}
-			s.Remote = append(s.Remote, h)
-		}
+	if err := sw.Check(); err != nil {
+		return runSpec{}, err
 	}
 	if s.List {
 		return s, nil
 	}
 	switch {
-	case len(s.Apps) > 0 && s.Pattern != "":
+	case len(s.Cfg.Apps) > 0 && s.Pattern != "":
 		return runSpec{}, fmt.Errorf("specdsm: -app and -pattern are mutually exclusive")
-	case len(s.Apps) == 0 && s.Pattern == "":
+	case len(s.Cfg.Apps) == 0 && s.Pattern == "":
 		return runSpec{}, fmt.Errorf("specdsm: need -app or -pattern (or -list)")
+	case s.TraceOut != "" && len(s.Cfg.Apps) > 1:
+		return runSpec{}, fmt.Errorf("specdsm: -trace-out needs a single workload, got %d apps", len(s.Cfg.Apps))
 	}
-	if s.TraceOut != "" && len(s.Apps) > 1 {
-		return runSpec{}, fmt.Errorf("specdsm: -trace-out needs a single workload, got %d apps", len(s.Apps))
-	}
-	// The sweep machinery (checkpointing, keep-going, remote dispatch)
-	// drives the app sweep; a single -pattern or -trace-out run has no
-	// job space for it to manage.
-	if s.Pattern != "" || s.TraceOut != "" {
-		switch {
-		case len(s.Remote) > 0:
-			return runSpec{}, fmt.Errorf("specdsm: -remote needs an -app sweep")
-		case s.Checkpoint != "":
-			return runSpec{}, fmt.Errorf("specdsm: -checkpoint needs an -app sweep")
-		case s.KeepGoing:
-			return runSpec{}, fmt.Errorf("specdsm: -keep-going needs an -app sweep")
-		}
+	// A -pattern or -trace-out run is one direct simulation: the sweep
+	// flags have no job space to manage there.
+	if name := sw.Given(); name != "" && (s.Pattern != "" || s.TraceOut != "") {
+		return runSpec{}, fmt.Errorf("specdsm: -%s needs an -app sweep", name)
 	}
 
 	s.Opts = specdsm.MachineOptions{
@@ -185,18 +98,23 @@ func parseRun(args []string, errOut io.Writer) (runSpec, error) {
 	return s, nil
 }
 
+// wp is the workload parameters the flags name.
+func (s runSpec) wp() specdsm.WorkloadParams {
+	return specdsm.WorkloadParams{Nodes: s.Cfg.Nodes, Iterations: s.Cfg.Iterations, Scale: s.Cfg.Scale, Seed: s.Cfg.Seed}
+}
+
 // workloads instantiates every workload the spec names, in order.
 func (s runSpec) workloads() ([]specdsm.Workload, error) {
 	if s.Pattern != "" {
-		w, err := specdsm.MicroWorkload(specdsm.MicroPattern(s.Pattern), s.WP)
+		w, err := specdsm.MicroWorkload(specdsm.MicroPattern(s.Pattern), s.wp())
 		if err != nil {
 			return nil, err
 		}
 		return []specdsm.Workload{w}, nil
 	}
-	out := make([]specdsm.Workload, len(s.Apps))
-	for i, a := range s.Apps {
-		w, err := specdsm.AppWorkload(a, s.WP)
+	out := make([]specdsm.Workload, len(s.Cfg.Apps))
+	for i, a := range s.Cfg.Apps {
+		w, err := specdsm.AppWorkload(a, s.wp())
 		if err != nil {
 			return nil, err
 		}

@@ -14,15 +14,15 @@ func TestParseRunSingleApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Apps, []string{"em3d"}) {
-		t.Fatalf("apps = %v", s.Apps)
+	if !reflect.DeepEqual(s.Cfg.Apps, []string{"em3d"}) {
+		t.Fatalf("apps = %v", s.Cfg.Apps)
 	}
 	if s.Opts.Mode != specdsm.ModeSWI {
 		t.Fatalf("mode = %q", s.Opts.Mode)
 	}
 	want := specdsm.WorkloadParams{Nodes: 0, Iterations: 0, Scale: 0.5, Seed: 3}
-	if s.WP != want {
-		t.Fatalf("wp = %+v, want %+v", s.WP, want)
+	if s.wp() != want {
+		t.Fatalf("wp = %+v, want %+v", s.wp(), want)
 	}
 	if s.Opts.Active != nil || len(s.Opts.Observers) != 0 {
 		t.Fatalf("unexpected predictors: %+v", s.Opts)
@@ -34,11 +34,11 @@ func TestParseRunMultiAppParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Apps, []string{"em3d", "moldyn", "ocean"}) {
-		t.Fatalf("apps = %v", s.Apps)
+	if !reflect.DeepEqual(s.Cfg.Apps, []string{"em3d", "moldyn", "ocean"}) {
+		t.Fatalf("apps = %v", s.Cfg.Apps)
 	}
-	if s.Parallel != 3 {
-		t.Fatalf("parallel = %d", s.Parallel)
+	if s.Cfg.Parallel != 3 {
+		t.Fatalf("parallel = %d", s.Cfg.Parallel)
 	}
 	ws, err := s.workloads()
 	if err != nil {
@@ -126,7 +126,7 @@ func TestRunMultiAppOutputMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Parallel = parallel
+		s.Cfg.Parallel = parallel
 		var b strings.Builder
 		if err := run(s, &b); err != nil {
 			t.Fatal(err)
@@ -157,14 +157,14 @@ func TestParseRunSweepFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Remote, []string{"127.0.0.1:7701", "127.0.0.1:7702"}) {
-		t.Fatalf("Remote = %v", s.Remote)
+	if !reflect.DeepEqual(s.Cfg.Remote, []string{"127.0.0.1:7701", "127.0.0.1:7702"}) {
+		t.Fatalf("Remote = %v", s.Cfg.Remote)
 	}
-	if !s.KeepGoing || s.Checkpoint != "run.ck" || s.CheckpointEvery != 2 {
-		t.Fatalf("sweep flags not threaded into spec: %+v", s)
+	if !s.Cfg.KeepGoing || s.Cfg.CheckpointPath != "run.ck" || s.Cfg.CheckpointEvery != 2 {
+		t.Fatalf("sweep flags not threaded into cfg: %+v", s.Cfg)
 	}
-	if !s.Salvage || !s.Resume {
-		t.Fatalf("-resume-salvage must imply Resume, got %+v", s)
+	if !s.Cfg.Salvage || !s.Cfg.Resume {
+		t.Fatalf("-resume-salvage must imply Resume, got %+v", s.Cfg)
 	}
 }
 
@@ -183,6 +183,12 @@ func TestParseRunSweepFlagErrors(t *testing.T) {
 		{"remote with pattern", []string{"-pattern", "migratory", "-remote", "127.0.0.1:7701"}, "-remote needs an -app sweep"},
 		{"checkpoint with pattern", []string{"-pattern", "migratory", "-checkpoint", "ck"}, "-checkpoint needs an -app sweep"},
 		{"keep-going with trace", []string{"-app", "em3d", "-trace-out", "t.log", "-keep-going"}, "-keep-going needs an -app sweep"},
+		{"faults with trace", []string{"-app", "em3d", "-trace-out", "t.log", "-faults", "seed=1,panic=1"}, "-faults needs an -app sweep"},
+		{"retries with trace", []string{"-app", "em3d", "-trace-out", "t.log", "-retries", "2"}, "-retries needs an -app sweep"},
+		{"parallel with trace", []string{"-app", "em3d", "-trace-out", "t.log", "-parallel", "2"}, "-parallel needs an -app sweep"},
+		{"faults with pattern", []string{"-pattern", "migratory", "-faults", "seed=1,transient=0.5"}, "-faults needs an -app sweep"},
+		{"retries with pattern", []string{"-pattern", "migratory", "-retries", "2"}, "-retries needs an -app sweep"},
+		{"parallel with pattern", []string{"-pattern", "migratory", "-parallel", "2"}, "-parallel needs an -app sweep"},
 		{"resume without checkpoint", []string{"-app", "em3d", "-resume"}, "-resume requires -checkpoint"},
 		{"salvage without checkpoint", []string{"-app", "em3d", "-resume-salvage"}, "-resume-salvage requires -checkpoint"},
 		{"negative checkpoint cadence", []string{"-app", "em3d", "-checkpoint", "ck", "-checkpoint-every", "-2"}, "-checkpoint-every"},
@@ -202,11 +208,11 @@ func TestParseRunFailureFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", s.Retries)
+	if s.Cfg.Retries != 2 {
+		t.Fatalf("Retries = %d, want 2", s.Cfg.Retries)
 	}
-	if s.Inject == nil {
-		t.Fatal("fault spec not parsed into an injector")
+	if s.Cfg.FaultSpec != "seed=5,transient=0.1" {
+		t.Fatal("fault spec not threaded into cfg")
 	}
 	if _, err := parseRun([]string{"-app", "em3d", "-retries", "-1"}, io.Discard); err == nil {
 		t.Fatal("negative -retries accepted")

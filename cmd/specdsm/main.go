@@ -11,37 +11,34 @@
 //	specdsm -app em3d,moldyn,ocean -keep-going
 //	specdsm -app em3d,moldyn,ocean -remote 127.0.0.1:7701,127.0.0.1:7702
 //
-// With a comma-separated -app list the simulations fan out across a
-// -parallel-wide worker pool; reports stream out in the order the apps
-// were named, independent of completion order. App sweeps get the full
-// sweep machinery paperrepro has: -checkpoint/-resume/-resume-salvage
-// persist and continue interrupted runs, -keep-going prints fatally
-// failed simulations as FAILED blocks instead of aborting, and -remote
-// fans the sweep out to sweepd shard workers — in every case the report
-// stream stays byte-identical to a plain -parallel 1 run.
+// An -app run is a sweep: with a comma-separated -app list the
+// simulations fan out across a -parallel-wide worker pool, and reports
+// stream out in the order the apps were named, independent of
+// completion order. App sweeps take the sweep flags paperrepro takes:
+// -checkpoint/-resume/-resume-salvage persist and continue interrupted
+// runs, -retries and -faults retry and inject failures, -keep-going
+// prints fatally failed simulations as FAILED blocks instead of
+// aborting, and -remote fans the sweep out to sweepd shard workers — in
+// every case the report stream stays byte-identical to a plain
+// -parallel 1 run. A -pattern or -trace-out run is one direct
+// simulation and takes no sweep flag.
 package main
 
 import (
-	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
 	"specdsm"
+	"specdsm/internal/cli"
 	"specdsm/internal/sweep"
 )
 
 func main() {
 	spec, err := parseRun(os.Args[1:], os.Stderr)
 	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Exit("specdsm", cli.Usage(err))
 	}
 	if spec.List {
 		for _, a := range specdsm.AppInfos() {
@@ -49,28 +46,7 @@ func main() {
 		}
 		return
 	}
-	err = run(spec, os.Stdout)
-	var km *sweep.KeyMismatchError
-	if errors.As(err, &km) {
-		// Same wrong-invocation diagnosis as paperrepro: the checkpoint
-		// is intact but belongs to a different sweep configuration.
-		fmt.Fprintf(os.Stderr, "specdsm: checkpoint %s was recorded under different sweep parameters:\n", km.Path)
-		for _, line := range km.Diff() {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
-		fmt.Fprintf(os.Stderr, "fix: rerun with the flags listed above, or remove %s to start this configuration fresh\n", km.Path)
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, sweep.ErrCheckpointMismatch) {
-			// Any other mismatch — a checkpoint of another format
-			// version, more rows than the sweep has jobs — is a wrong
-			// invocation too, not a runtime failure.
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	cli.Exit("specdsm", run(spec, os.Stdout))
 }
 
 func run(spec runSpec, out io.Writer) error {
@@ -79,12 +55,21 @@ func run(spec runSpec, out io.Writer) error {
 		return err
 	}
 
-	if spec.TraceOut != "" {
+	if spec.Pattern != "" || spec.TraceOut != "" {
+		// One direct simulation; parseRun refused the sweep flags.
+		w := workloads[0]
+		if spec.TraceOut == "" {
+			r, err := specdsm.Run(w, spec.Opts)
+			if err != nil {
+				return err
+			}
+			return writeReport(out, r, w.Ops(), spec.Opts)
+		}
 		f, err := os.Create(spec.TraceOut)
 		if err != nil {
 			return err
 		}
-		r, sum, err := specdsm.CaptureTrace(workloads[0], spec.Opts, f)
+		r, sum, err := specdsm.CaptureTrace(w, spec.Opts, f)
 		cerr := f.Close()
 		if err == nil {
 			err = cerr
@@ -93,63 +78,25 @@ func run(spec runSpec, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "trace               %s (%d events, %d blocks)\n", spec.TraceOut, sum.Events, sum.Blocks)
-		return writeReport(out, r, workloads[0].Ops(), spec.Opts)
-	}
-
-	if spec.Pattern != "" {
-		// Micro-patterns are a single direct run; the sweep machinery
-		// below is app-sweep-only (parseRun enforces that).
-		p := sweep.New(spec.Parallel)
-		p.Retries = spec.Retries
-		p.RetrySeed = uint64(spec.WP.Seed)
-		p.Inject = spec.Inject
-		return sweep.Run(context.Background(), p, len(workloads), sweep.Options{}, nil,
-			func(_ context.Context, _ struct{}, i int) (*specdsm.RunResult, error) {
-				return specdsm.Run(workloads[i], spec.Opts)
-			},
-			func(i int, r *specdsm.RunResult) error {
-				return writeReport(out, r, workloads[i].Ops(), spec.Opts)
-			})
+		return writeReport(out, r, w.Ops(), spec.Opts)
 	}
 
 	// App sweeps run through the library's study engine, which layers
 	// checkpoint/resume, keep-going, and remote shard dispatch over the
 	// worker pool. The engine merges results in index order, so the
-	// report stream is byte-identical to the old direct path — and to
-	// itself at any -parallel value or -remote fleet size.
-	cfg := specdsm.StudyConfig{
-		Apps:            spec.Apps,
-		Nodes:           spec.WP.Nodes,
-		Iterations:      spec.WP.Iterations,
-		Scale:           spec.WP.Scale,
-		Seed:            spec.WP.Seed,
-		Parallel:        spec.Parallel,
-		Retries:         spec.Retries,
-		FaultSpec:       spec.FaultSpec,
-		KeepGoing:       spec.KeepGoing,
-		CheckpointPath:  spec.Checkpoint,
-		Resume:          spec.Resume,
-		Salvage:         spec.Salvage,
-		CheckpointEvery: spec.CheckpointEvery,
-		Remote:          spec.Remote,
-	}
-	if spec.Salvage {
-		cfg.OnSalvage = func(study string, rep sweep.SalvageReport) {
-			fmt.Fprintf(os.Stderr, "specdsm: checkpoint %s.%s: salvaged %d rows, dropped %d bytes (%s)\n",
-				spec.Checkpoint, study, rep.Rows, rep.DroppedBytes, rep.Reason)
-		}
-	}
+	// report stream is byte-identical at any -parallel value or -remote
+	// fleet size.
 	var fail sweep.FailFunc
-	if spec.KeepGoing {
+	if spec.Cfg.KeepGoing {
 		fail = func(i int, ferr error) error {
 			if i > 0 {
 				fmt.Fprintln(out)
 			}
-			_, werr := fmt.Fprintf(out, "workload            %s\nFAILED              %v\n", spec.Apps[i], ferr)
+			_, werr := fmt.Fprintf(out, "workload            %s\nFAILED              %v\n", spec.Cfg.Apps[i], ferr)
 			return werr
 		}
 	}
-	return specdsm.RunSweepStream(cfg, spec.Opts,
+	return specdsm.RunSweepStream(spec.Cfg, spec.Opts,
 		func(i int, r *specdsm.RunResult) error {
 			if i > 0 {
 				fmt.Fprintln(out)
