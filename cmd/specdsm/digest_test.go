@@ -27,7 +27,7 @@ func TestCLIOutputDigests(t *testing.T) {
 		digest string
 	}{
 		{"sweep", sweep, "b783e4e55795009d0be66fcae1e8e1bb9395af4325b1b41c036b79f7b8065707"},
-		{"sweep,keep-going", append(sweep, "-keep-going", "-faults", "seed=9,panic=0.3"), "e7357da07cd03e5f065a0e84d979407f42fdd362fd6f2f1afc0981f9154acdf6"},
+		{"sweep,keep-going", append(sweep, "-keep-going", "-faults", "seed=9,panic=0.3"), "54a4b2b280c0441e74ced47eca4a2a3eebda58be5ba6e8bbf2ebe2e1a0589b63"},
 		{"pattern", []string{"-pattern", "producer-consumer", "-mode", "swi", "-nodes", "4"}, "84cce68c584a2e511d28b83131fe569e53ef7001ae2da1836e1bea82abd3aac6"},
 		{"observe", []string{"-app", "moldyn", "-mode", "fr", "-observe", "-scale", "0.25", "-iters", "2", "-nodes", "8"}, "3271029fe5e61a1b6ea02131529bae0d78fe2e304d91d03bd62a46d2614fb134"},
 	}

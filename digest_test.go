@@ -121,11 +121,11 @@ func TestStudyOutputDigests(t *testing.T) {
 		{"scaling", renderScaling, digestCfg(), "fbc18c84249084bd91cc2d6973dba43bb7921090658817194c1a884fc199afa9"},
 		{"rtl", renderRTL, digestCfg(), "059e90227629352377ee278ba100936ab93d808550d24c66a038eca10012c048"},
 		{"sweep", renderSweep, digestCfg(), "b3bbf58bd769d64d5759c1f71e13be42df6d9a423724a10d7c0bedc74e17bebe"},
-		{"predictor,keep-going", renderPredictor, digestPanics(digestCfg()), "193e57812fa7dcfae7e47860190812d92e1ffacb5598fcfbfb15d3d2c2e79089"},
-		{"speculation,keep-going", renderSpeculation, digestPanics(digestCfg()), "5709d15e6baa1314535b051fa0cc6324dad925408f8167dc1fac1ed0c144d023"},
+		{"predictor,keep-going", renderPredictor, digestPanics(digestCfg()), "60ed2af66e20de644ccdfb0a2d79041c957ba23b84abd9bc3c34b25b9675ad28"},
+		{"speculation,keep-going", renderSpeculation, digestPanics(digestCfg()), "f3307c2a838bedf76b6b85f2e63fc59e699d4976adeb6ce6f904fdc592ebee6a"},
 		{"seeds,keep-going", renderSeeds, digestPanics(digestCfg()), "e68e758286a6d915e74df022e9daf618835520f03e2c976c5d288a86502ae429"},
-		{"rtl,keep-going", renderRTL, digestPanics(digestCfg()), "11b2f033f77f37115a52cd6792f93be8ed9f28f5015d2857012435e52be5bb64"},
-		{"sweep,keep-going", renderSweep, digestPanics(digestCfg()), "887853d4e1d04b7ba3c6615154e7951cd02ba7425cdb1438a6549af4c2b36c9a"},
+		{"rtl,keep-going", renderRTL, digestPanics(digestCfg()), "456d270162bc748b5c160405d1db3401d7b43ed497be0f5691909019d2345bb5"},
+		{"sweep,keep-going", renderSweep, digestPanics(digestCfg()), "37144470b7c5102393a64e97e1eb307af98d2845756737b6b0c7a6dd0faf83b0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -327,6 +328,32 @@ func TestInjectedPanicsKeepGoing(t *testing.T) {
 		if got := run(workers); fmt.Sprint(got) != fmt.Sprint(ref) {
 			t.Fatalf("workers=%d: failure manifest text diverged from sequential:\n%v\nvs\n%v", workers, got, ref)
 		}
+	}
+}
+
+// TestInjectedPanicNamesNoSweepPosition: an injected panic is raised
+// inside the pool's own job runner, so its trimmed stack is that frame
+// alone. It names the function but not its file:line, which would tie
+// every keep-going FAILED row to this package's line numbers.
+func TestInjectedPanicNamesNoSweepPosition(t *testing.T) {
+	inj := fault.New(7)
+	inj.Panic = 1.0
+	p := New(1)
+	p.Inject = inj
+	_, err := Collect(context.Background(), p, 1, func(_ context.Context, i int) (int, error) { return i, nil })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	msg := pe.Error()
+	if !strings.Contains(msg, "[sweep.runOnce") {
+		t.Fatalf("Error() = %q, want the runner's frame by name", msg)
+	}
+	if strings.Contains(msg, ".go:") {
+		t.Fatalf("Error() = %q carries a source position of package sweep", msg)
+	}
+	if !bytes.Contains(pe.Stack, []byte("sweep.go:")) {
+		t.Fatal("Stack lost the raw positions")
 	}
 }
 

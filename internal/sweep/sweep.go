@@ -145,7 +145,9 @@ const trimStackFrames = 6
 // machinery, the pool's recover) and below the pool's job runner are
 // dropped, and addresses/offsets are stripped, so two identical panics
 // — whatever goroutine or worker path they happen on — trim to the same
-// text.
+// text. The job runner's own frame, the site of an injected panic,
+// keeps its name but not its position, so an edit to this package
+// cannot move a job's failure text.
 func trimStack(stack []byte) string {
 	lines := strings.Split(string(bytes.TrimSpace(stack)), "\n")
 	if len(lines) > 0 && strings.HasPrefix(lines[0], "goroutine ") {
@@ -167,8 +169,13 @@ func trimStack(stack []byte) string {
 			// The pool's own job runner: everything below differs
 			// between Run's workers and RunOne's callers. If the panic
 			// originated here (an injected panic), keep this one frame
-			// so the line is never empty.
+			// so the line is never empty, by name only: its position
+			// would tie every injected failure's text to this file's
+			// line numbers.
 			if len(frames) == 0 {
+				if strings.Contains(fn, "internal/sweep.runOnce") {
+					loc = ""
+				}
 				frames = append(frames, frameText(fn, loc))
 			}
 			break
