@@ -98,7 +98,7 @@ func RenderFigure9Aggregate(rows []Figure9Aggregate) string {
 	for _, r := range rows {
 		failed += r.Failed
 		if r.Seeds == 0 {
-			t.AddRow(r.App, "0", "FAILED", "FAILED")
+			t.AddFailed("", r.App, "0")
 			continue
 		}
 		t.AddRow(r.App, fmt.Sprint(r.Seeds),
@@ -167,8 +167,7 @@ func RenderRTLSweep(app string, points []RTLPoint) string {
 		"flight (cycles)", "rtl", "Base cycles", "SWI cycles", "speedup")
 	for _, p := range points {
 		if p.Failed != "" {
-			t.AddRow(fmt.Sprint(p.Flight), report.F1(p.RTL), "FAILED", "FAILED", "FAILED")
-			t.AddNote("flight %d failed: %s", p.Flight, p.Failed)
+			t.AddFailed(fmt.Sprintf("flight %d failed: %s", p.Flight, p.Failed), fmt.Sprint(p.Flight), report.F1(p.RTL))
 			continue
 		}
 		t.AddRow(fmt.Sprint(p.Flight), report.F1(p.RTL),
@@ -311,10 +310,7 @@ func RenderCharacterization(rows []AppCharacterization) string {
 		"read deg (mean/max)", "migratory", "barriers", "locks")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App,
-				"FAILED", "FAILED", "FAILED", "FAILED", "FAILED",
-				"FAILED", "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		t.AddRow(r.App,

@@ -11,6 +11,7 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/fault"
 	"specdsm/internal/sweep"
+	"specdsm/internal/workload"
 )
 
 // StudyConfig parameterizes the experiment drivers. Zero values select
@@ -570,7 +571,7 @@ func Figure6() []Figure6Panel {
 func (c StudyConfig) Validate() error {
 	cc := c.withDefaults()
 	for _, app := range cc.Apps {
-		if _, ok := appExists(app); !ok {
+		if _, ok := workload.ByName(app); !ok {
 			return fmt.Errorf("specdsm: unknown application %q", app)
 		}
 	}
@@ -596,13 +597,4 @@ func (c StudyConfig) Validate() error {
 		}
 	}
 	return nil
-}
-
-func appExists(name string) (string, bool) {
-	for _, n := range AppNames() {
-		if n == name {
-			return n, true
-		}
-	}
-	return "", false
 }

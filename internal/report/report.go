@@ -30,6 +30,20 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
+// AddFailed appends the row of a failed measurement: the lead cells,
+// then FAILED in every remaining column. A non-empty note becomes a
+// footnote line.
+func (t *Table) AddFailed(note string, lead ...string) {
+	cells := lead
+	for len(cells) < len(t.headers) {
+		cells = append(cells, "FAILED")
+	}
+	t.AddRow(cells...)
+	if note != "" {
+		t.notes = append(t.notes, note)
+	}
+}
+
 // AddNote appends a footnote line.
 func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))

@@ -30,6 +30,19 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+func TestTableAddFailed(t *testing.T) {
+	tbl := NewTable("", "App", "A", "B")
+	tbl.AddFailed("em3d failed: boom", "em3d")
+	tbl.AddFailed("", "moldyn", "7")
+	want := NewTable("", "App", "A", "B")
+	want.AddRow("em3d", "FAILED", "FAILED")
+	want.AddRow("moldyn", "7", "FAILED")
+	want.AddNote("%s failed: %s", "em3d", "boom")
+	if got := tbl.String(); got != want.String() {
+		t.Fatalf("AddFailed rendered\n%s\nwant\n%s", got, want.String())
+	}
+}
+
 func TestTableDropsExtraCells(t *testing.T) {
 	tbl := NewTable("", "A")
 	tbl.AddRow("x", "dropped")

@@ -57,8 +57,7 @@ func RenderFigure7(rows []Figure7Row) string {
 		"Application", "Cosmos", "MSP", "VMSP")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App, "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		t.AddRow(r.App, report.Pct(r.Cosmos), report.Pct(r.MSP), report.Pct(r.VMSP))
@@ -88,12 +87,7 @@ func RenderFigure8(rows []Figure8Row) string {
 	t := report.NewTable("Figure 8: predictor accuracy (%) with varying history depth", headers...)
 	for _, r := range rows {
 		if r.Failed != "" {
-			cells := []string{r.App, "FAILED"}
-			for range r.Depths {
-				cells = append(cells, "FAILED")
-			}
-			t.AddRow(cells...)
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		for _, kind := range Kinds() {
@@ -113,8 +107,7 @@ func RenderTable3(rows []Table3Row) string {
 		"Application", "Cosmos", "MSP", "VMSP")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App, "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		cell := func(k PredictorKind) string {
@@ -134,11 +127,7 @@ func RenderTable4(rows []Table4Row) string {
 		"VMSP pte d=1", "d=4", "ovh(B)")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App,
-				"FAILED", "FAILED", "FAILED",
-				"FAILED", "FAILED", "FAILED",
-				"FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		t.AddRow(r.App,
@@ -160,8 +149,7 @@ func RenderFigure9(rows []Figure9Row) string {
 	}
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App, "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		t.AddRow(r.App, cell(r.Base), cell(r.FR), cell(r.SWI))
@@ -203,8 +191,7 @@ func RenderTable5(rows []Table5Row) string {
 		"SWI-DSM FR read %", "SWI read %", "write inval %")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App, "FAILED", "FAILED", "FAILED", "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s failed: %s", r.App, r.Failed)
+			t.AddFailed(r.App+" failed: "+r.Failed, r.App)
 			continue
 		}
 		t.AddRow(r.App,

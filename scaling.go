@@ -104,9 +104,7 @@ func RenderNodeScaling(rows []NodeScaling) string {
 		"app", "nodes", "accuracy", "coverage", "spec reads", "unused", "msgs/req", "cycles")
 	for _, r := range rows {
 		if r.Failed != "" {
-			t.AddRow(r.App, fmt.Sprint(r.Nodes),
-				"FAILED", "FAILED", "FAILED", "FAILED", "FAILED", "FAILED")
-			t.AddNote("%s @ %d nodes failed: %s", r.App, r.Nodes, r.Failed)
+			t.AddFailed(fmt.Sprintf("%s @ %d nodes failed: %s", r.App, r.Nodes, r.Failed), r.App, fmt.Sprint(r.Nodes))
 			continue
 		}
 		a := r.Active()
