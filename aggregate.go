@@ -48,7 +48,7 @@ func SpeculationStudySeeds(cfg StudyConfig, seeds []int64) ([]Figure9Aggregate, 
 	// failed is lazily allocated: it only exists on runs where some
 	// (seed, app) cell actually failed under KeepGoing.
 	var failed map[string]int
-	rs := cfg.spec("seeds", MachineOptions{DisableChecks: cfg.DisableChecks})
+	rs := cfg.spec(seedsStudy, MachineOptions{DisableChecks: cfg.DisableChecks})
 	rs.Seeds, rs.Modes = seeds, specModes
 	// Cells arrive (seed, app)-major; each normalizes against its own
 	// Base run and folds into its application's accumulators. Under
@@ -111,8 +111,8 @@ func RenderFigure9Aggregate(rows []Figure9Aggregate) string {
 	return t.String()
 }
 
-// RTLPoint is one row of the empirical remote-to-local sweep.
-type RTLPoint struct {
+// rtlPoint is one row of the empirical remote-to-local sweep.
+type rtlPoint struct {
 	// Flight is the configured network flight latency in cycles.
 	Flight int
 	// RTL is the measured remote-to-local latency ratio for a clean
@@ -128,7 +128,7 @@ type RTLPoint struct {
 	Failed string
 }
 
-// RTLSweepStream measures SWI-DSM's benefit as the interconnect slows
+// rtlSweepStream measures SWI-DSM's benefit as the interconnect slows
 // down — the empirical analogue of Figure 6's bottom-right panel: the
 // higher the remote-to-local ratio (clusters like NUMA-Q), the more a
 // speculative coherent DSM helps. Each flight point (nil flights
@@ -139,7 +139,7 @@ type RTLPoint struct {
 // checkpoint fields, which make the sweep resumable per simulation;
 // workload shape comes from p. Returning an error from emit stops the
 // sweep.
-func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int, emit func(i int, pt RTLPoint) error) error {
+func rtlSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int, emit func(i int, pt rtlPoint) error) error {
 	if len(flights) == 0 {
 		flights = []int{20, 80, 200, 320}
 	}
@@ -147,11 +147,11 @@ func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int
 	if _, err := AppWorkload(app, p); err != nil {
 		return err
 	}
-	rs := cfg.spec("rtl", MachineOptions{DisableChecks: true})
+	rs := cfg.spec(rtlStudy, MachineOptions{DisableChecks: true})
 	rs.Apps, rs.WP, rs.Flights, rs.Modes = []string{app}, p, flights, []Mode{ModeBase, ModeSWI}
 	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
 		f := flights[i]
-		pt := RTLPoint{Flight: f, RTL: (258 + 2*float64(f)) / 104, Failed: failed}
+		pt := rtlPoint{Flight: f, RTL: (258 + 2*float64(f)) / 104, Failed: failed}
 		if failed == "" {
 			pt.BaseCycles, pt.SWICycles = runs[0].Cycles, runs[1].Cycles
 			pt.Speedup = float64(pt.BaseCycles) / float64(pt.SWICycles)
@@ -160,8 +160,8 @@ func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int
 	})
 }
 
-// RenderRTLSweep prints the sweep.
-func RenderRTLSweep(app string, points []RTLPoint) string {
+// renderRTLSweep prints the sweep.
+func renderRTLSweep(app string, points []rtlPoint) string {
 	t := report.NewTable(
 		fmt.Sprintf("Empirical rtl sweep (%s): SWI-DSM speedup vs interconnect latency", app),
 		"flight (cycles)", "rtl", "Base cycles", "SWI cycles", "speedup")
@@ -178,9 +178,9 @@ func RenderRTLSweep(app string, points []RTLPoint) string {
 	return t.String()
 }
 
-// AppCharacterization summarizes a generated workload's sharing structure
+// appCharacterization summarizes a generated workload's sharing structure
 // without simulating it (a static property of the generator).
-type AppCharacterization struct {
+type appCharacterization struct {
 	App    string
 	Ops    int
 	Reads  int
@@ -201,33 +201,30 @@ type AppCharacterization struct {
 	Failed string
 }
 
-// Characterize statically analyzes the generated programs of each app.
+// characterizeApps statically analyzes the generated programs of each app.
 // Generation (served by the process-wide cache, so a later simulation
 // study reuses the same programs) and analysis run per-application on
 // the cfg.Parallel-wide worker pool.
-func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
+func characterizeApps(cfg StudyConfig) ([]appCharacterization, error) {
 	cfg = cfg.withDefaults()
 	p, err := cfg.pool(cfg.spec("characterize", MachineOptions{}), len(cfg.Apps))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AppCharacterization, 0, len(cfg.Apps))
-	emit := func(_ int, c AppCharacterization) error {
-		out = append(out, c)
-		return nil
-	}
+	var out []appCharacterization
+	emit := collect(&out)
 	var o sweep.Options
 	if cfg.KeepGoing {
 		o.Fail = func(i int, err error) error {
-			return emit(i, AppCharacterization{App: cfg.Apps[i], Failed: err.Error()})
+			return emit(i, appCharacterization{App: cfg.Apps[i], Failed: err.Error()})
 		}
 	}
 	err = sweep.Run(context.Background(), p, len(cfg.Apps), o, nil,
-		func(_ context.Context, _ struct{}, i int) (AppCharacterization, error) {
+		func(_ context.Context, _ struct{}, i int) (appCharacterization, error) {
 			name := cfg.Apps[i]
 			app, ok := workload.ByName(name)
 			if !ok {
-				return AppCharacterization{}, fmt.Errorf("specdsm: unknown application %q", name)
+				return appCharacterization{}, fmt.Errorf("specdsm: unknown application %q", name)
 			}
 			progs := workload.Programs(app, workload.Params{
 				Nodes:      cfg.Nodes,
@@ -244,8 +241,8 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 	return out, nil
 }
 
-func characterize(name string, progs []machine.Program) AppCharacterization {
-	c := AppCharacterization{App: name}
+func characterize(name string, progs []machine.Program) appCharacterization {
+	c := appCharacterization{App: name}
 	readers := map[uint64]map[int]bool{}
 	writers := map[uint64]map[int]bool{}
 	touched := map[uint64]map[int]bool{}
@@ -303,8 +300,8 @@ func addSet(m map[uint64]map[int]bool, k uint64, n int) {
 	s[n] = true
 }
 
-// RenderCharacterization prints the per-application sharing structure.
-func RenderCharacterization(rows []AppCharacterization) string {
+// renderCharacterization prints the per-application sharing structure.
+func renderCharacterization(rows []appCharacterization) string {
 	t := report.NewTable("Workload characterization (static, per generated run)",
 		"Application", "ops", "reads", "writes", "blocks", "shared",
 		"read deg (mean/max)", "migratory", "barriers", "locks")

@@ -1,24 +1,22 @@
-package specdsm_test
+package specdsm
 
 import (
 	"strings"
 	"testing"
-
-	"specdsm"
 )
 
 func TestSpeculationStudySeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed study is slow for -short")
 	}
-	cfg := specdsm.StudyConfig{
+	cfg := StudyConfig{
 		Apps:          []string{"em3d", "tomcatv"},
 		Nodes:         8,
 		Scale:         0.25,
 		Iterations:    4,
 		DisableChecks: true,
 	}
-	agg, err := specdsm.SpeculationStudySeeds(cfg, []int64{1, 2, 3})
+	agg, err := SpeculationStudySeeds(cfg, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,27 +39,27 @@ func TestSpeculationStudySeeds(t *testing.T) {
 			t.Fatalf("%s: negative std", r.App)
 		}
 	}
-	out := specdsm.RenderFigure9Aggregate(agg)
+	out := RenderFigure9Aggregate(agg)
 	if !strings.Contains(out, "em3d") || !strings.Contains(out, "±") {
 		t.Fatalf("render missing content:\n%s", out)
 	}
 }
 
 func TestSpeculationStudySeedsErrors(t *testing.T) {
-	if _, err := specdsm.SpeculationStudySeeds(specdsm.StudyConfig{}, nil); err == nil {
+	if _, err := SpeculationStudySeeds(StudyConfig{}, nil); err == nil {
 		t.Fatal("expected no-seeds error")
 	}
 }
 
 func TestCharacterize(t *testing.T) {
-	rows, err := specdsm.Characterize(specdsm.StudyConfig{Scale: 0.25, Iterations: 2})
+	rows, err := characterizeApps(StudyConfig{Scale: 0.25, Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 7 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byApp := map[string]specdsm.AppCharacterization{}
+	byApp := map[string]appCharacterization{}
 	for _, r := range rows {
 		byApp[r.App] = r
 		if r.Ops == 0 || r.Reads == 0 || r.Writes == 0 || r.Blocks == 0 {
@@ -99,14 +97,14 @@ func TestCharacterize(t *testing.T) {
 		t.Error("ocean should use locks")
 	}
 
-	out := specdsm.RenderCharacterization(rows)
+	out := renderCharacterization(rows)
 	if !strings.Contains(out, "unstructured") {
 		t.Fatal("render missing content")
 	}
 }
 
 func TestCharacterizeUnknownApp(t *testing.T) {
-	if _, err := specdsm.Characterize(specdsm.StudyConfig{Apps: []string{"nope"}}); err == nil {
+	if _, err := characterizeApps(StudyConfig{Apps: []string{"nope"}}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -115,7 +113,7 @@ func TestRTLSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow for -short")
 	}
-	points, err := rtlPoints(specdsm.StudyConfig{}, "em3d", specdsm.WorkloadParams{
+	points, err := rtlPoints(StudyConfig{}, "em3d", WorkloadParams{
 		Nodes: 8, Iterations: 4, Scale: 0.25,
 	}, []int{20, 80, 240})
 	if err != nil {
@@ -138,18 +136,18 @@ func TestRTLSweepMonotone(t *testing.T) {
 	if points[len(points)-1].Speedup <= 1.0 {
 		t.Fatalf("no benefit at high rtl: %+v", points[len(points)-1])
 	}
-	out := specdsm.RenderRTLSweep("em3d", points)
+	out := renderRTLSweep("em3d", points)
 	if !strings.Contains(out, "speedup") {
 		t.Fatal("render missing content")
 	}
 }
 
 func TestNetworkFlightValidation(t *testing.T) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
+	w, err := AppWorkload("em3d", WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{NetworkFlight: -5}); err == nil {
+	if _, err := Run(w, MachineOptions{NetworkFlight: -5}); err == nil {
 		t.Fatal("expected negative-latency error")
 	}
 }

@@ -1,4 +1,4 @@
-package specdsm_test
+package specdsm
 
 // One benchmark per table and figure of the paper's evaluation. Each
 // bench regenerates its artifact from the simulator and prints it once
@@ -14,18 +14,18 @@ import (
 	"sync"
 	"testing"
 
-	"specdsm"
+	"specdsm/internal/analytic"
 )
 
 // benchApps names the paper's seven applications explicitly, so
 // collecting a study's rows sizes its slice once.
-var benchApps = specdsm.AppNames()
+var benchApps = AppNames()
 
 // benchCfg keeps bench runs fast while preserving the paper's shapes.
 // One worker makes a study's cost — allocs/op in particular, since each
 // worker builds its own run arena — independent of the host's CPU count.
-func benchCfg() specdsm.StudyConfig {
-	return specdsm.StudyConfig{Apps: benchApps, Scale: 0.5, DisableChecks: true, Parallel: 1}
+func benchCfg() StudyConfig {
+	return StudyConfig{Apps: benchApps, Scale: 0.5, DisableChecks: true, Parallel: 1}
 }
 
 var (
@@ -47,22 +47,25 @@ func printOnce(b *testing.B, name, text string) {
 // Equations 1-2.
 func BenchmarkFig6AnalyticModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		panels := specdsm.Figure6()
+		panels := analytic.Panels()
+		for _, p := range panels {
+			analytic.Figure6(p)
+		}
 		if len(panels) != 4 {
 			b.Fatalf("got %d panels", len(panels))
 		}
 	}
-	printOnce(b, "fig6", specdsm.RenderFigure6())
+	printOnce(b, "fig6", renderFigure6())
 	// Headline: speedup at c=1 with perfect prediction equals rtl.
-	b.ReportMetric(specdsm.AnalyticSpeedup(specdsm.AnalyticParams{C: 1, F: 1, P: 1, RTL: 4, N: 2}),
+	b.ReportMetric(AnalyticSpeedup(AnalyticParams{C: 1, F: 1, P: 1, RTL: 4, N: 2}),
 		"speedup@p=1,c=1")
 }
 
-func predictorStudy(b *testing.B, depths []int) []specdsm.AppPrediction {
+func benchPredictor(b *testing.B, depths []int) []AppPrediction {
 	b.Helper()
 	cfg := benchCfg()
 	cfg.Depths = depths
-	study, err := collect(cfg, specdsm.PredictorStudyStream)
+	study, err := collectRows(cfg, PredictorStudyStream)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,11 +75,11 @@ func predictorStudy(b *testing.B, depths []int) []specdsm.AppPrediction {
 // BenchmarkFig7PredictorAccuracy regenerates Figure 7: Cosmos vs MSP vs
 // VMSP accuracy at history depth one across the seven applications.
 func BenchmarkFig7PredictorAccuracy(b *testing.B) {
-	var rows []specdsm.Figure7Row
+	var rows []Figure7Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Figure7(predictorStudy(b, []int{1}))
+		rows = Figure7(benchPredictor(b, []int{1}))
 	}
-	printOnce(b, "fig7", specdsm.RenderFigure7(rows))
+	printOnce(b, "fig7", RenderFigure7(rows))
 	var cosmos, vmsp float64
 	for _, r := range rows {
 		cosmos += r.Cosmos
@@ -90,16 +93,16 @@ func BenchmarkFig7PredictorAccuracy(b *testing.B) {
 // BenchmarkFig8HistoryDepth regenerates Figure 8: accuracy at history
 // depths 1, 2, and 4.
 func BenchmarkFig8HistoryDepth(b *testing.B) {
-	var rows []specdsm.Figure8Row
+	var rows []Figure8Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Figure8(predictorStudy(b, []int{1, 2, 4}), []int{1, 2, 4})
+		rows = Figure8(benchPredictor(b, []int{1, 2, 4}), []int{1, 2, 4})
 	}
-	printOnce(b, "fig8", specdsm.RenderFigure8(rows))
+	printOnce(b, "fig8", RenderFigure8(rows))
 	// Headline: appbt VMSP reaches ~100% at depth 2 (the paper's example
 	// of depth disambiguating the alternating consumers).
 	for _, r := range rows {
 		if r.App == "appbt" {
-			b.ReportMetric(r.Accuracy[specdsm.VMSP][1]*100, "appbtVMSP@d2%")
+			b.ReportMetric(r.Accuracy[VMSP][1]*100, "appbtVMSP@d2%")
 		}
 	}
 }
@@ -107,14 +110,14 @@ func BenchmarkFig8HistoryDepth(b *testing.B) {
 // BenchmarkTable3LearningSpeed regenerates Table 3: fraction of messages
 // predicted, and predicted correctly, at depth one.
 func BenchmarkTable3LearningSpeed(b *testing.B) {
-	var rows []specdsm.Table3Row
+	var rows []Table3Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Table3(predictorStudy(b, []int{1}))
+		rows = Table3(benchPredictor(b, []int{1}))
 	}
-	printOnce(b, "table3", specdsm.RenderTable3(rows))
+	printOnce(b, "table3", RenderTable3(rows))
 	var cov float64
 	for _, r := range rows {
-		cov += r.Coverage[specdsm.MSP]
+		cov += r.Coverage[MSP]
 	}
 	b.ReportMetric(cov/float64(len(rows))*100, "meanMSPcoverage%")
 }
@@ -122,24 +125,24 @@ func BenchmarkTable3LearningSpeed(b *testing.B) {
 // BenchmarkTable4StorageOverhead regenerates Table 4: pattern-table
 // entries per block (d=1, d=4) and byte overhead (d=1).
 func BenchmarkTable4StorageOverhead(b *testing.B) {
-	var rows []specdsm.Table4Row
+	var rows []Table4Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Table4(predictorStudy(b, []int{1, 4}))
+		rows = Table4(benchPredictor(b, []int{1, 4}))
 	}
-	printOnce(b, "table4", specdsm.RenderTable4(rows))
+	printOnce(b, "table4", RenderTable4(rows))
 	var cosmos, vmsp float64
 	for _, r := range rows {
-		cosmos += r.PTE1[specdsm.Cosmos]
-		vmsp += r.PTE1[specdsm.VMSP]
+		cosmos += r.PTE1[Cosmos]
+		vmsp += r.PTE1[VMSP]
 	}
 	n := float64(len(rows))
 	b.ReportMetric(cosmos/n, "meanCosmosPTE")
 	b.ReportMetric(vmsp/n, "meanVMSPPTE")
 }
 
-func speculationStudy(b *testing.B) []specdsm.AppSpeculation {
+func benchSpeculation(b *testing.B) []appSpeculation {
 	b.Helper()
-	study, err := collect(benchCfg(), specdsm.SpeculationStudyStream)
+	study, err := collectRows(benchCfg(), speculationStudyStream)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -149,15 +152,15 @@ func speculationStudy(b *testing.B) []specdsm.AppSpeculation {
 // BenchmarkFig9SpeculativeDSM regenerates Figure 9: Base-DSM vs FR-DSM vs
 // SWI-DSM normalized execution time with its computation/request split.
 func BenchmarkFig9SpeculativeDSM(b *testing.B) {
-	var rows []specdsm.Figure9Row
+	var rows []figure9Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Figure9(speculationStudy(b))
+		rows = figure9(benchSpeculation(b))
 	}
-	printOnce(b, "fig9", specdsm.RenderFigure9(rows))
+	printOnce(b, "fig9", renderFigure9(rows))
 	var fr, swi float64
 	for _, r := range rows {
-		fr += r.Total(specdsm.ModeFR)
-		swi += r.Total(specdsm.ModeSWI)
+		fr += r.Total(ModeFR)
+		swi += r.Total(ModeSWI)
 	}
 	n := float64(len(rows))
 	b.ReportMetric(fr/n, "meanFRexec%")   // paper: ~92
@@ -170,15 +173,15 @@ func BenchmarkFig9SpeculativeDSM(b *testing.B) {
 // and the workload-generation cache amortize construction across the
 // whole matrix.
 func BenchmarkSeedsSpeculation(b *testing.B) {
-	var agg []specdsm.Figure9Aggregate
+	var agg []Figure9Aggregate
 	for i := 0; i < b.N; i++ {
 		var err error
-		agg, err = specdsm.SpeculationStudySeeds(benchCfg(), []int64{1, 2, 3})
+		agg, err = SpeculationStudySeeds(benchCfg(), []int64{1, 2, 3})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	printOnce(b, "seeds", specdsm.RenderFigure9Aggregate(agg))
+	printOnce(b, "seeds", RenderFigure9Aggregate(agg))
 	var swi float64
 	for _, r := range agg {
 		swi += r.SWIMean
@@ -189,11 +192,11 @@ func BenchmarkSeedsSpeculation(b *testing.B) {
 // BenchmarkTable5Speculation regenerates Table 5: speculation and
 // misspeculation frequencies.
 func BenchmarkTable5Speculation(b *testing.B) {
-	var rows []specdsm.Table5Row
+	var rows []table5Row
 	for i := 0; i < b.N; i++ {
-		rows = specdsm.Table5(speculationStudy(b))
+		rows = table5(benchSpeculation(b))
 	}
-	printOnce(b, "table5", specdsm.RenderTable5(rows))
+	printOnce(b, "table5", renderTable5(rows))
 	for _, r := range rows {
 		if r.App == "em3d" {
 			b.ReportMetric(r.SWIInvalSent, "em3dSWIinval%") // paper: 98
@@ -205,23 +208,23 @@ func BenchmarkTable5Speculation(b *testing.B) {
 // each predictor kind (the paper uses VMSP; MSP/Cosmos chain individual
 // read predictions) — an ablation of the design choice in §7.4.
 func BenchmarkAblationActivePredictor(b *testing.B) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Scale: 0.5})
+	w, err := AppWorkload("em3d", WorkloadParams{Scale: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, err := specdsm.Run(w, specdsm.MachineOptions{Mode: specdsm.ModeBase, DisableChecks: true})
+	base, err := Run(w, MachineOptions{Mode: ModeBase, DisableChecks: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range specdsm.Kinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		b.Run(string(kind), func(b *testing.B) {
-			var r *specdsm.RunResult
+			var r *RunResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = specdsm.Run(w, specdsm.MachineOptions{
-					Mode:          specdsm.ModeSWI,
-					Active:        &specdsm.PredictorConfig{Kind: kind, Depth: 1},
+				r, err = Run(w, MachineOptions{
+					Mode:          ModeSWI,
+					Active:        &PredictorConfig{Kind: kind, Depth: 1},
 					DisableChecks: true,
 				})
 				if err != nil {
@@ -237,7 +240,7 @@ func BenchmarkAblationActivePredictor(b *testing.B) {
 // BenchmarkAblationSpecUpgrade measures the migratory speculative-upgrade
 // extension on moldyn (the most migratory of the seven applications).
 func BenchmarkAblationSpecUpgrade(b *testing.B) {
-	w, err := specdsm.AppWorkload("moldyn", specdsm.WorkloadParams{Scale: 0.5})
+	w, err := AppWorkload("moldyn", WorkloadParams{Scale: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,11 +251,11 @@ func BenchmarkAblationSpecUpgrade(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			var r *specdsm.RunResult
+			var r *RunResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = specdsm.Run(w, specdsm.MachineOptions{
-					Mode:          specdsm.ModeSWI,
+				r, err = Run(w, MachineOptions{
+					Mode:          ModeSWI,
 					SpecUpgrades:  ext,
 					DisableChecks: true,
 				})
@@ -270,19 +273,19 @@ func BenchmarkAblationSpecUpgrade(b *testing.B) {
 // ocean, whose per-iteration-reordered lock reduction produces the wrong
 // forwards that tax the serialized lock path; gating suppresses them.
 func BenchmarkAblationConfidence(b *testing.B) {
-	w, err := specdsm.AppWorkload("ocean", specdsm.WorkloadParams{Scale: 0.5})
+	w, err := AppWorkload("ocean", WorkloadParams{Scale: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, conf := range []int{0, 2} {
 		conf := conf
 		b.Run(fmt.Sprintf("conf%d", conf), func(b *testing.B) {
-			var r *specdsm.RunResult
+			var r *RunResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = specdsm.Run(w, specdsm.MachineOptions{
-					Mode:          specdsm.ModeFR,
-					Active:        &specdsm.PredictorConfig{Kind: specdsm.VMSP, Depth: 1, Confidence: conf},
+				r, err = Run(w, MachineOptions{
+					Mode:          ModeFR,
+					Active:        &PredictorConfig{Kind: VMSP, Depth: 1, Confidence: conf},
 					DisableChecks: true,
 				})
 				if err != nil {
@@ -299,7 +302,7 @@ func BenchmarkAblationConfidence(b *testing.B) {
 // ("a remote cache large enough to hold the remote data"): shrinking the
 // cache reintroduces capacity misses and erodes SWI-DSM's win on em3d.
 func BenchmarkAblationCacheCapacity(b *testing.B) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Scale: 0.5})
+	w, err := AppWorkload("em3d", WorkloadParams{Scale: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,17 +313,17 @@ func BenchmarkAblationCacheCapacity(b *testing.B) {
 			name = fmt.Sprintf("%dlines", capacity)
 		}
 		b.Run(name, func(b *testing.B) {
-			var base, swi *specdsm.RunResult
+			var base, swi *RunResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				base, err = specdsm.Run(w, specdsm.MachineOptions{
-					Mode: specdsm.ModeBase, CacheCapacity: capacity, DisableChecks: true,
+				base, err = Run(w, MachineOptions{
+					Mode: ModeBase, CacheCapacity: capacity, DisableChecks: true,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				swi, err = specdsm.Run(w, specdsm.MachineOptions{
-					Mode: specdsm.ModeSWI, CacheCapacity: capacity, DisableChecks: true,
+				swi, err = Run(w, MachineOptions{
+					Mode: ModeSWI, CacheCapacity: capacity, DisableChecks: true,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -341,18 +344,18 @@ func BenchmarkAblationHistoryDepthCost(b *testing.B) {
 	for _, d := range []int{1, 2, 4} {
 		d := d
 		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
-			var study []specdsm.AppPrediction
+			var study []AppPrediction
 			for i := 0; i < b.N; i++ {
 				c := cfg
 				c.Depths = []int{d}
 				var err error
-				study, err = collect(c, specdsm.PredictorStudyStream)
+				study, err = collectRows(c, PredictorStudyStream)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(study[0].Get(specdsm.Cosmos, d).EntriesPerBlock, "cosmosPTE")
-			b.ReportMetric(study[0].Get(specdsm.VMSP, d).EntriesPerBlock, "vmspPTE")
+			b.ReportMetric(study[0].Get(Cosmos, d).EntriesPerBlock, "cosmosPTE")
+			b.ReportMetric(study[0].Get(VMSP, d).EntriesPerBlock, "vmspPTE")
 		})
 	}
 }

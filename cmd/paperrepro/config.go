@@ -36,9 +36,10 @@ type options struct {
 // the program name). Usage and error text go to errOut.
 func parseOptions(args []string, errOut io.Writer) (options, error) {
 	var o options
+	names, ckpts, seeded := experimentIndex()
 	fs := flag.NewFlagSet("paperrepro", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fs.StringVar(&o.Only, "only", "", "run one experiment: "+strings.Join(experimentNames(), ","))
+	fs.StringVar(&o.Only, "only", "", "run one experiment: "+strings.Join(names, ","))
 	fs.Float64Var(&o.Cfg.Scale, "scale", 1.0, "workload scale factor")
 	fs.Int64Var(&o.Cfg.Seed, "seed", 1, "workload generation seed")
 	fs.IntVar(&o.Cfg.Iterations, "iters", 0, "override iteration count (0 = per-app default)")
@@ -49,7 +50,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	fs.IntVar(&o.CrashAfter, "crash-after", 0, "crash-injection test hook: exit(3) after N completed simulations")
-	sw := cli.Bind(fs, &o.Cfg, checkpointFiles()...)
+	sw := cli.Bind(fs, &o.Cfg, ckpts...)
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -59,9 +60,9 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	if o.CrashAfter < 0 {
 		return options{}, fmt.Errorf("paperrepro: -crash-after must be positive, got %d", o.CrashAfter)
 	}
-	if o.Only != "" && !slices.Contains(experimentNames(), o.Only) {
+	if o.Only != "" && !slices.Contains(names, o.Only) {
 		return options{}, fmt.Errorf("paperrepro: unknown experiment %q (have %s)",
-			o.Only, strings.Join(experimentNames(), ","))
+			o.Only, strings.Join(names, ","))
 	}
 	if *apps != "" {
 		list, err := cli.SplitList("paperrepro", "-apps", *apps)
@@ -71,9 +72,9 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 		o.Cfg.Apps = list
 	}
 	if *seeds != "" {
-		if o.Only != "" && o.Only != fig9Seeds.name {
+		if o.Only != "" && !slices.Contains(seeded, o.Only) {
 			return options{}, fmt.Errorf("paperrepro: -seeds aggregates Figure 9, so it runs without -only or with -only %s, not -only %s",
-				fig9Seeds.name, o.Only)
+				strings.Join(seeded, " or -only "), o.Only)
 		}
 		list, err := cli.SplitList("paperrepro", "-seeds", *seeds)
 		if err != nil {
@@ -91,4 +92,23 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 		return options{}, err
 	}
 	return o, nil
+}
+
+// experimentIndex reads the experiment table: the -only names, the
+// checkpoint file suffixes and the experiments only a multi-seed run
+// prints, each in table order.
+func experimentIndex() (names, ckpts, seeded []string) {
+	add := func(list []string, v string) []string {
+		if v == "" || slices.Contains(list, v) {
+			return list
+		}
+		return append(list, v)
+	}
+	for _, e := range specdsm.Experiments() {
+		names, ckpts = add(names, e.Name), add(ckpts, e.Study)
+		if !e.Prints(false) {
+			seeded = add(seeded, e.Name)
+		}
+	}
+	return names, ckpts, seeded
 }

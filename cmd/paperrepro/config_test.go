@@ -36,7 +36,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 // planned reports whether o's run prints the named experiment.
 func planned(o options, name string) bool {
 	for _, e := range o.plan() {
-		if e.name == name {
+		if e.Name == name {
 			return true
 		}
 	}
@@ -310,21 +310,21 @@ func TestPlan(t *testing.T) {
 		}
 		plan := o.plan()
 		var names []string
-		ran := map[*study]bool{}
+		ran := map[string]bool{}
 		for i, e := range plan {
-			names = append(names, e.name)
-			if e.study == nil || i > 0 && plan[i-1].study == e.study {
+			names = append(names, e.Name)
+			if e.Study == "" || i > 0 && plan[i-1].Study == e.Study {
 				continue
 			}
-			if ran[e.study] {
-				t.Errorf("%v: study of %s would run twice", c.args, e.name)
+			if ran[e.Study] {
+				t.Errorf("%v: study of %s would run twice", c.args, e.Name)
 			}
-			ran[e.study] = true
+			ran[e.Study] = true
 		}
 		if got := strings.Join(names, " "); got != c.want {
 			t.Errorf("%v: plan %q, want %q", c.args, got, c.want)
 		}
-		if len(o.Seeds) > 0 && plan[len(plan)-1].study != seedAggregate {
+		if len(o.Seeds) > 0 && plan[len(plan)-1].Study != "seeds" {
 			t.Errorf("%v: Figure 9 is not the seed aggregate", c.args)
 		}
 	}
@@ -340,7 +340,15 @@ func TestRunInProcess(t *testing.T) {
 	if err := run(o, &b); err != nil {
 		t.Fatal(err)
 	}
-	if want := specdsm.RenderTable1() + "\n"; b.String() != want {
-		t.Fatalf("output %q, want %q", b.String(), want)
+	var want strings.Builder
+	for _, e := range specdsm.Experiments() {
+		if e.Name == "table1" {
+			if err := e.Render(&want, specdsm.Rows{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !strings.HasPrefix(want.String(), "Table 1:") || b.String() != want.String()+"\n" {
+		t.Fatalf("output %q, want %q", b.String(), want.String()+"\n")
 	}
 }

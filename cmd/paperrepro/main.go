@@ -2,12 +2,11 @@
 // evaluation (Lai & Falsafi, ISCA 1999) from the simulator:
 //
 //	paperrepro                 # every table and figure of the paper
-//	paperrepro -only fig7      # one experiment: table1, table2,
-//	                           # characterize, fig6, rtl, scaling, fig7,
-//	                           # fig8, table3, table4, fig9 or table5
+//	paperrepro -only fig7      # one experiment (-h lists them all, in
+//	                           # the order of specdsm.Experiments)
 //	paperrepro -only scaling -apps em3d,moldyn -scale 0.25
-//	                           # beyond-paper studies (rtl, scaling) run
-//	                           # only when -only names them
+//	                           # beyond-paper studies run only when
+//	                           # -only names them
 //	paperrepro -scale 0.5      # smaller workloads (faster)
 //	paperrepro -apps em3d,moldyn
 //	paperrepro -seed 7
@@ -49,7 +48,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -112,175 +110,13 @@ func startProfiles(o options) (stop func() error, err error) {
 	}, nil
 }
 
-// session is one run's state: the study config, the rows of every study
-// that has run, and the keep-going failures noted so far.
-type session struct {
-	cfg     specdsm.StudyConfig
-	seeds   []int64
-	failed  []string
-	chars   []specdsm.AppCharacterization
-	rtl     []specdsm.RTLPoint
-	scaling []specdsm.NodeScaling
-	pred    []specdsm.AppPrediction
-	spec    []specdsm.AppSpeculation
-	agg     []specdsm.Figure9Aggregate
-}
-
-// note records a keep-going failure for the manifest when failed is set.
-func (s *session) note(failed bool, format string, args ...any) {
-	if failed {
-		s.failed = append(s.failed, fmt.Sprintf(format, args...))
-	}
-}
-
-// manifest lists the keep-going failures, so a long run ends with an
-// explicit list of what did not complete.
-func (s *session) manifest(out io.Writer) {
-	if len(s.failed) == 0 {
-		return
-	}
-	fmt.Fprintf(out, "FAILED jobs (%d, kept going):\n", len(s.failed))
-	for _, f := range s.failed {
-		fmt.Fprintf(out, "  %s\n", f)
-	}
-}
-
-// collect returns a study stream's emit function: it appends each row.
-func collect[T any](rows *[]T) func(int, T) error {
-	return func(_ int, r T) error {
-		*rows = append(*rows, r)
-		return nil
-	}
-}
-
-// A study is one simulation sweep. The experiments rendering it sit
-// next to each other in the table and share one run of it, timed from
-// its first experiment to its last.
-type study struct {
-	// ckpt is the -checkpoint file suffix: PATH.<ckpt> ("" = none).
-	ckpt string
-	// timing formats the wall-clock line after its last experiment
-	// ("" = none).
-	timing string
-	// optIn studies go beyond the paper and run only when -only names
-	// them.
-	optIn bool
-	// last studies end a run: the FAILED manifest prints before their
-	// timing line instead of after it.
-	last bool
-	run  func(*session) error
-}
-
-var (
-	characterization = &study{run: func(s *session) error {
-		rows, err := specdsm.Characterize(s.cfg)
-		for _, r := range rows {
-			s.note(r.Failed != "", "characterize %s: %s", r.App, r.Failed)
-		}
-		s.chars = rows
-		return err
-	}}
-	rtlSweep = &study{ckpt: "rtl", timing: "[rtl sweep: %v]\n", optIn: true, last: true, run: func(s *session) error {
-		wp := specdsm.WorkloadParams{Nodes: s.cfg.Nodes, Scale: s.cfg.Scale, Seed: s.cfg.Seed, Iterations: s.cfg.Iterations}
-		err := specdsm.RTLSweepStream(s.cfg, "em3d", wp, nil, collect(&s.rtl))
-		for _, p := range s.rtl {
-			s.note(p.Failed != "", "rtl flight %d: %s", p.Flight, p.Failed)
-		}
-		return err
-	}}
-	nodeScaling = &study{ckpt: "scaling", timing: "[scaling study: %v]\n", optIn: true, last: true, run: func(s *session) error {
-		err := specdsm.NodeScalingStudyStream(s.cfg, nil, collect(&s.scaling))
-		for _, r := range s.scaling {
-			s.note(r.Failed != "", "scaling %s @ %d nodes: %s", r.App, r.Nodes, r.Failed)
-		}
-		return err
-	}}
-	predictor = &study{ckpt: "predictor", timing: "[predictor study: %v]\n\n", run: func(s *session) error {
-		err := specdsm.PredictorStudyStream(s.cfg, collect(&s.pred))
-		for _, r := range s.pred {
-			s.note(r.Failed != "", "predictor %s: %s", r.App, r.Failed)
-		}
-		return err
-	}}
-	speculation = &study{ckpt: "speculation", timing: "[speculation study: %v]\n", run: func(s *session) error {
-		err := specdsm.SpeculationStudyStream(s.cfg, collect(&s.spec))
-		for _, r := range s.spec {
-			s.note(r.Failed != "", "speculation %s: %s", r.App, r.Failed)
-		}
-		return err
-	}}
-	seedAggregate = &study{ckpt: "seeds", timing: "[multi-seed study: %v]\n", last: true, run: func(s *session) (err error) {
-		s.agg, err = specdsm.SpeculationStudySeeds(s.cfg, s.seeds)
-		for _, a := range s.agg {
-			s.note(a.Failed > 0, "seeds %s: %d (seed, app) cell(s) failed", a.App, a.Failed)
-		}
-		return err
-	}}
-)
-
-// An experiment is one -only value: a table or figure and the study it
-// renders (nil for the ones that simulate nothing).
-type experiment struct {
-	name   string
-	study  *study
-	render func(*session) string
-}
-
-// experiments lists every experiment in print order.
-var experiments = []experiment{
-	{"table1", nil, func(*session) string { return specdsm.RenderTable1() }},
-	{"table2", nil, func(*session) string { return specdsm.RenderTable2() }},
-	{"characterize", characterization, func(s *session) string { return specdsm.RenderCharacterization(s.chars) }},
-	{"fig6", nil, func(*session) string { return specdsm.RenderFigure6() }},
-	{"rtl", rtlSweep, func(s *session) string { return specdsm.RenderRTLSweep("em3d", s.rtl) }},
-	{"scaling", nodeScaling, func(s *session) string { return specdsm.RenderNodeScaling(s.scaling) }},
-	{"fig7", predictor, func(s *session) string { return specdsm.RenderFigure7(specdsm.Figure7(s.pred)) }},
-	{"fig8", predictor, func(s *session) string { return specdsm.RenderFigure8(specdsm.Figure8(s.pred, nil)) }},
-	{"table3", predictor, func(s *session) string { return specdsm.RenderTable3(specdsm.Table3(s.pred)) }},
-	{"table4", predictor, func(s *session) string { return specdsm.RenderTable4(specdsm.Table4(s.pred)) }},
-	{"fig9", speculation, func(s *session) string { return specdsm.RenderFigure9(specdsm.Figure9(s.spec)) }},
-	{"table5", speculation, func(s *session) string { return specdsm.RenderTable5(specdsm.Table5(s.spec)) }},
-}
-
-// fig9Seeds is Figure 9 under -seeds: mean and spread across the seeds.
-var fig9Seeds = experiment{"fig9", seedAggregate, func(s *session) string {
-	return specdsm.RenderFigure9Aggregate(s.agg)
-}}
-
-func experimentNames() []string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
-		names[i] = e.name
-	}
-	return names
-}
-
-// checkpointFiles lists the suffixes of the files -checkpoint writes.
-func checkpointFiles() []string {
-	var files []string
-	for _, e := range append(experiments, fig9Seeds) {
-		if e.study != nil && e.study.ckpt != "" && !slices.Contains(files, e.study.ckpt) {
-			files = append(files, e.study.ckpt)
-		}
-	}
-	return files
-}
-
-// plan lists the experiments the run prints, in order: the one -only
-// names, or every one of the paper's. With -seeds, Figure 9 is the seed
-// aggregate, and the other experiments on the single-seed predictor and
-// speculation studies do not run.
-func (o options) plan() []experiment {
-	var plan []experiment
-	for _, e := range experiments {
-		optIn := e.study != nil && e.study.optIn
-		switch {
-		case o.Only != "" && e.name != o.Only, o.Only == "" && optIn:
-		case len(o.Seeds) > 0 && (e.study == predictor || e.study == speculation):
-			if e.name == fig9Seeds.name {
-				plan = append(plan, fig9Seeds)
-			}
-		default:
+// plan lists the experiments the run prints, in table order: the one
+// -only names, or every one of the paper's, as a single- or multi-seed
+// run prints them.
+func (o options) plan() []specdsm.Experiment {
+	var plan []specdsm.Experiment
+	for _, e := range specdsm.Experiments() {
+		if (o.Only == "" && !e.OptIn || e.Name == o.Only) && e.Prints(len(o.Seeds) > 0) {
 			plan = append(plan, e)
 		}
 	}
@@ -288,15 +124,15 @@ func (o options) plan() []experiment {
 }
 
 func run(o options, out io.Writer) error {
-	s := &session{cfg: o.Cfg, seeds: o.Seeds}
+	cfg := o.Cfg
 	if o.Progress {
 		// Per-simulation completion lines with ETA on stderr (stdout
 		// carries only the reproduced tables/figures, byte-identical
 		// either way).
-		s.cfg.Progress = slog.New(slog.NewTextHandler(os.Stderr, nil))
+		cfg.Progress = slog.New(slog.NewTextHandler(os.Stderr, nil))
 		// With a shard fleet, surface its lifecycle (connects, deaths,
 		// reconnects, degradation) on stderr too.
-		s.cfg.RemoteLogf = func(format string, args ...any) {
+		cfg.RemoteLogf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "paperrepro: remote: "+format+"\n", args...)
 		}
 	}
@@ -305,8 +141,8 @@ func run(o options, out io.Writer) error {
 		// `make check`: die mid-sweep exactly where asked, leaving
 		// whatever the checkpoint cadence has flushed so far.
 		var done atomic.Int64
-		user := s.cfg.OnJobDone
-		s.cfg.OnJobDone = func(i int, d time.Duration) {
+		user := cfg.OnJobDone
+		cfg.OnJobDone = func(i int, d time.Duration) {
 			if user != nil {
 				user(i, d)
 			}
@@ -316,26 +152,51 @@ func run(o options, out io.Writer) error {
 			}
 		}
 	}
+	// Experiments on one study share one run of it, timed from its first
+	// experiment to its last. failed collects the keep-going failures
+	// for the manifest that ends the run.
 	plan := o.plan()
-	var start time.Time
+	var (
+		rows   specdsm.Rows
+		failed []string
+		start  time.Time
+	)
 	for i, e := range plan {
-		st := e.study
-		if st != nil && (i == 0 || plan[i-1].study != st) {
+		if e.Study == "" || i == 0 || plan[i-1].Study != e.Study {
 			start = time.Now()
-			if err := st.run(s); err != nil {
+			var err error
+			if rows, err = e.Run(cfg, o.Seeds); err != nil {
 				return err
 			}
+			failed = append(failed, rows.Failed...)
 		}
-		fmt.Fprintln(out, e.render(s))
-		if st == nil || st.timing == "" || i+1 < len(plan) && plan[i+1].study == st {
+		if err := e.Render(out, rows); err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+		if e.Timing == "" || i+1 < len(plan) && plan[i+1].Study == e.Study {
 			continue
 		}
-		if st.last {
-			s.manifest(out)
-			s.failed = nil
+		// An opt-in study and the seed aggregate print alone or last, and
+		// list the run's failures before their timing line.
+		if e.OptIn || !e.Prints(false) {
+			manifest(out, failed)
+			failed = nil
 		}
-		fmt.Fprintf(out, st.timing, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, e.Timing, time.Since(start).Round(time.Millisecond))
 	}
-	s.manifest(out)
+	manifest(out, failed)
 	return nil
+}
+
+// manifest lists the keep-going failures, so a long run ends with an
+// explicit list of what did not complete.
+func manifest(out io.Writer, failed []string) {
+	if len(failed) == 0 {
+		return
+	}
+	fmt.Fprintf(out, "FAILED jobs (%d, kept going):\n", len(failed))
+	for _, f := range failed {
+		fmt.Fprintf(out, "  %s\n", f)
+	}
 }

@@ -13,8 +13,17 @@
 //	swi, _ := specdsm.Run(w, specdsm.MachineOptions{Mode: specdsm.ModeSWI})
 //	fmt.Printf("speedup %.2f\n", float64(base.Cycles)/float64(swi.Cycles))
 //
-// The experiment drivers (PredictorStudyStream, SpeculationStudyStream,
-// and the seeds, node-scaling and rtl sweeps) and table builders
-// (Figure7 ... Table5) regenerate every figure and table of the paper's
-// evaluation; cmd/paperrepro wires them to the command line.
+// Experiments is the paper's evaluation as data: one ordered table of
+// artifacts (Tables 1-5, Figures 6-9 and the beyond-paper studies),
+// each naming the study it renders. An artifact comes from a Run of its
+// study and a Render of the rows:
+//
+//	for _, e := range specdsm.Experiments() {
+//		if e.Name == "fig7" {
+//			rows, _ := e.Run(specdsm.StudyConfig{}, nil)
+//			e.Render(os.Stdout, rows)
+//		}
+//	}
+//
+// cmd/paperrepro prints the whole table from the command line.
 package specdsm

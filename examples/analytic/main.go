@@ -8,13 +8,21 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"specdsm"
 )
 
 func main() {
-	// Reproduce Figure 6 as ASCII charts.
-	fmt.Print(specdsm.RenderFigure6())
+	// Reproduce Figure 6 as ASCII charts, through the experiment table
+	// that paperrepro prints from. The analytic model needs no study run.
+	for _, e := range specdsm.Experiments() {
+		if e.Name == "fig6" {
+			if err := e.Render(os.Stdout, specdsm.Rows{}); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
 
 	// Spot-check the model: a fully communication-bound application with
 	// perfect prediction approaches rtl-fold communication speedup.

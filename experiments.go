@@ -44,9 +44,9 @@ type StudyConfig struct {
 	// OnJobDone and, like it, never affects study results.
 	Progress *slog.Logger
 	// CheckpointPath, when non-empty, streams every simulating study
-	// through a crash-safe on-disk checkpoint at <path>.<study>
-	// (ck.predictor, ck.speculation, ck.seeds, ck.scaling, ck.rtl or
-	// ck.sweep): every settled simulation — one *RunResult, or a
+	// through a crash-safe on-disk checkpoint at <path>.<study>, where
+	// study is the Experiment.Study of the artifacts it feeds ("sweep"
+	// for RunSweepStream): every settled simulation — one *RunResult, or a
 	// keep-going failure — is appended periodically and synced, so an
 	// interrupted sweep can be resumed instead of restarted. See
 	// internal/sweep for the file format.
@@ -236,7 +236,7 @@ func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) e
 			opts.Observers = append(opts.Observers, PredictorConfig{Kind: kind, Depth: d})
 		}
 	}
-	return streamStudy(cfg, cfg.spec("predictor", opts), func(i int, runs []*RunResult, failed string) error {
+	return streamStudy(cfg, cfg.spec(predictorStudy, opts), func(i int, runs []*RunResult, failed string) error {
 		ap := AppPrediction{App: apps[i], Failed: failed}
 		if failed == "" {
 			r := runs[0]
@@ -250,8 +250,8 @@ func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) e
 	})
 }
 
-// AppSpeculation holds the Base/FR/SWI runs for one application (§7.4).
-type AppSpeculation struct {
+// appSpeculation holds the Base/FR/SWI runs for one application (§7.4).
+type appSpeculation struct {
 	App  string
 	Base *RunResult
 	FR   *RunResult
@@ -267,20 +267,20 @@ type AppSpeculation struct {
 // specModes is the mode column order of §7.4's comparison.
 var specModes = []Mode{ModeBase, ModeFR, ModeSWI}
 
-// SpeculationStudyStream runs every application under Base-DSM, FR-DSM,
+// speculationStudyStream runs every application under Base-DSM, FR-DSM,
 // and SWI-DSM (VMSP depth 1 active, as in the paper) and streams each
 // application's assembled row, in cfg.Apps order, to emit. The
 // len(Apps)×3 simulations fan out as individual jobs across the
 // cfg.Parallel-wide worker pool (one run arena per worker) and are
 // merged back mode-major; checkpointing operates at single-simulation
 // granularity, so a resume re-runs only the missing mode runs.
-func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation) error) error {
+func speculationStudyStream(cfg StudyConfig, emit func(i int, row appSpeculation) error) error {
 	cfg = cfg.withDefaults()
-	rs := cfg.spec("speculation", MachineOptions{DisableChecks: cfg.DisableChecks})
+	rs := cfg.spec(speculationStudy, MachineOptions{DisableChecks: cfg.DisableChecks})
 	rs.Modes = specModes
 	apps := cfg.Apps
 	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
-		row := AppSpeculation{App: apps[i], Failed: failed}
+		row := appSpeculation{App: apps[i], Failed: failed}
 		if failed == "" {
 			row.Base, row.FR, row.SWI = runs[0], runs[1], runs[2]
 		}
@@ -417,10 +417,10 @@ func Table4(study []AppPrediction) []Table4Row {
 	return out
 }
 
-// Figure9Row is one application of Figure 9: execution time normalized to
+// figure9Row is one application of Figure 9: execution time normalized to
 // Base-DSM, split into computation (incl. synchronization) and remote
 // request waiting.
-type Figure9Row struct {
+type figure9Row struct {
 	App string
 	// Each pair is (computation%, request%) of Base-DSM's execution time.
 	Base [2]float64
@@ -431,7 +431,7 @@ type Figure9Row struct {
 }
 
 // Total returns computation+request for the given mode column.
-func (r Figure9Row) Total(mode Mode) float64 {
+func (r figure9Row) Total(mode Mode) float64 {
 	switch mode {
 	case ModeFR:
 		return r.FR[0] + r.FR[1]
@@ -442,12 +442,12 @@ func (r Figure9Row) Total(mode Mode) float64 {
 	}
 }
 
-// Figure9 derives the Figure 9 data from a speculation study.
-func Figure9(study []AppSpeculation) []Figure9Row {
-	var out []Figure9Row
+// figure9 derives the Figure 9 data from a speculation study.
+func figure9(study []appSpeculation) []figure9Row {
+	var out []figure9Row
 	for _, as := range study {
 		if as.Failed != "" {
-			out = append(out, Figure9Row{App: as.App, Failed: as.Failed})
+			out = append(out, figure9Row{App: as.App, Failed: as.Failed})
 			continue
 		}
 		base := float64(as.Base.Cycles)
@@ -456,7 +456,7 @@ func Figure9(study []AppSpeculation) []Figure9Row {
 			share := r.RequestShare()
 			return [2]float64{total * (1 - share), total * share}
 		}
-		out = append(out, Figure9Row{
+		out = append(out, figure9Row{
 			App:  as.App,
 			Base: split(as.Base),
 			FR:   split(as.FR),
@@ -466,9 +466,9 @@ func Figure9(study []AppSpeculation) []Figure9Row {
 	return out
 }
 
-// Table5Row reports request counts and speculation/misspeculation
+// table5Row reports request counts and speculation/misspeculation
 // frequencies, as percentages of the Base-DSM request counts.
-type Table5Row struct {
+type table5Row struct {
 	App        string
 	BaseReads  uint64
 	BaseWrites uint64 // writes + upgrades
@@ -486,18 +486,18 @@ type Table5Row struct {
 	Failed string
 }
 
-// Table5 derives the Table 5 data from a speculation study.
-func Table5(study []AppSpeculation) []Table5Row {
+// table5 derives the Table 5 data from a speculation study.
+func table5(study []appSpeculation) []table5Row {
 	pct := func(n uint64, d uint64) float64 {
 		if d == 0 {
 			return 0
 		}
 		return float64(n) / float64(d) * 100
 	}
-	var out []Table5Row
+	var out []table5Row
 	for _, as := range study {
 		if as.Failed != "" {
-			out = append(out, Table5Row{App: as.App, Failed: as.Failed})
+			out = append(out, table5Row{App: as.App, Failed: as.Failed})
 			continue
 		}
 		reads := as.Base.Reads
@@ -515,7 +515,7 @@ func Table5(study []AppSpeculation) []Table5Row {
 			frMiss = unused * frSent / tot
 			swiMiss = unused - frMiss
 		}
-		out = append(out, Table5Row{
+		out = append(out, table5Row{
 			App:          as.App,
 			BaseReads:    reads,
 			BaseWrites:   writes,
@@ -540,32 +540,6 @@ func AnalyticSpeedup(p AnalyticParams) float64 { return analytic.Speedup(p) }
 
 // AnalyticCommSpeedup evaluates Equation 1 of the paper.
 func AnalyticCommSpeedup(p AnalyticParams) float64 { return analytic.CommSpeedup(p) }
-
-// AnalyticSeries is one Figure 6 curve.
-type AnalyticSeries struct {
-	Label string
-	C     []float64
-	Y     []float64
-}
-
-// Figure6Panel names one of the four Figure 6 panels.
-type Figure6Panel struct {
-	Title  string
-	Series []AnalyticSeries
-}
-
-// Figure6 generates all four panels of Figure 6.
-func Figure6() []Figure6Panel {
-	var out []Figure6Panel
-	for _, p := range analytic.Panels() {
-		panel := Figure6Panel{Title: p.String()}
-		for _, s := range analytic.Figure6(p) {
-			panel.Series = append(panel.Series, AnalyticSeries{Label: s.Label, C: s.C, Y: s.Y})
-		}
-		out = append(out, panel)
-	}
-	return out
-}
 
 // Validate sanity-checks a study config early.
 func (c StudyConfig) Validate() error {

@@ -1,4 +1,4 @@
-package specdsm_test
+package specdsm
 
 // Study-level failure-model tests: injected transient faults plus a
 // retry budget must leave study output byte-identical to a clean run,
@@ -10,12 +10,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"specdsm"
 )
 
-func faultCfg() specdsm.StudyConfig {
-	return specdsm.StudyConfig{
+func faultCfg() StudyConfig {
+	return StudyConfig{
 		Apps:  []string{"em3d", "moldyn", "tomcatv"},
 		Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11,
 	}
@@ -26,7 +24,7 @@ func faultCfg() specdsm.StudyConfig {
 // faults and delays, given a retry budget, produces results deep-equal
 // to a fault-free run, sequentially and in parallel.
 func TestStudyTransientFaultInvariance(t *testing.T) {
-	clean, err := collect(faultCfg(), specdsm.PredictorStudyStream)
+	clean, err := collectRows(faultCfg(), PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +33,7 @@ func TestStudyTransientFaultInvariance(t *testing.T) {
 		cfg.Parallel = parallel
 		cfg.FaultSpec = "seed=7,transient=0.4,delay=0.5,delaymax=16"
 		cfg.Retries = 8
-		faulty, err := collect(cfg, specdsm.PredictorStudyStream)
+		faulty, err := collectRows(cfg, PredictorStudyStream)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -52,13 +50,13 @@ func TestStudyTransientFaultInvariance(t *testing.T) {
 // plus renderers pass the failure through instead of dereferencing
 // missing runs.
 func TestStudyKeepGoingFailedRows(t *testing.T) {
-	var ref []specdsm.AppSpeculation
+	var ref []appSpeculation
 	for _, parallel := range []int{1, 8} {
 		cfg := faultCfg()
 		cfg.Parallel = parallel
 		cfg.FaultSpec = "seed=3,panic=1"
 		cfg.KeepGoing = true
-		rows, err := collect(cfg, specdsm.SpeculationStudyStream)
+		rows, err := collectRows(cfg, speculationStudyStream)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -83,19 +81,19 @@ func TestStudyKeepGoingFailedRows(t *testing.T) {
 		}
 	}
 
-	fig9 := specdsm.Figure9(ref)
-	tab5 := specdsm.Table5(ref)
+	fig9 := figure9(ref)
+	tab5 := table5(ref)
 	for i := range ref {
 		if fig9[i].Failed == "" || tab5[i].Failed == "" {
 			t.Fatalf("derivations dropped the failure marker: %+v / %+v", fig9[i], tab5[i])
 		}
 	}
-	for _, text := range []string{specdsm.RenderFigure9(fig9), specdsm.RenderTable5(tab5)} {
+	for _, text := range []string{renderFigure9(fig9), renderTable5(tab5)} {
 		if !strings.Contains(text, "FAILED") {
 			t.Fatalf("renderer hides FAILED rows:\n%s", text)
 		}
 	}
-	if !strings.Contains(specdsm.RenderFigure9(fig9), "unavailable") {
+	if !strings.Contains(renderFigure9(fig9), "unavailable") {
 		t.Fatal("all-failed Figure 9 should report the mean as unavailable")
 	}
 }
@@ -104,7 +102,7 @@ func TestStudyKeepGoingFailedRows(t *testing.T) {
 // (fatal, not retryable) and checks the survivors are untouched: their
 // rows match a clean run of the same configuration.
 func TestStudyKeepGoingPartialFailure(t *testing.T) {
-	clean, err := collect(faultCfg(), specdsm.PredictorStudyStream)
+	clean, err := collectRows(faultCfg(), PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestStudyKeepGoingPartialFailure(t *testing.T) {
 		cfg := faultCfg()
 		cfg.KeepGoing = true
 		cfg.FaultSpec = fmt.Sprintf("seed=%d,panic=0.5", seed)
-		rows, err := collect(cfg, specdsm.PredictorStudyStream)
+		rows, err := collectRows(cfg, PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package specdsm_test
+package specdsm
 
 // Determinism goldens: the simulator is bit-reproducible, so exact cycle
 // counts for fixed (app, scale, seed, mode) are pinned here. A failure
@@ -9,19 +9,17 @@ package specdsm_test
 import (
 	"reflect"
 	"testing"
-
-	"specdsm"
 )
 
-func goldenRun(t *testing.T, app string, mode specdsm.Mode) int64 {
+func goldenRun(t *testing.T, app string, mode Mode) int64 {
 	t.Helper()
-	w, err := specdsm.AppWorkload(app, specdsm.WorkloadParams{
+	w, err := AppWorkload(app, WorkloadParams{
 		Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := specdsm.Run(w, specdsm.MachineOptions{Mode: mode})
+	r, err := Run(w, MachineOptions{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +27,12 @@ func goldenRun(t *testing.T, app string, mode specdsm.Mode) int64 {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	for _, app := range specdsm.AppNames() {
+	for _, app := range AppNames() {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			a := goldenRun(t, app, specdsm.ModeSWI)
-			b := goldenRun(t, app, specdsm.ModeSWI)
+			a := goldenRun(t, app, ModeSWI)
+			b := goldenRun(t, app, ModeSWI)
 			if a != b {
 				t.Fatalf("nondeterministic: %d vs %d cycles", a, b)
 			}
@@ -50,7 +48,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestStudiesParallelInvariant(t *testing.T) {
 	for _, seed := range []int64{11, 23} {
 		seed := seed
-		cfg := specdsm.StudyConfig{
+		cfg := StudyConfig{
 			Apps:       []string{"em3d", "moldyn", "tomcatv"},
 			Nodes:      8,
 			Iterations: 3,
@@ -60,11 +58,11 @@ func TestStudiesParallelInvariant(t *testing.T) {
 		seq, par := cfg, cfg
 		seq.Parallel, par.Parallel = 1, 8
 
-		p1, err := collect(seq, specdsm.PredictorStudyStream)
+		p1, err := collectRows(seq, PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p8, err := collect(par, specdsm.PredictorStudyStream)
+		p8, err := collectRows(par, PredictorStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,16 +70,16 @@ func TestStudiesParallelInvariant(t *testing.T) {
 			t.Fatalf("seed %d: PredictorStudyStream diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, p1, p8)
 		}
 
-		s1, err := collect(seq, specdsm.SpeculationStudyStream)
+		s1, err := collectRows(seq, speculationStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s8, err := collect(par, specdsm.SpeculationStudyStream)
+		s8, err := collectRows(par, speculationStudyStream)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(s1, s8) {
-			t.Fatalf("seed %d: SpeculationStudyStream diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, s1, s8)
+			t.Fatalf("seed %d: speculationStudyStream diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, s1, s8)
 		}
 	}
 }
@@ -92,17 +90,17 @@ func TestAggregatesParallelInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregate sweeps are slow for -short")
 	}
-	cfg := specdsm.StudyConfig{
+	cfg := StudyConfig{
 		Apps: []string{"em3d", "tomcatv"}, Nodes: 8, Iterations: 3, Scale: 0.25,
 		DisableChecks: true,
 	}
 	seq, par := cfg, cfg
 	seq.Parallel, par.Parallel = 1, 8
-	a1, err := specdsm.SpeculationStudySeeds(seq, []int64{11, 23})
+	a1, err := SpeculationStudySeeds(seq, []int64{11, 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := specdsm.SpeculationStudySeeds(par, []int64{11, 23})
+	a8, err := SpeculationStudySeeds(par, []int64{11, 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,28 +108,28 @@ func TestAggregatesParallelInvariant(t *testing.T) {
 		t.Fatalf("SpeculationStudySeeds diverged:\n%+v\nvs\n%+v", a1, a8)
 	}
 
-	wp := specdsm.WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11}
-	r1, err := rtlPoints(specdsm.StudyConfig{Parallel: 1}, "em3d", wp, []int{20, 200})
+	wp := WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11}
+	r1, err := rtlPoints(StudyConfig{Parallel: 1}, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := rtlPoints(specdsm.StudyConfig{Parallel: 8}, "em3d", wp, []int{20, 200})
+	r8, err := rtlPoints(StudyConfig{Parallel: 8}, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r8) {
-		t.Fatalf("RTLSweepStream diverged:\n%+v\nvs\n%+v", r1, r8)
+		t.Fatalf("rtlSweepStream diverged:\n%+v\nvs\n%+v", r1, r8)
 	}
 }
 
 func TestSeedChangesOutcome(t *testing.T) {
-	w1, _ := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 1})
-	w2, _ := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 2})
-	r1, err := specdsm.Run(w1, specdsm.MachineOptions{})
+	w1, _ := AppWorkload("em3d", WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 1})
+	w2, _ := AppWorkload("em3d", WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 2})
+	r1, err := Run(w1, MachineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := specdsm.Run(w2, specdsm.MachineOptions{})
+	r2, err := Run(w2, MachineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package specdsm_test
+package specdsm
 
 import (
 	"context"
@@ -7,12 +7,11 @@ import (
 	"reflect"
 	"testing"
 
-	"specdsm"
 	"specdsm/internal/remote"
 )
 
 // startWorkers spins up n in-process sweepd-equivalent workers (a
-// remote.Server wired to specdsm.NewRemoteRunner, exactly what
+// remote.Server wired to NewRemoteRunner, exactly what
 // cmd/sweepd serves) and returns their addresses.
 func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
@@ -24,15 +23,15 @@ func startWorkers(t *testing.T, n int) []string {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
-		srv := &remote.Server{NewRunner: specdsm.NewRemoteRunner}
+		srv := &remote.Server{NewRunner: NewRemoteRunner}
 		go srv.Serve(ctx, lis)
 		hosts = append(hosts, lis.Addr().String())
 	}
 	return hosts
 }
 
-func equivCfg() specdsm.StudyConfig {
-	return specdsm.StudyConfig{
+func equivCfg() StudyConfig {
+	return StudyConfig{
 		Apps:     []string{"em3d", "moldyn"},
 		Scale:    0.1,
 		Depths:   []int{1},
@@ -48,31 +47,31 @@ func rows[T any](r []T, err error) (any, error) { return r, err }
 // rows a 2-shard fleet delivers deep-equal a local Parallel: 1 run's.
 func TestRemoteStudiesMatchLocal(t *testing.T) {
 	hosts := startWorkers(t, 2)
-	wp := specdsm.WorkloadParams{Nodes: 8, Scale: 0.1, Seed: 3}
+	wp := WorkloadParams{Nodes: 8, Scale: 0.1, Seed: 3}
 	studies := []struct {
 		name string
-		run  func(specdsm.StudyConfig) (any, error)
+		run  func(StudyConfig) (any, error)
 	}{
-		{"predictor", func(cfg specdsm.StudyConfig) (any, error) {
-			return rows(collect(cfg, specdsm.PredictorStudyStream))
+		{"predictor", func(cfg StudyConfig) (any, error) {
+			return rows(collectRows(cfg, PredictorStudyStream))
 		}},
-		{"speculation", func(cfg specdsm.StudyConfig) (any, error) {
-			return rows(collect(cfg, specdsm.SpeculationStudyStream))
+		{"speculation", func(cfg StudyConfig) (any, error) {
+			return rows(collectRows(cfg, speculationStudyStream))
 		}},
-		{"seeds", func(cfg specdsm.StudyConfig) (any, error) {
-			return rows(specdsm.SpeculationStudySeeds(cfg, []int64{2, 5}))
+		{"seeds", func(cfg StudyConfig) (any, error) {
+			return rows(SpeculationStudySeeds(cfg, []int64{2, 5}))
 		}},
-		{"scaling", func(cfg specdsm.StudyConfig) (any, error) {
-			return rows(collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, specdsm.NodeScaling) error) error {
-				return specdsm.NodeScalingStudyStream(cfg, []int{4, 8}, emit)
+		{"scaling", func(cfg StudyConfig) (any, error) {
+			return rows(collectRows(cfg, func(cfg StudyConfig, emit func(int, nodeScaling) error) error {
+				return nodeScalingStudyStream(cfg, []int{4, 8}, emit)
 			}))
 		}},
-		{"rtl", func(cfg specdsm.StudyConfig) (any, error) {
+		{"rtl", func(cfg StudyConfig) (any, error) {
 			return rows(rtlPoints(cfg, "em3d", wp, []int{20, 200}))
 		}},
-		{"sweep", func(cfg specdsm.StudyConfig) (any, error) {
-			return rows(collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, *specdsm.RunResult) error) error {
-				return specdsm.RunSweepStream(cfg, specdsm.MachineOptions{Mode: specdsm.ModeFR}, emit, nil)
+		{"sweep", func(cfg StudyConfig) (any, error) {
+			return rows(collectRows(cfg, func(cfg StudyConfig, emit func(int, *RunResult) error) error {
+				return RunSweepStream(cfg, MachineOptions{Mode: ModeFR}, emit, nil)
 			}))
 		}},
 	}
@@ -104,13 +103,13 @@ func TestRemoteStudiesMatchLocal(t *testing.T) {
 func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 	type event struct {
 		I    int
-		Row  *specdsm.RunResult
+		Row  *RunResult
 		Fail string
 	}
-	run := func(cfg specdsm.StudyConfig) []event {
+	run := func(cfg StudyConfig) []event {
 		var events []event
-		err := specdsm.RunSweepStream(cfg, specdsm.MachineOptions{Mode: specdsm.ModeSWI},
-			func(i int, r *specdsm.RunResult) error {
+		err := RunSweepStream(cfg, MachineOptions{Mode: ModeSWI},
+			func(i int, r *RunResult) error {
 				events = append(events, event{I: i, Row: r})
 				return nil
 			},
@@ -152,9 +151,9 @@ func TestRemoteSweepKeepGoingMatchesLocal(t *testing.T) {
 // the stitched row sequence against an uninterrupted local run — the
 // dispatcher-restart leg of the determinism contract.
 func TestRemoteCheckpointResumeMatchesLocal(t *testing.T) {
-	run := func(cfg specdsm.StudyConfig, stopAfter int) ([]specdsm.NodeScaling, error) {
-		var rows []specdsm.NodeScaling
-		err := specdsm.NodeScalingStudyStream(cfg, []int{4, 8}, func(_ int, row specdsm.NodeScaling) error {
+	run := func(cfg StudyConfig, stopAfter int) ([]nodeScaling, error) {
+		var rows []nodeScaling
+		err := nodeScalingStudyStream(cfg, []int{4, 8}, func(_ int, row nodeScaling) error {
 			rows = append(rows, row)
 			if stopAfter > 0 && len(rows) == stopAfter {
 				return errAbort

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"strings"
 
+	"specdsm/internal/analytic"
 	"specdsm/internal/report"
 )
 
 // This file renders experiment results in the layout of the paper's
 // tables and figures. Every Render* function returns printable text.
 
-// RenderTable1 prints the system configuration (Table 1).
-func RenderTable1() string {
+// renderTable1 prints the system configuration (Table 1).
+func renderTable1() string {
 	t := report.NewTable("Table 1: system configuration parameters",
 		"Parameter", "Value")
 	t.AddRow("Number of nodes", "16")
@@ -25,8 +26,8 @@ func RenderTable1() string {
 	return t.String()
 }
 
-// RenderTable2 prints the application roster (Table 2).
-func RenderTable2() string {
+// renderTable2 prints the application roster (Table 2).
+func renderTable2() string {
 	t := report.NewTable("Table 2: applications and input data sets",
 		"Application", "Paper input", "Paper iters", "Reproduction")
 	for _, a := range AppInfos() {
@@ -36,13 +37,13 @@ func RenderTable2() string {
 	return t.String()
 }
 
-// RenderFigure6 prints the four analytic-model panels as ASCII charts.
-func RenderFigure6() string {
+// renderFigure6 prints the four analytic-model panels as ASCII charts.
+func renderFigure6() string {
 	var b strings.Builder
 	b.WriteString("Figure 6: potential speedup in a speculative coherent DSM (Equations 1-2)\n\n")
-	for _, panel := range Figure6() {
-		c := report.NewLineChart(panel.Title, "communication ratio c", "speedup", 64, 16, 4)
-		for _, s := range panel.Series {
+	for _, panel := range analytic.Panels() {
+		c := report.NewLineChart(panel.String(), "communication ratio c", "speedup", 64, 16, 4)
+		for _, s := range analytic.Figure6(panel) {
 			c.AddSeries(s.Label, s.C, s.Y)
 		}
 		b.WriteString(c.String())
@@ -140,8 +141,8 @@ func RenderTable4(rows []Table4Row) string {
 	return t.String()
 }
 
-// RenderFigure9 prints normalized execution-time breakdowns.
-func RenderFigure9(rows []Figure9Row) string {
+// renderFigure9 prints normalized execution-time breakdowns.
+func renderFigure9(rows []figure9Row) string {
 	t := report.NewTable("Figure 9: execution time normalized to Base-DSM (computation + request wait)",
 		"Application", "Base", "FR-DSM", "SWI-DSM")
 	cell := func(p [2]float64) string {
@@ -183,8 +184,8 @@ func RenderFigure9(rows []Figure9Row) string {
 	return t.String() + "\n" + c.String() + "\n" + summary
 }
 
-// RenderTable5 prints speculation frequencies.
-func RenderTable5(rows []Table5Row) string {
+// renderTable5 prints speculation frequencies.
+func renderTable5(rows []table5Row) string {
 	t := report.NewTable("Table 5: frequency of requests, speculations, and misspeculations",
 		"Application", "reads", "writes",
 		"FR-DSM read sent/miss %",

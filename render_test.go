@@ -1,41 +1,39 @@
-package specdsm_test
+package specdsm
 
 import (
 	"strings"
 	"testing"
-
-	"specdsm"
 )
 
 func TestRenderFigure8(t *testing.T) {
-	rows := []specdsm.Figure8Row{{
+	rows := []Figure8Row{{
 		App:    "appbt",
 		Depths: []int{1, 2, 4},
-		Accuracy: map[specdsm.PredictorKind][]float64{
-			specdsm.Cosmos: {0.9, 0.95, 1.0},
-			specdsm.MSP:    {0.92, 0.96, 1.0},
-			specdsm.VMSP:   {0.92, 1.0, 1.0},
+		Accuracy: map[PredictorKind][]float64{
+			Cosmos: {0.9, 0.95, 1.0},
+			MSP:    {0.92, 0.96, 1.0},
+			VMSP:   {0.92, 1.0, 1.0},
 		},
 	}}
-	out := specdsm.RenderFigure8(rows)
+	out := RenderFigure8(rows)
 	for _, want := range []string{"appbt", "d=1", "d=2", "d=4", "VMSP", "100.0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if specdsm.RenderFigure8(nil) != "" {
+	if RenderFigure8(nil) != "" {
 		t.Error("empty rows should render empty")
 	}
 }
 
 func TestRenderTable4(t *testing.T) {
-	rows := []specdsm.Table4Row{{
+	rows := []Table4Row{{
 		App:   "barnes",
-		PTE1:  map[specdsm.PredictorKind]float64{specdsm.Cosmos: 11, specdsm.MSP: 7, specdsm.VMSP: 5},
-		PTE4:  map[specdsm.PredictorKind]float64{specdsm.Cosmos: 42, specdsm.MSP: 25, specdsm.VMSP: 12},
-		Bytes: map[specdsm.PredictorKind]float64{specdsm.Cosmos: 21, specdsm.MSP: 11, specdsm.VMSP: 18},
+		PTE1:  map[PredictorKind]float64{Cosmos: 11, MSP: 7, VMSP: 5},
+		PTE4:  map[PredictorKind]float64{Cosmos: 42, MSP: 25, VMSP: 12},
+		Bytes: map[PredictorKind]float64{Cosmos: 21, MSP: 11, VMSP: 18},
 	}}
-	out := specdsm.RenderTable4(rows)
+	out := RenderTable4(rows)
 	for _, want := range []string{"barnes", "42.0", "pte", "ovh"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -44,30 +42,30 @@ func TestRenderTable4(t *testing.T) {
 }
 
 func TestRenderFigure9AndTable5(t *testing.T) {
-	f9 := []specdsm.Figure9Row{{
+	f9 := []figure9Row{{
 		App:  "em3d",
 		Base: [2]float64{62, 38},
 		FR:   [2]float64{53, 31},
 		SWI:  [2]float64{54, 16.5},
 	}}
-	out := specdsm.RenderFigure9(f9)
+	out := renderFigure9(f9)
 	for _, want := range []string{"em3d", "Base", "FR", "SWI", "mean execution time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure 9 missing %q", want)
 		}
 	}
-	if f9[0].Total(specdsm.ModeSWI) != 70.5 {
-		t.Errorf("Total(SWI) = %v", f9[0].Total(specdsm.ModeSWI))
+	if f9[0].Total(ModeSWI) != 70.5 {
+		t.Errorf("Total(SWI) = %v", f9[0].Total(ModeSWI))
 	}
-	if f9[0].Total(specdsm.ModeBase) != 100 {
-		t.Errorf("Total(Base) = %v", f9[0].Total(specdsm.ModeBase))
+	if f9[0].Total(ModeBase) != 100 {
+		t.Errorf("Total(Base) = %v", f9[0].Total(ModeBase))
 	}
 
-	t5 := []specdsm.Table5Row{{
+	t5 := []table5Row{{
 		App: "em3d", BaseReads: 100, BaseWrites: 50,
 		FRSent: 51.3, SWIReadSent: 80.4, SWIInvalSent: 85.6,
 	}}
-	out = specdsm.RenderTable5(t5)
+	out = renderTable5(t5)
 	for _, want := range []string{"em3d", "100", "86 /", "write inval"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 5 missing %q in:\n%s", want, out)
@@ -76,20 +74,20 @@ func TestRenderFigure9AndTable5(t *testing.T) {
 }
 
 func TestFigure9RowDerivation(t *testing.T) {
-	// Figure9 must normalize to the Base run and split by request share.
-	study := []specdsm.AppSpeculation{{
+	// figure9 must normalize to the Base run and split by request share.
+	study := []appSpeculation{{
 		App: "x",
-		Base: &specdsm.RunResult{
+		Base: &RunResult{
 			Cycles: 1000, ComputeCycles: 600, SyncCycles: 0, RequestWaitCycles: 400,
 		},
-		FR: &specdsm.RunResult{
+		FR: &RunResult{
 			Cycles: 900, ComputeCycles: 600, SyncCycles: 0, RequestWaitCycles: 300,
 		},
-		SWI: &specdsm.RunResult{
+		SWI: &RunResult{
 			Cycles: 800, ComputeCycles: 600, SyncCycles: 0, RequestWaitCycles: 200,
 		},
 	}}
-	rows := specdsm.Figure9(study)
+	rows := figure9(study)
 	if len(rows) != 1 {
 		t.Fatal("row count")
 	}
@@ -97,10 +95,10 @@ func TestFigure9RowDerivation(t *testing.T) {
 	if r.Base[0]+r.Base[1] != 100 {
 		t.Fatalf("base total %v", r.Base)
 	}
-	if got := r.Total(specdsm.ModeFR); got != 90 {
+	if got := r.Total(ModeFR); got != 90 {
 		t.Fatalf("FR total = %v, want 90", got)
 	}
-	if got := r.Total(specdsm.ModeSWI); got != 80 {
+	if got := r.Total(ModeSWI); got != 80 {
 		t.Fatalf("SWI total = %v, want 80", got)
 	}
 	// Request share of SWI: 200/800 of processor time -> 25% of its 80.
@@ -110,16 +108,16 @@ func TestFigure9RowDerivation(t *testing.T) {
 }
 
 func TestTable5Derivation(t *testing.T) {
-	study := []specdsm.AppSpeculation{{
+	study := []appSpeculation{{
 		App:  "x",
-		Base: &specdsm.RunResult{Reads: 1000, Writes: 300, Upgrades: 200},
-		FR:   &specdsm.RunResult{SpecReadsFR: 400, SpecReadUnused: 40},
-		SWI: &specdsm.RunResult{
+		Base: &RunResult{Reads: 1000, Writes: 300, Upgrades: 200},
+		FR:   &RunResult{SpecReadsFR: 400, SpecReadUnused: 40},
+		SWI: &RunResult{
 			SpecReadsFR: 100, SpecReadsSWI: 700, SpecReadUnused: 16,
 			SWIRecalls: 350, SWIPremature: 10,
 		},
 	}}
-	rows := specdsm.Table5(study)
+	rows := table5(study)
 	r := rows[0]
 	if r.FRSent != 40 || r.FRMiss != 4 {
 		t.Fatalf("FR sent/miss = %v/%v", r.FRSent, r.FRMiss)

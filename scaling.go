@@ -6,15 +6,15 @@ import (
 	"specdsm/internal/report"
 )
 
-// DefaultScalingNodes is the machine-size axis of the node-count
+// defaultScalingNodes is the machine-size axis of the node-count
 // scaling study: the paper's 16 nodes, the inline reader-vector tier
 // boundary (64), and two points deep into the two-level tier.
-var DefaultScalingNodes = []int{16, 64, 256, 1024}
+var defaultScalingNodes = []int{16, 64, 256, 1024}
 
-// NodeScaling is one (application, node count) cell of the scaling
+// nodeScaling is one (application, node count) cell of the scaling
 // study: a single SWI-DSM run (VMSP depth 1 active, as in §7.4) at
 // that machine width.
-type NodeScaling struct {
+type nodeScaling struct {
 	App   string
 	Nodes int
 	Run   *RunResult
@@ -25,7 +25,7 @@ type NodeScaling struct {
 
 // Active returns the active predictor's measurements (SWI-DSM attaches
 // it after any observers, so it is always the last entry).
-func (s NodeScaling) Active() PredictorResult {
+func (s nodeScaling) Active() PredictorResult {
 	if s.Run == nil {
 		return PredictorResult{}
 	}
@@ -34,7 +34,7 @@ func (s NodeScaling) Active() PredictorResult {
 
 // Requests is the run's coherence request count (reads + writes +
 // upgrades) — the normalizer for the per-request traffic column.
-func (s NodeScaling) Requests() uint64 {
+func (s nodeScaling) Requests() uint64 {
 	if s.Run == nil {
 		return 0
 	}
@@ -43,7 +43,7 @@ func (s NodeScaling) Requests() uint64 {
 
 // SpecReads is the total speculative forwarding activity: directory
 // pushes at writes (FR) plus self-invalidation refetches (SWI).
-func (s NodeScaling) SpecReads() uint64 {
+func (s nodeScaling) SpecReads() uint64 {
 	if s.Run == nil {
 		return 0
 	}
@@ -52,7 +52,7 @@ func (s NodeScaling) SpecReads() uint64 {
 
 // UnusedFraction is the fraction of speculative reads never referenced
 // before invalidation — wasted traffic, the cost side of speculation.
-func (s NodeScaling) UnusedFraction() float64 {
+func (s nodeScaling) UnusedFraction() float64 {
 	if s.SpecReads() == 0 {
 		return 0
 	}
@@ -62,24 +62,24 @@ func (s NodeScaling) UnusedFraction() float64 {
 // MsgsPerRequest is interconnect messages sent per coherence request —
 // the study's traffic metric. Invalidation fan-out grows with sharer
 // count, so this is where machine width should show up first.
-func (s NodeScaling) MsgsPerRequest() float64 {
+func (s nodeScaling) MsgsPerRequest() float64 {
 	if s.Requests() == 0 {
 		return 0
 	}
 	return float64(s.Run.NetMsgs) / float64(s.Requests())
 }
 
-// NodeScalingStudyStream runs every application under SWI-DSM at each
-// node count (nil selects DefaultScalingNodes; every count must lie in
+// nodeScalingStudyStream runs every application under SWI-DSM at each
+// node count (nil selects defaultScalingNodes; every count must lie in
 // [2, 4096]) and streams the rows, application-major (node counts
 // inner), to emit. cfg.Nodes is superseded by the node-count axis;
 // every other config knob (scale, seed, iterations, parallelism,
 // checkpointing) applies as in the other studies, and rows merge in
 // submission order so output is independent of cfg.Parallel.
-func NodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, row NodeScaling) error) error {
+func nodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, row nodeScaling) error) error {
 	cfg = cfg.withDefaults()
 	if len(nodeCounts) == 0 {
-		nodeCounts = DefaultScalingNodes
+		nodeCounts = defaultScalingNodes
 	}
 	for _, n := range nodeCounts {
 		if err := checkNodes(n); err != nil {
@@ -87,19 +87,19 @@ func NodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, 
 		}
 	}
 	k, apps := len(nodeCounts), cfg.Apps
-	rs := cfg.spec("scaling", MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
+	rs := cfg.spec(scalingStudy, MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
 	rs.NodeCounts = nodeCounts
 	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
-		return emit(i, NodeScaling{App: apps[i/k], Nodes: nodeCounts[i%k], Run: runs[0], Failed: failed})
+		return emit(i, nodeScaling{App: apps[i/k], Nodes: nodeCounts[i%k], Run: runs[0], Failed: failed})
 	})
 }
 
-// RenderNodeScaling prints the scaling study in the style of the
+// renderNodeScaling prints the scaling study in the style of the
 // paper's figure tables. The paper evaluates a 16-node machine only;
 // this study is the beyond-paper question its §8 raises — does
 // pattern-based prediction hold up as sharer sets outgrow a single
 // directory vector word?
-func RenderNodeScaling(rows []NodeScaling) string {
+func renderNodeScaling(rows []nodeScaling) string {
 	t := report.NewTable("Node scaling (beyond paper): SWI-DSM with active VMSP, depth 1",
 		"app", "nodes", "accuracy", "coverage", "spec reads", "unused", "msgs/req", "cycles")
 	for _, r := range rows {

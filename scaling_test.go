@@ -18,9 +18,9 @@ var scalingCfg = StudyConfig{
 }
 
 // nodeScalingRows gathers the study's rows in delivery order.
-func nodeScalingRows(cfg StudyConfig, nodes []int) ([]NodeScaling, error) {
-	var rows []NodeScaling
-	err := NodeScalingStudyStream(cfg, nodes, func(_ int, r NodeScaling) error {
+func nodeScalingRows(cfg StudyConfig, nodes []int) ([]nodeScaling, error) {
+	var rows []nodeScaling
+	err := nodeScalingStudyStream(cfg, nodes, func(_ int, r nodeScaling) error {
 		rows = append(rows, r)
 		return nil
 	})
@@ -60,7 +60,7 @@ func TestNodeScalingStudy(t *testing.T) {
 			t.Errorf("N=%d: active predictor %+v, want a live VMSP", r.Nodes, a)
 		}
 	}
-	table := RenderNodeScaling(rows)
+	table := renderNodeScaling(rows)
 	for _, want := range []string{"Node scaling", "1024", "msgs/req"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, table)
@@ -77,7 +77,7 @@ func TestNodeScalingParallelInvariance(t *testing.T) {
 		t.Skip("wide machines are slow in -short mode")
 	}
 	nodes := []int{16, 256}
-	run := func(parallel int) []NodeScaling {
+	run := func(parallel int) []nodeScaling {
 		cfg := scalingCfg
 		cfg.Parallel = parallel
 		rows, err := nodeScalingRows(cfg, nodes)

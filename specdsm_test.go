@@ -1,18 +1,18 @@
-package specdsm_test
+package specdsm
 
 import (
 	"strings"
 	"testing"
 
-	"specdsm"
+	"specdsm/internal/analytic"
 )
 
 func TestAppNamesAndInfos(t *testing.T) {
-	names := specdsm.AppNames()
+	names := AppNames()
 	if len(names) != 7 {
 		t.Fatalf("AppNames = %v", names)
 	}
-	infos := specdsm.AppInfos()
+	infos := AppInfos()
 	if len(infos) != 7 {
 		t.Fatalf("AppInfos = %d entries", len(infos))
 	}
@@ -24,10 +24,10 @@ func TestAppNamesAndInfos(t *testing.T) {
 }
 
 func TestAppWorkloadErrors(t *testing.T) {
-	if _, err := specdsm.AppWorkload("nope", specdsm.WorkloadParams{}); err == nil {
+	if _, err := AppWorkload("nope", WorkloadParams{}); err == nil {
 		t.Fatal("expected error for unknown app")
 	}
-	if _, err := specdsm.MicroWorkload("nope", specdsm.WorkloadParams{}); err == nil {
+	if _, err := MicroWorkload("nope", WorkloadParams{}); err == nil {
 		t.Fatal("expected error for unknown pattern")
 	}
 }
@@ -37,65 +37,65 @@ func TestAppWorkloadErrors(t *testing.T) {
 // every entry point — before any job runs — never a panic inside one.
 func TestNodeCountRange(t *testing.T) {
 	for _, n := range []int{1, -4, 5000} {
-		if _, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: n}); err == nil {
+		if _, err := AppWorkload("em3d", WorkloadParams{Nodes: n}); err == nil {
 			t.Errorf("AppWorkload accepted %d nodes", n)
 		}
-		if err := (specdsm.StudyConfig{Nodes: n}).Validate(); err == nil || !strings.Contains(err.Error(), "invalid node count") {
+		if err := (StudyConfig{Nodes: n}).Validate(); err == nil || !strings.Contains(err.Error(), "invalid node count") {
 			t.Errorf("Validate(Nodes: %d) = %v, want an invalid node count error", n, err)
 		}
-		cfg := specdsm.StudyConfig{Apps: []string{"em3d"}, Scale: 0.1, KeepGoing: true}
-		err := specdsm.NodeScalingStudyStream(cfg, []int{8, n}, func(int, specdsm.NodeScaling) error {
+		cfg := StudyConfig{Apps: []string{"em3d"}, Scale: 0.1, KeepGoing: true}
+		err := nodeScalingStudyStream(cfg, []int{8, n}, func(int, nodeScaling) error {
 			t.Fatalf("scaling study with %d nodes emitted a row", n)
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "invalid node count") {
-			t.Errorf("NodeScalingStudyStream(%d nodes) = %v, want an invalid node count error", n, err)
+			t.Errorf("nodeScalingStudyStream(%d nodes) = %v, want an invalid node count error", n, err)
 		}
 	}
 	for _, n := range []int{0, 2, 4096} {
-		if err := (specdsm.StudyConfig{Nodes: n}).Validate(); err != nil {
+		if err := (StudyConfig{Nodes: n}).Validate(); err != nil {
 			t.Errorf("Validate(Nodes: %d) = %v", n, err)
 		}
 	}
-	if _, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 2, Scale: 0.1}); err != nil {
+	if _, err := AppWorkload("em3d", WorkloadParams{Nodes: 2, Scale: 0.1}); err != nil {
 		t.Errorf("AppWorkload(2 nodes) = %v", err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
+	w, err := AppWorkload("em3d", WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{Mode: "warp"}); err == nil {
+	if _, err := Run(w, MachineOptions{Mode: "warp"}); err == nil {
 		t.Fatal("expected unknown-mode error")
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{
-		Observers: []specdsm.PredictorConfig{{Kind: "Oracle", Depth: 1}},
+	if _, err := Run(w, MachineOptions{
+		Observers: []PredictorConfig{{Kind: "Oracle", Depth: 1}},
 	}); err == nil {
 		t.Fatal("expected unknown-kind error")
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{
-		Observers: []specdsm.PredictorConfig{{Kind: specdsm.MSP, Depth: 0}},
+	if _, err := Run(w, MachineOptions{
+		Observers: []PredictorConfig{{Kind: MSP, Depth: 0}},
 	}); err == nil {
 		t.Fatal("expected bad-depth error")
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{SpecUpgrades: true}); err == nil {
+	if _, err := Run(w, MachineOptions{SpecUpgrades: true}); err == nil {
 		t.Fatal("expected error: SpecUpgrades without speculation mode")
 	}
-	if _, err := specdsm.Run(specdsm.Workload{}, specdsm.MachineOptions{}); err == nil {
+	if _, err := Run(Workload{}, MachineOptions{}); err == nil {
 		t.Fatal("expected empty-workload error")
 	}
 }
 
 func TestRunBaseCollectsCounters(t *testing.T) {
-	w, err := specdsm.AppWorkload("tomcatv", specdsm.WorkloadParams{Nodes: 8, Iterations: 2, Scale: 0.25})
+	w, err := AppWorkload("tomcatv", WorkloadParams{Nodes: 8, Iterations: 2, Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := specdsm.Run(w, specdsm.MachineOptions{
-		Mode:      specdsm.ModeBase,
-		Observers: []specdsm.PredictorConfig{{Kind: specdsm.VMSP, Depth: 1}},
+	r, err := Run(w, MachineOptions{
+		Mode:      ModeBase,
+		Observers: []PredictorConfig{{Kind: VMSP, Depth: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +106,11 @@ func TestRunBaseCollectsCounters(t *testing.T) {
 	if r.RequestShare() <= 0 || r.RequestShare() >= 1 {
 		t.Fatalf("request share %v out of range", r.RequestShare())
 	}
-	pr, ok := r.Predictor(specdsm.VMSP, 1)
+	pr, ok := r.Predictor(VMSP, 1)
 	if !ok || pr.Tracked == 0 {
 		t.Fatalf("missing predictor result: %+v", r.Predictors)
 	}
-	if _, ok := r.Predictor(specdsm.Cosmos, 1); ok {
+	if _, ok := r.Predictor(Cosmos, 1); ok {
 		t.Fatal("unexpected predictor result")
 	}
 	if r.SpecHits != 0 || r.SpecReadsFR != 0 {
@@ -119,20 +119,20 @@ func TestRunBaseCollectsCounters(t *testing.T) {
 }
 
 func TestSpeculationModesOrdering(t *testing.T) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 8, Iterations: 6, Scale: 0.25})
+	w, err := AppWorkload("em3d", WorkloadParams{Nodes: 8, Iterations: 6, Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode specdsm.Mode) *specdsm.RunResult {
-		r, err := specdsm.Run(w, specdsm.MachineOptions{Mode: mode})
+	run := func(mode Mode) *RunResult {
+		r, err := Run(w, MachineOptions{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	base := run(specdsm.ModeBase)
-	fr := run(specdsm.ModeFR)
-	swi := run(specdsm.ModeSWI)
+	base := run(ModeBase)
+	fr := run(ModeFR)
+	swi := run(ModeSWI)
 	if !(swi.Cycles < fr.Cycles && fr.Cycles < base.Cycles) {
 		t.Fatalf("em3d ordering violated: base %d, fr %d, swi %d",
 			base.Cycles, fr.Cycles, swi.Cycles)
@@ -152,20 +152,20 @@ func TestFigure7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := collect(specdsm.StudyConfig{
+	study, err := collectRows(StudyConfig{
 		Scale:         0.5,
 		Depths:        []int{1},
 		DisableChecks: true,
-	}, specdsm.PredictorStudyStream)
+	}, PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := specdsm.Figure7(study)
+	rows := Figure7(study)
 	if len(rows) != 7 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	var cosmos, msp, vmsp float64
-	byApp := map[string]specdsm.Figure7Row{}
+	byApp := map[string]Figure7Row{}
 	for _, r := range rows {
 		cosmos += r.Cosmos
 		msp += r.MSP
@@ -196,16 +196,16 @@ func TestFigure8DepthMonotonicityOnAverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := collect(specdsm.StudyConfig{
+	study, err := collectRows(StudyConfig{
 		Scale:         0.25,
 		Depths:        []int{1, 2, 4},
 		DisableChecks: true,
-	}, specdsm.PredictorStudyStream)
+	}, PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := specdsm.Figure8(study, []int{1, 2, 4})
-	for _, kind := range specdsm.Kinds() {
+	rows := Figure8(study, []int{1, 2, 4})
+	for _, kind := range Kinds() {
 		var means [3]float64
 		for _, r := range rows {
 			for i := range r.Depths {
@@ -222,102 +222,102 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor study is slow for -short")
 	}
-	study, err := collect(specdsm.StudyConfig{
+	study, err := collectRows(StudyConfig{
 		Scale:         0.25,
 		Depths:        []int{1, 4},
 		DisableChecks: true,
-	}, specdsm.PredictorStudyStream)
+	}, PredictorStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range specdsm.Table4(study) {
-		if !(r.PTE1[specdsm.Cosmos] >= r.PTE1[specdsm.MSP]) {
-			t.Errorf("%s: Cosmos pte %.1f < MSP %.1f", r.App, r.PTE1[specdsm.Cosmos], r.PTE1[specdsm.MSP])
+	for _, r := range Table4(study) {
+		if !(r.PTE1[Cosmos] >= r.PTE1[MSP]) {
+			t.Errorf("%s: Cosmos pte %.1f < MSP %.1f", r.App, r.PTE1[Cosmos], r.PTE1[MSP])
 		}
 		// VMSP needs at most as many entries as MSP, up to noise on
 		// single-consumer apps where runs are single-reader (the paper
 		// shows them equal on ocean and tomcatv).
-		if !(r.PTE1[specdsm.MSP] >= r.PTE1[specdsm.VMSP]-0.5) {
-			t.Errorf("%s: MSP pte %.1f < VMSP %.1f", r.App, r.PTE1[specdsm.MSP], r.PTE1[specdsm.VMSP])
+		if !(r.PTE1[MSP] >= r.PTE1[VMSP]-0.5) {
+			t.Errorf("%s: MSP pte %.1f < VMSP %.1f", r.App, r.PTE1[MSP], r.PTE1[VMSP])
 		}
-		if !(r.PTE4[specdsm.Cosmos] >= r.PTE1[specdsm.Cosmos]) {
+		if !(r.PTE4[Cosmos] >= r.PTE1[Cosmos]) {
 			t.Errorf("%s: Cosmos pte should grow with depth", r.App)
 		}
 		// MSP storage is roughly half of Cosmos (the paper's claim).
-		if r.Bytes[specdsm.MSP] > 0.75*r.Bytes[specdsm.Cosmos] {
+		if r.Bytes[MSP] > 0.75*r.Bytes[Cosmos] {
 			t.Errorf("%s: MSP bytes %.1f not well under Cosmos %.1f",
-				r.App, r.Bytes[specdsm.MSP], r.Bytes[specdsm.Cosmos])
+				r.App, r.Bytes[MSP], r.Bytes[Cosmos])
 		}
 	}
 }
 
 func TestValidateConfig(t *testing.T) {
-	if err := (specdsm.StudyConfig{}).Validate(); err != nil {
+	if err := (StudyConfig{}).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	if err := (specdsm.StudyConfig{Apps: []string{"nope"}}).Validate(); err == nil {
+	if err := (StudyConfig{Apps: []string{"nope"}}).Validate(); err == nil {
 		t.Fatal("expected unknown-app error")
 	}
-	if err := (specdsm.StudyConfig{Depths: []int{0}}).Validate(); err == nil {
+	if err := (StudyConfig{Depths: []int{0}}).Validate(); err == nil {
 		t.Fatal("expected bad-depth error")
 	}
 }
 
 func TestAnalyticReexports(t *testing.T) {
-	p := specdsm.AnalyticParams{C: 1, F: 1, P: 1, RTL: 4, N: 2}
-	if got := specdsm.AnalyticSpeedup(p); got < 3.99 || got > 4.01 {
+	p := AnalyticParams{C: 1, F: 1, P: 1, RTL: 4, N: 2}
+	if got := AnalyticSpeedup(p); got < 3.99 || got > 4.01 {
 		t.Fatalf("speedup = %v", got)
 	}
-	if got := specdsm.AnalyticCommSpeedup(p); got < 3.99 || got > 4.01 {
+	if got := AnalyticCommSpeedup(p); got < 3.99 || got > 4.01 {
 		t.Fatalf("comm speedup = %v", got)
 	}
-	panels := specdsm.Figure6()
+	panels := analytic.Panels()
 	if len(panels) != 4 {
 		t.Fatalf("%d panels", len(panels))
 	}
 	for _, p := range panels {
-		if len(p.Series) == 0 || p.Title == "" {
-			t.Fatalf("malformed panel %+v", p.Title)
+		if len(analytic.Figure6(p)) == 0 || p.String() == "" {
+			t.Fatalf("malformed panel %+v", p.String())
 		}
 	}
 }
 
 func TestRenderers(t *testing.T) {
-	if s := specdsm.RenderTable1(); !strings.Contains(s, "418") {
+	if s := renderTable1(); !strings.Contains(s, "418") {
 		t.Error("Table 1 missing round-trip latency")
 	}
-	if s := specdsm.RenderTable2(); !strings.Contains(s, "em3d") {
+	if s := renderTable2(); !strings.Contains(s, "em3d") {
 		t.Error("Table 2 missing applications")
 	}
-	if s := specdsm.RenderFigure6(); !strings.Contains(s, "rtl") {
+	if s := renderFigure6(); !strings.Contains(s, "rtl") {
 		t.Error("Figure 6 missing curves")
 	}
-	rows := []specdsm.Figure7Row{{App: "em3d", Cosmos: 0.85, MSP: 0.99, VMSP: 0.99}}
-	if s := specdsm.RenderFigure7(rows); !strings.Contains(s, "em3d") || !strings.Contains(s, "99.0") {
+	rows := []Figure7Row{{App: "em3d", Cosmos: 0.85, MSP: 0.99, VMSP: 0.99}}
+	if s := RenderFigure7(rows); !strings.Contains(s, "em3d") || !strings.Contains(s, "99.0") {
 		t.Error("Figure 7 render wrong")
 	}
-	t3 := []specdsm.Table3Row{{
+	t3 := []Table3Row{{
 		App:      "em3d",
-		Coverage: map[specdsm.PredictorKind]float64{specdsm.Cosmos: 0.9, specdsm.MSP: 0.9, specdsm.VMSP: 0.9},
-		Correct:  map[specdsm.PredictorKind]float64{specdsm.Cosmos: 0.8, specdsm.MSP: 0.8, specdsm.VMSP: 0.8},
+		Coverage: map[PredictorKind]float64{Cosmos: 0.9, MSP: 0.9, VMSP: 0.9},
+		Correct:  map[PredictorKind]float64{Cosmos: 0.8, MSP: 0.8, VMSP: 0.8},
 	}}
-	if s := specdsm.RenderTable3(t3); !strings.Contains(s, "90.0 (80.0)") {
-		t.Errorf("Table 3 render wrong:\n%s", specdsm.RenderTable3(t3))
+	if s := RenderTable3(t3); !strings.Contains(s, "90.0 (80.0)") {
+		t.Errorf("Table 3 render wrong:\n%s", RenderTable3(t3))
 	}
 }
 
 func TestMicroWorkloadsRunAllModes(t *testing.T) {
-	for _, pat := range []specdsm.MicroPattern{
-		specdsm.PatternProducerConsumer,
-		specdsm.PatternMigratory,
-		specdsm.PatternStencil,
+	for _, pat := range []MicroPattern{
+		PatternProducerConsumer,
+		PatternMigratory,
+		PatternStencil,
 	} {
-		w, err := specdsm.MicroWorkload(pat, specdsm.WorkloadParams{Nodes: 4, Iterations: 4})
+		w, err := MicroWorkload(pat, WorkloadParams{Nodes: 4, Iterations: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []specdsm.Mode{specdsm.ModeBase, specdsm.ModeFR, specdsm.ModeSWI} {
-			if _, err := specdsm.Run(w, specdsm.MachineOptions{Mode: mode}); err != nil {
+		for _, mode := range []Mode{ModeBase, ModeFR, ModeSWI} {
+			if _, err := Run(w, MachineOptions{Mode: mode}); err != nil {
 				t.Fatalf("%s/%s: %v", pat, mode, err)
 			}
 		}
@@ -325,15 +325,15 @@ func TestMicroWorkloadsRunAllModes(t *testing.T) {
 }
 
 func TestFiniteCacheCapacity(t *testing.T) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 8, Iterations: 4, Scale: 0.25})
+	w, err := AppWorkload("em3d", WorkloadParams{Nodes: 8, Iterations: 4, Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := specdsm.Run(w, specdsm.MachineOptions{Mode: specdsm.ModeSWI})
+	inf, err := Run(w, MachineOptions{Mode: ModeSWI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := specdsm.Run(w, specdsm.MachineOptions{Mode: specdsm.ModeSWI, CacheCapacity: 16})
+	small, err := Run(w, MachineOptions{Mode: ModeSWI, CacheCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestFiniteCacheCapacity(t *testing.T) {
 	if small.Cycles <= inf.Cycles {
 		t.Fatalf("finite cache not slower: %d vs %d", small.Cycles, inf.Cycles)
 	}
-	if _, err := specdsm.Run(w, specdsm.MachineOptions{CacheCapacity: -1}); err == nil {
+	if _, err := Run(w, MachineOptions{CacheCapacity: -1}); err == nil {
 		t.Fatal("expected negative-capacity error")
 	}
 }
@@ -355,18 +355,18 @@ func TestFiniteCacheCapacity(t *testing.T) {
 // All seven applications must run under all three modes with coherence
 // checking enabled — the broadest integration test in the suite.
 func TestAllAppsAllModes(t *testing.T) {
-	for _, app := range specdsm.AppNames() {
+	for _, app := range AppNames() {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			w, err := specdsm.AppWorkload(app, specdsm.WorkloadParams{
+			w, err := AppWorkload(app, WorkloadParams{
 				Nodes: 16, Iterations: 3, Scale: 0.25, Seed: 5,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []specdsm.Mode{specdsm.ModeBase, specdsm.ModeFR, specdsm.ModeSWI} {
-				if _, err := specdsm.Run(w, specdsm.MachineOptions{Mode: mode}); err != nil {
+			for _, mode := range []Mode{ModeBase, ModeFR, ModeSWI} {
+				if _, err := Run(w, MachineOptions{Mode: mode}); err != nil {
 					t.Fatalf("%s: %v", mode, err)
 				}
 			}

@@ -1,4 +1,4 @@
-package specdsm_test
+package specdsm
 
 import (
 	"bytes"
@@ -14,15 +14,14 @@ import (
 	"testing"
 	"time"
 
-	"specdsm"
 	"specdsm/internal/sweep"
 )
 
 // streamCfg is a deliberately small study shape shared by the streaming
 // tests: big enough to exercise the parallel merge, small enough to run
 // in every `go test`.
-func streamCfg() specdsm.StudyConfig {
-	return specdsm.StudyConfig{
+func streamCfg() StudyConfig {
+	return StudyConfig{
 		Apps:          []string{"em3d", "tomcatv"},
 		Nodes:         8,
 		Scale:         0.25,
@@ -34,7 +33,7 @@ func streamCfg() specdsm.StudyConfig {
 
 // collect gathers a streaming study's rows in delivery order, sized
 // for one row per configured application.
-func collect[T any](cfg specdsm.StudyConfig, stream func(specdsm.StudyConfig, func(int, T) error) error) ([]T, error) {
+func collectRows[T any](cfg StudyConfig, stream func(StudyConfig, func(int, T) error) error) ([]T, error) {
 	rows := make([]T, 0, len(cfg.Apps))
 	err := stream(cfg, func(_ int, row T) error {
 		rows = append(rows, row)
@@ -44,9 +43,9 @@ func collect[T any](cfg specdsm.StudyConfig, stream func(specdsm.StudyConfig, fu
 }
 
 // rtlPoints gathers an rtl sweep's points in flight order.
-func rtlPoints(cfg specdsm.StudyConfig, app string, wp specdsm.WorkloadParams, flights []int) ([]specdsm.RTLPoint, error) {
-	return collect(cfg, func(cfg specdsm.StudyConfig, emit func(int, specdsm.RTLPoint) error) error {
-		return specdsm.RTLSweepStream(cfg, app, wp, flights, emit)
+func rtlPoints(cfg StudyConfig, app string, wp WorkloadParams, flights []int) ([]rtlPoint, error) {
+	return collectRows(cfg, func(cfg StudyConfig, emit func(int, rtlPoint) error) error {
+		return rtlSweepStream(cfg, app, wp, flights, emit)
 	})
 }
 
@@ -57,13 +56,13 @@ func TestSpeculationStudyStreamMatchesCollect(t *testing.T) {
 	cfg := streamCfg()
 	seq := cfg
 	seq.Parallel = 1
-	want, err := collect(seq, specdsm.SpeculationStudyStream)
+	want, err := collectRows(seq, speculationStudyStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []specdsm.AppSpeculation
+	var got []appSpeculation
 	next := 0
-	err = specdsm.SpeculationStudyStream(cfg, func(i int, row specdsm.AppSpeculation) error {
+	err = speculationStudyStream(cfg, func(i int, row appSpeculation) error {
 		if i != next {
 			t.Fatalf("row %d emitted, want %d", i, next)
 		}
@@ -82,7 +81,7 @@ func TestSpeculationStudyStreamMatchesCollect(t *testing.T) {
 func TestStreamEmitErrorStopsStudy(t *testing.T) {
 	sentinel := errors.New("stop here")
 	rows := 0
-	err := specdsm.PredictorStudyStream(streamCfg(), func(i int, _ specdsm.AppPrediction) error {
+	err := PredictorStudyStream(streamCfg(), func(i int, _ AppPrediction) error {
 		rows++
 		return sentinel
 	})
@@ -107,14 +106,14 @@ func TestStudyCheckpointResume(t *testing.T) {
 	cfg.CheckpointEvery = 2
 	seeds := []int64{1, 2, 3}
 
-	fresh, err := specdsm.SpeculationStudySeeds(cfg, seeds)
+	fresh, err := SpeculationStudySeeds(cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Same invocation again without -resume: saved work must not be
 	// silently overwritten.
-	if _, err := specdsm.SpeculationStudySeeds(cfg, seeds); !errors.Is(err, sweep.ErrCheckpointExists) {
+	if _, err := SpeculationStudySeeds(cfg, seeds); !errors.Is(err, sweep.ErrCheckpointExists) {
 		t.Fatalf("err = %v, want ErrCheckpointExists", err)
 	}
 
@@ -122,7 +121,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	var ran atomic.Int64
 	cfg.Resume = true
 	cfg.OnJobDone = func(int, time.Duration) { ran.Add(1) }
-	resumed, err := specdsm.SpeculationStudySeeds(cfg, seeds)
+	resumed, err := SpeculationStudySeeds(cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +134,10 @@ func TestStudyCheckpointResume(t *testing.T) {
 
 	// A different study shape must not consume the old file.
 	cfg.Scale = 0.5
-	if _, err := specdsm.SpeculationStudySeeds(cfg, seeds); !errors.Is(err, sweep.ErrCheckpointMismatch) {
+	if _, err := SpeculationStudySeeds(cfg, seeds); !errors.Is(err, sweep.ErrCheckpointMismatch) {
 		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
 	}
-	if _, err := specdsm.SpeculationStudySeeds(streamCfg(), nil); err == nil {
+	if _, err := SpeculationStudySeeds(streamCfg(), nil); err == nil {
 		t.Fatal("expected no-seeds error")
 	}
 }
@@ -150,12 +149,12 @@ func TestStudyCheckpointResume(t *testing.T) {
 // suffix.
 func TestRTLSweepStreamInterruptResume(t *testing.T) {
 	cfg := streamCfg()
-	app, wp := "em3d", specdsm.WorkloadParams{Nodes: 8, Scale: 0.25, Iterations: 4, Seed: 1}
+	app, wp := "em3d", WorkloadParams{Nodes: 8, Scale: 0.25, Iterations: 4, Seed: 1}
 	flights := []int{20, 80, 200, 320}
 
-	var fresh []specdsm.RTLPoint
-	seq := specdsm.StudyConfig{Parallel: 1}
-	if err := specdsm.RTLSweepStream(seq, app, wp, flights, func(_ int, p specdsm.RTLPoint) error {
+	var fresh []rtlPoint
+	seq := StudyConfig{Parallel: 1}
+	if err := rtlSweepStream(seq, app, wp, flights, func(_ int, p rtlPoint) error {
 		fresh = append(fresh, p)
 		return nil
 	}); err != nil {
@@ -165,7 +164,7 @@ func TestRTLSweepStreamInterruptResume(t *testing.T) {
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck")
 	cfg.CheckpointEvery = 1
 	sentinel := errors.New("interrupted")
-	err := specdsm.RTLSweepStream(cfg, app, wp, flights, func(i int, _ specdsm.RTLPoint) error {
+	err := rtlSweepStream(cfg, app, wp, flights, func(i int, _ rtlPoint) error {
 		if i == 1 {
 			return sentinel
 		}
@@ -178,8 +177,8 @@ func TestRTLSweepStreamInterruptResume(t *testing.T) {
 	var ran atomic.Int64
 	cfg.Resume = true
 	cfg.OnJobDone = func(int, time.Duration) { ran.Add(1) }
-	var resumed []specdsm.RTLPoint
-	if err := specdsm.RTLSweepStream(cfg, app, wp, flights, func(_ int, p specdsm.RTLPoint) error {
+	var resumed []rtlPoint
+	if err := rtlSweepStream(cfg, app, wp, flights, func(_ int, p rtlPoint) error {
 		resumed = append(resumed, p)
 		return nil
 	}); err != nil {
@@ -201,7 +200,7 @@ func TestRTLSweepStreamInterruptResume(t *testing.T) {
 func TestResumeProgressCountsRunJobs(t *testing.T) {
 	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := specdsm.StudyConfig{
+			cfg := StudyConfig{
 				Apps:            []string{"em3d", "moldyn", "tomcatv", "ocean"},
 				Scale:           0.1,
 				Depths:          []int{1},
@@ -214,7 +213,7 @@ func TestResumeProgressCountsRunJobs(t *testing.T) {
 			}
 			// Interrupt after two rows: both are in the checkpoint.
 			stop := errors.New("interrupted")
-			if err := specdsm.PredictorStudyStream(cfg, func(i int, _ specdsm.AppPrediction) error {
+			if err := PredictorStudyStream(cfg, func(i int, _ AppPrediction) error {
 				if i == 1 {
 					return stop
 				}
@@ -235,7 +234,7 @@ func TestResumeProgressCountsRunJobs(t *testing.T) {
 				indices = append(indices, i)
 			}
 			cfg.Progress = slog.New(slog.NewTextHandler(&lockedBuffer{b: &log, mu: &mu}, nil))
-			if err := specdsm.PredictorStudyStream(cfg, func(int, specdsm.AppPrediction) error { return nil }); err != nil {
+			if err := PredictorStudyStream(cfg, func(int, AppPrediction) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			sort.Ints(indices)
