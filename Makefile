@@ -9,7 +9,7 @@ SHELL := /bin/bash
 # the new one and bench-check can diff them.
 BENCH_OUT ?= BENCH_PR19.json
 
-.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench leaks cover profile loc
+.PHONY: check api fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench leaks cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
@@ -22,8 +22,17 @@ BENCH_OUT ?= BENCH_PR19.json
 # one-iteration benchmark smoke run so the benches cannot silently rot,
 # the bench-history regression check over the committed BENCH_PR<N>.json
 # records, the end-to-end benchmark module's vet and tests, and a last
-# check that none of them left a process running.
-check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench leaks
+# check that none of them left a process running. api pins the root
+# package's exported surface first.
+check: api fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench leaks
+
+# api fails the gate when the root package's exported API, as
+# `go doc -short .` lists it, differs from the committed api.txt: a new
+# or changed export is a deliberate edit of api.txt that review sees.
+# Regenerate it with `go doc -short . > api.txt`.
+api:
+	@$(GO) doc -short . | diff -u api.txt - || \
+		{ echo "api: exported API differs from api.txt (regenerate: go doc -short . > api.txt)"; exit 1; }
 
 # leaks fails the gate, naming the processes, if any sweepd, perfbench
 # or paperrepro process is still running: every target above must stop
