@@ -163,14 +163,16 @@ var errRefused = errors.New("handshake refused")
 // clean end (sweep finished or ctx cancelled), an error on any
 // transport failure (caller reconnects).
 func (d *Dispatcher) serveShard(ctx context.Context, host string, l sweep.Link) error {
-	conn, err := d.dial(host)
+	raw, err := d.dial(host)
 	if err != nil {
 		return fmt.Errorf("dial: %w", err)
 	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer raw.Close()
+	// The cancel hook closes the dialed connection, not the variable the
+	// session goes on to use: it may run at once, on its own goroutine.
+	stop := context.AfterFunc(ctx, func() { raw.Close() })
 	defer stop()
-	conn = fault.Wrap(d.Inject, conn)
+	conn := fault.Wrap(d.Inject, raw)
 	w, r := &lockedConn{c: conn}, bufio.NewReader(conn)
 
 	hbTimeout := d.heartbeatTimeout()

@@ -89,11 +89,13 @@ func (s *Server) logf(format string, args ...any) {
 // connection dies or ctx ends. Job execution is sequential within the
 // connection; parallelism across the fleet comes from the dispatcher
 // fanning batches over many workers.
-func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
+func (s *Server) handle(ctx context.Context, raw net.Conn, id uint64) {
+	defer raw.Close()
+	// As in the dispatcher, the cancel hook may run at once on its own
+	// goroutine, so it closes the accepted connection, never reassigned.
+	stop := context.AfterFunc(ctx, func() { raw.Close() })
 	defer stop()
-	conn = fault.Wrap(s.Inject, conn)
+	conn := fault.Wrap(s.Inject, raw)
 	lc := &lockedConn{c: conn}
 	r := bufio.NewReader(conn)
 
