@@ -9,7 +9,8 @@ import (
 )
 
 // This file renders experiment results in the layout of the paper's
-// tables and figures. Every Render* function returns printable text.
+// tables and figures. Every renderer returns printable text; the
+// Experiments table (paper.go) writes it out.
 
 // renderTable1 prints the system configuration (Table 1).
 func renderTable1() string {
