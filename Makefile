@@ -9,22 +9,23 @@ SHELL := /bin/bash
 # the new one and bench-check can diff them.
 BENCH_OUT ?= BENCH_PR19.json
 
-.PHONY: check api fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench leaks cover profile loc
+.PHONY: check api fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench bench-leaks leaks cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
 # to be race-clean), the end-to-end determinism smoke, the chaos
-# harness (kill + corrupt + salvage-resume under injected faults), the
+# harness (kill + corrupt + -resume under injected faults), the
 # distributed chaos harness (a real sweepd fleet with one worker
 # SIGKILLed mid-batch and another injecting connection faults), a
 # short fuzz leg over the reader-vector, pattern-key, checkpoint, row
 # and wire-frame decoders and the predictor's successor links, a
 # one-iteration benchmark smoke run so the benches cannot silently rot,
 # the bench-history regression check over the committed BENCH_PR<N>.json
-# records, the end-to-end benchmark module's vet and tests, and a last
-# check that none of them left a process running. api pins the root
-# package's exported surface first.
-check: api fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench leaks
+# records, the end-to-end benchmark module's vet and tests, one short
+# run of the benchmark command per workload that fails if the run leaves
+# a process behind, and a last check that none of them left a process
+# running. api pins the root package's exported surface first.
+check: api fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check perfbench bench-leaks leaks
 
 # api fails the gate when the root package's exported API, as
 # `go doc -short .` lists it, differs from the committed api.txt: a new
@@ -43,6 +44,35 @@ leaks:
 	@if pgrep -ax 'sweepd|perfbench|paperrepro' 2>/dev/null; then \
 		echo "leaks: the processes above are still running"; exit 1; fi; \
 	echo "leaks: no sweepd, perfbench or paperrepro process left running"
+
+# bench-leaks runs the benchmark command, perfbench/run.sh, once per
+# workload for BENCH_LEAKS_SECONDS, each run in a session of its own
+# (setsid). It fails, naming the run and the processes, if anything of
+# that session is still alive after run.sh returns (zombies have exited
+# and do not count), or if the leaks name match finds a sweepd,
+# perfbench or paperrepro process; it then stops what it named. A run
+# that exits non-zero or does not report "correct": true fails too.
+BENCH_LEAKS_SECONDS ?= 3
+bench-leaks:
+	@for w in predict speculate fleet; do \
+		tmp=$$(mktemp -d); \
+		setsid -w bash -c 'echo $$$$ > "$$1/sid"; exec bash perfbench/run.sh --workload "$$2" --seed 1 --seconds $(BENCH_LEAKS_SECONDS) --trace 0' \
+			bench-leaks "$$tmp" "$$w" > "$$tmp/out" 2>&1; st=$$?; \
+		sid=$$(cat "$$tmp/sid"); \
+		for try in 1 2 3 4 5; do \
+			left=$$(ps -e -o pid=,sid=,stat=,args= | awk -v s="$$sid" '$$2 == s && $$3 !~ /^Z/'); \
+			named=$$(pgrep -ax 'sweepd|perfbench|paperrepro' 2>/dev/null); \
+			[ -z "$$left$$named" ] && break; sleep 1; \
+		done; \
+		if [ $$st -ne 0 ] || ! tail -n 1 "$$tmp/out" | grep -Eq '"correct": ?true'; then \
+			tail -n 20 "$$tmp/out"; echo "bench-leaks: $$w run exited $$st without \"correct\": true"; fail=1; fi; \
+		if [ -n "$$left$$named" ]; then \
+			printf '%s\n' "$$left" "$$named" | sed '/^$$/d'; \
+			echo "bench-leaks: the $$w run left the processes above running; stopping them"; \
+			pkill -KILL -s "$$sid" 2>/dev/null; pkill -KILL -x 'sweepd|perfbench|paperrepro' 2>/dev/null; fail=1; \
+		else echo "bench-leaks: $$w run (session $$sid) left no process running"; fi; \
+		rm -rf "$$tmp"; [ -z "$$fail" ] || exit 1; \
+	done
 
 # perfbench vets and tests the end-to-end benchmark module. It has its
 # own go.mod (replace specdsm => ../), so `go test ./...` at the root
@@ -72,19 +102,22 @@ loc:
 chaos-remote:
 	$(GO) test -run='^TestChaosRemote$$' -v ./cmd/paperrepro
 
-# chaos runs the kill/corrupt/salvage harness with more rounds than the
+# chaos runs the kill/corrupt/resume harness with more rounds than the
 # copy `go test ./...` runs: checkpointed fig9 sweeps are crashed at
 # derived kill points under injected transient faults and delays, their
 # checkpoints corrupted (tail truncation or a frame bit flip), and the
-# -resume-salvage rerun must reproduce a clean -parallel 1 run byte for
-# byte. Rounds are derived from their index, so failures replay exactly.
+# -resume rerun, which keeps each file's longest valid prefix, must
+# reproduce a clean -parallel 1 run byte for byte. Rounds are derived
+# from their index, so failures replay exactly.
 chaos:
 	$(GO) test -run='^TestChaos$$' -v ./cmd/paperrepro -args -chaos-rounds=8
 
 # fuzzsmoke runs the differential fuzz targets briefly on every gate:
 # the reader-vector ops against the map-backed oracle, the packed
-# pattern-key encoding against its bijection/table oracle, the
-# checkpoint decoder's strict-vs-salvage verdict consistency, the
+# pattern-key encoding against its bijection/table oracle, resume on
+# arbitrary checkpoint bytes (refusals leave the file unchanged, another
+# key is always refused, the adopted prefix is the input's own whole
+# frames and a second resume drops nothing), the
 # RunResult row codec and the wire-frame decoder (no panic, no
 # allocation past the input, every valid encoding round-trips), and the
 # predictor's successor links against a twin that probes for every

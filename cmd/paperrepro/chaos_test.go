@@ -1,14 +1,15 @@
 package main
 
 // Chaos harness: checkpointed sweeps are killed mid-run, their
-// checkpoint files corrupted, and the salvage-resumed reruns — all
-// under injected transient faults and delays — must still produce
-// output byte-identical to a clean sequential run. Every round is
+// checkpoint files corrupted, and the -resume reruns — all under
+// injected transient faults and delays — must still produce output
+// byte-identical to a clean sequential run. Every round is
 // derived from its index, so a failure reproduces exactly.
 //
 // `make chaos` runs this with more rounds (-args -chaos-rounds=N).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"flag"
 	"os"
@@ -20,7 +21,7 @@ import (
 	"testing"
 )
 
-var chaosRounds = flag.Int("chaos-rounds", 3, "chaos harness rounds (each is a kill+corrupt+salvage cycle)")
+var chaosRounds = flag.Int("chaos-rounds", 3, "chaos harness rounds (each is a kill+corrupt+resume cycle)")
 
 // timingLines matches the bracketed wall-clock lines — the one
 // intentionally nondeterministic part of paperrepro output.
@@ -43,27 +44,41 @@ func frameStart(data []byte) int {
 	return 16 + int(binary.LittleEndian.Uint32(data[12:16]))
 }
 
+// buildPaperrepro builds the command into dir and returns its path.
+func buildPaperrepro(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "paperrepro")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// runPaperrepro runs the built command and returns its stdout, stderr
+// and exit status.
+func runPaperrepro(t *testing.T, bin string, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
+	var errOut bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &errOut
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%v: %v", cmd.Args, err)
+	}
+	return out, errOut.Bytes(), code
+}
+
 func TestChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness is slow for -short")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "paperrepro")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	bin := buildPaperrepro(t, dir)
 	run := func(extra ...string) ([]byte, int) {
-		cmd := exec.Command(bin, append(append([]string{}, chaosArgs...), extra...)...)
-		cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
-		out, err := cmd.Output()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("%v: %v", cmd.Args, err)
-		}
+		out, _, code := runPaperrepro(t, bin, append(append([]string{}, chaosArgs...), extra...)...)
 		return out, code
 	}
 
@@ -91,10 +106,10 @@ func TestChaos(t *testing.T) {
 			}
 
 			// Corrupt the file. Truncation may cut into the header of a
-			// file the kill left with no frames (salvage then restarts
+			// file the kill left with no frames (resume then restarts
 			// from job 0); a bit flip stays in the frame region, never
 			// the key: a flipped key byte would read as a different
-			// study — a hard error by design, not salvageable damage.
+			// study — a hard error by design, not damage to cut away.
 			// The file can legitimately be missing when the kill landed
 			// before the first flush.
 			if data, err := os.ReadFile(ck + ".speculation"); err == nil && len(data) > 64 {
@@ -108,14 +123,82 @@ func TestChaos(t *testing.T) {
 				}
 			}
 
-			out, code := run(append(faultFlags, "-checkpoint", ck, "-resume-salvage")...)
+			out, code := run(append(faultFlags, "-checkpoint", ck, "-resume")...)
 			if code != 0 {
-				t.Fatalf("salvage-resume exited %d", code)
+				t.Fatalf("resume exited %d", code)
 			}
 			if got := normalize(out); got != clean {
-				t.Fatalf("round %d: salvage-resumed output diverged from clean -parallel 1 run:\n--- clean ---\n%s\n--- chaos ---\n%s",
+				t.Fatalf("round %d: resumed output diverged from clean -parallel 1 run:\n--- clean ---\n%s\n--- chaos ---\n%s",
 					round, clean, got)
 			}
 		})
+	}
+}
+
+// TestResumePolicy drives -resume through the built command. A frame
+// that fails its CRC mid-file is cut away: the rerun reports it in one
+// stderr line and prints what a clean run prints. A file that is not a
+// checkpoint is refused (exit 1) and left unchanged. A checkpoint of
+// another format version, or recorded under other flags, exits 2.
+func TestResumePolicy(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildPaperrepro(t, dir)
+	args := []string{"-only", "fig9", "-scale", "0.1", "-apps", "em3d,moldyn", "-parallel", "2"}
+	run := func(extra ...string) (string, string, int) {
+		out, errOut, code := runPaperrepro(t, bin, append(append([]string{}, args...), extra...)...)
+		return normalize(out), string(errOut), code
+	}
+	ck := filepath.Join(dir, "ck")
+	clean, _, code := run("-checkpoint", ck, "-checkpoint-every", "1")
+	if code != 0 {
+		t.Fatalf("clean run exited %d", code)
+	}
+	saved, err := os.ReadFile(ck + ".speculation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the last payload byte of the frame that holds the middle
+	// of the file (a frame is a 9-byte header, then its payload).
+	off := frameStart(saved)
+	for next := off; next <= len(saved)/2; next += 9 + int(binary.LittleEndian.Uint32(saved[next:])) {
+		off = next
+	}
+	end := off + 9 + int(binary.LittleEndian.Uint32(saved[off:]))
+	if end >= len(saved) {
+		t.Fatalf("checkpoint of %d bytes has no frame after the middle one", len(saved))
+	}
+	damaged := append([]byte(nil), saved...)
+	damaged[end-1] ^= 0x40
+	if err := os.WriteFile(ck+".speculation", damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := run("-checkpoint", ck, "-resume")
+	if code != 0 || out != clean {
+		t.Fatalf("resume of a damaged checkpoint exited %d; stdout equals the clean run: %v\n%s", code, out == clean, errOut)
+	}
+	report := regexp.MustCompile(`^paperrepro: checkpoint .*ck\.speculation: kept \d+ rows, dropped \d+ bytes \(frame \d+: frame CRC mismatch .*\)\n$`)
+	if !report.MatchString(errOut) {
+		t.Fatalf("stderr is not one drop report line:\n%s", errOut)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		extra []string
+		code  int
+	}{
+		{"not a checkpoint", []byte("speculation notes\n"), nil, 1},
+		{"other version", append(append([]byte(nil), saved[:8]...), append([]byte{2, 0, 0, 0}, saved[12:]...)...), nil, 2},
+		{"other flags", saved, []string{"-seed", "2"}, 2},
+	} {
+		if err := os.WriteFile(ck+".speculation", tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, errOut, code := run(append([]string{"-checkpoint", ck, "-resume"}, tc.extra...)...); code != tc.code {
+			t.Errorf("%s: exited %d, want %d\n%s", tc.name, code, tc.code, errOut)
+		}
+		if after, err := os.ReadFile(ck + ".speculation"); err != nil || !bytes.Equal(after, tc.data) {
+			t.Errorf("%s: refused checkpoint changed (%v)", tc.name, err)
+		}
 	}
 }

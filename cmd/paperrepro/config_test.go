@@ -250,11 +250,11 @@ func TestParseOptionsFailureFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Cfg.Retries != 0 || o.Cfg.KeepGoing || o.Cfg.Salvage || o.Cfg.FaultSpec != "" {
+	if o.Cfg.Retries != 0 || o.Cfg.KeepGoing || o.Cfg.Resume || o.Cfg.FaultSpec != "" {
 		t.Fatalf("failure knobs must default off, got %+v", o.Cfg)
 	}
 	o, err = parseOptions([]string{
-		"-checkpoint", "run.ck", "-resume-salvage",
+		"-checkpoint", "run.ck", "-resume",
 		"-retries", "3", "-keep-going", "-faults", "seed=7,transient=0.2",
 	}, io.Discard)
 	if err != nil {
@@ -263,8 +263,8 @@ func TestParseOptionsFailureFlags(t *testing.T) {
 	if o.Cfg.Retries != 3 || !o.Cfg.KeepGoing || o.Cfg.FaultSpec != "seed=7,transient=0.2" {
 		t.Fatalf("failure flags not threaded into cfg: %+v", o.Cfg)
 	}
-	if !o.Cfg.Salvage || !o.Cfg.Resume {
-		t.Fatalf("-resume-salvage must imply Resume, got %+v", o.Cfg)
+	if !o.Cfg.Resume || o.Cfg.OnSalvage == nil {
+		t.Fatalf("-resume must set Resume and the drop report, got %+v", o.Cfg)
 	}
 
 	cases := []struct {
@@ -272,7 +272,6 @@ func TestParseOptionsFailureFlags(t *testing.T) {
 		args []string
 		frag string
 	}{
-		{"salvage without checkpoint", []string{"-resume-salvage"}, "-resume-salvage requires -checkpoint"},
 		{"negative retries", []string{"-retries", "-1"}, "retry"},
 		{"bad fault spec", []string{"-faults", "transient=wat"}, "fault"},
 		{"unknown fault knob", []string{"-faults", "frobnicate=1"}, "fault"},

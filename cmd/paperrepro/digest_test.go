@@ -46,7 +46,7 @@ func TestCLIOutputDigests(t *testing.T) {
 		{"table5", []string{"-only", "table5"}, "475750cf1b39175605bba3d15ba8e59e6eff4d05c59241dd7b022a29d02a01d5"},
 		{"seeds", []string{"-seeds", "1,2"}, "d38bd7e606521c9a483c7c8cb5536b4074b026694a247bb9c5ca31d340081d0b"},
 		{"fig9,seeds", []string{"-only", "fig9", "-seeds", "1,2"}, "b4dc05cc63472aef73445dba4f3db6d07c9e997de91a908cc74ef8ec15d0e046"},
-		{"keep-going", panics, "91ab34294cd6b06dd5a90ef97a65612f2cfa6a7d1454bd3e794ff016c768d81f"},
+		{"keep-going", panics, "a42de8ea6ed91b2f1974653463a116f38f367a638153196441b96190b1a9a7de"},
 		{"rtl,keep-going", append([]string{"-only", "rtl"}, panics...), "8c12a92169da441760c307d53c23b5575ec221bbb826dbf5c4c7c4c8726cb898"},
 		{"fig9,seeds,keep-going", append([]string{"-only", "fig9", "-seeds", "1,2"}, panics...), "9b02cf645d713af1f9b52afbe7d4823e01b5196eff6b6a464c4296e5280f5ad4"},
 	}

@@ -20,13 +20,12 @@
 //	paperrepro -checkpoint ck -checkpoint-every 8
 //	                           # persist completed simulations to ck.<study>
 //	paperrepro -checkpoint ck -resume
-//	                           # continue an interrupted run from ck.<study>
-//	paperrepro -checkpoint ck -resume-salvage
-//	                           # like -resume, but truncate a corrupted
-//	                           # checkpoint to its longest valid prefix
+//	                           # continue an interrupted run from ck.<study>,
+//	                           # keeping each file's longest valid prefix
 //	paperrepro -retries 3      # retry transiently failed simulations
 //	paperrepro -keep-going     # record fatal failures as FAILED rows
-//	                           # (plus a manifest) instead of aborting
+//	                           # (plus a manifest after each study's
+//	                           # artifacts) instead of aborting
 //	paperrepro -faults seed=7,transient=0.2
 //	                           # deterministic fault injection (testing)
 //	paperrepro -remote 127.0.0.1:7701,127.0.0.1:7702
@@ -153,13 +152,12 @@ func run(o options, out io.Writer) error {
 		}
 	}
 	// Experiments on one study share one run of it, timed from its first
-	// experiment to its last. failed collects the keep-going failures
-	// for the manifest that ends the run.
+	// experiment to its last. The study's keep-going failures follow its
+	// last experiment, before the timing line.
 	plan := o.plan()
 	var (
-		rows   specdsm.Rows
-		failed []string
-		start  time.Time
+		rows  specdsm.Rows
+		start time.Time
 	)
 	for i, e := range plan {
 		if e.Study == "" || i == 0 || plan[i-1].Study != e.Study {
@@ -168,29 +166,24 @@ func run(o options, out io.Writer) error {
 			if rows, err = e.Run(cfg, o.Seeds); err != nil {
 				return err
 			}
-			failed = append(failed, rows.Failed...)
 		}
 		if err := e.Render(out, rows); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
-		if e.Timing == "" || i+1 < len(plan) && plan[i+1].Study == e.Study {
+		if e.Study != "" && i+1 < len(plan) && plan[i+1].Study == e.Study {
 			continue
 		}
-		// An opt-in study and the seed aggregate print alone or last, and
-		// list the run's failures before their timing line.
-		if e.OptIn || !e.Prints(false) {
-			manifest(out, failed)
-			failed = nil
+		manifest(out, rows.Failed)
+		if e.Timing != "" {
+			fmt.Fprintf(out, e.Timing, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Fprintf(out, e.Timing, time.Since(start).Round(time.Millisecond))
 	}
-	manifest(out, failed)
 	return nil
 }
 
-// manifest lists the keep-going failures, so a long run ends with an
-// explicit list of what did not complete.
+// manifest lists a study's keep-going failures, so each study's output
+// ends with an explicit list of what did not complete.
 func manifest(out io.Writer, failed []string) {
 	if len(failed) == 0 {
 		return

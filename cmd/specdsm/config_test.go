@@ -152,7 +152,7 @@ func TestParseRunSweepFlags(t *testing.T) {
 	s, err := parseRun([]string{
 		"-app", "em3d,moldyn",
 		"-remote", "127.0.0.1:7701, 127.0.0.1:7702",
-		"-keep-going", "-checkpoint", "run.ck", "-resume-salvage", "-checkpoint-every", "2",
+		"-keep-going", "-checkpoint", "run.ck", "-resume", "-checkpoint-every", "2",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +163,8 @@ func TestParseRunSweepFlags(t *testing.T) {
 	if !s.Cfg.KeepGoing || s.Cfg.CheckpointPath != "run.ck" || s.Cfg.CheckpointEvery != 2 {
 		t.Fatalf("sweep flags not threaded into cfg: %+v", s.Cfg)
 	}
-	if !s.Cfg.Salvage || !s.Cfg.Resume {
-		t.Fatalf("-resume-salvage must imply Resume, got %+v", s.Cfg)
+	if !s.Cfg.Resume || s.Cfg.OnSalvage == nil {
+		t.Fatalf("-resume must set Resume and the drop report, got %+v", s.Cfg)
 	}
 }
 
@@ -190,7 +190,6 @@ func TestParseRunSweepFlagErrors(t *testing.T) {
 		{"retries with pattern", []string{"-pattern", "migratory", "-retries", "2"}, "-retries needs an -app sweep"},
 		{"parallel with pattern", []string{"-pattern", "migratory", "-parallel", "2"}, "-parallel needs an -app sweep"},
 		{"resume without checkpoint", []string{"-app", "em3d", "-resume"}, "-resume requires -checkpoint"},
-		{"salvage without checkpoint", []string{"-app", "em3d", "-resume-salvage"}, "-resume-salvage requires -checkpoint"},
 		{"negative checkpoint cadence", []string{"-app", "em3d", "-checkpoint", "ck", "-checkpoint-every", "-2"}, "-checkpoint-every"},
 	}
 	for _, tc := range cases {

@@ -15,12 +15,12 @@
 // simulations fan out across a -parallel-wide worker pool, and reports
 // stream out in the order the apps were named, independent of
 // completion order. App sweeps take the sweep flags paperrepro takes:
-// -checkpoint/-resume/-resume-salvage persist and continue interrupted
-// runs, -retries and -faults retry and inject failures, -keep-going
-// prints fatally failed simulations as FAILED blocks instead of
-// aborting, and -remote fans the sweep out to sweepd shard workers — in
-// every case the report stream stays byte-identical to a plain
-// -parallel 1 run. A -pattern or -trace-out run is one direct
+// -checkpoint/-resume persist and continue interrupted runs (-resume
+// keeps each checkpoint's longest valid prefix), -retries and -faults
+// retry and inject failures, -keep-going prints fatally failed
+// simulations as FAILED blocks instead of aborting, and -remote fans
+// the sweep out to sweepd shard workers — in every case the report
+// stream stays byte-identical to a plain -parallel 1 run. A -pattern or -trace-out run is one direct
 // simulation and takes no sweep flag.
 package main
 

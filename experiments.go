@@ -56,8 +56,11 @@ type StudyConfig struct {
 	// so the same resume-enabled invocation works before and after an
 	// interruption). Saved rows are replayed without re-simulation;
 	// output is byte-identical to an uninterrupted run at any Parallel.
-	// Without Resume, an existing checkpoint file is an error — saved
-	// work is never silently clobbered.
+	// A damaged file resumes from its longest valid prefix and re-runs
+	// the rest; one that is not this study's checkpoint (another key or
+	// format version, or not a checkpoint at all) is refused untouched
+	// (sweep.ResumeCheckpoint). Without Resume, an existing checkpoint
+	// file is an error — saved work is never silently clobbered.
 	Resume bool
 	// CheckpointEvery is the flush cadence in completed rows
 	// (0 = sweep.DefaultCheckpointEvery). At most this many completed
@@ -76,15 +79,10 @@ type StudyConfig struct {
 	// science plus an exact re-run list. Failures occupy checkpoint
 	// frames, so a resumed keep-going sweep replays them identically.
 	KeepGoing bool
-	// Salvage makes Resume tolerate a damaged checkpoint: instead of
-	// rejecting the file, the longest valid row prefix is recovered,
-	// the damage is truncated away, and the sweep re-runs only what was
-	// lost. A checkpoint recorded under a different study key is still a
-	// hard error (sweep.KeyMismatchError). Ignored without Resume.
-	Salvage bool
-	// OnSalvage, when non-nil, is told what Salvage recovered for each
-	// study checkpoint that needed repair (it is not called for clean
-	// files). Purely informational.
+	// OnSalvage, when non-nil, is told what Resume dropped from each
+	// study checkpoint it did not adopt whole (a torn tail, damaged
+	// frames, a header cut short); it is not called for clean files.
+	// Purely informational.
 	OnSalvage func(study string, rep sweep.SalvageReport)
 	// FaultSpec, when non-empty, arms deterministic fault injection for
 	// every simulation job, in the internal/fault spec syntax, e.g.
@@ -172,21 +170,14 @@ func (c StudyConfig) checkpoint(rs studySpec, jobs int) (*sweep.Checkpoint, erro
 	}
 	study, key := rs.Study, rs.key(c.KeepGoing, jobs)
 	path := c.CheckpointPath + "." + study
-	switch {
-	case c.Resume && c.Salvage:
-		ck, rep, err := sweep.SalvageCheckpoint(path, key, c.CheckpointEvery)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Reason != "" && c.OnSalvage != nil {
-			c.OnSalvage(study, rep)
-		}
-		return ck, nil
-	case c.Resume:
-		return sweep.ResumeCheckpoint(path, key, c.CheckpointEvery)
-	default:
+	if !c.Resume {
 		return sweep.OpenCheckpoint(path, key, c.CheckpointEvery)
 	}
+	ck, err := sweep.ResumeCheckpoint(path, key, c.CheckpointEvery)
+	if err == nil && c.OnSalvage != nil && ck.Salvaged().Reason != "" {
+		c.OnSalvage(study, ck.Salvaged())
+	}
+	return ck, err
 }
 
 func (c StudyConfig) workloadParams() WorkloadParams {

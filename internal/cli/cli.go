@@ -1,5 +1,5 @@
 // Package cli is the command-line front end paperrepro and specdsm
-// share: the nine sweep flags bound straight into a specdsm.StudyConfig
+// share: the eight sweep flags bound straight into a specdsm.StudyConfig
 // and checked once, the comma-list splitter, and the exit-status
 // mapping.
 package cli
@@ -36,8 +36,7 @@ func Bind(fs *flag.FlagSet, cfg *specdsm.StudyConfig, checkpointFiles ...string)
 	f.BoolVar(&cfg.KeepGoing, "keep-going", false, "report fatally failed simulations as FAILED and continue instead of aborting")
 	f.StringVar(&cfg.CheckpointPath, "checkpoint", "", "persist completed simulations to files under this base path (PATH."+
 		strings.Join(checkpointFiles, ", PATH.")+")")
-	f.BoolVar(&cfg.Resume, "resume", false, "resume from the -checkpoint files an interrupted run left")
-	f.BoolVar(&cfg.Salvage, "resume-salvage", false, "like -resume, but truncate a corrupted checkpoint to its longest valid prefix instead of failing")
+	f.BoolVar(&cfg.Resume, "resume", false, "resume from the -checkpoint files an interrupted or damaged run left, keeping each file's longest valid prefix")
 	f.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "flush the checkpoint every N completed simulations (0 = default cadence)")
 	f.StringVar(&s.remote, "remote", "", "comma-separated sweepd workers (host:port) to fan simulations out to; output stays byte-identical to -parallel 1")
 	f.VisitAll(func(fl *flag.Flag) { fs.Var(fl.Value, fl.Name, fl.Usage) })
@@ -56,16 +55,13 @@ func (s *Sweep) Given() string {
 	return name
 }
 
-// Check completes the sweep flags after parsing: -resume-salvage implies
-// -resume, -remote is split, the flag-named checks run, salvage reports
-// go to the FlagSet's output, and the whole config (cfg.Apps included)
-// is validated.
+// Check completes the sweep flags after parsing: the flag-named checks
+// run, -remote is split, what -resume drops from a checkpoint is
+// reported on the FlagSet's output, and the whole config (cfg.Apps
+// included) is validated.
 func (s *Sweep) Check() error {
 	c, prog := s.cfg, s.fs.Name()
-	c.Resume = c.Resume || c.Salvage
 	switch {
-	case c.Salvage && c.CheckpointPath == "":
-		return fmt.Errorf("%s: -resume-salvage requires -checkpoint", prog)
 	case c.Resume && c.CheckpointPath == "":
 		return fmt.Errorf("%s: -resume requires -checkpoint", prog)
 	case c.CheckpointEvery < 0:
@@ -78,10 +74,10 @@ func (s *Sweep) Check() error {
 		}
 		c.Remote = list
 	}
-	if c.Salvage {
+	if c.Resume {
 		out, path := s.fs.Output(), c.CheckpointPath
 		c.OnSalvage = func(study string, rep sweep.SalvageReport) {
-			fmt.Fprintf(out, "%s: checkpoint %s.%s: salvaged %d rows, dropped %d bytes (%s)\n",
+			fmt.Fprintf(out, "%s: checkpoint %s.%s: kept %d rows, dropped %d bytes (%s)\n",
 				prog, path, study, rep.Rows, rep.DroppedBytes, rep.Reason)
 		}
 	}
@@ -140,7 +136,6 @@ func Exit(prog string, err error) {
 			fmt.Fprintf(stderr, "  %s\n", line)
 		}
 		fmt.Fprintf(stderr, "fix: rerun with the flags listed above, or remove %s to start this configuration fresh\n", km.Path)
-		fmt.Fprintln(stderr, "(-resume-salvage repairs corruption, not configuration changes; it would refuse too)")
 		exit(2)
 	case errors.As(err, new(usageError)), errors.Is(err, sweep.ErrCheckpointMismatch):
 		// Any other mismatch — a checkpoint of another format version,

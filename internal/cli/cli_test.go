@@ -29,8 +29,7 @@ func TestExitStatus(t *testing.T) {
 		{"key mismatch", fmt.Errorf("predictor study: %w", km), 2, []string{
 			"prog: checkpoint ck.predictor was recorded under different parameters:\n",
 			"  scale: checkpoint has 1, this run has 0.5\n",
-			"fix: rerun with the flags listed above, or remove ck.predictor",
-			"-resume-salvage repairs corruption, not configuration changes",
+			"fix: rerun with the flags listed above, or remove ck.predictor to start this configuration fresh\n",
 		}},
 		{"version mismatch", fmt.Errorf("sweep: checkpoint ck.sweep: %w: format version 2", sweep.ErrCheckpointMismatch), 2,
 			[]string{"checkpoint ck.sweep: checkpoint does not match this sweep: format version 2\n"}},
@@ -80,11 +79,16 @@ func TestBindCheck(t *testing.T) {
 	if !reflect.DeepEqual(cfg, specdsm.StudyConfig{}) || s.Given() != "" {
 		t.Fatalf("no flags: cfg %+v, given %q", cfg, s.Given())
 	}
-	cfg, s, err = parse("-parallel", "3", "-remote", "127.0.0.1:1, 127.0.0.1:2", "-checkpoint", "ck", "-resume-salvage")
+	var names []string
+	s.own.VisitAll(func(fl *flag.Flag) { names = append(names, fl.Name) })
+	if len(names) != 8 {
+		t.Fatalf("%d sweep flags bound, want 8: %v", len(names), names)
+	}
+	cfg, s, err = parse("-parallel", "3", "-remote", "127.0.0.1:1, 127.0.0.1:2", "-checkpoint", "ck", "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Parallel != 3 || !cfg.Resume || !cfg.Salvage || cfg.CheckpointPath != "ck" || cfg.OnSalvage == nil ||
+	if cfg.Parallel != 3 || !cfg.Resume || cfg.CheckpointPath != "ck" || cfg.OnSalvage == nil ||
 		!reflect.DeepEqual(cfg.Remote, []string{"127.0.0.1:1", "127.0.0.1:2"}) {
 		t.Fatalf("cfg = %+v", cfg)
 	}
@@ -97,7 +101,6 @@ func TestBindCheck(t *testing.T) {
 		frag string
 	}{
 		{[]string{"-resume"}, "prog: -resume requires -checkpoint"},
-		{[]string{"-resume-salvage"}, "prog: -resume-salvage requires -checkpoint"},
 		{[]string{"-checkpoint", "ck", "-checkpoint-every", "-1"}, "prog: -checkpoint-every must not be negative"},
 		{[]string{"-remote", "127.0.0.1:1,"}, "prog: empty entry in -remote"},
 		{[]string{"-remote", "nonsense"}, "want host:port"},

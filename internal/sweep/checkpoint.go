@@ -41,10 +41,10 @@ import (
 // the end of the valid prefix and syncs. Nothing already on disk is
 // rewritten, so a flush costs its own frames, not the whole file. A
 // crash mid-flush leaves a torn final frame (the file ends inside it);
-// opening the checkpoint scans for the longest valid frame prefix and
-// truncates the torn tail before anything is appended, so new frames
-// never land after garbage. Frames pending in memory between flushes
-// are bounded by Every.
+// resuming scans for the longest valid frame prefix and truncates what
+// follows it, torn or damaged, before anything is appended, so new
+// frames never land after garbage. Frames pending in memory between
+// flushes are bounded by Every.
 //
 // The header records no frame count, length or whole-file CRC: an
 // append-only file could not keep them true, and the per-frame CRCs
@@ -79,8 +79,9 @@ var (
 	// checkpoint file; the caller must either resume from it or remove it
 	// — a fresh sweep never silently clobbers saved work.
 	ErrCheckpointExists = errors.New("checkpoint file already exists (resume, or remove it to start over)")
-	// ErrCheckpointCorrupt reports a structurally invalid checkpoint:
-	// bad magic, a truncated header or payload, or a CRC mismatch.
+	// ErrCheckpointCorrupt reports a file resume cannot use: one whose
+	// first bytes are not a checkpoint's magic, or a saved frame that
+	// fails to replay.
 	ErrCheckpointCorrupt = errors.New("corrupt checkpoint file")
 	// ErrCheckpointMismatch reports a well-formed checkpoint that does
 	// not belong to this sweep: wrong version, wrong study key, or more
@@ -168,9 +169,9 @@ func keyFields(key string) map[string]string {
 	return fields
 }
 
-// SalvageReport describes what SalvageCheckpoint recovered. Reason is
-// empty when the file was fully valid (or absent) and nothing was
-// dropped.
+// SalvageReport describes what ResumeCheckpoint dropped to adopt a
+// file's longest valid prefix (Checkpoint.Salvaged). Reason is empty
+// when the file was fully valid (or absent) and nothing was dropped.
 type SalvageReport struct {
 	// Rows is the length of the valid prefix adopted (same as
 	// Checkpoint.Rows()).
@@ -182,11 +183,11 @@ type SalvageReport struct {
 }
 
 // Checkpoint persists the settled-prefix of one streaming sweep.
-// Create one with OpenCheckpoint (fresh), ResumeCheckpoint (continue,
-// strict), or SalvageCheckpoint (continue, tolerating a damaged tail);
-// pass it to Run (Options.Checkpoint), and frames are appended and
-// flushed automatically. A Checkpoint is used from the delivering
-// goroutine only and is not safe for concurrent use.
+// Create one with OpenCheckpoint (fresh) or ResumeCheckpoint (continue
+// from the longest valid prefix of an earlier run's file); pass it to
+// Run (Options.Checkpoint), and frames are appended and flushed
+// automatically. A Checkpoint is used from the delivering goroutine
+// only and is not safe for concurrent use.
 type Checkpoint struct {
 	fsys  fault.FS
 	path  string
@@ -198,6 +199,8 @@ type Checkpoint struct {
 
 	pend     []byte // bytes not yet flushed: whole frames (and a new file's header)
 	pendRows int
+
+	salvaged SalvageReport // what ResumeCheckpoint dropped
 }
 
 // OpenCheckpoint starts a fresh checkpoint at path for the study
@@ -227,15 +230,25 @@ func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, 
 	return ck, nil
 }
 
-// ResumeCheckpoint continues from the checkpoint at path. A missing file
-// starts fresh (so the same resume-enabled command line works both
-// before and after an interruption). An existing file is validated —
-// magic, version, study key, and every frame's kind and CRC — and any
-// defect is reported as a descriptive error rather than silently
-// recomputing or panicking downstream. The one defect it repairs is a
-// torn final frame, the normal outcome of a crash mid-flush: the tail is
-// truncated and its jobs run again. For a damaged file whose valid
-// prefix is still worth resuming from, use SalvageCheckpoint instead.
+// ResumeCheckpoint continues from the checkpoint at path, adopting the
+// longest valid frame prefix of the file. A missing file starts fresh
+// (so the same resume-enabled command line works both before and after
+// an interruption). Otherwise the header decides:
+//
+//   - first bytes that are not the magic: refused (ErrCheckpointCorrupt)
+//     and left unchanged — the file may not be a checkpoint at all;
+//   - another format version: refused (ErrCheckpointMismatch);
+//   - a complete header recorded under another study key: refused
+//     (*KeyMismatchError) — adopting its rows would mix configurations;
+//   - an empty file, or the magic followed by a header cut short: a
+//     torn first flush, restarted from job 0.
+//
+// Refused files are never written. After a valid header, the frames are
+// scanned up to the first that is cut short (a torn tail, the normal
+// outcome of a crash mid-flush), has a bad kind, or fails its CRC;
+// everything before it is adopted, and the file is truncated there
+// before anything is appended, so the sweep recomputes only what was
+// lost. Salvaged reports what was dropped.
 func ResumeCheckpoint(path, key string, every int) (*Checkpoint, error) {
 	return ResumeCheckpointFS(nil, path, key, every)
 }
@@ -243,46 +256,13 @@ func ResumeCheckpoint(path, key string, every int) (*Checkpoint, error) {
 // ResumeCheckpointFS is ResumeCheckpoint through an explicit filesystem
 // seam (nil selects the real one).
 func ResumeCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
-	ck, _, err := openExisting(fsys, path, key, every, false)
-	return ck, err
-}
-
-// SalvageCheckpoint continues from the checkpoint at path, recovering
-// the longest valid frame prefix of a damaged file instead of rejecting
-// it. The salvage policy:
-//
-//   - missing file: start fresh (like ResumeCheckpoint);
-//   - unreadable header or wrong format version: nothing is trustable —
-//     salvage to an empty checkpoint and re-run from job 0;
-//   - readable header with a different study key: hard error
-//     (*KeyMismatchError) — the file belongs to a different study, and
-//     "salvaging" it would silently mix configurations;
-//   - valid header: scan frames, stop at the first truncated frame, bad
-//     kind, or frame-CRC mismatch, adopt everything before it, and
-//     truncate the file there so the damage is gone from disk.
-func SalvageCheckpoint(path, key string, every int) (*Checkpoint, SalvageReport, error) {
-	return SalvageCheckpointFS(nil, path, key, every)
-}
-
-// SalvageCheckpointFS is SalvageCheckpoint through an explicit
-// filesystem seam (nil selects the real one).
-func SalvageCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, SalvageReport, error) {
-	return openExisting(fsys, path, key, every, true)
-}
-
-// openExisting is Resume (salvage false) and Salvage: it scans the file
-// at path for the longest valid frame prefix, decides whether the
-// defect that ends it (if any) is acceptable, and truncates the file to
-// the prefix before anything can be appended.
-func openExisting(fsys fault.FS, path, key string, every int, salvage bool) (*Checkpoint, SalvageReport, error) {
 	ck := newCheckpoint(fsys, path, key, every)
 	f, err := ck.fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		ck, err := OpenCheckpointFS(fsys, path, key, every)
-		return ck, SalvageReport{}, err
+		return OpenCheckpointFS(fsys, path, key, every)
 	}
 	if err != nil {
-		return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 	}
 	end, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
@@ -294,36 +274,32 @@ func openExisting(fsys fault.FS, path, key string, every int, salvage bool) (*Ch
 	}
 	f.Close()
 	if err != nil {
-		return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 	}
-	var km *KeyMismatchError
+	rep := &ck.salvaged
 	switch {
-	case errors.As(hdrErr, &km) || hdrErr != nil && !salvage:
-		return nil, SalvageReport{}, hdrErr
-	case damage != nil && !salvage:
-		return nil, SalvageReport{}, damage
-	}
-	rep := SalvageReport{Rows: ck.rows, DroppedBytes: end - ck.size}
-	switch {
-	case hdrErr != nil:
-		// Unreadable header or wrong version: nothing in the file can be
-		// trusted (frame boundaries depend on the key length). Restart.
-		rep.Reason = fmt.Sprintf("unreadable header (%v); restarting from job 0", hdrErr)
+	case hdrErr == errShort:
+		// The file ends inside the header: nothing after it was ever
+		// written, so no settled job is lost by restarting.
+		rep.Reason = "header cut short (a torn first flush); restarting from job 0"
 		ck.pend = ck.appendHeader(ck.pend)
+	case hdrErr != nil:
+		return nil, hdrErr
 	case damage != nil:
 		rep.Reason = fmt.Sprintf("%v; keeping the %d-frame prefix", damage, ck.rows)
-	case rep.DroppedBytes > 0:
-		rep.Reason = fmt.Sprintf("%d trailing bytes beyond the last whole frame", rep.DroppedBytes)
+	case end > ck.size:
+		rep.Reason = fmt.Sprintf("%d trailing bytes beyond the last whole frame", end-ck.size)
 	}
+	rep.Rows, rep.DroppedBytes = ck.rows, end-ck.size
 	if end > ck.size {
 		if err := ck.fsys.Truncate(path, ck.size); err != nil {
-			return nil, SalvageReport{}, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+			return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
 		}
 	}
 	if err := ck.Flush(); err != nil {
-		return nil, SalvageReport{}, err
+		return nil, err
 	}
-	return ck, rep, nil
+	return ck, nil
 }
 
 func newCheckpoint(fsys fault.FS, path, key string, every int) *Checkpoint {
@@ -342,6 +318,10 @@ func (ck *Checkpoint) Rows() int { return ck.rows }
 
 // Path returns the checkpoint file path.
 func (ck *Checkpoint) Path() string { return ck.path }
+
+// Salvaged reports what ResumeCheckpoint dropped from the file to
+// adopt its valid prefix; its Reason is empty when nothing was.
+func (ck *Checkpoint) Salvaged() SalvageReport { return ck.salvaged }
 
 func (ck *Checkpoint) corrupt(format string, args ...any) error {
 	return fmt.Errorf("sweep: checkpoint %s: %w: %s", ck.path, ErrCheckpointCorrupt, fmt.Sprintf(format, args...))
@@ -362,14 +342,16 @@ func (ck *Checkpoint) appendHeader(b []byte) []byte {
 
 // scan reads the header and walks the frames of an open file of size
 // end, adopting the longest valid prefix: ck.rows whole frames ending
-// at ck.size (zero, zero when the header is unusable). hdrErr reports a
-// header that is unreadable, of another version, or recorded under
-// another key (*KeyMismatchError). damage reports the first complete
-// frame with a bad kind or CRC; a file that merely ends inside its
-// final frame is a torn append, not damage. A damaged length field that
-// points past the end of the file reads as torn too: its frames are
-// recomputed, never misread. err reports a failed read, which must not
-// pass for a short or damaged file: nothing may be truncated after it.
+// at ck.size (zero, zero when the header is unusable). hdrErr is
+// errShort for a header cut short (a torn first flush), and otherwise
+// reports a file that is not a checkpoint, of another version, or
+// recorded under another key (*KeyMismatchError). damage reports the
+// first complete frame with a bad kind or CRC; a file that merely ends
+// inside its final frame is a torn append, not damage. A damaged length
+// field that points past the end of the file reads as torn too: its
+// frames are recomputed, never misread. err reports a failed read,
+// which must not pass for a short or damaged file: nothing may be
+// truncated after it.
 func (ck *Checkpoint) scan(f io.Reader, end int64) (hdrErr, damage, err error) {
 	in := &readErr{r: f}
 	defer func() {
@@ -389,7 +371,7 @@ func (ck *Checkpoint) scan(f io.Reader, end int64) (hdrErr, damage, err error) {
 			return nil, nil, nil
 		}
 		if err != nil {
-			return nil, ck.corrupt("frame %d: %v", ck.rows, err), nil
+			return nil, fmt.Errorf("frame %d: %v", ck.rows, err), nil
 		}
 		buf = payload
 		ck.rows++
@@ -412,27 +394,30 @@ func (e *readErr) Read(p []byte) (int, error) {
 }
 
 // readHeader parses and validates the header of a file of size end.
+// A header the file ends inside is errShort, provided the bytes before
+// the cut start like a checkpoint's: the magic, or a prefix of it.
 func (ck *Checkpoint) readHeader(r io.Reader, end int64) error {
 	var fixed [ckptFixed]byte
-	if _, err := io.ReadFull(r, fixed[:8]); err != nil {
-		return ck.corrupt("file shorter than the %d-byte magic", 8)
+	n, _ := io.ReadFull(r, fixed[:8])
+	if string(fixed[:n]) != ckptMagic[:n] {
+		return ck.corrupt("bad magic %q (not a sweep checkpoint file)", fixed[:n])
 	}
-	if string(fixed[:8]) != ckptMagic {
-		return ck.corrupt("bad magic %q (not a sweep checkpoint file)", fixed[:8])
+	if n < 8 {
+		return errShort
 	}
 	if _, err := io.ReadFull(r, fixed[8:]); err != nil {
-		return ck.corrupt("truncated header")
+		return errShort
 	}
 	if version := binary.LittleEndian.Uint32(fixed[8:]); version != ckptVersion {
 		return ck.mismatch("format version %d, this build reads version %d", version, ckptVersion)
 	}
 	keyLen := int64(binary.LittleEndian.Uint32(fixed[12:]))
 	if keyLen > end-ckptFixed {
-		return ck.corrupt("truncated header: key cut short")
+		return errShort
 	}
 	key := make([]byte, keyLen)
 	if _, err := io.ReadFull(r, key); err != nil {
-		return ck.corrupt("truncated header: key cut short")
+		return errShort
 	}
 	if string(key) != ck.key {
 		return &KeyMismatchError{Path: ck.path, Stored: string(key), Want: ck.key}
@@ -440,8 +425,8 @@ func (ck *Checkpoint) readHeader(r io.Reader, end int64) error {
 	return nil
 }
 
-// errShort reports an input that ends before the next frame does: at
-// a frame boundary, or inside a torn frame.
+// errShort reports an input that ends before the next frame does (at a
+// frame boundary, or inside a torn frame) or inside the header.
 var errShort = errors.New("frame cut short")
 
 // readFrame reads and verifies one frame from r, which holds remain

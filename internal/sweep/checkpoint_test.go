@@ -198,46 +198,56 @@ func TestCheckpointMoreRowsThanJobs(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsCorruption pins what strict resume refuses: a
-// damaged header, and a complete frame that fails its CRC. A file that
-// merely ends inside its last frame is a torn append, which resume
-// repairs (TestResumeRepairsTornTail), so truncation here cuts into the
-// header and trailing data is a whole frame with a bad CRC.
+// TestCheckpointRejectsCorruption pins how resume rejects a damaged
+// file, the header policy included. What the header says is not this
+// sweep's checkpoint — not a checkpoint at all, another format version,
+// another study key — is refused, and the file is left unchanged.
+// Everything else is cut away: damaged frames are truncated and their
+// jobs re-run, and a header cut short (a torn first flush) restarts the
+// file from job 0. Each recovered sweep completes to the clean run's
+// output, re-running only the lost jobs.
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	mutate := map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:12] },
-		"bad magic":    func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"flipped byte": func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b },
-		"trailing": func(b []byte) []byte {
-			// len 2, kind row, CRC 0 (wrong), payload.
+	const n = 12
+	cases := map[string]struct {
+		fn      func([]byte) []byte
+		refused error // the sentinel resume refuses the file with, or nil
+		rows    int   // frames adopted when not refused
+	}{
+		"truncated":    {fn: func(b []byte) []byte { return b[:12] }, rows: 0},
+		"bad magic":    {fn: func(b []byte) []byte { b[0] ^= 0xff; return b }, refused: sweep.ErrCheckpointCorrupt},
+		"flipped byte": {fn: func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b }, rows: n - 1},
+		"trailing": {fn: func(b []byte) []byte {
+			// A whole frame: len 2, kind row, CRC 0 (wrong), payload.
 			return append(b, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0xde, 0xad)
-		},
-		"empty": func(b []byte) []byte { return nil },
-		"version": func(b []byte) []byte {
+		}, rows: n},
+		"empty": {fn: func(b []byte) []byte { return nil }, rows: 0},
+		"version": {fn: func(b []byte) []byte {
 			b[8] = 0xfe // version field follows the 8-byte magic
 			return b
-		},
+		}, refused: sweep.ErrCheckpointMismatch},
+		"not a checkpoint": {fn: func([]byte) []byte { return []byte("speculation results, do not delete\n") },
+			refused: sweep.ErrCheckpointCorrupt},
+		"other key": {fn: func(b []byte) []byte {
+			b[16] ^= 0x20 // the key's first byte follows the 16-byte fixed header
+			return b
+		}, refused: sweep.ErrCheckpointMismatch},
 	}
-	for name, fn := range mutate {
-		fn := fn
+	for name, tc := range cases {
+		tc := tc
 		t.Run(name, func(t *testing.T) {
 			path := ckPath(t)
-			if _, err := runCheckpointed(t, path, 12, 1, 2, -1, false, nil); err != nil {
+			want, clean := cleanCheckpoint(t, path, n)
+			if err := os.WriteFile(path, tc.fn(append([]byte(nil), clean...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			if tc.refused == nil {
+				checkRecovered(t, path, n, tc.rows, want, clean)
+				return
 			}
-			if err := os.WriteFile(path, fn(b), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = sweep.ResumeCheckpoint(path, "test-study|n=unbounded", 2)
-			if err == nil {
-				t.Fatal("corrupted checkpoint accepted")
-			}
-			if !errors.Is(err, sweep.ErrCheckpointCorrupt) && !errors.Is(err, sweep.ErrCheckpointMismatch) {
-				t.Fatalf("err = %v, want corrupt/mismatch sentinel", err)
+			err := checkRefused(t, path, tc.refused)
+			var km *sweep.KeyMismatchError
+			if isKey := errors.As(err, &km); isKey != (name == "other key") {
+				t.Fatalf("err = %v: *KeyMismatchError %v, want %v", err, isKey, !isKey)
 			}
 		})
 	}

@@ -38,13 +38,12 @@
 // syncing), and Run replays the saved frames and then runs only the
 // missing indices, so an interrupted-then-resumed sweep emits exactly
 // the sequence an uninterrupted run would have, at any worker count.
-// Resume validation is strict: corrupt or mismatched (wrong study,
-// wrong version) files fail with descriptive errors instead of silently
-// recomputing. The one defect it repairs is the normal crash outcome of
-// an append-only file, a torn final frame, which it truncates. Rows
-// reach a checkpoint, and come back from a transport, only through the
-// row type's own binary codec (AppendBinary and UnmarshalBinary); Run
-// refuses a checkpoint or transports for a row type without one. Fail selects keep-going mode (see below), and
+// Resuming adopts the file's longest valid frame prefix (see Failure
+// model).
+// Rows reach a checkpoint, and come back from a transport, only through
+// the row type's own binary codec (AppendBinary and UnmarshalBinary);
+// Run refuses a checkpoint or transports for a row type without one.
+// Fail selects keep-going mode (see below), and
 // Transports attach remote executors (see Link and internal/remote):
 // they lease jobs in batches, have their leases stolen when they
 // straggle and requeued when they die, and leave jobs that keep
@@ -84,15 +83,19 @@
 // so a resumed run replays the same outcome rather than retrying
 // failed indices.
 //
-// Resume has a second, forgiving mode: SalvageCheckpoint scans a
-// damaged checkpoint and adopts the longest valid frame prefix,
-// truncating corrupt tails (a frame that fails its CRC after a bad
-// disk or a stray write) so the sweep recomputes only what was actually
-// lost; an unreadable header restarts from job 0. Strict resume already
-// accepts a torn final frame, so salvage is needed only for damage. A
-// checkpoint whose header reads cleanly but names a different study key
-// is never salvaged — that is a configuration error (*KeyMismatchError,
-// with a field-by-field Diff), not damage.
+// ResumeCheckpoint is the one resume mode. It scans the file and adopts
+// the longest valid frame prefix, whatever ends it: a torn final frame
+// (the normal outcome of a crash mid-flush), trailing garbage, or a
+// complete frame with a bad kind or CRC (a bad disk, a stray write). It
+// truncates the file there before anything is appended, and the sweep
+// recomputes only what was lost; since jobs are deterministic, the
+// output is the uninterrupted run's. Checkpoint.Salvaged reports what
+// was dropped. The header is not forgiven: a file that does not start
+// with the magic may not be a checkpoint at all and is refused
+// untouched, and another format version or study key is refused as a
+// mismatch (*KeyMismatchError explains the key field by field with
+// Diff) — those are configuration errors, not damage. Only a header
+// the file ends inside, a torn first flush, restarts from job 0.
 //
 // The fault package supplies the matching test seam: an Injector
 // (Pool.Inject) deterministically injects transient job errors, job

@@ -19,7 +19,8 @@ import (
 const salvageKey = "test-study|n=unbounded"
 
 // writeFullCheckpoint runs a complete n-job checkpointed sweep at path
-// and returns the emitted rows — the clean reference for salvage tests.
+// and returns the emitted rows — the clean reference for the damaged
+// file tests.
 func writeFullCheckpoint(t *testing.T, path string, n int) []row {
 	t.Helper()
 	out, err := runCheckpointed(t, path, n, 1, 4, -1, false, nil)
@@ -29,9 +30,21 @@ func writeFullCheckpoint(t *testing.T, path string, n int) []row {
 	return out
 }
 
-// completeSalvaged finishes the sweep from a salvaged checkpoint and
+// cleanCheckpoint writes a complete n-job checkpoint at path and
+// returns its rows and its bytes.
+func cleanCheckpoint(t *testing.T, path string, n int) ([]row, []byte) {
+	t.Helper()
+	want := writeFullCheckpoint(t, path, n)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want, b
+}
+
+// completeResumed finishes the sweep from a resumed checkpoint and
 // returns every emitted row (replayed prefix + re-run remainder).
-func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int64) []row {
+func completeResumed(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int64) []row {
 	t.Helper()
 	var out []row
 	err := sweep.Run(context.Background(), sweep.New(1), n, sweep.Options{Checkpoint: ck}, nil,
@@ -48,126 +61,175 @@ func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int
 	return out
 }
 
-// TestSalvageOffsetClasses corrupts a real checkpoint at each byte
+// checkRecovered resumes from the damaged copy at path of a clean
+// n-job checkpoint (want its rows, clean its bytes). Resume must adopt
+// exactly rows frames and report every byte after them as dropped; the
+// sweep completed from it must equal the clean run with only the lost
+// jobs re-run; and a second resume of the truncated file must adopt all
+// n rows, dropping nothing. It returns the first resume's report.
+func checkRecovered(t *testing.T, path string, n, rows int, want []row, clean []byte) sweep.SalvageReport {
+	t.Helper()
+	damaged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
+	if err != nil {
+		t.Fatalf("resume refused a damaged file: %v", err)
+	}
+	rep := ck.Salvaged()
+	if ck.Rows() != rows || rep.Rows != rows {
+		t.Fatalf("resume adopted %d rows (report %d), want %d", ck.Rows(), rep.Rows, rows)
+	}
+	kept := frameBoundaries(t, clean, salvageKey)[rows]
+	if kept > len(damaged) {
+		kept = 0 // a header cut short restarts the file
+	}
+	if rep.DroppedBytes != int64(len(damaged)-kept) {
+		t.Fatalf("DroppedBytes = %d, want %d", rep.DroppedBytes, len(damaged)-kept)
+	}
+	if rep.DroppedBytes > 0 && rep.Reason == "" {
+		t.Fatalf("dropped %d bytes without a reason", rep.DroppedBytes)
+	}
+	var ran atomic.Int64
+	if got := completeResumed(t, ck, n, &ran); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed+completed output diverged from clean run:\n got %+v\nwant %+v", got, want)
+	}
+	if ran.Load() != int64(n-rows) {
+		t.Fatalf("re-ran %d jobs, want %d (n=%d minus %d adopted)", ran.Load(), n-rows, n, rows)
+	}
+	again, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if again.Rows() != n || again.Salvaged() != (sweep.SalvageReport{Rows: n}) {
+		t.Fatalf("second resume adopted %d rows, report %+v; want %d, nothing dropped", again.Rows(), again.Salvaged(), n)
+	}
+	return rep
+}
+
+// checkRefused resumes from the file at path, which must fail with
+// sentinel and leave the file byte for byte as it was.
+func checkRefused(t *testing.T, path string, sentinel error) error {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sweep.ResumeCheckpoint(path, salvageKey, 4)
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("resume err = %v, want %v", err, sentinel)
+	}
+	if after, rerr := os.ReadFile(path); rerr != nil || string(after) != string(before) {
+		t.Fatalf("refused file changed: %d bytes before, %d after (%v)", len(before), len(after), rerr)
+	}
+	return err
+}
+
+// frameOf returns the index of the frame holding byte off of a clean
+// checkpoint whose frame boundaries are bounds.
+func frameOf(bounds []int, off int) int {
+	k := 0
+	for k+1 < len(bounds) && bounds[k+1] <= off {
+		k++
+	}
+	return k
+}
+
+// TestSalvageOffsetClasses damages a real checkpoint at each byte
 // offset class — header, mid-frame, trailing garbage, truncation in the
-// last frame — and verifies salvage recovers a valid prefix and the
-// completed sweep matches the clean run exactly. Strict resume refuses
-// the damage and accepts the two torn tails (trailing garbage shorter
-// than a frame header, a cut final frame), which a crash mid-flush
-// leaves.
+// last frame — and resumes. Damage after the header is cut away: resume
+// adopts the frames before it and the completed sweep matches the clean
+// run exactly. A damaged magic or version is refused with the file left
+// unchanged.
 func TestSalvageOffsetClasses(t *testing.T) {
 	const n = 12
 	mutate := map[string]struct {
-		fn        func(b []byte) []byte
-		fullRerun bool // corruption destroys the header: expect zero rows salvaged
-		torn      bool // the file ends inside a frame: strict resume repairs it
+		fn      func(b []byte) []byte
+		refused error                  // the sentinel resume refuses the file with, or nil
+		rows    func(bounds []int) int // frames adopted, from the clean file's frame boundaries
 	}{
-		"header magic":    {func(b []byte) []byte { b[3] ^= 0xff; return b }, true, false},
-		"header version":  {func(b []byte) []byte { b[8] = 0xfe; return b }, true, false},
-		"mid frame":       {func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }, false, false},
-		"trailing":        {func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe) }, false, true},
-		"truncate in crc": {func(b []byte) []byte { return b[:len(b)-2] }, false, true},
+		"header magic":   {fn: func(b []byte) []byte { b[3] ^= 0xff; return b }, refused: sweep.ErrCheckpointCorrupt},
+		"header version": {fn: func(b []byte) []byte { b[8] = 0xfe; return b }, refused: sweep.ErrCheckpointMismatch},
+		"mid frame": {fn: func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b },
+			rows: func(bounds []int) int { return frameOf(bounds, bounds[n]/2) }},
+		"trailing": {fn: func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe) },
+			rows: func([]int) int { return n }},
+		"truncate in crc": {fn: func(b []byte) []byte { return b[:len(b)-2] },
+			rows: func([]int) int { return n - 1 }},
 	}
 	for name, tc := range mutate {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			path := ckPath(t)
-			want := writeFullCheckpoint(t, path, n)
-			b, err := os.ReadFile(path)
-			if err != nil {
+			want, clean := cleanCheckpoint(t, path, n)
+			if err := os.WriteFile(path, tc.fn(append([]byte(nil), clean...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			damaged := tc.fn(append([]byte(nil), b...))
-			if err := os.WriteFile(path, damaged, 0o644); err != nil {
-				t.Fatal(err)
+			if tc.refused != nil {
+				checkRefused(t, path, tc.refused)
+				return
 			}
-			if tc.torn {
-				// Strict resume repairs a torn tail; try it on a copy so
-				// salvage below still sees the damage.
-				cp := ckPath(t)
-				if err := os.WriteFile(cp, damaged, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sweep.ResumeCheckpoint(cp, salvageKey, 4); err != nil {
-					t.Fatalf("strict resume refused a torn tail: %v", err)
-				}
-			} else if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
-				t.Fatal("strict resume accepted a corrupted file")
-			}
-			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.fullRerun && ck.Rows() != 0 {
-				t.Fatalf("salvaged %d rows from an unreadable header", ck.Rows())
-			}
-			if ck.Rows() > n {
-				t.Fatalf("salvaged %d rows from an %d-row file", ck.Rows(), n)
-			}
-			if rep.Rows != ck.Rows() {
-				t.Fatalf("report says %d rows, checkpoint has %d", rep.Rows, ck.Rows())
-			}
-			var ran atomic.Int64
-			got := completeSalvaged(t, ck, n, &ran)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("salvaged+completed output diverged from clean run:\n got %+v\nwant %+v", got, want)
-			}
-			if ran.Load() != int64(n-rep.Rows) {
-				t.Fatalf("re-ran %d jobs, want %d (n=%d minus %d salvaged)", ran.Load(), n-rep.Rows, n, rep.Rows)
-			}
-			// Salvage rewrote the file: a strict resume now succeeds.
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err != nil {
-				t.Fatalf("strict resume after salvage+complete: %v", err)
-			}
+			checkRecovered(t, path, n, tc.rows(frameBoundaries(t, clean, salvageKey)), want, clean)
 		})
 	}
 }
 
 // TestSalvageEveryByteOffset is the exhaustive sweep: flip each single
-// byte of a real checkpoint file and salvage. Every offset must yield
-// either a successful salvage whose completed output equals the clean
-// run, or — for corruption inside the header's key region only — a
-// KeyMismatchError.
+// byte of a real checkpoint file and resume. A flip in frame k adopts
+// exactly the k frames before it, and the completed output equals the
+// clean run. A flip in the header is refused with the file unchanged —
+// the magic as not a checkpoint, the version as a mismatch, the key (or
+// a key length still inside the file) as a *KeyMismatchError — except
+// a key length that points past the end of the file, which reads as a
+// header cut short and restarts from job 0.
 func TestSalvageEveryByteOffset(t *testing.T) {
 	const n = 12
 	base := ckPath(t)
-	want := writeFullCheckpoint(t, base, n)
-	clean, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headerLen := 8 + 4 + 4 + len(salvageKey)
+	want, clean := cleanCheckpoint(t, base, n)
+	bounds := frameBoundaries(t, clean, salvageKey)
+	headerLen := bounds[0]
 	dir := t.TempDir()
 	// Every header byte and the file tail are tested exhaustively; deep
-	// payload offsets are strided (each salvage rewrite costs an fsync,
-	// and mid-payload bytes are all the same offset class).
-	offsets := make([]int, 0, len(clean))
+	// payload offsets are strided (each truncation costs an fsync, and
+	// mid-payload bytes are all the same offset class).
 	for off := range clean {
-		if off < headerLen+64 || off >= len(clean)-16 || off%7 == 0 {
-			offsets = append(offsets, off)
+		if off >= headerLen+64 && off < len(clean)-16 && off%7 != 0 {
+			continue
 		}
-	}
-	for _, off := range offsets {
 		b := append([]byte(nil), clean...)
 		b[off] ^= 0x41
 		path := filepath.Join(dir, fmt.Sprintf("off%d.ckpt", off))
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ck, _, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
+		ck, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
 		if err != nil {
 			var km *sweep.KeyMismatchError
-			if !errors.As(err, &km) {
-				t.Fatalf("offset %d: salvage failed with %v (only key mismatch is a hard error)", off, err)
+			switch {
+			case off < 8 && errors.Is(err, sweep.ErrCheckpointCorrupt):
+			case off >= 8 && off < 12 && errors.Is(err, sweep.ErrCheckpointMismatch) && !errors.As(err, &km):
+			case off >= 12 && off < headerLen && errors.As(err, &km):
+			default:
+				t.Fatalf("offset %d: resume failed with %v", off, err)
 			}
-			if off >= headerLen {
-				t.Fatalf("offset %d is payload, but salvage saw a key mismatch", off)
+			if after, rerr := os.ReadFile(path); rerr != nil || string(after) != string(b) {
+				t.Fatalf("offset %d: refused file changed (%v)", off, rerr)
 			}
 			continue
 		}
-		got := completeSalvaged(t, ck, n, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("offset %d: salvaged+completed output diverged from clean run", off)
+		wantRows := frameOf(bounds, off)
+		if off < headerLen {
+			if off < 12 || off >= 16 {
+				t.Fatalf("offset %d: resume accepted a damaged header", off)
+			}
+			wantRows = 0 // the key length points past the end: restarted
+		}
+		if ck.Rows() != wantRows {
+			t.Fatalf("offset %d: adopted %d rows, want %d", off, ck.Rows(), wantRows)
+		}
+		if got := completeResumed(t, ck, n, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("offset %d: resumed+completed output diverged from clean run", off)
 		}
 	}
 }
@@ -194,38 +256,35 @@ func frameBoundaries(t *testing.T, b []byte, key string) []int {
 	return bounds
 }
 
-// TestSalvageDegenerateFiles pins the salvage edge cases that have no
-// damaged bytes to detect — the file just ends too soon: a zero-length
-// file, a header-only file, and truncation exactly on a frame boundary.
-// An append-only file records no frame count, so a header-only file or
-// one cut on a boundary is simply a shorter valid checkpoint: strict
-// resume adopts exactly its whole frames, as salvage does. Only the
-// zero-length file, which has no header, is refused. Either way the
+// TestSalvageDegenerateFiles pins the edge cases that have no damaged
+// bytes to detect — the file just ends too soon. An append-only file
+// records no frame count, so a header-only file or one cut on a frame
+// boundary is simply a shorter valid checkpoint: resume adopts exactly
+// its whole frames and drops nothing. A file that ends inside its
+// header — empty, cut in the magic, cut in the key — is a torn first
+// flush: resume restarts it from job 0 and says so. Either way the
 // sweep completes to the clean run's output.
 func TestSalvageDegenerateFiles(t *testing.T) {
 	const n = 12
-	base := ckPath(t)
-	want := writeFullCheckpoint(t, base, n)
-	clean, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, clean := cleanCheckpoint(t, ckPath(t), n)
 	bounds := frameBoundaries(t, clean, salvageKey)
 	if len(bounds) != n+1 {
 		t.Fatalf("clean file has %d frames, want %d", len(bounds)-1, n)
 	}
 
 	cases := []struct {
-		name   string
-		cut    int  // file length to keep
-		rows   int  // frames salvage must adopt
-		strict bool // strict resume accepts the file
+		name    string
+		cut     int  // file length to keep
+		rows    int  // frames resume must adopt
+		restart bool // the header is cut short
 	}{
-		{"zero length", 0, 0, false},
-		{"header only", bounds[0], 0, true},
-		{"boundary after frame 1", bounds[1], 1, true},
-		{"boundary mid file", bounds[n/2], n / 2, true},
-		{"boundary before last frame", bounds[n-1], n - 1, true},
+		{"zero length", 0, 0, true},
+		{"cut in the magic", 5, 0, true},
+		{"cut in the key", bounds[0] - 3, 0, true},
+		{"header only", bounds[0], 0, false},
+		{"boundary after frame 1", bounds[1], 1, false},
+		{"boundary mid file", bounds[n/2], n / 2, false},
+		{"boundary before last frame", bounds[n-1], n - 1, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -234,38 +293,9 @@ func TestSalvageDegenerateFiles(t *testing.T) {
 			if err := os.WriteFile(path, clean[:tc.cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			switch ck, err := sweep.ResumeCheckpoint(path, salvageKey, 4); {
-			case !tc.strict && err == nil:
-				t.Fatal("strict resume accepted a file without a header")
-			case !tc.strict && !errors.Is(err, sweep.ErrCheckpointCorrupt):
-				t.Fatalf("strict resume err = %v, want ErrCheckpointCorrupt", err)
-			case tc.strict && err != nil:
-				t.Fatalf("strict resume refused a valid prefix: %v", err)
-			case tc.strict && ck.Rows() != tc.rows:
-				t.Fatalf("strict resume adopted %d rows, want %d", ck.Rows(), tc.rows)
-			}
-			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ck.Rows() != tc.rows || rep.Rows != tc.rows {
-				t.Fatalf("salvaged %d rows (report %d), want %d", ck.Rows(), rep.Rows, tc.rows)
-			}
-			// Truncation at a boundary leaves nothing past the last whole
-			// frame, so no payload bytes are dropped.
-			if rep.DroppedBytes != 0 {
-				t.Fatalf("DroppedBytes = %d, want 0 (cut was on a boundary)", rep.DroppedBytes)
-			}
-			var ran atomic.Int64
-			got := completeSalvaged(t, ck, n, &ran)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("salvaged+completed output diverged from clean run:\n got %+v\nwant %+v", got, want)
-			}
-			if ran.Load() != int64(n-tc.rows) {
-				t.Fatalf("re-ran %d jobs, want %d", ran.Load(), n-tc.rows)
-			}
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err != nil {
-				t.Fatalf("strict resume after salvage+complete: %v", err)
+			rep := checkRecovered(t, path, n, tc.rows, want, clean)
+			if restarted := strings.Contains(rep.Reason, "restarting from job 0"); restarted != tc.restart || !tc.restart && rep.Reason != "" {
+				t.Fatalf("report %+v: restarted %v, want %v", rep, restarted, tc.restart)
 			}
 		})
 	}
@@ -484,7 +514,7 @@ func TestTornAppendResumesInOrder(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() != prefix {
 		t.Fatalf("resume left %d bytes, want the %d-byte valid prefix (%v)", fi.Size(), prefix, err)
 	}
-	if got := completeSalvaged(t, ck, n, nil); len(got) != n {
+	if got := completeResumed(t, ck, n, nil); len(got) != n {
 		t.Fatalf("completed sweep emitted %d rows, want %d", len(got), n)
 	}
 
@@ -542,7 +572,7 @@ func TestCheckpointWritesEachByteOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := completeSalvaged(t, ck, n, nil); len(got) != n {
+	if got := completeResumed(t, ck, n, nil); len(got) != n {
 		t.Fatalf("sweep emitted %d rows, want %d", len(got), n)
 	}
 	fi, err := os.Stat(path)
@@ -581,8 +611,8 @@ func (r *failingRead) Read(p []byte) (int, error) {
 }
 
 // TestOpenReadErrorTruncatesNothing: a read that fails while a
-// checkpoint is scanned is neither a torn tail nor damage, so neither
-// resume path may adopt a prefix and truncate the file after it.
+// checkpoint is scanned is neither a torn tail nor damage, so resume
+// may not adopt a prefix and truncate the file after it.
 func TestOpenReadErrorTruncatesNothing(t *testing.T) {
 	path := ckPath(t)
 	writeFullCheckpoint(t, path, 12)
@@ -594,9 +624,6 @@ func TestOpenReadErrorTruncatesNothing(t *testing.T) {
 		fsys := failingReadFS{fault.OS, after}
 		if _, err := sweep.ResumeCheckpointFS(fsys, path, salvageKey, 4); err == nil {
 			t.Errorf("resume with a read failing after %d bytes succeeded", after)
-		}
-		if _, _, err := sweep.SalvageCheckpointFS(fsys, path, salvageKey, 4); err == nil {
-			t.Errorf("salvage with a read failing after %d bytes succeeded", after)
 		}
 		if b, err := os.ReadFile(path); err != nil || string(b) != string(clean) {
 			t.Fatalf("a failed read after %d bytes changed the file (%d of %d bytes left)", after, len(b), len(clean))
