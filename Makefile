@@ -46,31 +46,35 @@ leaks:
 	echo "leaks: no sweepd, perfbench or paperrepro process left running"
 
 # bench-leaks runs the benchmark command, perfbench/run.sh, once per
-# workload for BENCH_LEAKS_SECONDS, each run in a session of its own
-# (setsid). It fails, naming the run and the processes, if anything of
-# that session is still alive after run.sh returns (zombies have exited
-# and do not count), or if the leaks name match finds a sweepd,
-# perfbench or paperrepro process; it then stops what it named. A run
-# that exits non-zero or does not report "correct": true fails too.
-BENCH_LEAKS_SECONDS ?= 3
+# workload for 3 s, each run in a session of its own (setsid). It fails,
+# naming the run and the processes, if anything of that session is
+# still alive after run.sh returns (zombies have exited and do not
+# count), and then kills that session. A sweepd, perfbench or
+# paperrepro process that started during the run outside its session
+# (a daemon that left it, or one the user started) fails the leg too;
+# it is named but not killed, since it need not be the run's. A run
+# that exits non-zero or does not report "correct": true fails as well.
 bench-leaks:
 	@for w in predict speculate fleet; do \
 		tmp=$$(mktemp -d); \
-		setsid -w bash -c 'echo $$$$ > "$$1/sid"; exec bash perfbench/run.sh --workload "$$2" --seed 1 --seconds $(BENCH_LEAKS_SECONDS) --trace 0' \
+		before=$$(pgrep -x 'sweepd|perfbench|paperrepro' 2>/dev/null); \
+		setsid -w bash -c 'echo $$$$ > "$$1/sid"; exec bash perfbench/run.sh --workload "$$2" --seed 1 --seconds 3 --trace 0' \
 			bench-leaks "$$tmp" "$$w" > "$$tmp/out" 2>&1; st=$$?; \
 		sid=$$(cat "$$tmp/sid"); \
 		for try in 1 2 3 4 5; do \
 			left=$$(ps -e -o pid=,sid=,stat=,args= | awk -v s="$$sid" '$$2 == s && $$3 !~ /^Z/'); \
-			named=$$(pgrep -ax 'sweepd|perfbench|paperrepro' 2>/dev/null); \
+			named=$$(ps -e -o pid=,sid=,stat=,comm=,args= | awk -v s="$$sid" -v old=" $$(echo $$before) " \
+				'$$4 ~ /^(sweepd|perfbench|paperrepro)$$/ && $$2 != s && $$3 !~ /^Z/ && index(old, " " $$1 " ") == 0'); \
 			[ -z "$$left$$named" ] && break; sleep 1; \
 		done; \
 		if [ $$st -ne 0 ] || ! tail -n 1 "$$tmp/out" | grep -Eq '"correct": ?true'; then \
 			tail -n 20 "$$tmp/out"; echo "bench-leaks: $$w run exited $$st without \"correct\": true"; fail=1; fi; \
-		if [ -n "$$left$$named" ]; then \
-			printf '%s\n' "$$left" "$$named" | sed '/^$$/d'; \
-			echo "bench-leaks: the $$w run left the processes above running; stopping them"; \
-			pkill -KILL -s "$$sid" 2>/dev/null; pkill -KILL -x 'sweepd|perfbench|paperrepro' 2>/dev/null; fail=1; \
-		else echo "bench-leaks: $$w run (session $$sid) left no process running"; fi; \
+		if [ -n "$$left" ]; then \
+			echo "$$left"; echo "bench-leaks: the $$w run left the processes above running in its session $$sid; killing the session"; \
+			pkill -KILL -s "$$sid" 2>/dev/null; fail=1; fi; \
+		if [ -n "$$named" ]; then \
+			echo "$$named"; echo "bench-leaks: the processes above started during the $$w run outside its session; not killed"; fail=1; fi; \
+		[ -n "$$left$$named" ] || echo "bench-leaks: $$w run (session $$sid) left no process running"; \
 		rm -rf "$$tmp"; [ -z "$$fail" ] || exit 1; \
 	done
 

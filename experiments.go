@@ -81,7 +81,7 @@ type StudyConfig struct {
 	KeepGoing bool
 	// OnSalvage, when non-nil, is told what Resume dropped from each
 	// study checkpoint it did not adopt whole (a torn tail, damaged
-	// frames, a header cut short); it is not called for clean files.
+	// frames, a torn first flush); it is not called for clean files.
 	// Purely informational.
 	OnSalvage func(study string, rep sweep.SalvageReport)
 	// FaultSpec, when non-empty, arms deterministic fault injection for

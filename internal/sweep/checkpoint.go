@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding"
 	"encoding/binary"
 	"errors"
@@ -240,8 +241,10 @@ func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, 
 //   - another format version: refused (ErrCheckpointMismatch);
 //   - a complete header recorded under another study key: refused
 //     (*KeyMismatchError) — adopting its rows would mix configurations;
-//   - an empty file, or the magic followed by a header cut short: a
-//     torn first flush, restarted from job 0.
+//   - any other header the file ends inside, or whose key length runs
+//     past the end of the file: refused (ErrCheckpointCorrupt);
+//   - an empty file, or a proper prefix of the header this sweep
+//     writes: a torn first flush, restarted from job 0.
 //
 // Refused files are never written. After a valid header, the frames are
 // scanned up to the first that is cut short (a torn tail, the normal
@@ -343,11 +346,12 @@ func (ck *Checkpoint) appendHeader(b []byte) []byte {
 // scan reads the header and walks the frames of an open file of size
 // end, adopting the longest valid prefix: ck.rows whole frames ending
 // at ck.size (zero, zero when the header is unusable). hdrErr is
-// errShort for a header cut short (a torn first flush), and otherwise
-// reports a file that is not a checkpoint, of another version, or
-// recorded under another key (*KeyMismatchError). damage reports the
-// first complete frame with a bad kind or CRC; a file that merely ends
-// inside its final frame is a torn append, not damage. A damaged length
+// errShort for a file that is a proper prefix of this sweep's header
+// (a torn first flush), and otherwise reports a file that is not a
+// checkpoint, has a damaged or foreign header, is of another version,
+// or was recorded under another key (*KeyMismatchError). damage
+// reports the first complete frame with a bad kind or CRC; a file that
+// merely ends inside its final frame is a torn append, not damage. A damaged length
 // field that points past the end of the file reads as torn too: its
 // frames are recomputed, never misread. err reports a failed read,
 // which must not pass for a short or damaged file: nothing may be
@@ -394,30 +398,38 @@ func (e *readErr) Read(p []byte) (int, error) {
 }
 
 // readHeader parses and validates the header of a file of size end.
-// A header the file ends inside is errShort, provided the bytes before
-// the cut start like a checkpoint's: the magic, or a prefix of it.
+// Only a file that is a proper prefix of the header this sweep writes
+// is errShort: that is all a torn first flush can leave. Any other
+// header the file ends inside — a key length damaged to point past the
+// end of a long file, the start of another sweep's header — is refused,
+// so resume never restarts a file that may hold saved frames.
 func (ck *Checkpoint) readHeader(r io.Reader, end int64) error {
+	want := ck.appendHeader(nil)
+	if end < int64(len(want)) {
+		got := make([]byte, end)
+		n, _ := io.ReadFull(r, got)
+		if bytes.HasPrefix(want, got[:n]) {
+			return errShort
+		}
+		r = bytes.NewReader(got[:n])
+	}
 	var fixed [ckptFixed]byte
-	n, _ := io.ReadFull(r, fixed[:8])
-	if string(fixed[:n]) != ckptMagic[:n] {
+	if n, _ := io.ReadFull(r, fixed[:8]); string(fixed[:n]) != ckptMagic {
 		return ck.corrupt("bad magic %q (not a sweep checkpoint file)", fixed[:n])
 	}
-	if n < 8 {
-		return errShort
-	}
 	if _, err := io.ReadFull(r, fixed[8:]); err != nil {
-		return errShort
+		return ck.corrupt("header cut short, and not the start of this sweep's")
 	}
 	if version := binary.LittleEndian.Uint32(fixed[8:]); version != ckptVersion {
 		return ck.mismatch("format version %d, this build reads version %d", version, ckptVersion)
 	}
 	keyLen := int64(binary.LittleEndian.Uint32(fixed[12:]))
 	if keyLen > end-ckptFixed {
-		return errShort
+		return ck.corrupt("key length %d runs past the end of the %d-byte file", keyLen, end)
 	}
 	key := make([]byte, keyLen)
 	if _, err := io.ReadFull(r, key); err != nil {
-		return errShort
+		return ck.corrupt("key cut short")
 	}
 	if string(key) != ck.key {
 		return &KeyMismatchError{Path: ck.path, Stored: string(key), Want: ck.key}

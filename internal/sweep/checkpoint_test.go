@@ -202,9 +202,11 @@ func TestCheckpointMoreRowsThanJobs(t *testing.T) {
 // file, the header policy included. What the header says is not this
 // sweep's checkpoint — not a checkpoint at all, another format version,
 // another study key — is refused, and the file is left unchanged.
-// Everything else is cut away: damaged frames are truncated and their
-// jobs re-run, and a header cut short (a torn first flush) restarts the
-// file from job 0. Each recovered sweep completes to the clean run's
+// So is a damaged header the file ends inside: a key length that runs
+// past the end, or the cut start of another sweep's header. Everything
+// else is cut away: damaged frames are truncated and their jobs re-run,
+// and a proper prefix of the sweep's own header (a torn first flush)
+// restarts the file from job 0. Each recovered sweep completes to the clean run's
 // output, re-running only the lost jobs.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	const n = 12
@@ -227,6 +229,14 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}, refused: sweep.ErrCheckpointMismatch},
 		"not a checkpoint": {fn: func([]byte) []byte { return []byte("speculation results, do not delete\n") },
 			refused: sweep.ErrCheckpointCorrupt},
+		"key length past the end": {fn: func(b []byte) []byte {
+			b[14] ^= 0x41 // keyLen's third byte: the key now ends megabytes past the file
+			return b
+		}, refused: sweep.ErrCheckpointCorrupt},
+		"other key cut short": {fn: func(b []byte) []byte {
+			b[16] ^= 0x20
+			return b[:20] // a torn first flush of another sweep
+		}, refused: sweep.ErrCheckpointCorrupt},
 		"other key": {fn: func(b []byte) []byte {
 			b[16] ^= 0x20 // the key's first byte follows the 16-byte fixed header
 			return b

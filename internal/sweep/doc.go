@@ -94,8 +94,11 @@
 // with the magic may not be a checkpoint at all and is refused
 // untouched, and another format version or study key is refused as a
 // mismatch (*KeyMismatchError explains the key field by field with
-// Diff) — those are configuration errors, not damage. Only a header
-// the file ends inside, a torn first flush, restarts from job 0.
+// Diff) — those are configuration errors, not damage. A damaged header
+// the file ends inside (a key length past the end) is refused untouched
+// too, since the frames after it may be all the saved work. Only a
+// proper prefix of the header this sweep writes, all a torn first
+// flush can leave, restarts from job 0.
 //
 // The fault package supplies the matching test seam: an Injector
 // (Pool.Inject) deterministically injects transient job errors, job

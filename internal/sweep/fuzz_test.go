@@ -19,8 +19,8 @@ import (
 // is left unchanged, and a complete header recorded under another key
 // is always refused. An adopted file is truncated to the input's own
 // header and whole frames — the adopted prefix decodes frame for frame,
-// so no row is misread — or, when the header was cut short, restarted
-// to a bare header. A second resume of the truncated file adopts the
+// so no row is misread — or, when the input was a proper prefix of the
+// sweep's header (a torn first flush), restarted to a bare header. A second resume of the truncated file adopts the
 // same rows with nothing dropped.
 func FuzzCheckpointFrames(f *testing.F) {
 	const key = "fuzz-study|n=8"
@@ -87,6 +87,8 @@ func FuzzCheckpointFrames(f *testing.F) {
 		switch restarted := !bytes.HasPrefix(data, header); {
 		case !restarted && !bytes.HasPrefix(data, got):
 			t.Fatalf("resume left %d bytes that are not a prefix of the input", len(got))
+		case restarted && (len(data) >= len(header) || !bytes.HasPrefix(header, data)):
+			t.Fatalf("resume restarted a %d-byte input that is not a cut-short header", len(data))
 		case restarted && !bytes.Equal(got, header):
 			t.Fatalf("a restarted file holds %d bytes, want the %d-byte header", len(got), len(header))
 		case restarted:

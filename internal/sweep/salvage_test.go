@@ -178,11 +178,12 @@ func TestSalvageOffsetClasses(t *testing.T) {
 // TestSalvageEveryByteOffset is the exhaustive sweep: flip each single
 // byte of a real checkpoint file and resume. A flip in frame k adopts
 // exactly the k frames before it, and the completed output equals the
-// clean run. A flip in the header is refused with the file unchanged —
-// the magic as not a checkpoint, the version as a mismatch, the key (or
-// a key length still inside the file) as a *KeyMismatchError — except
-// a key length that points past the end of the file, which reads as a
-// header cut short and restarts from job 0.
+// clean run. A flip in the header is refused with the file unchanged:
+// the magic as not a checkpoint, the version as a mismatch, a key
+// length that points past the end of the file as corrupt (a torn first
+// flush cannot leave a long file), and the key, or a key length still
+// inside the file, as a *KeyMismatchError. No header flip restarts the
+// file, which would destroy its saved frames.
 func TestSalvageEveryByteOffset(t *testing.T) {
 	const n = 12
 	base := ckPath(t)
@@ -209,7 +210,8 @@ func TestSalvageEveryByteOffset(t *testing.T) {
 			switch {
 			case off < 8 && errors.Is(err, sweep.ErrCheckpointCorrupt):
 			case off >= 8 && off < 12 && errors.Is(err, sweep.ErrCheckpointMismatch) && !errors.As(err, &km):
-			case off >= 12 && off < headerLen && errors.As(err, &km):
+			case off >= 13 && off < 16 && errors.Is(err, sweep.ErrCheckpointCorrupt) && !errors.As(err, &km):
+			case (off == 12 || off >= 16) && off < headerLen && errors.As(err, &km):
 			default:
 				t.Fatalf("offset %d: resume failed with %v", off, err)
 			}
@@ -218,14 +220,10 @@ func TestSalvageEveryByteOffset(t *testing.T) {
 			}
 			continue
 		}
-		wantRows := frameOf(bounds, off)
 		if off < headerLen {
-			if off < 12 || off >= 16 {
-				t.Fatalf("offset %d: resume accepted a damaged header", off)
-			}
-			wantRows = 0 // the key length points past the end: restarted
+			t.Fatalf("offset %d: resume accepted a damaged header", off)
 		}
-		if ck.Rows() != wantRows {
+		if wantRows := frameOf(bounds, off); ck.Rows() != wantRows {
 			t.Fatalf("offset %d: adopted %d rows, want %d", off, ck.Rows(), wantRows)
 		}
 		if got := completeResumed(t, ck, n, nil); !reflect.DeepEqual(got, want) {
@@ -260,9 +258,9 @@ func frameBoundaries(t *testing.T, b []byte, key string) []int {
 // bytes to detect — the file just ends too soon. An append-only file
 // records no frame count, so a header-only file or one cut on a frame
 // boundary is simply a shorter valid checkpoint: resume adopts exactly
-// its whole frames and drops nothing. A file that ends inside its
-// header — empty, cut in the magic, cut in the key — is a torn first
-// flush: resume restarts it from job 0 and says so. Either way the
+// its whole frames and drops nothing. A file that is a proper prefix
+// of the sweep's header — empty, cut in the magic, cut in the key — is
+// a torn first flush: resume restarts it from job 0 and says so. Either way the
 // sweep completes to the clean run's output.
 func TestSalvageDegenerateFiles(t *testing.T) {
 	const n = 12
