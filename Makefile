@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # BENCH_OUT names the trajectory point `make bench` records. Bump the PR
 # number when landing a perf PR so the old point stays committed next to
 # the new one and bench-check can diff them.
-BENCH_OUT ?= BENCH_PR19.json
+BENCH_OUT ?= BENCH_PR27.json
 
 .PHONY: check api fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench bench-leaks leaks cover profile loc
 
@@ -186,7 +186,8 @@ race:
 # bench runs every benchmark — the per-table/figure study benches, the
 # hot-path microbenches (Observe — including the nine-predictor,
 # 4096-block leg whose tables outgrow the caches — KernelSchedule,
-# DirectoryServe, CacheHit), and the loopback remote-dispatch leg (per-job dispatcher
+# DirectoryServe, CacheHit with the coherence checker on and off), and
+# the loopback remote-dispatch leg (per-job dispatcher
 # overhead: claim/exec/result round-trips over a real TCP connection,
 # microseconds per job, so distribution cost stays visible next to the
 # simulation benches it amortizes into) — with -benchmem, and records

@@ -2,44 +2,36 @@ package core
 
 import "specdsm/internal/mem"
 
-// EWITable is the early-write-invalidate table of §4.1: per processor, the
-// block address of its most recent write (or upgrade) request seen at this
-// home node. A write by processor P to block B predicts that P is done
-// writing its previously recorded block B' (if different), making B' a
-// candidate for Speculative Write-Invalidation.
-//
-// Presence in the map is the "has an entry" bit: the table is one map, so
-// Update and Last each cost a single lookup (the old twin last/has layout
-// paid two per call and allocated two maps per node).
+// EWITable is the early-write-invalidate table of §4.1, kept by the
+// requester's node for its own processor: the block address of that
+// processor's most recent write (or upgrade) request. A write to block B
+// predicts that the processor is done writing its previously recorded
+// block B' (if different), making B' a candidate for Speculative
+// Write-Invalidation. One processor per node means one slot; the zero
+// value is an empty table.
 type EWITable struct {
-	last map[mem.NodeID]mem.BlockAddr
+	last mem.BlockAddr
+	has  bool
 }
 
-// NewEWITable returns an empty table.
-func NewEWITable() *EWITable {
-	return &EWITable{last: make(map[mem.NodeID]mem.BlockAddr)}
-}
-
-// Update records that writer issued a write/upgrade for addr. It returns
-// the previously recorded block for writer and reports whether that block
-// exists and differs from addr — i.e., whether SWI should be considered
-// for it.
-func (t *EWITable) Update(writer mem.NodeID, addr mem.BlockAddr) (prev mem.BlockAddr, swiCandidate bool) {
-	prev, ok := t.last[writer]
-	t.last[writer] = addr
+// Update records a write/upgrade for addr. It returns the previously
+// recorded block and reports whether that block exists and differs from
+// addr — i.e., whether SWI should be considered for it.
+func (t *EWITable) Update(addr mem.BlockAddr) (prev mem.BlockAddr, swiCandidate bool) {
+	prev, ok := t.last, t.has
+	t.last, t.has = addr, true
 	if !ok || prev == addr {
 		return 0, false
 	}
 	return prev, true
 }
 
-// Last returns the most recent write block recorded for writer.
-func (t *EWITable) Last(writer mem.NodeID) (mem.BlockAddr, bool) {
-	addr, ok := t.last[writer]
-	return addr, ok
+// Last returns the most recent write block recorded.
+func (t *EWITable) Last() (mem.BlockAddr, bool) {
+	return t.last, t.has
 }
 
-// Reset clears the table, retaining its storage.
+// Reset clears the table.
 func (t *EWITable) Reset() {
-	clear(t.last)
+	*t = EWITable{}
 }

@@ -465,28 +465,28 @@ func TestDepthPanics(t *testing.T) {
 }
 
 func TestEWITable(t *testing.T) {
-	tbl := NewEWITable()
+	var tbl EWITable
 	a := mem.MakeAddr(0, 1)
 	b := mem.MakeAddr(0, 2)
 
-	if _, ok := tbl.Last(3); ok {
+	if _, ok := tbl.Last(); ok {
 		t.Fatal("empty table must not report a last write")
 	}
-	if _, cand := tbl.Update(3, a); cand {
+	if _, cand := tbl.Update(a); cand {
 		t.Fatal("first write is not an SWI candidate")
 	}
-	if _, cand := tbl.Update(3, a); cand {
+	if _, cand := tbl.Update(a); cand {
 		t.Fatal("repeat write to same block is not a candidate")
 	}
-	prev, cand := tbl.Update(3, b)
+	prev, cand := tbl.Update(b)
 	if !cand || prev != a {
 		t.Fatalf("Update = (%v,%v), want (a,true)", prev, cand)
 	}
-	if last, ok := tbl.Last(3); !ok || last != b {
+	if last, ok := tbl.Last(); !ok || last != b {
 		t.Fatalf("Last = (%v,%v)", last, ok)
 	}
 	tbl.Reset()
-	if _, ok := tbl.Last(3); ok {
+	if _, ok := tbl.Last(); ok {
 		t.Fatal("reset failed")
 	}
 }

@@ -70,26 +70,30 @@ func TestDirectoryServeSteadyStateZeroAllocs(t *testing.T) {
 // TestCacheHitZeroAllocs guards the most frequent operation in the whole
 // simulator: a processor cache hit (read on a shared line, store on an
 // exclusive line) completes through the pooled done-event path without
-// allocating.
+// allocating, with the coherence checker on (as every run has it) and off
+// (BenchmarkCacheHitUnchecked).
 func TestCacheHitZeroAllocs(t *testing.T) {
-	h := newAllocHarness(2)
-	rd := mem.MakeAddr(1, 1) // remote shared line, read hits
-	wr := mem.MakeAddr(1, 2) // remote exclusive line, store hits
-	h.access(0, false, rd)
-	h.access(0, true, wr)
-	for i := 0; i < 20; i++ {
+	for _, checking := range []bool{true, false} {
+		h := newAllocHarness(2)
+		h.sys.SetCoherenceChecking(checking)
+		rd := mem.MakeAddr(1, 1) // remote shared line, read hits
+		wr := mem.MakeAddr(1, 2) // remote exclusive line, store hits
 		h.access(0, false, rd)
 		h.access(0, true, wr)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		h.access(0, false, rd)
-		h.access(0, true, wr)
-	})
-	if avg != 0 {
-		t.Errorf("cache hits allocate %.2f/run, want 0", avg)
-	}
-	if err := h.sys.CheckQuiescent(); err != nil {
-		t.Fatal(err)
+		for i := 0; i < 20; i++ {
+			h.access(0, false, rd)
+			h.access(0, true, wr)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			h.access(0, false, rd)
+			h.access(0, true, wr)
+		})
+		if avg != 0 {
+			t.Errorf("cache hits (checking %v) allocate %.2f/run, want 0", checking, avg)
+		}
+		if err := h.sys.CheckQuiescent(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

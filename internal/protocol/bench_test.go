@@ -26,7 +26,18 @@ func BenchmarkDirectoryServe(b *testing.B) {
 // BenchmarkCacheHit measures one read hit plus one store hit, completion
 // callback included — the most frequent operation in the simulator.
 func BenchmarkCacheHit(b *testing.B) {
+	benchCacheHit(b, true)
+}
+
+// BenchmarkCacheHitUnchecked is BenchmarkCacheHit with the coherence
+// checker off; the gap between the two is the checker's per-hit cost.
+func BenchmarkCacheHitUnchecked(b *testing.B) {
+	benchCacheHit(b, false)
+}
+
+func benchCacheHit(b *testing.B, checking bool) {
 	h := newAllocHarness(2)
+	h.sys.SetCoherenceChecking(checking)
 	rd := mem.MakeAddr(1, 1)
 	wr := mem.MakeAddr(1, 2)
 	for i := 0; i < 20; i++ {

@@ -88,12 +88,14 @@ func (ev *doneEvent) fire() {
 // cache is the processor-side controller of one node. Per-block state
 // lives inline in the parallel hot/cold slices; table maps a block to its
 // stable index (lines are created on first touch and never removed, so
-// hot[i]/cold[i] are two halves of the same line forever).
+// hot[i]/cold[i] are two halves of the same line forever). seen runs
+// parallel to them but belongs to the coherence checker (checkObserved).
 type cache struct {
 	n        *Node
 	table    mem.BlockMap
 	hot      []lineHot
 	cold     []lineCold
+	seen     []uint64
 	stats    CacheStats
 	donePool sim.FreeList[doneEvent]
 	// pendCount tracks outstanding misses (quiescence checking).
@@ -111,6 +113,7 @@ func newCache(n *Node) *cache {
 		n:    n,
 		hot:  make([]lineHot, 0, 128),
 		cold: make([]lineCold, 0, 128),
+		seen: make([]uint64, 0, 128),
 	}
 }
 
@@ -126,6 +129,7 @@ func (c *cache) reset() {
 	c.hot = c.hot[:0]
 	clear(c.cold)
 	c.cold = c.cold[:0]
+	c.seen = c.seen[:0]
 	c.stats = CacheStats{}
 	c.pendCount = 0
 	c.valid = 0
@@ -139,6 +143,7 @@ func (c *cache) lineIdx(addr mem.BlockAddr) int32 {
 	if created {
 		c.hot = append(c.hot, lineHot{})
 		c.cold = append(c.cold, lineCold{addr: addr})
+		c.seen = append(c.seen, 0)
 	}
 	return li
 }
@@ -264,7 +269,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			if isWrite {
 				h.flags |= lfWritten
 			}
-			c.n.sys.checkObserved(c.n.id, addr, h.version)
+			c.checkObserved(li, addr, h.version)
 			c.doneAfter(t.HitLatency, done, AccessOutcome{Class: class, Latency: t.HitLatency})
 			return
 		}
@@ -289,7 +294,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			h.version = version
 			c.touch(h)
 			c.stats.LocalAccesses++
-			c.n.sys.checkObserved(c.n.id, addr, version)
+			c.checkObserved(nli, addr, version)
 			c.doneAfter(t.LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: t.LocalMem})
 			return
 		}
@@ -320,7 +325,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 	c.pendCount++
 	c.n.sys.routeAfter(t.BusOverhead, c.n.id, home, Msg{Kind: MsgReq, Req: kind, Addr: addr})
 	if isWrite && c.n.opts.EnableSWI && c.n.opts.Active != nil {
-		if prev, candidate := c.n.ewi.Update(c.n.id, addr); candidate {
+		if prev, candidate := c.n.ewi.Update(addr); candidate {
 			c.n.sys.routeAfter(t.BusOverhead, c.n.id, prev.Home(), Msg{Kind: MsgSWIHint, Addr: prev})
 		}
 	}
@@ -416,7 +421,7 @@ func (c *cache) handleData(m Msg) {
 		h.state = lineShared
 	}
 	c.touch(h)
-	c.n.sys.checkObserved(c.n.id, m.Addr, m.Version)
+	c.checkObserved(li, m.Addr, m.Version)
 	if p.invalOnFill {
 		// The invalidation that raced with our fill applies now: the data
 		// satisfies the ordered-earlier access exactly once.
@@ -445,7 +450,7 @@ func (c *cache) handleUpgradeAck(m Msg) {
 	h.flags &^= lfSpec
 	h.flags |= lfWritten
 	c.touch(h)
-	c.n.sys.checkObserved(c.n.id, m.Addr, m.Version)
+	c.checkObserved(li, m.Addr, m.Version)
 	latency := c.n.sys.kernel.Now() + t.FillOverhead - p.start
 	c.doneAfter(t.FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
 }

@@ -243,12 +243,14 @@ func (g *grantEvent) fire() {
 // lives inline in the parallel hot/cold slices; table maps a home block
 // to its stable index (entries are created on first touch and never
 // removed, so the insert-only BlockMap suffices, and hot[i]/cold[i] are
-// two halves of the same entry forever).
+// two halves of the same entry forever). granted runs parallel to them
+// but belongs to the coherence checker (noteVersion).
 type directory struct {
-	n     *Node
-	table mem.BlockMap
-	hot   []dirHot
-	cold  []dirCold
+	n       *Node
+	table   mem.BlockMap
+	hot     []dirHot
+	cold    []dirCold
+	granted []uint64
 	// free serializes directory occupancy, modeling queueing delay.
 	free  sim.Cycle
 	stats DirStats
@@ -267,9 +269,10 @@ func newDirectory(n *Node) *directory {
 	// (one reallocation per power of two) into a single allocation per
 	// array; a node's share of home blocks typically fits.
 	d := &directory{
-		n:    n,
-		hot:  make([]dirHot, 0, 64),
-		cold: make([]dirCold, 0, 64),
+		n:       n,
+		hot:     make([]dirHot, 0, 64),
+		cold:    make([]dirCold, 0, 64),
+		granted: make([]uint64, 0, 64),
 	}
 	d.processNext = d.dispatch
 	return d
@@ -288,6 +291,7 @@ func (d *directory) entryIdx(addr mem.BlockAddr) int32 {
 		panic(fmt.Sprintf("protocol: block %v is not homed at node %d", addr, d.n.id))
 	}
 	d.hot = append(d.hot, dirHot{owner: mem.NoNode})
+	d.granted = append(d.granted, 0)
 	if int(idx) < cap(d.cold) {
 		d.cold = d.cold[:idx+1]
 		c := &d.cold[idx]
@@ -318,6 +322,7 @@ func (d *directory) reset() {
 		*c = dirCold{waitq: c.waitq[:0], specPending: c.specPending[:0]}
 	}
 	d.cold = d.cold[:0]
+	d.granted = d.granted[:0]
 	d.free = 0
 	d.stats = DirStats{}
 	d.inq = d.inq[:0]
@@ -592,7 +597,7 @@ func (d *directory) grantExclusive(addr mem.BlockAddr, ei int32, src mem.NodeID,
 	h.owner = src
 	h.sharers = mem.ReaderVec{}
 	v := h.version
-	d.n.sys.noteVersion(addr, v)
+	d.noteVersion(ei, addr, v)
 	if viaUpgradeAck {
 		d.stats.UpgradeGrants++
 		d.n.sys.route(d.n.id, src, Msg{Kind: MsgUpgradeAck, Addr: addr, Version: v})
@@ -791,7 +796,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 	h.state = dirExclusive
 	h.owner = self
 	h.sharers = mem.ReaderVec{}
-	d.n.sys.noteVersion(addr, h.version)
+	d.noteVersion(ei, addr, h.version)
 	return h.version, true
 }
 

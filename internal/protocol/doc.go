@@ -49,11 +49,21 @@
 //     entries by int32 index, never by pointer, and a *dirHot/*lineHot
 //     taken inside one handler must not be held across anything that can
 //     create a new entry.
+//   - The coherence checker's state lives in two more parallel slices,
+//     cache.seen (the newest version each line's node has observed) and
+//     directory.granted (each entry's last write grant). They share the
+//     line and entry index space, growing and truncating with hot/cold,
+//     but none of the protocol's state: the checker keeps its own copy of
+//     every version and never reads lineHot.version or dirHot.version as
+//     the previous value, so a protocol bug that corrupts one cannot hide
+//     itself. A check is one slice read and write at an index the caller
+//     already holds.
 //   - Directory transactions, grant events, completion callbacks, and
 //     delayed sends all ride pooled carriers (sim.FreeList) whose kernel
 //     closures are bound once per object.
 //   - Transient per-block state (the outstanding miss, the
 //     eviction-writeback marker, speculative-copy tracking) is folded into
 //     the cold record and retired by clearing its hot flag, so no map
-//     insert or delete happens after a block's first touch.
+//     insert or delete happens after a block's first touch, in the
+//     protocol or in its checker.
 package protocol

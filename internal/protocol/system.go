@@ -19,7 +19,7 @@ type Node struct {
 	sys   *System
 	cache *cache
 	dir   *directory
-	ewi   *core.EWITable
+	ewi   core.EWITable
 	opts  Options
 }
 
@@ -60,7 +60,10 @@ func (n *Node) deliver(src mem.NodeID, msg Msg) {
 	}
 }
 
-// System assembles the nodes, network, and coherence checker.
+// System assembles the nodes, network, and coherence checker. The
+// checker's per-block state lives beside the protocol's own dense arrays
+// (cache.seen, directory.granted), indexed like them but holding its own
+// copy of every version; System keeps only the switch and the findings.
 type System struct {
 	kernel *sim.Kernel
 	net    *network.Network[Msg]
@@ -71,8 +74,6 @@ type System struct {
 
 	// Coherence checking (simulator-level omniscience, assertions only).
 	checkEnabled bool
-	latest       map[mem.BlockAddr]uint64
-	observed     map[obsKey]uint64
 	violations   []string
 }
 
@@ -103,11 +104,6 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 	s.kernel.After(delay, ev.run)
 }
 
-type obsKey struct {
-	node mem.NodeID
-	addr mem.BlockAddr
-}
-
 // NewSystem builds an n-node DSM on the given kernel. opts[i] configures
 // node i; a single-element opts slice applies to every node.
 func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts []Options) *System {
@@ -119,8 +115,6 @@ func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts 
 		net:          network.New[Msg](k, n, netCfg),
 		timing:       timing,
 		checkEnabled: true,
-		latest:       make(map[mem.BlockAddr]uint64),
-		observed:     make(map[obsKey]uint64),
 	}
 	for i := 0; i < n; i++ {
 		var o Options
@@ -134,7 +128,7 @@ func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts 
 		default:
 			panic("protocol: opts must have length 0, 1, or n")
 		}
-		node := &Node{id: mem.NodeID(i), sys: s, opts: o, ewi: core.NewEWITable()}
+		node := &Node{id: mem.NodeID(i), sys: s, opts: o}
 		node.cache = newCache(node)
 		node.dir = newDirectory(node)
 		s.nodes = append(s.nodes, node)
@@ -144,9 +138,10 @@ func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts 
 }
 
 // Reset re-arms the system for a fresh run on a reset kernel: every
-// node's cache, directory, and early-write-invalidate table clear (all
-// retaining their storage), the network's occupancy horizons and
-// counters clear, and the coherence checker forgets its version history.
+// node's cache and directory (retaining their storage) and
+// early-write-invalidate table clear, the network's occupancy horizons and
+// counters clear, and the coherence checker forgets its version history
+// (it lives in the cache and directory slices that reset truncates).
 // Attached predictors are NOT reset — they belong to the caller (the
 // machine layer owns and resets them alongside this call). Call only on
 // a quiescent system (a completed run); a reset system is observably
@@ -158,8 +153,6 @@ func (s *System) Reset() {
 		n.ewi.Reset()
 	}
 	s.net.Reset()
-	clear(s.latest)
-	clear(s.observed)
 	s.violations = s.violations[:0]
 }
 
@@ -199,30 +192,35 @@ func (s *System) route(src, dst mem.NodeID, msg Msg) {
 	s.net.Send(src, dst, msg)
 }
 
-// noteVersion records a write-permission grant for coherence checking.
-func (s *System) noteVersion(addr mem.BlockAddr, v uint64) {
+// checkObserved asserts per-node version monotonicity on line li of
+// cache c: a processor must never observe an older version of a block
+// than it has already seen. seen[li] is the checker's own record of the
+// newest version this node saw, 0 before the first observation.
+func (c *cache) checkObserved(li int32, addr mem.BlockAddr, v uint64) {
+	s := c.n.sys
 	if !s.checkEnabled {
 		return
 	}
-	if prev := s.latest[addr]; v != prev+1 {
+	if prev := c.seen[li]; v < prev {
+		s.violations = append(s.violations,
+			fmt.Sprintf("node %d observed version %d after %d for %v", c.n.id, v, prev, addr))
+	}
+	c.seen[li] = v
+}
+
+// noteVersion records a write-permission grant on entry ei of directory
+// d: a block's grants must number 1, 2, 3, ... granted[ei] is the
+// checker's own record of the last grant, 0 before the first.
+func (d *directory) noteVersion(ei int32, addr mem.BlockAddr, v uint64) {
+	s := d.n.sys
+	if !s.checkEnabled {
+		return
+	}
+	if prev := d.granted[ei]; v != prev+1 {
 		s.violations = append(s.violations,
 			fmt.Sprintf("version grant %d follows %d for %v", v, prev, addr))
 	}
-	s.latest[addr] = v
-}
-
-// checkObserved asserts per-node version monotonicity: a processor must
-// never observe an older version of a block than it has already seen.
-func (s *System) checkObserved(node mem.NodeID, addr mem.BlockAddr, v uint64) {
-	if !s.checkEnabled {
-		return
-	}
-	k := obsKey{node, addr}
-	if prev, ok := s.observed[k]; ok && v < prev {
-		s.violations = append(s.violations,
-			fmt.Sprintf("node %d observed version %d after %d for %v", node, v, prev, addr))
-	}
-	s.observed[k] = v
+	d.granted[ei] = v
 }
 
 // Violations returns all coherence-checker findings (empty on a correct
