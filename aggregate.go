@@ -226,13 +226,7 @@ func characterizeApps(cfg StudyConfig) ([]appCharacterization, error) {
 			if !ok {
 				return appCharacterization{}, fmt.Errorf("specdsm: unknown application %q", name)
 			}
-			progs := workload.Programs(app, workload.Params{
-				Nodes:      cfg.Nodes,
-				Iterations: cfg.Iterations,
-				Scale:      cfg.Scale,
-				Seed:       cfg.Seed,
-			})
-			return characterize(name, progs), nil
+			return characterize(name, workload.Programs(app, workload.Params(cfg.workloadParams()))), nil
 		},
 		emit)
 	if err != nil {

@@ -140,6 +140,10 @@ func BenchmarkTable4StorageOverhead(b *testing.B) {
 	b.ReportMetric(vmsp/n, "meanVMSPPTE")
 }
 
+// benchSpeculation runs the paper's study: Base, FR and SWI per
+// application, with the nine passive observers on the Base runs, so the
+// Figure 9 and Table 5 benches time the Figure 7 simulations plus the FR
+// and SWI runs.
 func benchSpeculation(b *testing.B) []appSpeculation {
 	b.Helper()
 	study, err := collectRows(benchCfg(), speculationStudyStream)

@@ -23,7 +23,10 @@ type StudyConfig struct {
 	Iterations int
 	Scale      float64
 	Seed       int64
-	Depths     []int
+	// Depths are the history depths PredictorStudyStream observes at.
+	// The paper's experiments ignore them: Figure 8 and Table 4 need
+	// depths 1, 2 and 4, which the speculation study always observes.
+	Depths []int
 	// DisableChecks speeds up benchmark runs.
 	DisableChecks bool
 	// Parallel is the number of simulations run concurrently (0 or
@@ -211,34 +214,44 @@ func (a AppPrediction) Get(kind PredictorKind, depth int) PredictorResult {
 // PredictorStudyStream runs Base-DSM once per application with all
 // predictor variants attached passively and streams each application's
 // row, in cfg.Apps order, to emit as soon as it and all its
-// predecessors are done — the primary study path: rows flow through the
-// pool's bounded merge window (and, when configured, the study
-// checkpoint) instead of accumulating in a result slice. The
-// per-application runs execute on a cfg.Parallel-wide worker pool, each
-// worker replaying its jobs through one run arena. The data behind
-// Figures 7-8 and Tables 3-4.
+// predecessors are done: rows flow through the pool's bounded merge
+// window (and, when configured, the checkpoint at
+// <CheckpointPath>.predictor) instead of accumulating in a result
+// slice. The per-application runs execute on a cfg.Parallel-wide worker
+// pool, each worker replaying its jobs through one run arena. It
+// observes at cfg.Depths, which scope this study only: the paper's
+// experiments render Figures 7-8 and Tables 3-4 from the speculation
+// study's Base runs, which always observe depths 1, 2 and 4.
 func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) error) error {
 	cfg = cfg.withDefaults()
-	kinds, apps := Kinds(), cfg.Apps
-	opts := MachineOptions{Mode: ModeBase, DisableChecks: cfg.DisableChecks,
-		Observers: make([]PredictorConfig, 0, len(kinds)*len(cfg.Depths))}
-	for _, kind := range kinds {
-		for _, d := range cfg.Depths {
-			opts.Observers = append(opts.Observers, PredictorConfig{Kind: kind, Depth: d})
+	opts := MachineOptions{Mode: ModeBase, DisableChecks: cfg.DisableChecks, Observers: observers(cfg.Depths)}
+	return streamStudy(cfg, cfg.spec("predictor", opts), func(i int, runs []*RunResult, failed string) error {
+		return emit(i, appPrediction(cfg.Apps[i], runs[0], failed))
+	})
+}
+
+// observers attaches every predictor kind at each of depths.
+func observers(depths []int) (obs []PredictorConfig) {
+	for _, kind := range Kinds() {
+		for _, d := range depths {
+			obs = append(obs, PredictorConfig{Kind: kind, Depth: d})
 		}
 	}
-	return streamStudy(cfg, cfg.spec(predictorStudy, opts), func(i int, runs []*RunResult, failed string) error {
-		ap := AppPrediction{App: apps[i], Failed: failed}
-		if failed == "" {
-			r := runs[0]
-			ap.Results = make(map[PredictorConfig]PredictorResult, len(r.Predictors))
-			ap.Reads, ap.Writes, ap.Upgrades = r.Reads, r.Writes, r.Upgrades
-			for _, pr := range r.Predictors {
-				ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
-			}
+	return obs
+}
+
+// appPrediction assembles an application's predictor row from the
+// observers of its Base run (nil when failed is set).
+func appPrediction(app string, base *RunResult, failed string) AppPrediction {
+	ap := AppPrediction{App: app, Failed: failed}
+	if failed == "" {
+		ap.Results = make(map[PredictorConfig]PredictorResult, len(base.Predictors))
+		ap.Reads, ap.Writes, ap.Upgrades = base.Reads, base.Writes, base.Upgrades
+		for _, pr := range base.Predictors {
+			ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
 		}
-		return emit(i, ap)
-	})
+	}
+	return ap
 }
 
 // appSpeculation holds the Base/FR/SWI runs for one application (§7.4).
@@ -258,16 +271,19 @@ type appSpeculation struct {
 // specModes is the mode column order of §7.4's comparison.
 var specModes = []Mode{ModeBase, ModeFR, ModeSWI}
 
-// speculationStudyStream runs every application under Base-DSM, FR-DSM,
-// and SWI-DSM (VMSP depth 1 active, as in the paper) and streams each
-// application's assembled row, in cfg.Apps order, to emit. The
-// len(Apps)×3 simulations fan out as individual jobs across the
-// cfg.Parallel-wide worker pool (one run arena per worker) and are
-// merged back mode-major; checkpointing operates at single-simulation
-// granularity, so a resume re-runs only the missing mode runs.
+// speculationStudyStream is the paper's study: it runs every
+// application under Base-DSM, FR-DSM, and SWI-DSM (VMSP depth 1 active,
+// as in the paper) and streams each application's assembled row, in
+// cfg.Apps order, to emit. The Base run also carries every predictor
+// kind at depths 1, 2 and 4 as passive observers, whatever cfg.Depths
+// says, so one run feeds Figures 7-9 and Tables 3-5. The len(Apps)×3
+// simulations fan out as individual jobs across the cfg.Parallel-wide
+// worker pool (one run arena per worker) and are merged back
+// mode-major; checkpointing operates at single-simulation granularity,
+// so a resume re-runs only the missing mode runs.
 func speculationStudyStream(cfg StudyConfig, emit func(i int, row appSpeculation) error) error {
 	cfg = cfg.withDefaults()
-	rs := cfg.spec(speculationStudy, MachineOptions{DisableChecks: cfg.DisableChecks})
+	rs := cfg.spec(speculationStudy, MachineOptions{DisableChecks: cfg.DisableChecks, Observers: observers([]int{1, 2, 4})})
 	rs.Modes = specModes
 	apps := cfg.Apps
 	return streamStudy(cfg, rs, func(i int, runs []*RunResult, failed string) error {
@@ -277,6 +293,16 @@ func speculationStudyStream(cfg StudyConfig, emit func(i int, row appSpeculation
 		}
 		return emit(i, row)
 	})
+}
+
+// predictions is the predictor study a speculation study holds: each
+// application's observers on its Base run.
+func predictions(study []appSpeculation) []AppPrediction {
+	out := make([]AppPrediction, len(study))
+	for i, as := range study {
+		out[i] = appPrediction(as.App, as.Base, as.Failed)
+	}
+	return out
 }
 
 // Figure7Row is one group of bars of Figure 7: base predictor accuracy at

@@ -442,7 +442,7 @@ func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.Bl
 // checkSWIWatch resolves the premature-invalidation watch on the first
 // request served after an SWI completes. The watch bit lives in the hot
 // flags so unwatched entries (the common case) never read the cold guard.
-func (d *directory) checkSWIWatch(addr mem.BlockAddr, ei int32, kind mem.ReqKind, src mem.NodeID) (verify core.SWIGuard, verifyOn bool) {
+func (d *directory) checkSWIWatch(ei int32, kind mem.ReqKind, src mem.NodeID) (verify core.SWIGuard, verifyOn bool) {
 	h := &d.hot[ei]
 	if h.flags&dfSWIWatch == 0 {
 		return core.SWIGuard{}, false
@@ -456,7 +456,7 @@ func (d *directory) checkSWIWatch(addr mem.BlockAddr, ei int32, kind mem.ReqKind
 	}
 	if kind == mem.ReqRead || h.flags&dfHasSpec == 0 {
 		// The producer wants the block back before anyone consumed it.
-		d.premature(addr, guard)
+		d.premature(guard)
 		return core.SWIGuard{}, false
 	}
 	// The producer is writing again while speculative copies are still
@@ -465,14 +465,14 @@ func (d *directory) checkSWIWatch(addr mem.BlockAddr, ei int32, kind mem.ReqKind
 	return guard, true
 }
 
-func (d *directory) premature(addr mem.BlockAddr, guard core.SWIGuard) {
+func (d *directory) premature(guard core.SWIGuard) {
 	guard.MarkPremature()
 	d.stats.SWIPremature++
 }
 
 // serve executes one request against a non-busy entry.
 func (d *directory) serve(addr mem.BlockAddr, ei int32, kind mem.ReqKind, src mem.NodeID) {
-	verify, verifyOn := d.checkSWIWatch(addr, ei, kind, src)
+	verify, verifyOn := d.checkSWIWatch(ei, kind, src)
 
 	switch kind {
 	case mem.ReqRead:
@@ -540,7 +540,7 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 	case dirIdle:
 		if verifyOn {
 			// No sharers to consult: nobody consumed, so it was premature.
-			d.premature(addr, verify)
+			d.premature(verify)
 		}
 		d.grantExclusive(addr, ei, src, kind, false)
 	case dirShared:
@@ -553,7 +553,7 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 		viaUpgrade := kind == mem.ReqUpgrade && h.sharers.Has(src) && !specTainted
 		if others.Empty() {
 			if verifyOn {
-				d.premature(addr, verify)
+				d.premature(verify)
 			}
 			d.grantExclusive(addr, ei, src, kind, viaUpgrade)
 			return
@@ -659,7 +659,7 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 	}
 	tr := h.tr
 	if tr.swiVerifyOn && !tr.sawSpecRef {
-		d.premature(addr, tr.swiVerify)
+		d.premature(tr.swiVerify)
 	}
 	// Copy out before grantExclusive retires (and recycles) the carrier.
 	req, reqKind, upgrade := tr.requester, tr.reqKind, tr.grantUpgrade
@@ -776,7 +776,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 	self := d.n.id
 	if !isWrite {
 		if h.state == dirIdle || h.state == dirShared {
-			d.resolveLocalSWIWatch(addr, ei, mem.ReqRead)
+			d.resolveLocalSWIWatch(ei)
 			h.state = dirShared
 			h.sharers = h.sharers.With(self)
 			return h.version, true
@@ -791,7 +791,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 	if !soleLocal {
 		return 0, false
 	}
-	d.resolveLocalSWIWatch(addr, ei, mem.ReqWrite)
+	d.resolveLocalSWIWatch(ei)
 	h.version++
 	h.state = dirExclusive
 	h.owner = self
@@ -804,7 +804,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 // fast-path accesses: the home node's processor is itself the producer in
 // many sharing patterns, and its silent local re-access after an SWI is
 // exactly the "producer was not done" signal.
-func (d *directory) resolveLocalSWIWatch(addr mem.BlockAddr, ei int32, kind mem.ReqKind) {
+func (d *directory) resolveLocalSWIWatch(ei int32) {
 	if d.hot[ei].flags&dfSWIWatch == 0 {
 		return
 	}
@@ -813,7 +813,6 @@ func (d *directory) resolveLocalSWIWatch(addr mem.BlockAddr, ei int32, kind mem.
 	guard := c.swiGuard
 	c.swiGuard = core.SWIGuard{}
 	if d.n.id == c.swiOwner {
-		d.premature(addr, guard)
+		d.premature(guard)
 	}
-	_ = kind
 }

@@ -8,7 +8,6 @@ import (
 // The simulation studies' names. Each is also the study's checkpoint
 // file suffix: StudyConfig.CheckpointPath + "." + name.
 const (
-	predictorStudy   = "predictor"
 	speculationStudy = "speculation"
 	seedsStudy       = "seeds"
 	scalingStudy     = "scaling"
@@ -76,11 +75,6 @@ func Experiments() []Experiment {
 		err := nodeScalingStudyStream(cfg, nil, collect(&rows))
 		return rowsOf(rows, err, func(r nodeScaling) string { return failedAs(r.Failed, "scaling %s @ %d nodes", r.App, r.Nodes) })
 	}}
-	predictor := &study{name: predictorStudy, timing: "[predictor study: %v]\n\n", seeds: -1, run: func(cfg StudyConfig, _ []int64) (Rows, error) {
-		var rows []AppPrediction
-		err := PredictorStudyStream(cfg, collect(&rows))
-		return rowsOf(rows, err, func(r AppPrediction) string { return failedAs(r.Failed, "predictor %s", r.App) })
-	}}
 	speculation := &study{name: speculationStudy, timing: "[speculation study: %v]\n", seeds: -1, run: func(cfg StudyConfig, _ []int64) (Rows, error) {
 		var rows []appSpeculation
 		err := speculationStudyStream(cfg, collect(&rows))
@@ -102,10 +96,10 @@ func Experiments() []Experiment {
 		static.experiment("fig6", text(renderFigure6)),
 		rtl.experiment("rtl", rendering(func(pts []rtlPoint) string { return renderRTLSweep("em3d", pts) })),
 		scaling.experiment("scaling", rendering(renderNodeScaling)),
-		predictor.experiment("fig7", rendering(func(rows []AppPrediction) string { return RenderFigure7(Figure7(rows)) })),
-		predictor.experiment("fig8", rendering(func(rows []AppPrediction) string { return RenderFigure8(Figure8(rows, nil)) })),
-		predictor.experiment("table3", rendering(func(rows []AppPrediction) string { return RenderTable3(Table3(rows)) })),
-		predictor.experiment("table4", rendering(func(rows []AppPrediction) string { return RenderTable4(Table4(rows)) })),
+		speculation.experiment("fig7", rendering(func(rows []appSpeculation) string { return RenderFigure7(Figure7(predictions(rows))) })),
+		speculation.experiment("fig8", rendering(func(rows []appSpeculation) string { return RenderFigure8(Figure8(predictions(rows), nil)) })),
+		speculation.experiment("table3", rendering(func(rows []appSpeculation) string { return RenderTable3(Table3(predictions(rows))) })),
+		speculation.experiment("table4", rendering(func(rows []appSpeculation) string { return RenderTable4(Table4(predictions(rows))) })),
 		speculation.experiment("fig9", rendering(func(rows []appSpeculation) string { return renderFigure9(figure9(rows)) })),
 		seeds.experiment("fig9", rendering(RenderFigure9Aggregate)),
 		speculation.experiment("table5", rendering(func(rows []appSpeculation) string { return renderTable5(table5(rows)) })),
@@ -119,7 +113,7 @@ func (s *study) experiment(name string, render func(io.Writer, Rows) error) Expe
 // Prints reports whether a run prints the experiment, given whether the
 // run aggregates Figure 9 across several seeds: such a run prints the
 // aggregate in place of the single-seed Figure 9 and drops the other
-// experiments on the single-seed predictor and speculation studies.
+// experiments on the single-seed speculation study.
 func (e Experiment) Prints(multiSeed bool) bool {
 	return e.study.seeds == 0 || (e.study.seeds > 0) == multiSeed
 }

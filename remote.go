@@ -28,7 +28,9 @@ import (
 // decodes mixed-radix over them in that order — seeds outermost, modes
 // innermost — and an empty axis has one point: the value already in WP
 // or Opts. A cell is the len(Modes) consecutive runs (one when Modes is
-// empty) that differ only in mode.
+// empty) that differ only in mode. On a Modes axis, Opts.Observers ride
+// only the cell's Base-mode run: passive predictors measure the Base-DSM
+// message stream, and the FR and SWI runs of the cell carry none.
 type studySpec struct {
 	// Study names the checkpoint (<CheckpointPath>.<Study>) and prefixes
 	// its key.
@@ -83,6 +85,9 @@ func (rs studySpec) job(_ context.Context, arena *machine.Arena, j int) (*RunRes
 	wp, opts := rs.WP, rs.Opts
 	var app string
 	digit(&j, rs.Modes, &opts.Mode)
+	if len(rs.Modes) > 0 && opts.Mode != ModeBase {
+		opts.Observers = nil
+	}
 	digit(&j, rs.Flights, &opts.NetworkFlight)
 	digit(&j, rs.NodeCounts, &wp.Nodes)
 	digit(&j, rs.Apps, &app)

@@ -136,3 +136,28 @@ func TestResumeRefusesPreGridPredictorCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRefusesPreObserverSpeculationCheckpoint pins the fold of the
+// predictor study into the speculation study: a speculation checkpoint
+// recorded while its Base runs carried no observers is refused loudly,
+// naming the one field that changed, rather than replayed into rows whose
+// Base runs lack the predictor results Figures 7-8 and Tables 3-4 read.
+func TestResumeRefusesPreObserverSpeculationCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck")
+	old := "specdsm/speculation|apps=em3d|modes=[base fr swi]|wp.nodes=16|wp.scale=0.1|wp.seed=1|keepgoing=false|jobs=3"
+	if _, err := sweep.OpenCheckpoint(path+".speculation", old, 0); err != nil {
+		t.Fatal(err)
+	}
+	cfg := StudyConfig{Apps: []string{"em3d"}, Scale: 0.1, CheckpointPath: path, Resume: true}
+	err := speculationStudyStream(cfg, func(int, appSpeculation) error {
+		t.Fatal("a refused checkpoint delivered a row")
+		return nil
+	})
+	var km *sweep.KeyMismatchError
+	if !errors.As(err, &km) {
+		t.Fatalf("resume err = %v, want a KeyMismatchError", err)
+	}
+	if diff := km.Diff(); len(diff) != 1 || !strings.HasPrefix(diff[0], "opts.observers: ") {
+		t.Fatalf("Diff = %q, want one line naming opts.observers", diff)
+	}
+}

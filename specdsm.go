@@ -122,12 +122,7 @@ func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	if !ok {
 		return Workload{}, fmt.Errorf("specdsm: unknown application %q (have %v)", name, AppNames())
 	}
-	wp := workload.Params{
-		Nodes:      p.Nodes,
-		Iterations: p.Iterations,
-		Scale:      p.Scale,
-		Seed:       p.Seed,
-	}
+	wp := workload.Params(p)
 	if wp.Nodes == 0 {
 		wp.Nodes = 16
 	}
