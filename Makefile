@@ -85,17 +85,18 @@ bench-leaks:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# loc tracks size next to speed: per package — the root, the sweep and
-# remote layers, and the CLI layer (both commands and internal/cli) —
+# loc tracks size next to speed: per package — the root, the simulator
+# layers (core, protocol, machine, trace), the sweep and remote layers,
+# and the CLI layer (both commands and internal/cli) —
 # the code-only lines (non-blank, non-comment, outside _test.go files),
 # all lines of those files, and the exported-API line count
 # (`go doc -short`, 0 for a command).
 loc:
-	@for d in . internal/sweep internal/remote cmd/paperrepro cmd/specdsm internal/cli; do \
+	@for d in . internal/core internal/protocol internal/machine internal/trace internal/sweep internal/remote cmd/paperrepro cmd/specdsm internal/cli; do \
 		ls $$d/*.go | grep -v '_test\.go$$' | xargs awk -v pkg=$$d -v api=$$($(GO) doc -short ./$$d | wc -l) \
 			'{ t = $$0; sub(/^[ \t]+/, "", t) } t != "" && substr(t, 1, 2) != "//" { code++ } \
-			END { printf "%-16s %5d code lines %5d total lines %4d API lines\n", pkg, code, NR, api }'; \
-	done | awk '{ print; code += $$2; total += $$5 } END { printf "%-16s %5d code lines %5d total lines\n", "all", code, total }'
+			END { printf "%-18s %5d code lines %5d total lines %4d API lines\n", pkg, code, NR, api }'; \
+	done | awk '{ print; code += $$2; total += $$5 } END { printf "%-18s %5d code lines %5d total lines\n", "all", code, total }'
 
 # chaos-remote runs the distributed sweep under real process death and a
 # real torn transport: three local sweepd workers serve a fig9 sweep,
@@ -150,8 +151,9 @@ cover:
 #
 # The second leg checks the same contract across a crash: the same
 # default run (every paper artifact), checkpointed, is killed mid-way
-# through its speculation study via -crash-after (exit 3; the count
-# covers the characterization's 7 jobs, then 9 of the study's 21), must
+# through its speculation study via -crash-after (exit 3 after 9 of the
+# study's 21 simulations; the characterization simulates nothing and
+# is not counted), must
 # leave a non-empty checkpoint behind, and the -parallel 8 -resume
 # rerun's output, Figures 7-9 and Tables 3-5 built partly from rows
 # replayed from ck.speculation, must be byte-identical to the
@@ -166,7 +168,7 @@ determinism:
 	$$tmp/paperrepro -scale 0.1 -parallel 8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p8.txt && \
 	cmp $$tmp/p1.txt $$tmp/p8.txt && echo "determinism: -parallel 1 == -parallel 8" && \
 	$$tmp/paperrepro -scale 0.1 -parallel 1 \
-		-checkpoint $$tmp/ck -checkpoint-every 2 -crash-after 16 >/dev/null 2>&1; \
+		-checkpoint $$tmp/ck -checkpoint-every 2 -crash-after 9 >/dev/null 2>&1; \
 	st=$$?; [ $$st -eq 3 ] || { echo "determinism: crashed run exited $$st, want 3"; exit 1; } && \
 	[ -s $$tmp/ck.speculation ] || { echo "determinism: no checkpoint left behind"; exit 1; } && \
 	$$tmp/paperrepro -scale 0.1 -parallel 8 \

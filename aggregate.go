@@ -204,10 +204,12 @@ type appCharacterization struct {
 // characterizeApps statically analyzes the generated programs of each app.
 // Generation (served by the process-wide cache, so a later simulation
 // study reuses the same programs) and analysis run per-application on
-// the cfg.Parallel-wide worker pool.
+// the cfg.Parallel-wide worker pool. The pool keeps the study's retries
+// and fault injection but not OnJobDone or Progress, which count
+// simulations, and characterization simulates nothing.
 func characterizeApps(cfg StudyConfig) ([]appCharacterization, error) {
 	cfg = cfg.withDefaults()
-	p, err := cfg.pool(cfg.spec("characterize", MachineOptions{}), len(cfg.Apps))
+	p, err := cfg.spec("characterize", MachineOptions{}).pool(cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}

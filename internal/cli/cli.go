@@ -123,8 +123,10 @@ var (
 // flag.ErrHelp (the flag package has printed the usage), 2 for a wrong
 // invocation — a Usage error or a checkpoint that does not match the
 // run — and 1 for every other failure. Errors are printed to stderr; a
-// checkpoint recorded under other flags is explained as the differing
-// parameters and the fix.
+// checkpoint recorded under other parameters is explained as the
+// differing parameters and the fix. Not every parameter has a flag (the
+// observers a study attaches, say), so removing the checkpoint is the
+// fix that always applies.
 func Exit(prog string, err error) {
 	var km *sweep.KeyMismatchError
 	switch {
@@ -135,7 +137,7 @@ func Exit(prog string, err error) {
 		for _, line := range km.Diff() {
 			fmt.Fprintf(stderr, "  %s\n", line)
 		}
-		fmt.Fprintf(stderr, "fix: rerun with the flags listed above, or remove %s to start this configuration fresh\n", km.Path)
+		fmt.Fprintf(stderr, "fix: remove %s to start this configuration fresh, or, if flags set the parameters listed above, rerun with the checkpoint's values to resume it\n", km.Path)
 		exit(2)
 	case errors.As(err, new(usageError)), errors.Is(err, sweep.ErrCheckpointMismatch):
 		// Any other mismatch — a checkpoint of another format version,

@@ -17,6 +17,7 @@ import (
 // TestExitStatus pins the exit-status mapping and what each case prints.
 func TestExitStatus(t *testing.T) {
 	km := &sweep.KeyMismatchError{Path: "ck.predictor", Stored: "scale=1|seed=1", Want: "scale=0.5|seed=1"}
+	observers := &sweep.KeyMismatchError{Path: "ck.speculation", Stored: "speculation|scale=1", Want: "speculation|scale=1|opts.observers=[VMSP-d1]"}
 	cases := []struct {
 		name   string
 		err    error
@@ -29,7 +30,14 @@ func TestExitStatus(t *testing.T) {
 		{"key mismatch", fmt.Errorf("predictor study: %w", km), 2, []string{
 			"prog: checkpoint ck.predictor was recorded under different parameters:\n",
 			"  scale: checkpoint has 1, this run has 0.5\n",
-			"fix: rerun with the flags listed above, or remove ck.predictor to start this configuration fresh\n",
+			"fix: remove ck.predictor to start this configuration fresh, or, if flags set the parameters listed above, rerun with the checkpoint's values to resume it\n",
+		}},
+		// No flag sets the observers a study attaches: the hint must not
+		// send the user looking for one.
+		{"key mismatch without a flag", fmt.Errorf("speculation study: %w", observers), 2, []string{
+			"prog: checkpoint ck.speculation was recorded under different parameters:\n",
+			"  opts.observers: checkpoint has (absent), this run has [VMSP-d1]\n",
+			"fix: remove ck.speculation to start this configuration fresh, or, if flags set the parameters listed above, rerun with the checkpoint's values to resume it\n",
 		}},
 		{"version mismatch", fmt.Errorf("sweep: checkpoint ck.sweep: %w: format version 2", sweep.ErrCheckpointMismatch), 2,
 			[]string{"checkpoint ck.sweep: checkpoint does not match this sweep: format version 2\n"}},

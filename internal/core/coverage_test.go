@@ -64,8 +64,8 @@ func TestReqMsgTypeMapping(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	p := NewMSP(2)
-	if p.Name() != "MSP" || p.Kind() != KindMSP || p.HistoryDepth() != 2 {
-		t.Fatalf("accessors wrong: %s %v %d", p.Name(), p.Kind(), p.HistoryDepth())
+	if p.Kind() != KindMSP || p.HistoryDepth() != 2 {
+		t.Fatalf("accessors wrong: %v %d", p.Kind(), p.HistoryDepth())
 	}
 	if KindCosmos.String() != "Cosmos" || Kind(9).String() != "Kind(9)" {
 		t.Fatal("kind strings wrong")

@@ -16,11 +16,15 @@
 //     between writes is folded into a single reader bit-vector symbol,
 //     eliminating read re-ordering effects.
 //
-// The package also provides the speculation-facing surface used by the
-// speculative coherent DSM (§4): predicted upcoming reader sets with
-// verification feedback (pruning mispredicted readers), the Speculative
-// Write-Invalidation premature bit, and the per-node early-write-invalidate
-// table.
+// A predictor plays one of two roles. As a passive observer (§7.2–7.3)
+// it only scores the directory's message stream: that is the Predictor
+// interface, one method, Observe, which a trace recorder satisfies too.
+// As the active predictor (§4, §7.4) one VMSP drives speculation, and
+// the protocol calls the speculation methods of *TwoLevel directly:
+// predicted upcoming reader sets with verification feedback (pruning
+// mispredicted readers), the Speculative Write-Invalidation premature
+// bit, and the history updates for speculatively forwarded copies. The
+// per-node early-write-invalidate table is here too.
 //
 // Four storage invariants keep Observe allocation-free in steady state
 // while leaving every observable result bit-identical to the original

@@ -124,7 +124,7 @@ func querySnapshot(p *TwoLevel, addr mem.BlockAddr, reader mem.NodeID, before fu
 	}
 	before()
 	s += fmt.Sprintf(" upg=%v", p.PredictsUpgradeBy(addr, reader))
-	return s + fmt.Sprintf(" swi=%v", p.SWIAllowed(addr))
+	return s + fmt.Sprintf(" swi=%v", p.SWIGuard(addr).Allowed())
 }
 
 // FuzzObserveLinks drives a linked predictor and a twin whose links are all

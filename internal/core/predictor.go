@@ -85,53 +85,16 @@ func (c Census) EntriesPerBlock() float64 {
 	return float64(c.Entries) / float64(c.Blocks)
 }
 
-// Predictor is the interface shared by Cosmos, MSP, and VMSP.
+// Predictor is the passive-observer contract (§7.2–7.3): something fed
+// the directory's incoming message stream. Cosmos, MSP and VMSP
+// (TwoLevel) score it; a trace recorder captures it. The active
+// predictor that drives speculation (§4) is always a *TwoLevel, whose
+// speculation methods the protocol calls directly.
 type Predictor interface {
-	// Name returns "Cosmos", "MSP", or "VMSP".
-	Name() string
-	// HistoryDepth returns the configured history depth d.
-	HistoryDepth() int
 	// Observe feeds one directory-incoming message for block addr and
 	// returns the scoring outcome. Observe must be called in message
 	// arrival order.
 	Observe(addr mem.BlockAddr, obs Observation) Outcome
-	// Stats returns the accumulated accuracy counters.
-	Stats() Stats
-	// Census returns pattern-table occupancy for storage accounting.
-	Census() Census
-	// PredictReaders returns the set of nodes predicted to read block addr
-	// next, given the block's current history, together with a handle for
-	// verification feedback. ok is false when no read prediction exists.
-	PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool)
-	// PredictNext returns the predicted next symbol for the block's
-	// current history, if any.
-	PredictNext(addr mem.BlockAddr) (Symbol, bool)
-	// PredictsUpgradeBy reports whether, assuming reader joins the current
-	// read run, the predicted next symbol is a write/upgrade by that same
-	// reader — the migratory-sharing signature used by the speculative
-	// upgrade extension.
-	PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
-	// SWIAllowed reports whether speculative write-invalidation is
-	// permitted for the block's most recent write pattern (its premature
-	// bit is clear). Blocks with no recorded write pattern allow SWI.
-	SWIAllowed(addr mem.BlockAddr) bool
-	// SWIGuard returns a handle on the pattern entry that recorded the
-	// block's most recent write/upgrade. The speculation hardware captures
-	// the guard when it fires SWI and marks it premature if the producer
-	// turns out not to have been done with the block (§4.1). The guard
-	// stays bound to the entry even if the block's history advances.
-	SWIGuard(addr mem.BlockAddr) SWIGuard
-	// AssumeReaders tells the predictor that the speculation hardware has
-	// forwarded read-only copies to vec, so the block's history should
-	// evolve as if those reads had arrived (they never will as request
-	// messages — that is the point of speculation). Without this, the
-	// next write would overwrite the learned read pattern.
-	AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec)
-	// RetractReader undoes AssumeReaders for one node after verification
-	// reports the speculative copy was never referenced.
-	RetractReader(addr mem.BlockAddr, n mem.NodeID)
-	// Reset clears all tables and counters.
-	Reset()
 }
 
 // SWIGuard is a stable handle on the pattern-table entry carrying the SWI

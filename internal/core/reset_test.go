@@ -53,7 +53,7 @@ func snapshot(p *TwoLevel) string {
 		s += fmt.Sprintf(" next(%v)=%v,%v", addr, sym, ok)
 		rp, ok := p.PredictReaders(addr)
 		s += fmt.Sprintf(" readers(%v)=%v,%v", addr, rp.Readers, ok)
-		s += fmt.Sprintf(" swi(%v)=%v", addr, p.SWIAllowed(addr))
+		s += fmt.Sprintf(" swi(%v)=%v", addr, p.SWIGuard(addr).Allowed())
 		s += fmt.Sprintf(" upg(%v)=%v", addr, p.PredictsUpgradeBy(addr, 1))
 	}
 	return s
@@ -129,7 +129,7 @@ func TestStaleHandlesAfterResetAreNoOps(t *testing.T) {
 	if !guard.Allowed() {
 		t.Error("stale guard must report Allowed (no-op zero-value behaviour)")
 	}
-	if !p.SWIAllowed(blk) {
+	if !p.SWIGuard(blk).Allowed() {
 		t.Error("stale MarkPremature leaked into the re-learned write pattern")
 	}
 	rp2, ok := p.PredictReaders(blk)

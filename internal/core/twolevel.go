@@ -218,21 +218,18 @@ func (p *TwoLevel) confident(idx int32) bool {
 	return p.store.conf(idx) >= p.confThreshold
 }
 
-// Name implements Predictor.
-func (p *TwoLevel) Name() string { return p.kind.String() }
-
 // Kind returns the predictor variant.
 func (p *TwoLevel) Kind() Kind { return p.kind }
 
-// HistoryDepth implements Predictor.
+// HistoryDepth returns the configured history depth d.
 func (p *TwoLevel) HistoryDepth() int { return p.depth }
 
-// Stats implements Predictor.
+// Stats returns the accumulated accuracy counters.
 func (p *TwoLevel) Stats() Stats { return p.stats }
 
-// Reset implements Predictor. Tables are cleared but their storage is
-// retained, so a reset predictor re-learns without re-allocating; it is
-// observably equivalent to a freshly constructed one. Outstanding
+// Reset clears all tables and counters, retaining their storage, so a
+// reset predictor re-learns without re-allocating; it is observably
+// equivalent to a freshly constructed one. Outstanding
 // SWIGuard and ReadPrediction handles are invalidated by Reset: their
 // methods become no-ops (a generation check keeps them from touching the
 // reused tables).
@@ -427,8 +424,8 @@ func (p *TwoLevel) learn(addr mem.BlockAddr, bs *blockState, sym Symbol) {
 	p.learned(bs, idx, tn, vid)
 }
 
-// PredictNext implements Predictor: the predicted successor of the
-// block's current (closed) history.
+// PredictNext returns the predicted next symbol for the block's current
+// (closed) history, if any.
 func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
 	bs := p.lookup(addr)
 	if bs == nil {
@@ -441,7 +438,9 @@ func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
 	return p.store.pred(idx), true
 }
 
-// PredictReaders implements Predictor.
+// PredictReaders returns the set of nodes predicted to read block addr
+// next, given the block's current history, together with a handle for
+// verification feedback. ok is false when no read prediction exists.
 //
 // For VMSP the prediction is the single vector entry following the current
 // history. For MSP and Cosmos — which record reads individually — the
@@ -503,8 +502,11 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 	return rp, true
 }
 
-// PredictsUpgradeBy implements Predictor. It must be called after the
-// reader's request has been observed. For MSP/Cosmos the observation
+// PredictsUpgradeBy reports whether, assuming reader joins the current
+// read run, the predicted next symbol is a write/upgrade by that same
+// reader — the migratory-sharing signature used by the speculative
+// upgrade extension. It must be called after the reader's request has
+// been observed. For MSP/Cosmos the observation
 // already pushed the read into the history, so the current history's
 // prediction is the read's successor; for VMSP the read only opened the
 // run, so the run is hypothetically closed (with reader included) first.
@@ -537,12 +539,12 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 	return tnType(tn).IsWriteLike() && tnNode(tn) == reader
 }
 
-// SWIAllowed implements Predictor.
-func (p *TwoLevel) SWIAllowed(addr mem.BlockAddr) bool {
-	return p.SWIGuard(addr).Allowed()
-}
-
-// SWIGuard implements Predictor.
+// SWIGuard returns a handle on the pattern entry that recorded the
+// block's most recent write/upgrade. The speculation hardware captures
+// the guard when it fires SWI and marks it premature if the producer
+// turns out not to have been done with the block (§4.1). The guard
+// stays bound to the entry even if the block's history advances. Blocks
+// with no recorded write pattern get the zero guard, which allows SWI.
 func (p *TwoLevel) SWIGuard(addr mem.BlockAddr) SWIGuard {
 	bs := p.lookup(addr)
 	if bs == nil || bs.lastWrite == noEntry {
@@ -551,7 +553,12 @@ func (p *TwoLevel) SWIGuard(addr mem.BlockAddr) SWIGuard {
 	return SWIGuard{store: p.store, idx: bs.lastWrite, gen: p.store.gen}
 }
 
-// AssumeReaders implements Predictor. For VMSP the forwarded readers join
+// AssumeReaders tells the predictor that the speculation hardware has
+// forwarded read-only copies to vec, so the block's history should
+// evolve as if those reads had arrived (they never will as request
+// messages — that is the point of speculation). Without this, the
+// next write would overwrite the learned read pattern. For VMSP the
+// forwarded readers join
 // the open run; for MSP/Cosmos they are recorded and pushed as individual
 // read symbols (scorelessly), mirroring the history that real read
 // requests would have produced.
@@ -571,7 +578,9 @@ func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec) {
 	}
 }
 
-// RetractReader implements Predictor. Only the VMSP open run can be
+// RetractReader undoes AssumeReaders for one node after verification
+// reports the speculative copy was never referenced. Only the VMSP open
+// run can be
 // retracted; for MSP/Cosmos the pushed history symbol is left in place
 // (the pattern entries themselves are fixed via ReadPrediction.Prune).
 func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
@@ -582,7 +591,7 @@ func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
 	bs.open = bs.open.Without(n)
 }
 
-// Census implements Predictor.
+// Census returns pattern-table occupancy for storage accounting.
 func (p *TwoLevel) Census() Census {
 	return Census{
 		HistoryDepth: p.depth,

@@ -179,7 +179,7 @@ func TestHistoryDepthDisambiguatesWriters(t *testing.T) {
 		}
 		return seq
 	}
-	run := func(p Predictor) float64 {
+	run := func(p *TwoLevel) float64 {
 		for i := 0; i < 30; i++ {
 			if i%2 == 0 {
 				feed(p, mk(3, 1, 2)...)
@@ -312,12 +312,12 @@ func TestPruneVMSP(t *testing.T) {
 
 func TestSWIBits(t *testing.T) {
 	p := NewVMSP(1)
-	if !p.SWIAllowed(blk) {
+	if !p.SWIGuard(blk).Allowed() {
 		t.Fatal("cold block should allow SWI")
 	}
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	if !p.SWIAllowed(blk) {
+	if !p.SWIGuard(blk).Allowed() {
 		t.Fatal("SWI should be allowed before any premature invalidation")
 	}
 	g := p.SWIGuard(blk)
@@ -325,13 +325,13 @@ func TestSWIBits(t *testing.T) {
 		t.Fatal("guard should allow before marking")
 	}
 	g.MarkPremature()
-	if p.SWIAllowed(blk) {
+	if p.SWIGuard(blk).Allowed() {
 		t.Fatal("premature bit must suppress SWI")
 	}
 	// The bit is per pattern entry: re-learning the same pattern keeps the
 	// bit set.
 	feed(p, obs(MsgRead, 1), obs(MsgRead, 2), obs(MsgUpgrade, 3))
-	if p.SWIAllowed(blk) {
+	if p.SWIGuard(blk).Allowed() {
 		t.Fatal("same pattern must stay suppressed")
 	}
 }
@@ -348,7 +348,7 @@ func TestSWIGuardStableAcrossHistoryAdvance(t *testing.T) {
 	feed(p, obs(MsgRead, 2), obs(MsgWrite, 5))
 	g.MarkPremature()
 	// The newest write entry ([Read P2] -> Write P5) must be unaffected.
-	if !p.SWIAllowed(blk) {
+	if !p.SWIGuard(blk).Allowed() {
 		t.Fatal("marking an old guard must not suppress the current pattern")
 	}
 }

@@ -9,6 +9,12 @@
 // (Table 5), and — through passively attached predictors — accuracy,
 // coverage, and storage occupancy (Figures 7-8, Tables 3-4).
 //
+// Config attaches predictors in two roles: Observers only score the
+// directory message stream, and Active, when set, also drives FR/SWI
+// speculation. Every node gets its own instance of each; Result.Predictors
+// reports each attached predictor once, summed across nodes, in
+// attachment order — the observers, then the active predictor.
+//
 // # Run arenas
 //
 // Building a machine is the expensive part of a study cell: per-node

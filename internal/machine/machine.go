@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
@@ -184,17 +185,22 @@ type Result struct {
 	// Machine-wide protocol counters.
 	Dir   protocol.DirStats
 	Cache protocol.CacheStats
-	// Predictor measurements, summed across nodes, keyed by spec.
-	PredStats  map[PredictorSpec]core.Stats
-	PredCensus map[PredictorSpec]core.Census
-	// Active-predictor measurements when speculation is on.
-	ActiveStats  core.Stats
-	ActiveCensus core.Census
+	// Predictors holds each attached predictor's measurements in
+	// attachment order: Config.Observers, then Config.Active when set.
+	Predictors []PredictorResult
 	// UnreferencedSpec counts speculative lines never referenced by the
 	// end of the run (misspeculations not yet caught by invalidation).
 	UnreferencedSpec uint64
 	Network          network.Stats
 	Events           uint64
+}
+
+// PredictorResult is what one attached predictor measured, summed
+// across every node's instance of it.
+type PredictorResult struct {
+	Spec   PredictorSpec
+	Stats  core.Stats
+	Census core.Census
 }
 
 // RequestShare is the fraction of aggregate processor time spent waiting
@@ -209,15 +215,17 @@ func (r *Result) RequestShare() float64 {
 
 // Machine is one ready-to-run simulated CC-NUMA.
 type Machine struct {
-	cfg       Config
-	kernel    *sim.Kernel
-	sys       *protocol.System
-	observers [][]core.Predictor // [node][spec index]
-	actives   []core.Predictor   // [node], nil entries when inactive
-	procs     []*proc
-	barriers  map[int]*barrier
-	locks     map[int]*lock
-	running   int
+	cfg    Config
+	kernel *sim.Kernel
+	sys    *protocol.System
+	// specs lists the attached predictors (Config.Observers, then
+	// Config.Active) and preds their instances, [node][spec index].
+	specs    []PredictorSpec
+	preds    [][]*core.TwoLevel
+	procs    []*proc
+	barriers map[int]*barrier
+	locks    map[int]*lock
+	running  int
 }
 
 // New builds a machine from cfg.
@@ -230,27 +238,31 @@ func New(cfg Config) *Machine {
 		barriers: make(map[int]*barrier),
 		locks:    make(map[int]*lock),
 	}
+	m.specs = cfg.Observers
+	if cfg.Active != nil {
+		m.specs = append(slices.Clip(m.specs), *cfg.Active)
+	}
 	opts := make([]protocol.Options, cfg.Nodes)
-	m.observers = make([][]core.Predictor, cfg.Nodes)
-	m.actives = make([]core.Predictor, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
+	m.preds = make([][]*core.TwoLevel, cfg.Nodes)
+	for i := range m.preds {
+		preds := make([]*core.TwoLevel, len(m.specs))
 		var obs []core.Predictor
-		for _, spec := range cfg.Observers {
-			obs = append(obs, spec.build(cfg.Nodes))
+		for j, spec := range m.specs {
+			preds[j] = spec.build(cfg.Nodes)
+			if j < len(cfg.Observers) {
+				obs = append(obs, preds[j])
+			}
 		}
-		m.observers[i] = obs
-		var active core.Predictor
-		if cfg.Active != nil {
-			active = cfg.Active.build(cfg.Nodes)
-			m.actives[i] = active
-		}
+		m.preds[i] = preds
 		opts[i] = protocol.Options{
 			Observers:         obs,
-			Active:            active,
 			EnableFR:          cfg.EnableFR,
 			EnableSWI:         cfg.EnableSWI,
 			EnableSpecUpgrade: cfg.EnableSpecUpgrade,
 			CacheCapacity:     cfg.CacheCapacity,
+		}
+		if cfg.Active != nil {
+			opts[i].Active = preds[len(obs)]
 		}
 	}
 	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.Timing, cfg.NetCfg, opts)
@@ -268,7 +280,9 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 
 // AttachObserver adds one pre-instantiated passive observer to every
 // node's directory, seeing the machine-wide directory message stream in
-// processing order. Must be called before Run.
+// processing order. Must be called before Run. The observer belongs to
+// the caller: Reset leaves it alone and Result.Predictors covers only
+// Config's predictors.
 func (m *Machine) AttachObserver(p core.Predictor) {
 	for i := 0; i < m.cfg.Nodes; i++ {
 		m.sys.Node(mem.NodeID(i)).AddObserver(p)
@@ -286,14 +300,9 @@ func (m *Machine) AttachObserver(p core.Predictor) {
 func (m *Machine) Reset() {
 	m.kernel.Reset()
 	m.sys.Reset()
-	for _, obs := range m.observers {
-		for _, p := range obs {
+	for _, preds := range m.preds {
+		for _, p := range preds {
 			p.Reset()
-		}
-	}
-	for _, a := range m.actives {
-		if a != nil {
-			a.Reset()
 		}
 	}
 	for _, b := range m.barriers {
@@ -371,10 +380,12 @@ func opAt(prog Program, pc int) any {
 
 func (m *Machine) collect(events uint64) *Result {
 	r := &Result{
-		PredStats:  make(map[PredictorSpec]core.Stats),
-		PredCensus: make(map[PredictorSpec]core.Census),
+		Predictors: make([]PredictorResult, len(m.specs)),
 		Network:    m.sys.NetworkStats(),
 		Events:     events,
+	}
+	for j, spec := range m.specs {
+		r.Predictors[j].Spec = spec
 	}
 	for _, p := range m.procs {
 		ps := ProcStats{
@@ -401,14 +412,10 @@ func (m *Machine) collect(events uint64) *Result {
 		addDirStats(&r.Dir, node.DirStats())
 		addCacheStats(&r.Cache, node.CacheStats())
 		r.UnreferencedSpec += node.SweepUnreferencedSpec()
-		for j, spec := range m.cfg.Observers {
-			p := m.observers[i][j]
-			r.PredStats[spec] = addStats(r.PredStats[spec], p.Stats())
-			r.PredCensus[spec] = addCensus(r.PredCensus[spec], p.Census(), spec.Depth)
-		}
-		if a := m.actives[i]; a != nil {
-			r.ActiveStats = addStats(r.ActiveStats, a.Stats())
-			r.ActiveCensus = addCensus(r.ActiveCensus, a.Census(), m.cfg.Active.Depth)
+		for j, p := range m.preds[i] {
+			pr := &r.Predictors[j]
+			pr.Stats = addStats(pr.Stats, p.Stats())
+			pr.Census = addCensus(pr.Census, p.Census())
 		}
 	}
 	return r
@@ -421,10 +428,10 @@ func addStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-func addCensus(a, b core.Census, depth int) core.Census {
+func addCensus(a, b core.Census) core.Census {
 	a.Blocks += b.Blocks
 	a.Entries += b.Entries
-	a.HistoryDepth = depth
+	a.HistoryDepth = b.HistoryDepth
 	return a
 }
 

@@ -244,26 +244,28 @@ func TestObserversCollectStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range specs {
-		st, ok := r.PredStats[s]
-		if !ok || st.Tracked == 0 {
-			t.Fatalf("no stats for %v", s)
+	if len(r.Predictors) != len(specs) {
+		t.Fatalf("%d predictor results for %d observers", len(r.Predictors), len(specs))
+	}
+	for i, s := range specs {
+		pr := r.Predictors[i]
+		if pr.Spec != s || pr.Stats.Tracked == 0 {
+			t.Fatalf("result %d is %v with %d tracked, want %v with stats", i, pr.Spec, pr.Stats.Tracked, s)
 		}
-		c := r.PredCensus[s]
-		if c.Blocks == 0 || c.Entries == 0 {
+		if pr.Census.Blocks == 0 || pr.Census.Entries == 0 {
 			t.Fatalf("no census for %v", s)
 		}
 	}
-	cosmos := r.PredStats[specs[0]]
-	msp := r.PredStats[specs[1]]
+	cosmos := r.Predictors[0].Stats
+	msp := r.Predictors[1].Stats
+	vmsp := r.Predictors[2].Stats
 	if cosmos.Tracked <= msp.Tracked {
 		t.Fatalf("Cosmos should track more messages: %d vs %d", cosmos.Tracked, msp.Tracked)
 	}
 	// In this clean producer/consumer workload all predictors do well, and
 	// MSP/VMSP at least as well as Cosmos.
-	if r.PredStats[specs[2]].Accuracy() < r.PredStats[specs[0]].Accuracy()-0.05 {
-		t.Fatalf("VMSP accuracy %.2f far below Cosmos %.2f",
-			r.PredStats[specs[2]].Accuracy(), r.PredStats[specs[0]].Accuracy())
+	if vmsp.Accuracy() < cosmos.Accuracy()-0.05 {
+		t.Fatalf("VMSP accuracy %.2f far below Cosmos %.2f", vmsp.Accuracy(), cosmos.Accuracy())
 	}
 }
 

@@ -13,9 +13,12 @@
 //     FIFO queue of requests that arrive while a transaction is in flight
 //     (the blocking directory is one of the two race sources that perturb
 //     message predictors; network-interface queueing is the other);
-//   - optionally, a predictor (internal/core) observing the directory's
-//     incoming message stream and driving read speculation via the
-//     First-Read (FR) and Speculative Write-Invalidation (SWI) triggers.
+//   - optionally, predictors (internal/core) fed the directory's
+//     incoming message stream: passive observers (Options.Observers, the
+//     one-method core.Predictor) that only score it, and one active
+//     *core.TwoLevel (Options.Active) that also drives read speculation
+//     via the First-Read (FR) and Speculative Write-Invalidation (SWI)
+//     triggers.
 //
 // The speculation machinery never modifies base protocol transitions: it
 // only schedules existing operations early (an early recall, an early

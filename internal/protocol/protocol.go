@@ -59,7 +59,7 @@ type Options struct {
 	// Active is the predictor consulted for speculation (the paper's
 	// speculative DSMs use a VMSP with history depth one). It also
 	// observes all messages. Nil disables speculation entirely.
-	Active core.Predictor
+	Active *core.TwoLevel
 	// EnableFR turns on First-Read triggering of read-sequence speculation.
 	EnableFR bool
 	// EnableSWI turns on Speculative Write-Invalidation. The paper's

@@ -45,9 +45,9 @@ type Clock interface {
 	Now() sim.Cycle
 }
 
-// Recorder captures directory message streams. It satisfies
-// core.Predictor so it can be attached wherever a passive predictor can;
-// all prediction surfaces are inert.
+// Recorder captures directory message streams. It is a core.Predictor,
+// the passive-observer contract, so it attaches wherever a scoring
+// observer can; it scores nothing.
 type Recorder struct {
 	clock Clock
 	trace Trace
@@ -78,46 +78,6 @@ func (r *Recorder) Observe(addr mem.BlockAddr, obs core.Observation) core.Outcom
 	})
 	return core.Outcome{}
 }
-
-// Name implements core.Predictor.
-func (r *Recorder) Name() string { return "Recorder" }
-
-// HistoryDepth implements core.Predictor.
-func (r *Recorder) HistoryDepth() int { return 0 }
-
-// Stats implements core.Predictor.
-func (r *Recorder) Stats() core.Stats { return core.Stats{} }
-
-// Census implements core.Predictor.
-func (r *Recorder) Census() core.Census { return core.Census{} }
-
-// PredictReaders implements core.Predictor (inert).
-func (r *Recorder) PredictReaders(mem.BlockAddr) (core.ReadPrediction, bool) {
-	return core.ReadPrediction{}, false
-}
-
-// PredictNext implements core.Predictor (inert).
-func (r *Recorder) PredictNext(mem.BlockAddr) (core.Symbol, bool) {
-	return core.Symbol{}, false
-}
-
-// PredictsUpgradeBy implements core.Predictor (inert).
-func (r *Recorder) PredictsUpgradeBy(mem.BlockAddr, mem.NodeID) bool { return false }
-
-// SWIAllowed implements core.Predictor (inert).
-func (r *Recorder) SWIAllowed(mem.BlockAddr) bool { return false }
-
-// SWIGuard implements core.Predictor (inert).
-func (r *Recorder) SWIGuard(mem.BlockAddr) core.SWIGuard { return core.SWIGuard{} }
-
-// AssumeReaders implements core.Predictor (inert).
-func (r *Recorder) AssumeReaders(mem.BlockAddr, mem.ReaderVec) {}
-
-// RetractReader implements core.Predictor (inert).
-func (r *Recorder) RetractReader(mem.BlockAddr, mem.NodeID) {}
-
-// Reset implements core.Predictor.
-func (r *Recorder) Reset() { r.trace.Events = nil }
 
 var _ core.Predictor = (*Recorder)(nil)
 

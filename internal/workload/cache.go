@@ -7,9 +7,10 @@ import (
 )
 
 // Generation cache: workload generation is deterministic in (app, Params),
-// and study sweeps instantiate the same workload many times — every
-// predictor-study/speculation-study pair regenerates each application,
-// and each benchmark iteration regenerates the whole matrix. Programs
+// and study sweeps instantiate the same workload many times — the
+// characterization and the speculation study's Base, FR and SWI runs
+// each need every application, and each benchmark iteration
+// regenerates the whole matrix. Programs
 // returns one shared, immutable program set per distinct (app, Params)
 // instead.
 //

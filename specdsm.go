@@ -334,19 +334,7 @@ func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) 
 
 // Run simulates the workload on a machine configured by opts.
 func Run(w Workload, opts MachineOptions) (*RunResult, error) {
-	if len(w.programs) == 0 {
-		return nil, fmt.Errorf("specdsm: empty workload")
-	}
-	cfg, mode, err := buildConfig(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	m := machine.New(cfg)
-	res, err := m.Run(w.programs)
-	if err != nil {
-		return nil, fmt.Errorf("specdsm: %s/%s: %w", w.Name, mode, err)
-	}
-	return convert(w, mode, cfg, res), nil
+	return runInArena(machine.NewArena(), w, opts)
 }
 
 // runInArena is Run against a worker-local run arena: the simulated
@@ -367,10 +355,10 @@ func runInArena(a *machine.Arena, w Workload, opts MachineOptions) (*RunResult, 
 	if err != nil {
 		return nil, fmt.Errorf("specdsm: %s/%s: %w", w.Name, mode, err)
 	}
-	return convert(w, mode, cfg, res), nil
+	return convert(w, mode, res), nil
 }
 
-func convert(w Workload, mode Mode, cfg machine.Config, res *machine.Result) *RunResult {
+func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 	out := &RunResult{
 		Workload:            w.Name,
 		Mode:                mode,
@@ -397,19 +385,15 @@ func convert(w Workload, mode Mode, cfg machine.Config, res *machine.Result) *Ru
 		NetMsgs:             res.Network.Sent,
 		Events:              res.Events,
 	}
-	for _, spec := range cfg.Observers {
-		st := res.PredStats[spec]
-		cs := res.PredCensus[spec]
-		out.Predictors = append(out.Predictors, predictorResult(spec, st, cs))
-	}
-	if cfg.Active != nil {
-		out.Predictors = append(out.Predictors,
-			predictorResult(*cfg.Active, res.ActiveStats, res.ActiveCensus))
+	for _, pr := range res.Predictors {
+		out.Predictors = append(out.Predictors, predictorResult(pr))
 	}
 	return out
 }
 
-func predictorResult(spec machine.PredictorSpec, st core.Stats, cs core.Census) PredictorResult {
+// predictorResult reports what one predictor measured.
+func predictorResult(pr machine.PredictorResult) PredictorResult {
+	spec, st, cs := pr.Spec, pr.Stats, pr.Census
 	var kind PredictorKind
 	switch spec.Kind {
 	case core.KindCosmos:

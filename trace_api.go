@@ -44,7 +44,7 @@ func CaptureTrace(wl Workload, opts MachineOptions, out io.Writer) (*RunResult, 
 	if err := trace.Write(out, tr); err != nil {
 		return nil, TraceSummary{}, err
 	}
-	return convert(wl, mode, cfg, res), summarize(tr), nil
+	return convert(wl, mode, res), summarize(tr), nil
 }
 
 func summarize(tr *trace.Trace) TraceSummary {
@@ -68,8 +68,10 @@ func EvaluateTrace(in io.Reader, configs []PredictorConfig) ([]PredictorResult, 
 }
 
 func evaluateTrace(tr *trace.Trace, configs []PredictorConfig) ([]PredictorResult, TraceSummary, error) {
-	var preds []core.Predictor
+	nodes := max(tr.Nodes, mem.InlineNodes)
 	var specs []machine.PredictorSpec
+	var preds []*core.TwoLevel
+	var observers []core.Predictor
 	for _, c := range configs {
 		k, err := c.Kind.kind()
 		if err != nil {
@@ -78,17 +80,14 @@ func evaluateTrace(tr *trace.Trace, configs []PredictorConfig) ([]PredictorResul
 		if c.Depth < 1 || c.Depth > core.MaxDepth {
 			return nil, TraceSummary{}, fmt.Errorf("specdsm: predictor depth %d out of range [1,%d]", c.Depth, core.MaxDepth)
 		}
-		nodes := tr.Nodes
-		if nodes < mem.InlineNodes {
-			nodes = mem.InlineNodes
-		}
-		preds = append(preds, core.NewSized(k, c.Depth, nodes))
+		p := core.NewSized(k, c.Depth, nodes)
 		specs = append(specs, machine.PredictorSpec{Kind: k, Depth: c.Depth})
+		preds, observers = append(preds, p), append(observers, p)
 	}
-	trace.Replay(tr, preds...)
+	trace.Replay(tr, observers...)
 	var out []PredictorResult
 	for i, p := range preds {
-		out = append(out, predictorResult(specs[i], p.Stats(), p.Census()))
+		out = append(out, predictorResult(machine.PredictorResult{Spec: specs[i], Stats: p.Stats(), Census: p.Census()}))
 	}
 	return out, summarize(tr), nil
 }

@@ -85,3 +85,40 @@ func TestCaptureTraceEmptyWorkload(t *testing.T) {
 		t.Fatal("expected empty-workload error")
 	}
 }
+
+// Two identical observer configurations are two predictors, each seeing
+// the stream once: each reports what one such observer alone reports,
+// online and in offline evaluation of the same configurations.
+func TestDuplicateObserversMeasureOnce(t *testing.T) {
+	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 8, Iterations: 4, Scale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmsp := specdsm.PredictorConfig{Kind: specdsm.VMSP, Depth: 1}
+	var buf bytes.Buffer
+	single, _, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{Observers: []specdsm.PredictorConfig{vmsp}}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := []specdsm.PredictorConfig{vmsp, vmsp}
+	double, err := specdsm.Run(w, specdsm.MachineOptions{Observers: configs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, _, err := specdsm.EvaluateTrace(&buf, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := single.Predictors[0]
+	if want.Predicted == 0 || want.Blocks == 0 {
+		t.Fatalf("single observer measured nothing: %+v", want)
+	}
+	if len(double.Predictors) != 2 {
+		t.Fatalf("%d predictor results for two observers", len(double.Predictors))
+	}
+	for i, got := range double.Predictors {
+		if got != want || offline[i] != want {
+			t.Errorf("observer %d: online %+v, offline %+v, want %+v", i, got, offline[i], want)
+		}
+	}
+}
