@@ -131,9 +131,16 @@ func writeReport(out io.Writer, r *specdsm.RunResult, ops int, opts specdsm.Mach
 			fmt.Fprintf(&b, "spec upgrades       %d granted, %d misfires\n", r.SpecUpgrades, r.SpecUpgradeMisfires)
 		}
 	}
-	for _, p := range r.Predictors {
-		fmt.Fprintf(&b, "predictor %-7s d=%d  accuracy %5.1f%%  coverage %5.1f%%  pte %.1f\n",
+	for i, p := range r.Predictors {
+		fmt.Fprintf(&b, "predictor %-7s d=%d  accuracy %5.1f%%  coverage %5.1f%%  pte %.1f",
 			p.Kind, p.Depth, p.Accuracy*100, p.Coverage*100, p.EntriesPerBlock)
+		// Outside Base mode the last entry is the active predictor; next
+		// to observers it is labelled, since an observer may share its
+		// configuration.
+		if r.Mode != specdsm.ModeBase && len(opts.Observers) > 0 && i == len(r.Predictors)-1 {
+			b.WriteString(" (active)")
+		}
+		b.WriteByte('\n')
 	}
 	_, err := io.WriteString(out, b.String())
 	return err

@@ -27,10 +27,11 @@ func benchObserve(b *testing.B, kind Kind, depth int) {
 	for i := 0; i < 4*depth+4; i++ {
 		feed(p, seq...)
 	}
+	bi := idxOf(blk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Observe(blk, seq[i%len(seq)])
+		p.Observe(blk, bi, seq[i%len(seq)])
 	}
 }
 
@@ -78,12 +79,18 @@ func benchObserveNine(b *testing.B) {
 		}
 	}
 	addrs, seq := manyBlockStream(4096)
+	// The directory resolves each message's block index once, before the
+	// observers see it.
+	bis := make([]int32, len(addrs))
+	for i, a := range addrs {
+		bis[i] = idxOf(a)
+	}
 	// Warm up until every pattern at depth 4 is learned, so the timed loop
 	// exercises only the existing-pattern path.
 	for r := 0; r < 4*MaxDepth+4; r++ {
 		for i, o := range seq {
 			for _, p := range preds {
-				p.Observe(addrs[i], o)
+				p.Observe(addrs[i], bis[i], o)
 			}
 		}
 	}
@@ -92,19 +99,20 @@ func benchObserveNine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(seq)
 		for _, p := range preds {
-			p.Observe(addrs[k], seq[k])
+			p.Observe(addrs[k], bis[k], seq[k])
 		}
 	}
 }
 
 // BenchmarkObserveColdBlocks measures the allocation path: every access
-// touches a new block, so block and pattern-table growth dominate.
+// touches a new block, so block and pattern-table growth dominate. Block
+// i is the i-th first touch, so its dense index is i.
 func BenchmarkObserveColdBlocks(b *testing.B) {
 	p := NewMSP(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		addr := mem.MakeAddr(mem.NodeID(i%16), uint64(i))
-		p.Observe(addr, Observation{Type: MsgRead, Node: mem.NodeID(i % 16)})
+		p.Observe(addr, int32(i), Observation{Type: MsgRead, Node: mem.NodeID(i % 16)})
 	}
 }
 
@@ -119,10 +127,11 @@ func BenchmarkPredictReaders(b *testing.B) {
 				feed(p, producerConsumerIter()...)
 			}
 			feed(p, obs(MsgUpgrade, 3))
+			bi := idxOf(blk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := p.PredictReaders(blk); !ok {
+				if _, ok := p.PredictReaders(blk, bi); !ok {
 					b.Fatal("no prediction")
 				}
 			}
@@ -149,32 +158,32 @@ func TestPredictReadersSteadyStateZeroAllocs(t *testing.T) {
 		// (Cosmos also tracks the two invalidation acks, so its history
 		// must include them to land on the same point).
 		advance := func() {
-			p.Observe(blk, obs(MsgUpgrade, 3))
+			p.Observe(blk, idxOf(blk), obs(MsgUpgrade, 3))
 			if kind == KindCosmos {
-				p.Observe(blk, obs(MsgAckInv, 1))
-				p.Observe(blk, obs(MsgAckInv, 2))
+				p.Observe(blk, idxOf(blk), obs(MsgAckInv, 1))
+				p.Observe(blk, idxOf(blk), obs(MsgAckInv, 2))
 			}
 		}
 		advance()
 		// One warm speculation round so AssumeReaders' scoreless pushes
 		// have created every pattern entry the cycle will ever need.
-		rp, ok := p.PredictReaders(blk)
+		rp, ok := p.PredictReaders(blk, idxOf(blk))
 		if !ok {
 			t.Fatalf("%v: no read prediction after warmup", kind)
 		}
-		p.AssumeReaders(blk, rp.Readers)
+		p.AssumeReaders(blk, idxOf(blk), rp.Readers)
 		advance()
 		// outsider is a node never part of the predicted reader set:
 		// retracting and pruning it exercises the verification surfaces
 		// without mutating the learned cycle.
 		const outsider = mem.NodeID(15)
 		avg := testing.AllocsPerRun(1000, func() {
-			rp, ok := p.PredictReaders(blk)
+			rp, ok := p.PredictReaders(blk, idxOf(blk))
 			if !ok {
 				t.Fatal("prediction lost")
 			}
-			p.AssumeReaders(blk, rp.Readers)
-			p.RetractReader(blk, outsider)
+			p.AssumeReaders(blk, idxOf(blk), rp.Readers)
+			p.RetractReader(idxOf(blk), outsider)
 			rp.Prune(outsider)
 			advance()
 		})
@@ -197,7 +206,7 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 			}
 			i := 0
 			avg := testing.AllocsPerRun(1000, func() {
-				p.Observe(blk, seq[i%len(seq)])
+				p.Observe(blk, idxOf(blk), seq[i%len(seq)])
 				i++
 			})
 			if avg != 0 {

@@ -19,7 +19,7 @@ func TestConfidenceGatesUnstablePatterns(t *testing.T) {
 		feed(p, obs(MsgWrite, 0), obs(MsgRead, reader))
 	}
 	feed(p, obs(MsgWrite, 0))
-	if _, ok := p.PredictReaders(blk); ok {
+	if _, ok := p.PredictReaders(blk, idxOf(blk)); ok {
 		t.Fatal("flip-flopping pattern must not pass the confidence gate")
 	}
 	if p.Stats().Tracked == 0 || p.Stats().Predicted == 0 {
@@ -34,7 +34,7 @@ func TestConfidencePassesStablePatterns(t *testing.T) {
 		feed(p, obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgRead, 2))
 	}
 	feed(p, obs(MsgWrite, 0))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok || !rp.Readers.Equal(mem.VecOf(1, 2)) {
 		t.Fatalf("stable pattern should pass the gate: %v ok=%v", rp.Readers, ok)
 	}
@@ -49,8 +49,8 @@ func TestConfidenceZeroIsPaperBehaviour(t *testing.T) {
 	feed(plain, seq...)
 	feed(gated, obs(MsgWrite, 0))
 	feed(plain, obs(MsgWrite, 0))
-	g, gok := gated.PredictReaders(blk)
-	q, qok := plain.PredictReaders(blk)
+	g, gok := gated.PredictReaders(blk, idxOf(blk))
+	q, qok := plain.PredictReaders(blk, idxOf(blk))
 	if gok != qok || !g.Readers.Equal(q.Readers) {
 		t.Fatalf("threshold 0 must match ungated behaviour: %v/%v vs %v/%v", g.Readers, gok, q.Readers, qok)
 	}
@@ -63,11 +63,11 @@ func TestConfidenceThresholdClamped(t *testing.T) {
 		feed(p, obs(MsgWrite, 0), obs(MsgRead, 1))
 	}
 	feed(p, obs(MsgWrite, 0))
-	if _, ok := p.PredictReaders(blk); !ok {
+	if _, ok := p.PredictReaders(blk, idxOf(blk)); !ok {
 		t.Fatal("a long-stable pattern must reach even the max threshold")
 	}
 	p.SetConfidenceThreshold(-5) // clamps to 0
-	if _, ok := p.PredictReaders(blk); !ok {
+	if _, ok := p.PredictReaders(blk, idxOf(blk)); !ok {
 		t.Fatal("threshold 0 must not gate")
 	}
 }
@@ -82,7 +82,7 @@ func TestConfidenceGatesPredictNextAndUpgrade(t *testing.T) {
 		feed(p, obs(MsgWrite, 0), obs(MsgRead, n))
 	}
 	feed(p, obs(MsgWrite, 0))
-	if _, ok := p.PredictNext(blk); ok {
+	if _, ok := p.PredictNext(blk, idxOf(blk)); ok {
 		t.Fatal("PredictNext must respect the gate for unstable patterns")
 	}
 	// A stable migratory chain builds confidence.
@@ -92,7 +92,7 @@ func TestConfidenceGatesPredictNextAndUpgrade(t *testing.T) {
 		feed(p2, obs(MsgRead, 1), obs(MsgUpgrade, 1), obs(MsgRead, 2), obs(MsgUpgrade, 2))
 	}
 	feed(p2, obs(MsgRead, 1))
-	if !p2.PredictsUpgradeBy(blk, 1) {
+	if !p2.PredictsUpgradeBy(blk, idxOf(blk), 1) {
 		t.Fatal("stable migratory pattern should pass the gate")
 	}
 }

@@ -79,7 +79,7 @@ func TestPruneEdgeCases(t *testing.T) {
 	// Pruning a prediction that has moved on to a write symbol is a no-op.
 	p := NewMSP(1)
 	feed(p, obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("no prediction")
 	}
@@ -89,12 +89,12 @@ func TestPruneEdgeCases(t *testing.T) {
 	// Pruning a node not in the prediction is a no-op.
 	p2 := NewVMSP(1)
 	feed(p2, obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0))
-	rp2, ok := p2.PredictReaders(blk)
+	rp2, ok := p2.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("no prediction")
 	}
 	rp2.Prune(7)
-	if rp3, ok := p2.PredictReaders(blk); !ok || !rp3.Readers.Has(1) {
+	if rp3, ok := p2.PredictReaders(blk, idxOf(blk)); !ok || !rp3.Readers.Has(1) {
 		t.Fatal("pruning an absent node must not remove real readers")
 	}
 	// Empty prediction handles pruning.
@@ -104,42 +104,42 @@ func TestPruneEdgeCases(t *testing.T) {
 
 func TestPredictsUpgradeByEdgeCases(t *testing.T) {
 	p := NewVMSP(1)
-	if p.PredictsUpgradeBy(blk, 1) {
+	if p.PredictsUpgradeBy(blk, idxOf(blk), 1) {
 		t.Fatal("cold block predicts nothing")
 	}
 	// Migratory for VMSP: run {1} closed by upgrade from 1.
 	for i := 0; i < 4; i++ {
 		feed(p, obs(MsgRead, 1), obs(MsgUpgrade, 1), obs(MsgRead, 2), obs(MsgUpgrade, 2))
 	}
-	if !p.PredictsUpgradeBy(blk, 1) {
+	if !p.PredictsUpgradeBy(blk, idxOf(blk), 1) {
 		t.Fatal("VMSP should predict the upgrade after reader 1 joins")
 	}
-	if p.PredictsUpgradeBy(blk, 7) {
+	if p.PredictsUpgradeBy(blk, idxOf(blk), 7) {
 		t.Fatal("unknown reader must not predict")
 	}
 	// A predicted READ successor is not an upgrade prediction.
 	pc := NewMSP(1)
 	feed(pc, obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgRead, 2), obs(MsgWrite, 0), obs(MsgRead, 1))
-	if pc.PredictsUpgradeBy(blk, 1) {
+	if pc.PredictsUpgradeBy(blk, idxOf(blk), 1) {
 		t.Fatal("read successor misclassified as upgrade")
 	}
 }
 
 func TestAssumeReadersEdgeCases(t *testing.T) {
 	p := NewMSP(1)
-	p.AssumeReaders(blk, mem.ReaderVec{}) // empty vector: no-op, no allocation needed
+	p.AssumeReaders(blk, idxOf(blk), mem.ReaderVec{}) // empty vector: no-op, no allocation needed
 	if c := p.Census(); c.Blocks != 0 {
 		t.Fatal("empty assume must not allocate")
 	}
 	// MSP assume pushes read symbols so the next write is keyed off them.
 	feed(p, obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0), obs(MsgRead, 1), obs(MsgWrite, 0))
-	p.AssumeReaders(blk, mem.VecOf(1))
-	out := p.Observe(blk, obs(MsgWrite, 0))
+	p.AssumeReaders(blk, idxOf(blk), mem.VecOf(1))
+	out := p.Observe(blk, idxOf(blk), obs(MsgWrite, 0))
 	if !out.Predicted || !out.Correct {
 		t.Fatalf("write after assumed reader should hit the learned pattern: %+v", out)
 	}
 	// Retract on a cold predictor is a no-op.
-	NewVMSP(1).RetractReader(mem.MakeAddr(5, 5), 1)
+	NewVMSP(1).RetractReader(idxOf(mem.MakeAddr(5, 5)), 1)
 }
 
 func TestObservationStringForms(t *testing.T) {

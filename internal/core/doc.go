@@ -61,6 +61,12 @@
 //     (growth appends, Reset bumps a generation and truncates); handles
 //     (SWIGuard, ReadPrediction) carry the store generation so anything
 //     captured before a Reset degrades to a no-op instead of corrupting
-//     reused storage. Blocks reach their record through
-//     mem.BlockMap.Reserve, a single-probe get-or-insert.
+//     reused storage. A predictor keeps no block lookup of its own: a
+//     block's record sits at the dense block index the caller passes
+//     with each message (the directory's entry index, resolved once per
+//     message for every attached predictor; see Predictor). The record
+//     slice grows to a new index on first touch, and a live flag keeps
+//     never-touched records below the high-water index out of lookups
+//     and out of Census.Blocks. Pattern keys still carry the block
+//     address, so table contents do not depend on the numbering.
 package core

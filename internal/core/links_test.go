@@ -39,11 +39,10 @@ func checkLinks(t *testing.T, p *TwoLevel, addrs []mem.BlockAddr) {
 	t.Helper()
 	s := p.store
 	for _, addr := range addrs {
-		bi, ok := p.blocks.Get(addr)
-		if !ok {
+		bs := p.lookup(idxOf(addr))
+		if bs == nil {
 			continue
 		}
-		bs := &p.blockStates[bi]
 		want, found := p.table.lookup(s, patternKey{addr, bs.key})
 		if bs.cur != noEntry && (!found || bs.cur != want) {
 			t.Fatalf("block %v: cur %d, probe gives %d (found %v)", addr, bs.cur, want, found)
@@ -103,7 +102,7 @@ func sameTables(p, ref *TwoLevel) error {
 	}
 	for i := range p.blockStates {
 		a, b := &p.blockStates[i], &ref.blockStates[i]
-		if a.key != b.key || a.n != b.n || a.lastWrite != b.lastWrite || !a.open.Equal(b.open) {
+		if a.key != b.key || a.n != b.n || a.live != b.live || a.lastWrite != b.lastWrite || !a.open.Equal(b.open) {
 			return fmt.Errorf("block %d differs", i)
 		}
 	}
@@ -114,17 +113,17 @@ func sameTables(p, ref *TwoLevel) error {
 // before ahead of each query.
 func querySnapshot(p *TwoLevel, addr mem.BlockAddr, reader mem.NodeID, before func()) string {
 	before()
-	sym, ok := p.PredictNext(addr)
+	sym, ok := p.PredictNext(addr, idxOf(addr))
 	s := fmt.Sprintf("next=%v,%v", sym, ok)
 	before()
-	rp, ok := p.PredictReaders(addr)
+	rp, ok := p.PredictReaders(addr, idxOf(addr))
 	s += fmt.Sprintf(" readers=%v,%v,%d", rp.Readers, ok, rp.n)
 	for i := int32(0); i < rp.n; i++ {
 		s += fmt.Sprintf(",%d", rp.entryAt(i))
 	}
 	before()
-	s += fmt.Sprintf(" upg=%v", p.PredictsUpgradeBy(addr, reader))
-	return s + fmt.Sprintf(" swi=%v", p.SWIGuard(addr).Allowed())
+	s += fmt.Sprintf(" upg=%v", p.PredictsUpgradeBy(addr, idxOf(addr), reader))
+	return s + fmt.Sprintf(" swi=%v", p.SWIGuard(idxOf(addr)).Allowed())
 }
 
 // FuzzObserveLinks drives a linked predictor and a twin whose links are all
@@ -161,27 +160,27 @@ func FuzzObserveLinks(f *testing.F) {
 			switch {
 			case op < 7:
 				o := Observation{Type: MsgType(int(data[i]>>4)%5 + 1), Node: node}
-				if a, b := p.Observe(addr, o), ref.Observe(addr, o); a != b {
+				if a, b := p.Observe(addr, idxOf(addr), o), ref.Observe(addr, idxOf(addr), o); a != b {
 					t.Fatalf("op %d: Observe(%v, %v) = %+v, twin %+v", i/3, addr, o, a, b)
 				}
 			case op < 9:
 				v := mem.VecOf(node, other)
-				p.AssumeReaders(addr, v)
-				ref.AssumeReaders(addr, v)
+				p.AssumeReaders(addr, idxOf(addr), v)
+				ref.AssumeReaders(addr, idxOf(addr), v)
 			case op == 9:
-				p.RetractReader(addr, node)
-				ref.RetractReader(addr, node)
+				p.RetractReader(idxOf(addr), node)
+				ref.RetractReader(idxOf(addr), node)
 			case op < 12:
-				a, aok := p.PredictReaders(addr)
-				b, bok := ref.PredictReaders(addr)
+				a, aok := p.PredictReaders(addr, idxOf(addr))
+				b, bok := ref.PredictReaders(addr, idxOf(addr))
 				if aok != bok || !a.Readers.Equal(b.Readers) {
 					t.Fatalf("op %d: PredictReaders(%v) = %v,%v, twin %v,%v", i/3, addr, a.Readers, aok, b.Readers, bok)
 				}
 				a.Prune(node)
 				b.Prune(node)
 			case op == 12:
-				p.SWIGuard(addr).MarkPremature()
-				ref.SWIGuard(addr).MarkPremature()
+				p.SWIGuard(idxOf(addr)).MarkPremature()
+				ref.SWIGuard(idxOf(addr)).MarkPremature()
 			case op == 13:
 				p.SetConfidenceThreshold(int(data[i+2] % 4))
 				ref.SetConfidenceThreshold(int(data[i+2] % 4))

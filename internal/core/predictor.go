@@ -90,11 +90,21 @@ func (c Census) EntriesPerBlock() float64 {
 // (TwoLevel) score it; a trace recorder captures it. The active
 // predictor that drives speculation (§4) is always a *TwoLevel, whose
 // speculation methods the protocol calls directly.
+//
+// Every message names its block twice: by address and by bi, the
+// block's dense index in the observing directory (the directory's own
+// entry index, resolved once per message). A TwoLevel keeps its
+// per-block history at bi and keys pattern entries by address, so bi
+// must be a non-negative index that names the same block, and only that
+// block, for every call the predictor sees between Resets. An index is
+// dense per directory: an observer attached to several directories (the
+// trace recorder, via machine.Machine.AttachObserver) must key by
+// address and ignore bi.
 type Predictor interface {
-	// Observe feeds one directory-incoming message for block addr and
-	// returns the scoring outcome. Observe must be called in message
-	// arrival order.
-	Observe(addr mem.BlockAddr, obs Observation) Outcome
+	// Observe feeds one directory-incoming message for block addr, at
+	// block index bi, and returns the scoring outcome. Observe must be
+	// called in message arrival order.
+	Observe(addr mem.BlockAddr, bi int32, obs Observation) Outcome
 }
 
 // SWIGuard is a stable handle on the pattern-table entry carrying the SWI

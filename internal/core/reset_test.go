@@ -49,12 +49,12 @@ func snapshot(p *TwoLevel) string {
 	b := mem.MakeAddr(1, 0x20)
 	s := fmt.Sprintf("stats=%+v census=%+v", p.Stats(), p.Census())
 	for _, addr := range []mem.BlockAddr{a, b} {
-		sym, ok := p.PredictNext(addr)
+		sym, ok := p.PredictNext(addr, idxOf(addr))
 		s += fmt.Sprintf(" next(%v)=%v,%v", addr, sym, ok)
-		rp, ok := p.PredictReaders(addr)
+		rp, ok := p.PredictReaders(addr, idxOf(addr))
 		s += fmt.Sprintf(" readers(%v)=%v,%v", addr, rp.Readers, ok)
-		s += fmt.Sprintf(" swi(%v)=%v", addr, p.SWIGuard(addr).Allowed())
-		s += fmt.Sprintf(" upg(%v)=%v", addr, p.PredictsUpgradeBy(addr, 1))
+		s += fmt.Sprintf(" swi(%v)=%v", addr, p.SWIGuard(idxOf(addr)).Allowed())
+		s += fmt.Sprintf(" upg(%v)=%v", addr, p.PredictsUpgradeBy(addr, idxOf(addr), 1))
 	}
 	return s
 }
@@ -71,12 +71,14 @@ func TestResetThenReuseEquivalentToFresh(t *testing.T) {
 				fresh := New(kind, depth)
 				reused := New(kind, depth)
 				// Dirty the reused predictor with a different stream, then
-				// Reset it.
+				// Reset it. The stream's blocks sit at the indices the
+				// workload below uses for its own blocks, and at indices
+				// past them, so reuse of an index must not leak history.
+				dirty := []int32{idxOf(mem.MakeAddr(0, 0x10)), idxOf(mem.MakeAddr(1, 0x20)), 1000, 1001, 1002}
 				for i := 0; i < 40; i++ {
-					reused.Observe(mem.MakeAddr(2, uint64(i%5)),
-						obs(MsgWrite, mem.NodeID(i%7)))
-					reused.Observe(mem.MakeAddr(2, uint64(i%5)),
-						obs(MsgRead, mem.NodeID((i+1)%7)))
+					addr, bi := mem.MakeAddr(2, uint64(i%5)), dirty[i%5]
+					reused.Observe(addr, bi, obs(MsgWrite, mem.NodeID(i%7)))
+					reused.Observe(addr, bi, obs(MsgRead, mem.NodeID((i+1)%7)))
 				}
 				reused.Reset()
 				if s := reused.Stats(); s != (Stats{}) {
@@ -87,8 +89,8 @@ func TestResetThenReuseEquivalentToFresh(t *testing.T) {
 				}
 
 				for i, m := range resetWorkload() {
-					of := fresh.Observe(m.addr, m.obs)
-					or := reused.Observe(m.addr, m.obs)
+					of := fresh.Observe(m.addr, idxOf(m.addr), m.obs)
+					or := reused.Observe(m.addr, idxOf(m.addr), m.obs)
 					if of != or {
 						t.Fatalf("message %d: fresh %+v vs reset-reused %+v", i, of, or)
 					}
@@ -111,8 +113,8 @@ func TestStaleHandlesAfterResetAreNoOps(t *testing.T) {
 	feed(p, producerConsumerIter()...)
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	guard := p.SWIGuard(blk)
-	rp, ok := p.PredictReaders(blk)
+	guard := p.SWIGuard(idxOf(blk))
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("no prediction before Reset")
 	}
@@ -129,10 +131,10 @@ func TestStaleHandlesAfterResetAreNoOps(t *testing.T) {
 	if !guard.Allowed() {
 		t.Error("stale guard must report Allowed (no-op zero-value behaviour)")
 	}
-	if !p.SWIGuard(blk).Allowed() {
+	if !p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Error("stale MarkPremature leaked into the re-learned write pattern")
 	}
-	rp2, ok := p.PredictReaders(blk)
+	rp2, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok || !rp2.Readers.Equal(mem.VecOf(1, 2)) {
 		t.Errorf("stale Prune leaked into re-learned prediction: %v ok=%v", rp2.Readers, ok)
 	}
@@ -146,7 +148,7 @@ func TestResetReusesStorage(t *testing.T) {
 	seq := resetWorkload()
 	work := func() {
 		for _, m := range seq {
-			p.Observe(m.addr, m.obs)
+			p.Observe(m.addr, idxOf(m.addr), m.obs)
 		}
 	}
 	work()

@@ -262,8 +262,9 @@ func (t *vecIntern) reset() {
 // key through the runtime map machinery, and almost never more than one
 // full-key comparison. The table is insert-only (patterns are never
 // unlearned; Prune only clears an entry's prediction in place), which is
-// what makes linear probing with clear-but-retain reset safe, mirroring
-// mem.BlockMap's discipline at the block level.
+// what makes linear probing with clear-but-retain reset safe: the same
+// discipline as the directory's mem.BlockMap, whose entry index is the
+// predictor's block index (the predictor itself keeps no block table).
 type patTable struct {
 	slots []uint32
 	n     int

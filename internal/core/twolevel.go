@@ -113,6 +113,11 @@ type blockState struct {
 	from int32
 	// n is the number of symbols currently in the history (≤ depth).
 	n uint8
+	// live marks a block that has been touched (observed as a tracked
+	// message or assumed readers). Records below the high-water index
+	// that were never touched keep the template and stay dead, so
+	// lookups skip them and Census counts only live blocks.
+	live bool
 }
 
 // newest returns the packed (tn, vid) of the most recently pushed symbol;
@@ -127,10 +132,11 @@ func (bs *blockState) newest() (uint16, uint64) {
 type TwoLevel struct {
 	kind  Kind
 	depth int
-	// blocks maps a block to its index in blockStates; both containers
-	// are retained (cleared, not reallocated) across Reset.
-	blocks      mem.BlockMap
+	// blockStates is indexed by the caller's dense block index (see
+	// Predictor); it grows on first touch and is truncated, not
+	// reallocated, by Reset. liveBlocks counts its live records.
 	blockStates []blockState
+	liveBlocks  int
 	// table is the single predictor-wide pattern table over store's
 	// structure-of-arrays entries.
 	table patTable
@@ -234,8 +240,8 @@ func (p *TwoLevel) Stats() Stats { return p.stats }
 // methods become no-ops (a generation check keeps them from touching the
 // reused tables).
 func (p *TwoLevel) Reset() {
-	p.blocks.Reset()
 	p.blockStates = p.blockStates[:0]
+	p.liveBlocks = 0
 	p.table.reset()
 	p.store.reset()
 	p.stats = Stats{}
@@ -254,23 +260,31 @@ func (p *TwoLevel) tracks(t MsgType) bool {
 	return t.IsRequest()
 }
 
-// block returns the state for addr, allocating it on first touch. The
-// returned pointer is valid until the next block call (slice growth).
-func (p *TwoLevel) block(addr mem.BlockAddr) *blockState {
-	idx, created := p.blocks.Reserve(addr, int32(len(p.blockStates)))
-	if created {
+// block returns the state at block index bi, making it live on first
+// touch; the slice grows to bi with template records. The returned
+// pointer is valid until the next block call (slice growth).
+func (p *TwoLevel) block(bi int32) *blockState {
+	for len(p.blockStates) <= int(bi) {
 		p.blockStates = append(p.blockStates, blockState{lastWrite: noEntry, cur: noEntry, from: noEntry})
 	}
-	return &p.blockStates[idx]
+	bs := &p.blockStates[bi]
+	if !bs.live {
+		bs.live = true
+		p.liveBlocks++
+	}
+	return bs
 }
 
-// lookup returns the state for addr without allocating.
-func (p *TwoLevel) lookup(addr mem.BlockAddr) *blockState {
-	idx, ok := p.blocks.Get(addr)
-	if !ok {
+// lookup returns the live state at block index bi, or nil for an
+// untouched or out-of-range index; it never grows the slice.
+func (p *TwoLevel) lookup(bi int32) *blockState {
+	if uint(bi) >= uint(len(p.blockStates)) {
 		return nil
 	}
-	return &p.blockStates[idx]
+	if bs := &p.blockStates[bi]; bs.live {
+		return bs
+	}
+	return nil
 }
 
 // current returns the entry keyed by bs's current history, or noEntry when
@@ -313,11 +327,11 @@ func (p *TwoLevel) learned(bs *blockState, idx int32, tn uint16, vid uint64) {
 // Observe implements Predictor. Messages must be fed in directory arrival
 // order; each tracked message is scored exactly once against the
 // prediction in effect when it arrived, then learned.
-func (p *TwoLevel) Observe(addr mem.BlockAddr, obs Observation) Outcome {
+func (p *TwoLevel) Observe(addr mem.BlockAddr, bi int32, obs Observation) Outcome {
 	if !p.tracks(obs.Type) {
 		return Outcome{}
 	}
-	bs := p.block(addr)
+	bs := p.block(bi)
 
 	if p.kind == KindVMSP {
 		return p.observeVMSP(addr, bs, obs)
@@ -426,8 +440,8 @@ func (p *TwoLevel) learn(addr mem.BlockAddr, bs *blockState, sym Symbol) {
 
 // PredictNext returns the predicted next symbol for the block's current
 // (closed) history, if any.
-func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictNext(addr mem.BlockAddr, bi int32) (Symbol, bool) {
+	bs := p.lookup(bi)
 	if bs == nil {
 		return Symbol{}, false
 	}
@@ -449,8 +463,8 @@ func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
 // missing entry, a repeated reader, or the chain bound is reached. The
 // paper's speculative DSM uses VMSP; chaining lets the benchmarks compare
 // speculation quality across predictors as an ablation.
-func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictReaders(addr mem.BlockAddr, bi int32) (ReadPrediction, bool) {
+	bs := p.lookup(bi)
 	if bs == nil {
 		return ReadPrediction{}, false
 	}
@@ -510,8 +524,8 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 // already pushed the read into the history, so the current history's
 // prediction is the read's successor; for VMSP the read only opened the
 // run, so the run is hypothetically closed (with reader included) first.
-func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, bi int32, reader mem.NodeID) bool {
+	bs := p.lookup(bi)
 	if bs == nil {
 		return false
 	}
@@ -545,8 +559,8 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 // turns out not to have been done with the block (§4.1). The guard
 // stays bound to the entry even if the block's history advances. Blocks
 // with no recorded write pattern get the zero guard, which allows SWI.
-func (p *TwoLevel) SWIGuard(addr mem.BlockAddr) SWIGuard {
-	bs := p.lookup(addr)
+func (p *TwoLevel) SWIGuard(bi int32) SWIGuard {
+	bs := p.lookup(bi)
 	if bs == nil || bs.lastWrite == noEntry {
 		return SWIGuard{}
 	}
@@ -562,11 +576,11 @@ func (p *TwoLevel) SWIGuard(addr mem.BlockAddr) SWIGuard {
 // the open run; for MSP/Cosmos they are recorded and pushed as individual
 // read symbols (scorelessly), mirroring the history that real read
 // requests would have produced.
-func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec) {
+func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, bi int32, vec mem.ReaderVec) {
 	if vec.Empty() {
 		return
 	}
-	bs := p.block(addr)
+	bs := p.block(bi)
 	if p.kind == KindVMSP {
 		bs.open = bs.open.Union(vec)
 		return
@@ -583,8 +597,8 @@ func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec) {
 // run can be
 // retracted; for MSP/Cosmos the pushed history symbol is left in place
 // (the pattern entries themselves are fixed via ReadPrediction.Prune).
-func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) RetractReader(bi int32, n mem.NodeID) {
+	bs := p.lookup(bi)
 	if bs == nil {
 		return
 	}
@@ -595,7 +609,7 @@ func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
 func (p *TwoLevel) Census() Census {
 	return Census{
 		HistoryDepth: p.depth,
-		Blocks:       p.blocks.Len(),
+		Blocks:       p.liveBlocks,
 		Entries:      p.store.len(),
 	}
 }

@@ -8,6 +8,18 @@ import (
 
 var blk = mem.MakeAddr(0, 0x100)
 
+// blockIdx numbers blocks the way a directory numbers its entries,
+// densely in first-touch order, so tests can name blocks by address. One
+// numbering serves the whole package: a block keeps its index across
+// predictors and Resets, as a directory entry does.
+var blockIdx mem.BlockMap
+
+// idxOf returns addr's block index (see core.Predictor).
+func idxOf(addr mem.BlockAddr) int32 {
+	bi, _ := blockIdx.Reserve(addr, int32(blockIdx.Len()))
+	return bi
+}
+
 func obs(t MsgType, n mem.NodeID) Observation { return Observation{Type: t, Node: n} }
 
 // feed drives a message sequence into p for the test block and returns the
@@ -15,7 +27,7 @@ func obs(t MsgType, n mem.NodeID) Observation { return Observation{Type: t, Node
 func feed(p Predictor, seq ...Observation) []Outcome {
 	var outs []Outcome
 	for _, o := range seq {
-		out := p.Observe(blk, o)
+		out := p.Observe(blk, idxOf(blk), o)
 		if out.Tracked {
 			outs = append(outs, out)
 		}
@@ -38,11 +50,11 @@ func producerConsumerIter() []Observation {
 
 func TestMSPIgnoresAcks(t *testing.T) {
 	p := NewMSP(1)
-	out := p.Observe(blk, obs(MsgAckInv, 1))
+	out := p.Observe(blk, idxOf(blk), obs(MsgAckInv, 1))
 	if out.Tracked {
 		t.Fatal("MSP must not track acks")
 	}
-	out = p.Observe(blk, obs(MsgWriteback, 2))
+	out = p.Observe(blk, idxOf(blk), obs(MsgWriteback, 2))
 	if out.Tracked {
 		t.Fatal("MSP must not track writebacks")
 	}
@@ -53,7 +65,7 @@ func TestMSPIgnoresAcks(t *testing.T) {
 
 func TestCosmosTracksAcks(t *testing.T) {
 	p := NewCosmos(1)
-	if out := p.Observe(blk, obs(MsgAckInv, 1)); !out.Tracked {
+	if out := p.Observe(blk, idxOf(blk), obs(MsgAckInv, 1)); !out.Tracked {
 		t.Fatal("Cosmos must track acks")
 	}
 }
@@ -211,7 +223,7 @@ func TestVMSPMembershipScoring(t *testing.T) {
 		}
 	}
 	// A read from a non-member scores incorrect.
-	out := p.Observe(blk, obs(MsgRead, 7))
+	out := p.Observe(blk, idxOf(blk), obs(MsgRead, 7))
 	if !out.Predicted || out.Correct {
 		t.Fatalf("non-member read: %+v", out)
 	}
@@ -221,7 +233,7 @@ func TestVMSPRepeatReaderScoresIncorrect(t *testing.T) {
 	p := NewVMSP(1)
 	feed(p, obs(MsgUpgrade, 3), obs(MsgRead, 1), obs(MsgRead, 2), obs(MsgUpgrade, 3))
 	feed(p, obs(MsgRead, 1))
-	out := p.Observe(blk, obs(MsgRead, 1)) // duplicate within open run
+	out := p.Observe(blk, idxOf(blk), obs(MsgRead, 1)) // duplicate within open run
 	if out.Correct {
 		t.Fatal("duplicate read within a run must not score correct")
 	}
@@ -229,12 +241,12 @@ func TestVMSPRepeatReaderScoresIncorrect(t *testing.T) {
 
 func TestPredictNext(t *testing.T) {
 	p := NewMSP(1)
-	if _, ok := p.PredictNext(blk); ok {
+	if _, ok := p.PredictNext(blk, idxOf(blk)); ok {
 		t.Fatal("cold block must not predict")
 	}
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	sym, ok := p.PredictNext(blk)
+	sym, ok := p.PredictNext(blk, idxOf(blk))
 	if !ok || sym.Type != MsgRead || sym.Node != 1 {
 		t.Fatalf("PredictNext = %v ok=%v, want <Read,P1>", sym, ok)
 	}
@@ -245,7 +257,7 @@ func TestPredictReadersVMSP(t *testing.T) {
 	feed(p, producerConsumerIter()...)
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("expected read prediction after learned upgrade")
 	}
@@ -260,7 +272,7 @@ func TestPredictReadersMSPChains(t *testing.T) {
 	feed(p, producerConsumerIter()...)
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("expected chained read prediction")
 	}
@@ -280,7 +292,7 @@ func TestPredictReadersNoneForWritePrediction(t *testing.T) {
 	// After an upgrade by P1 the successor is a read; after that read the
 	// successor is an upgrade, so the chain stops at one reader.
 	feed(p, obs(MsgRead, 1))
-	if rp, ok := p.PredictReaders(blk); ok {
+	if rp, ok := p.PredictReaders(blk, idxOf(blk)); ok {
 		if rp.Readers.Count() > 1 {
 			t.Fatalf("migratory chain should stop at the upgrade, got %v", rp.Readers)
 		}
@@ -292,12 +304,12 @@ func TestPruneVMSP(t *testing.T) {
 	feed(p, producerConsumerIter()...)
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("no prediction")
 	}
 	rp.Prune(2)
-	rp2, ok := p.PredictReaders(blk)
+	rp2, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("prediction should survive single prune")
 	}
@@ -305,33 +317,33 @@ func TestPruneVMSP(t *testing.T) {
 		t.Fatalf("after prune Readers = %v", rp2.Readers)
 	}
 	rp2.Prune(1)
-	if _, ok := p.PredictReaders(blk); ok {
+	if _, ok := p.PredictReaders(blk, idxOf(blk)); ok {
 		t.Fatal("fully pruned vector must stop predicting")
 	}
 }
 
 func TestSWIBits(t *testing.T) {
 	p := NewVMSP(1)
-	if !p.SWIGuard(blk).Allowed() {
+	if !p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Fatal("cold block should allow SWI")
 	}
 	feed(p, producerConsumerIter()...)
 	feed(p, obs(MsgUpgrade, 3))
-	if !p.SWIGuard(blk).Allowed() {
+	if !p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Fatal("SWI should be allowed before any premature invalidation")
 	}
-	g := p.SWIGuard(blk)
+	g := p.SWIGuard(idxOf(blk))
 	if !g.Allowed() {
 		t.Fatal("guard should allow before marking")
 	}
 	g.MarkPremature()
-	if p.SWIGuard(blk).Allowed() {
+	if p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Fatal("premature bit must suppress SWI")
 	}
 	// The bit is per pattern entry: re-learning the same pattern keeps the
 	// bit set.
 	feed(p, obs(MsgRead, 1), obs(MsgRead, 2), obs(MsgUpgrade, 3))
-	if p.SWIGuard(blk).Allowed() {
+	if p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Fatal("same pattern must stay suppressed")
 	}
 }
@@ -343,12 +355,12 @@ func TestSWIBits(t *testing.T) {
 func TestSWIGuardStableAcrossHistoryAdvance(t *testing.T) {
 	p := NewMSP(1)
 	feed(p, obs(MsgWrite, 3), obs(MsgRead, 1), obs(MsgWrite, 3), obs(MsgRead, 1))
-	g := p.SWIGuard(blk) // entry for pattern [Read P1] -> Write P3
+	g := p.SWIGuard(idxOf(blk)) // entry for pattern [Read P1] -> Write P3
 	// Advance with a different write pattern.
 	feed(p, obs(MsgRead, 2), obs(MsgWrite, 5))
 	g.MarkPremature()
 	// The newest write entry ([Read P2] -> Write P5) must be unaffected.
-	if !p.SWIGuard(blk).Allowed() {
+	if !p.SWIGuard(idxOf(blk)).Allowed() {
 		t.Fatal("marking an old guard must not suppress the current pattern")
 	}
 }
@@ -361,14 +373,14 @@ func TestAssumeAndRetractReaders(t *testing.T) {
 	// Speculative round: the upgrade arrives, readers are served
 	// speculatively so no read requests reach the directory.
 	feed(p, obs(MsgUpgrade, 3))
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok || !rp.Readers.Equal(mem.VecOf(1, 2)) {
 		t.Fatalf("prediction = %v ok=%v", rp.Readers, ok)
 	}
-	p.AssumeReaders(blk, rp.Readers)
+	p.AssumeReaders(blk, idxOf(blk), rp.Readers)
 	// Next upgrade closes the assumed run; the read pattern must survive.
 	feed(p, obs(MsgUpgrade, 3))
-	rp2, ok := p.PredictReaders(blk)
+	rp2, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok || !rp2.Readers.Equal(mem.VecOf(1, 2)) {
 		t.Fatalf("pattern lost after assumed run: %v ok=%v", rp2.Readers, ok)
 	}
@@ -376,11 +388,11 @@ func TestAssumeAndRetractReaders(t *testing.T) {
 	// Next speculative round: forward again, then verification reports
 	// node 2 never referenced its copy — retract it from the open run and
 	// prune it from the pattern entries before the run closes.
-	p.AssumeReaders(blk, rp2.Readers)
-	p.RetractReader(blk, 2)
+	p.AssumeReaders(blk, idxOf(blk), rp2.Readers)
+	p.RetractReader(idxOf(blk), 2)
 	rp2.Prune(2)
 	feed(p, obs(MsgUpgrade, 3))
-	rp4, ok := p.PredictReaders(blk)
+	rp4, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok || !rp4.Readers.Equal(mem.VecOf(1)) {
 		t.Fatalf("after retract+prune prediction = %v ok=%v", rp4.Readers, ok)
 	}
@@ -409,9 +421,9 @@ func TestCensusCountsBlocks(t *testing.T) {
 	p := NewMSP(1)
 	a := mem.MakeAddr(0, 1)
 	b := mem.MakeAddr(1, 2)
-	p.Observe(a, obs(MsgRead, 0))
-	p.Observe(b, obs(MsgRead, 1))
-	p.Observe(b, obs(MsgWrite, 2))
+	p.Observe(a, idxOf(a), obs(MsgRead, 0))
+	p.Observe(b, idxOf(b), obs(MsgRead, 1))
+	p.Observe(b, idxOf(b), obs(MsgWrite, 2))
 	c := p.Census()
 	if c.Blocks != 2 {
 		t.Fatalf("blocks = %d", c.Blocks)

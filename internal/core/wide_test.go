@@ -30,7 +30,7 @@ func TestWideVMSPReadRunPrediction(t *testing.T) {
 			t.Fatalf("iteration 3 read %d: outcome %+v, want predicted+correct", i, out)
 		}
 	}
-	rp, ok := p.PredictReaders(blk)
+	rp, ok := p.PredictReaders(blk, idxOf(blk))
 	if !ok {
 		t.Fatal("no read prediction after the write pattern")
 	}
@@ -56,8 +56,8 @@ func TestWideNarrowObservationEquivalence(t *testing.T) {
 			wide := NewSized(kind, depth, mem.MaxNodes)
 			for i := 0; i < 4; i++ {
 				for _, o := range seq {
-					a := narrow.Observe(blk, o)
-					b := wide.Observe(blk, o)
+					a := narrow.Observe(blk, idxOf(blk), o)
+					b := wide.Observe(blk, idxOf(blk), o)
 					if a != b {
 						t.Fatalf("%v d=%d: outcome diverged on %v: %+v vs %+v", kind, depth, o, a, b)
 					}
@@ -66,8 +66,8 @@ func TestWideNarrowObservationEquivalence(t *testing.T) {
 			if narrow.Stats() != wide.Stats() {
 				t.Fatalf("%v d=%d: stats diverged: %+v vs %+v", kind, depth, narrow.Stats(), wide.Stats())
 			}
-			ns, nok := narrow.PredictNext(blk)
-			ws, wok := wide.PredictNext(blk)
+			ns, nok := narrow.PredictNext(blk, idxOf(blk))
+			ws, wok := wide.PredictNext(blk, idxOf(blk))
 			if nok != wok || !ns.Equal(ws) {
 				t.Fatalf("%v d=%d: PredictNext diverged", kind, depth)
 			}

@@ -282,7 +282,11 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 // node's directory, seeing the machine-wide directory message stream in
 // processing order. Must be called before Run. The observer belongs to
 // the caller: Reset leaves it alone and Result.Predictors covers only
-// Config's predictors.
+// Config's predictors. Each directory passes its own dense entry index
+// as the block index (see core.Predictor), and the directories' indices
+// overlap, so a shared observer must key its state by block address and
+// ignore the index, as trace.Recorder does; a core.TwoLevel cannot be
+// attached here.
 func (m *Machine) AttachObserver(p core.Predictor) {
 	for i := 0; i < m.cfg.Nodes; i++ {
 		m.sys.Node(mem.NodeID(i)).AddObserver(p)

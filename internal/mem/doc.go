@@ -36,5 +36,8 @@
 //     BlockAddr to a stable int32 index, with clear-but-retain Reset. It
 //     is the block-addressed analogue of internal/core's entryStore index
 //     scheme and exists for the same reason — steady-state protocol
-//     operation must not allocate.
+//     operation must not allocate. The predictors own no BlockMap: the
+//     directory's entry index is also the block index of every predictor
+//     attached there, so one probe per message serves them all (offline,
+//     trace replay keeps the one BlockMap for the whole trace).
 package mem

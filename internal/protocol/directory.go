@@ -408,14 +408,16 @@ func (d *directory) process(src mem.NodeID, m Msg) {
 	}
 }
 
-// observe feeds one incoming message to every attached predictor.
-func (d *directory) observe(addr mem.BlockAddr, t core.MsgType, node mem.NodeID) {
+// observe feeds one incoming message for entry ei to every attached
+// predictor; the entry index is each predictor's block index (see
+// core.Predictor), so the block is resolved once per message.
+func (d *directory) observe(addr mem.BlockAddr, ei int32, t core.MsgType, node mem.NodeID) {
 	o := core.Observation{Type: t, Node: node}
 	for _, p := range d.n.opts.Observers {
-		p.Observe(addr, o)
+		p.Observe(addr, ei, o)
 	}
 	if a := d.n.opts.Active; a != nil {
-		a.Observe(addr, o)
+		a.Observe(addr, ei, o)
 	}
 }
 
@@ -428,9 +430,8 @@ func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.Bl
 	case mem.ReqUpgrade:
 		d.stats.Upgrades++
 	}
-	d.observe(addr, core.ReqMsgType(kind), src)
-
 	ei := d.entryIdx(addr)
+	d.observe(addr, ei, core.ReqMsgType(kind), src)
 	if d.hot[ei].tr != nil {
 		d.stats.QueuedReqs++
 		d.pushWait(ei, packReq(kind, src))
@@ -506,7 +507,7 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 		phaseStart := h.state == dirIdle
 		// Speculative upgrade extension: if the predictor expects this
 		// reader to upgrade next (migratory sharing), grant exclusively.
-		if phaseStart && d.specUpgradeApplies(addr, src) {
+		if phaseStart && d.specUpgradeApplies(addr, ei, src) {
 			d.stats.SpecUpgrades++
 			h.flags |= dfSpecUpgraded
 			d.grantExclusive(addr, ei, src, mem.ReqWrite, false)
@@ -629,8 +630,8 @@ func (d *directory) finish(addr mem.BlockAddr, ei int32) {
 }
 
 func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bool) {
-	d.observe(addr, core.MsgAckInv, src)
 	ei := d.entryIdx(addr)
+	d.observe(addr, ei, core.MsgAckInv, src)
 	h := &d.hot[ei]
 	d.stats.AcksReceived++
 
@@ -640,7 +641,7 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 		if specUnused {
 			rp.Prune(src)
 			if a := d.n.opts.Active; a != nil {
-				a.RetractReader(addr, src)
+				a.RetractReader(ei, src)
 			}
 			d.stats.SpecReadUnused++
 		} else if h.tr != nil {
@@ -667,8 +668,8 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 }
 
 func (d *directory) processWriteback(src mem.NodeID, m Msg) {
-	d.observe(m.Addr, core.MsgWriteback, src)
 	ei := d.entryIdx(m.Addr)
+	d.observe(m.Addr, ei, core.MsgWriteback, src)
 	h := &d.hot[ei]
 	d.stats.Writebacks++
 	if h.tr == nil {
@@ -723,7 +724,7 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		// Migratory sharing arrives through this recall path: if the
 		// predictor expects the reader to upgrade next, grant exclusively
 		// (speculative upgrade extension).
-		if d.specUpgradeApplies(m.Addr, req) {
+		if d.specUpgradeApplies(m.Addr, ei, req) {
 			d.stats.SpecUpgrades++
 			h.flags |= dfSpecUpgraded
 			d.grantExclusive(m.Addr, ei, req, mem.ReqWrite, false)

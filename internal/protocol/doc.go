@@ -46,9 +46,13 @@
 //     the cold slice when a flag says there is something to find. Any
 //     code that empties a cold field must clear the mirroring flag.
 //   - Both slices are indexed through mem.BlockMap (first touch goes
-//     through BlockMap.Reserve, a single-probe get-or-insert). Indices
-//     are stable for the lifetime of the table — growth appends, Reset
-//     truncates — so deferred events and kernel callbacks reference
+//     through BlockMap.Reserve, a single-probe get-or-insert). The
+//     directory resolves a block once per incoming message, before the
+//     predictors see it, and hands that entry index to every observer
+//     and to the active predictor as their block index (see
+//     core.Predictor), so no predictor probes a block table of its own.
+//     Indices are stable for the lifetime of the table — growth appends,
+//     Reset truncates — so deferred events and kernel callbacks reference
 //     entries by int32 index, never by pointer, and a *dirHot/*lineHot
 //     taken inside one handler must not be held across anything that can
 //     create a new entry.

@@ -26,14 +26,14 @@ func (d *directory) maybeSWI(addr mem.BlockAddr, writer mem.NodeID) {
 	if h.tr != nil || h.flags&dfHasWait != 0 {
 		return
 	}
-	guard := act.SWIGuard(addr)
+	guard := act.SWIGuard(ei)
 	if !guard.Allowed() {
 		return
 	}
 	// SWI exists to trigger a predicted read sequence (§4.1); without a
 	// learned read prediction there is nothing to trigger and the recall
 	// would only risk a premature invalidation.
-	if _, ok := act.PredictReaders(addr); !ok {
+	if _, ok := act.PredictReaders(addr, ei); !ok {
 		return
 	}
 	d.cold[ei].swiGuard = guard
@@ -52,7 +52,7 @@ func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.Reader
 	if act == nil {
 		return
 	}
-	rp, ok := act.PredictReaders(addr)
+	rp, ok := act.PredictReaders(addr, ei)
 	if !ok {
 		return
 	}
@@ -78,14 +78,14 @@ func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.Reader
 		d.n.sys.route(d.n.id, q, Msg{Kind: MsgSpecData, Addr: addr, Version: v})
 	}
 	h.state = dirShared
-	act.AssumeReaders(addr, targets)
+	act.AssumeReaders(addr, ei, targets)
 }
 
 // specUpgradeApplies implements the migratory-sharing extension (§4.1
 // future work, gated by Options.EnableSpecUpgrade): when the predictor
 // expects the arriving reader to upgrade next, the read is granted
 // exclusively, folding the read+upgrade pair into one transaction.
-func (d *directory) specUpgradeApplies(addr mem.BlockAddr, reader mem.NodeID) bool {
+func (d *directory) specUpgradeApplies(addr mem.BlockAddr, ei int32, reader mem.NodeID) bool {
 	if !d.n.opts.EnableSpecUpgrade {
 		return false
 	}
@@ -93,5 +93,5 @@ func (d *directory) specUpgradeApplies(addr mem.BlockAddr, reader mem.NodeID) bo
 	if act == nil {
 		return false
 	}
-	return act.PredictsUpgradeBy(addr, reader)
+	return act.PredictsUpgradeBy(addr, ei, reader)
 }

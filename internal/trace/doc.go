@@ -8,5 +8,8 @@
 // core.Predictor, the passive-observer contract, and attaches to a
 // running machine exactly like a scoring observer, so the captured
 // stream is — by construction — identical to what an online predictor
-// would have observed. Replay feeds a trace to any core.Predictor.
+// would have observed. The recorder sees every directory, so it ignores
+// the directories' block indices and records addresses. Replay feeds a
+// trace to any core.Predictor, numbering its blocks itself: one lookup
+// per event, shared by every predictor replayed.
 package trace

@@ -64,8 +64,10 @@ func NewRecorder(clock Clock, workload string, nodes int, seed int64) *Recorder 
 // Trace returns the captured trace (shared, not copied).
 func (r *Recorder) Trace() *Trace { return &r.trace }
 
-// Observe implements core.Predictor by recording the message.
-func (r *Recorder) Observe(addr mem.BlockAddr, obs core.Observation) core.Outcome {
+// Observe implements core.Predictor by recording the message. It keys
+// nothing by the block index: one recorder sees every directory (see
+// machine.Machine.AttachObserver), whose indices overlap.
+func (r *Recorder) Observe(addr mem.BlockAddr, _ int32, obs core.Observation) core.Outcome {
 	var cycle int64
 	if r.clock != nil {
 		cycle = int64(r.clock.Now())
@@ -85,11 +87,20 @@ var _ core.Predictor = (*Recorder)(nil)
 // and returns nothing; inspect the predictors' Stats/Census afterwards.
 // Captured order preserves per-block arrival order, which is all the
 // (per-block) two-level predictors depend on.
+//
+// Replay plays the directory's part of the core.Predictor contract for
+// the whole trace: it numbers blocks densely in first-appearance order,
+// one lookup per event shared by every predictor. The numbering is local
+// to one call, so a predictor fed by more than one Replay must be Reset
+// in between.
 func Replay(t *Trace, predictors ...core.Predictor) {
+	var blocks mem.BlockMap
 	for _, e := range t.Events {
+		addr := mem.BlockAddr(e.Addr)
+		bi, _ := blocks.Reserve(addr, int32(blocks.Len()))
 		obs := core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)}
 		for _, p := range predictors {
-			p.Observe(mem.BlockAddr(e.Addr), obs)
+			p.Observe(addr, bi, obs)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestRecorderCaptures(t *testing.T) {
 	r := NewRecorder(k, "wl", 4, 9)
 	addr := mem.MakeAddr(1, 5)
 	k.At(100, func() {
-		r.Observe(addr, core.Observation{Type: core.MsgRead, Node: 2})
+		r.Observe(addr, 0, core.Observation{Type: core.MsgRead, Node: 2})
 	})
 	k.Run(0)
 	tr := r.Trace()
@@ -88,7 +88,7 @@ func TestRecorderCaptures(t *testing.T) {
 func TestRecorderIsInertPredictor(t *testing.T) {
 	r := NewRecorder(nil, "", 2, 0)
 	addr := mem.MakeAddr(0, 0)
-	if out := r.Observe(addr, core.Observation{Type: core.MsgRead, Node: 1}); out != (core.Outcome{}) {
+	if out := r.Observe(addr, 0, core.Observation{Type: core.MsgRead, Node: 1}); out != (core.Outcome{}) {
 		t.Fatalf("recorder scored a message: %+v", out)
 	}
 }
@@ -98,9 +98,21 @@ func TestRecorderIsInertPredictor(t *testing.T) {
 func TestReplayMatchesOnlineObservation(t *testing.T) {
 	tr := sampleTrace()
 	online := core.NewVMSP(1)
-	// Online: feed observations directly (as a directory would).
+	// Online: feed observations directly (as a directory would), with a
+	// block numbering unlike Replay's: each home numbers its own blocks
+	// from home*64, so the result cannot depend on which indices name
+	// the blocks.
+	idx := map[mem.BlockAddr]int32{}
+	perHome := map[mem.NodeID]int32{}
 	for _, e := range tr.Events {
-		online.Observe(mem.BlockAddr(e.Addr), core.Observation{
+		addr := mem.BlockAddr(e.Addr)
+		bi, ok := idx[addr]
+		if !ok {
+			bi = int32(addr.Home())*64 + perHome[addr.Home()]
+			perHome[addr.Home()]++
+			idx[addr] = bi
+		}
+		online.Observe(addr, bi, core.Observation{
 			Type: core.MsgType(e.Type),
 			Node: mem.NodeID(e.Node),
 		})

@@ -85,6 +85,17 @@ type Workload struct {
 	Name     string
 	Nodes    int
 	programs []machine.Program
+	// seed is the generation seed after the generators' default (0
+	// means 1); CaptureTrace stamps it on the trace.
+	seed int64
+}
+
+// genSeed is the seed a generator uses for WorkloadParams.Seed s.
+func genSeed(s int64) int64 {
+	if s == 0 {
+		return 1
+	}
+	return s
 }
 
 // Ops returns the total operation count across all per-node programs.
@@ -129,7 +140,7 @@ func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	if err := checkNodes(wp.Nodes); err != nil {
 		return Workload{}, err
 	}
-	return Workload{Name: name, Nodes: wp.Nodes, programs: workload.Programs(app, wp)}, nil
+	return Workload{Name: name, Nodes: wp.Nodes, programs: workload.Programs(app, wp), seed: genSeed(p.Seed)}, nil
 }
 
 // checkNodes rejects machine sizes the workload generators cannot build.
@@ -173,7 +184,7 @@ func MicroWorkload(pattern MicroPattern, p WorkloadParams) (Workload, error) {
 	default:
 		return Workload{}, fmt.Errorf("specdsm: unknown micro pattern %q", pattern)
 	}
-	return Workload{Name: string(pattern), Nodes: mp.Nodes, programs: progs}, nil
+	return Workload{Name: string(pattern), Nodes: mp.Nodes, programs: progs, seed: genSeed(p.Seed)}, nil
 }
 
 // MachineOptions configures the simulated DSM for one run.
@@ -248,7 +259,9 @@ type RunResult struct {
 	// NetMsgs counts interconnect messages sent (the traffic metric of
 	// the node-scaling study).
 	NetMsgs uint64
-	// Predictor measurements (observers, then active last if present).
+	// Predictors holds the predictor measurements in attachment order:
+	// one per MachineOptions.Observers entry, then, in FR and SWI modes
+	// only, the active predictor as the last entry.
 	Predictors []PredictorResult
 	Events     uint64
 }
@@ -419,7 +432,10 @@ func predictorResult(pr machine.PredictorResult) PredictorResult {
 	}
 }
 
-// Predictor returns the result for one attached predictor configuration.
+// Predictor returns the result for one attached predictor configuration:
+// the first match in Predictors, so an observer with the active
+// predictor's kind and depth shadows it. Read the active predictor as
+// the last entry of Predictors in FR and SWI modes.
 func (r *RunResult) Predictor(kind PredictorKind, depth int) (PredictorResult, bool) {
 	for _, p := range r.Predictors {
 		if p.Kind == kind && p.Depth == depth {

@@ -34,7 +34,7 @@ func CaptureTrace(wl Workload, opts MachineOptions, out io.Writer) (*RunResult, 
 		return nil, TraceSummary{}, err
 	}
 	m := machine.New(cfg)
-	rec := trace.NewRecorder(m.Kernel(), wl.Name, wl.Nodes, 0)
+	rec := trace.NewRecorder(m.Kernel(), wl.Name, wl.Nodes, wl.seed)
 	m.AttachObserver(rec)
 	res, err := m.Run(wl.programs)
 	if err != nil {

@@ -2,6 +2,8 @@ package specdsm_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,58 +11,112 @@ import (
 )
 
 // Offline trace evaluation must reproduce online observer measurements
-// exactly — this validates the whole capture path end to end.
+// exactly — this validates the whole capture path end to end. All nine
+// paper observers run, in Base and SWI mode (the active predictor's
+// speculation shapes the stream both sides see) and on a machine wider
+// than one inline reader word.
 func TestTraceCaptureAndOfflineEvaluation(t *testing.T) {
-	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{
-		Nodes: 8, Iterations: 4, Scale: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var configs []specdsm.PredictorConfig
+	for _, kind := range specdsm.Kinds() {
+		for _, d := range []int{1, 2, 4} {
+			configs = append(configs, specdsm.PredictorConfig{Kind: kind, Depth: d})
+		}
 	}
-	configs := []specdsm.PredictorConfig{
-		{Kind: specdsm.Cosmos, Depth: 1},
-		{Kind: specdsm.MSP, Depth: 1},
-		{Kind: specdsm.VMSP, Depth: 1},
-		{Kind: specdsm.VMSP, Depth: 2},
-	}
+	for _, tc := range []struct {
+		name string
+		p    specdsm.WorkloadParams
+		mode specdsm.Mode
+	}{
+		{"base", specdsm.WorkloadParams{Nodes: 8, Iterations: 4, Scale: 0.25}, specdsm.ModeBase},
+		{"swi", specdsm.WorkloadParams{Nodes: 8, Iterations: 4, Scale: 0.25}, specdsm.ModeSWI},
+		{"wide", specdsm.WorkloadParams{Nodes: 72, Iterations: 2, Scale: 0.1}, specdsm.ModeBase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := specdsm.AppWorkload("em3d", tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			online, sum, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{
+				Mode:      tc.mode,
+				Observers: configs,
+			}, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Events == 0 || sum.Blocks == 0 || sum.Workload != "em3d" {
+				t.Fatalf("summary = %+v", sum)
+			}
+			wantResults := len(configs)
+			if tc.mode != specdsm.ModeBase {
+				wantResults++ // the active predictor comes last
+			}
+			if len(online.Predictors) != wantResults {
+				t.Fatalf("%d online results, want %d", len(online.Predictors), wantResults)
+			}
 
-	var buf bytes.Buffer
-	online, sum, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{
-		Mode:      specdsm.ModeBase,
-		Observers: configs,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
+			offline, sum2, err := specdsm.EvaluateTrace(&buf, configs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum2.Events != sum.Events {
+				t.Fatalf("event counts differ: %d vs %d", sum2.Events, sum.Events)
+			}
+			if len(offline) != len(configs) {
+				t.Fatalf("%d offline results", len(offline))
+			}
+			for i, cfg := range configs {
+				on, ok := online.Predictor(cfg.Kind, cfg.Depth)
+				if !ok {
+					t.Fatalf("missing online result for %+v", cfg)
+				}
+				off := offline[i]
+				if on.Tracked == 0 {
+					t.Fatalf("%v d=%d tracked nothing", cfg.Kind, cfg.Depth)
+				}
+				if on.Tracked != off.Tracked || on.Predicted != off.Predicted || on.Correct != off.Correct {
+					t.Fatalf("%v d=%d: online (%d,%d,%d) != offline (%d,%d,%d)",
+						cfg.Kind, cfg.Depth,
+						on.Tracked, on.Predicted, on.Correct,
+						off.Tracked, off.Predicted, off.Correct)
+				}
+				if on.Entries != off.Entries || on.Blocks != off.Blocks {
+					t.Fatalf("%v d=%d: census diverges: online %d entries/%d blocks, offline %d/%d",
+						cfg.Kind, cfg.Depth, on.Entries, on.Blocks, off.Entries, off.Blocks)
+				}
+			}
+		})
 	}
-	if sum.Events == 0 || sum.Blocks == 0 || sum.Workload != "em3d" {
-		t.Fatalf("summary = %+v", sum)
-	}
+}
 
-	offline, sum2, err := specdsm.EvaluateTrace(&buf, configs)
+// A trace carries the seed its workload was generated from, with the
+// generators' default for 0.
+func TestCaptureTraceStampsSeed(t *testing.T) {
+	for _, tc := range []struct {
+		seed, want int64
+	}{{5, 5}, {0, 1}} {
+		w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, sum, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{}, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Seed != tc.want {
+			t.Errorf("seed %d: TraceSummary.Seed = %d, want %d", tc.seed, sum.Seed, tc.want)
+		}
+		if field := fmt.Sprintf(`"seed":%d`, tc.want); !strings.Contains(buf.String(), field) {
+			t.Errorf("seed %d: trace file lacks %s", tc.seed, field)
+		}
+	}
+	w, err := specdsm.MicroWorkload(specdsm.PatternMigratory, specdsm.WorkloadParams{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum2.Events != sum.Events {
-		t.Fatalf("event counts differ: %d vs %d", sum2.Events, sum.Events)
-	}
-	if len(offline) != len(configs) {
-		t.Fatalf("%d offline results", len(offline))
-	}
-	for i, cfg := range configs {
-		on, ok := online.Predictor(cfg.Kind, cfg.Depth)
-		if !ok {
-			t.Fatalf("missing online result for %+v", cfg)
-		}
-		off := offline[i]
-		if on.Tracked != off.Tracked || on.Predicted != off.Predicted || on.Correct != off.Correct {
-			t.Fatalf("%v d=%d: online (%d,%d,%d) != offline (%d,%d,%d)",
-				cfg.Kind, cfg.Depth,
-				on.Tracked, on.Predicted, on.Correct,
-				off.Tracked, off.Predicted, off.Correct)
-		}
-		if on.Entries != off.Entries || on.Blocks != off.Blocks {
-			t.Fatalf("%v d=%d: census diverges", cfg.Kind, cfg.Depth)
-		}
+	if _, sum, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{}, io.Discard); err != nil || sum.Seed != 7 {
+		t.Errorf("micro workload: TraceSummary.Seed = %d (err %v), want 7", sum.Seed, err)
 	}
 }
 
