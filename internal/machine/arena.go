@@ -3,8 +3,6 @@ package machine
 import (
 	"strconv"
 	"strings"
-
-	"specdsm/internal/sim"
 )
 
 // Arena is a reusable pool of built machines, keyed by configuration
@@ -79,14 +77,6 @@ func (c Config) arenaKey() string {
 		b.WriteByte(',')
 	}
 	w(uint64(c.Nodes))
-	for _, cy := range [...]sim.Cycle{
-		c.Timing.HitLatency, c.Timing.LocalMem, c.Timing.BusOverhead,
-		c.Timing.FillOverhead, c.Timing.DirOccupancy, c.Timing.MemAccess,
-		c.Timing.CacheAccess, c.Timing.LocalHop,
-		c.BarrierExit, c.LockTransfer,
-	} {
-		w(uint64(cy))
-	}
 	w(c.MaxEvents)
 	w(uint64(c.CacheCapacity))
 	var flags uint64

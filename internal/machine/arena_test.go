@@ -8,6 +8,7 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
 	"specdsm/internal/network"
+	"specdsm/internal/protocol"
 	"specdsm/internal/sim"
 )
 
@@ -145,16 +146,16 @@ func TestArenaReconfiguresNetwork(t *testing.T) {
 func TestFixedLatenciesFitNearWheel(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	lat := map[string]sim.Cycle{
-		"HitLatency":   cfg.Timing.HitLatency,
-		"LocalMem":     cfg.Timing.LocalMem,
-		"BusOverhead":  cfg.Timing.BusOverhead,
-		"FillOverhead": cfg.Timing.FillOverhead,
-		"DirOccupancy": cfg.Timing.DirOccupancy,
-		"MemAccess":    cfg.Timing.MemAccess,
-		"CacheAccess":  cfg.Timing.CacheAccess,
-		"LocalHop":     cfg.Timing.LocalHop,
-		"BarrierExit":  cfg.BarrierExit,
-		"LockTransfer": cfg.LockTransfer,
+		"HitLatency":   protocol.HitLatency,
+		"LocalMem":     protocol.LocalMem,
+		"BusOverhead":  protocol.BusOverhead,
+		"FillOverhead": protocol.FillOverhead,
+		"DirOccupancy": protocol.DirOccupancy,
+		"MemAccess":    protocol.MemAccess,
+		"CacheAccess":  protocol.CacheAccess,
+		"LocalHop":     protocol.LocalHop,
+		"BarrierExit":  barrierExit,
+		"LockTransfer": lockTransfer,
 		"MinLatency":   cfg.NetCfg.SendOccupancy + cfg.NetCfg.FlightLatency + cfg.NetCfg.RecvOccupancy,
 		"RTLFlightMax": 320 + cfg.NetCfg.SendOccupancy + cfg.NetCfg.RecvOccupancy,
 	}

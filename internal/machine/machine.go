@@ -106,8 +106,7 @@ func (s PredictorSpec) build(nodes int) *core.TwoLevel {
 type Config struct {
 	// Nodes is the machine size; the paper simulates 16.
 	Nodes int
-	// Timing and NetCfg default to Table 1 values when zero.
-	Timing protocol.Timing
+	// NetCfg defaults to Table 1 values when zero.
 	NetCfg network.Config
 	// Observers are passive predictor variants instantiated at every
 	// node's directory; their stats are summed machine-wide.
@@ -126,10 +125,6 @@ type Config struct {
 	CacheCapacity int
 	// DisableCoherenceCheck turns the version checker off (benches).
 	DisableCoherenceCheck bool
-	// BarrierExit is the release latency after the last arrival.
-	BarrierExit sim.Cycle
-	// LockTransfer is the hand-off latency for the abstract queue lock.
-	LockTransfer sim.Cycle
 	// MaxEvents guards against runaway simulations (0 = default guard).
 	MaxEvents uint64
 }
@@ -138,17 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 16
 	}
-	if c.Timing == (protocol.Timing{}) {
-		c.Timing = protocol.DefaultTiming()
-	}
 	if c.NetCfg == (network.Config{}) {
 		c.NetCfg = network.DefaultConfig()
-	}
-	if c.BarrierExit == 0 {
-		c.BarrierExit = 140 // one network traversal + dispatch
-	}
-	if c.LockTransfer == 0 {
-		c.LockTransfer = 300 // remote lock hand-off
 	}
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 2_000_000_000
@@ -265,7 +251,7 @@ func New(cfg Config) *Machine {
 			opts[i].Active = preds[len(obs)]
 		}
 	}
-	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.Timing, cfg.NetCfg, opts)
+	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.NetCfg, opts)
 	if cfg.DisableCoherenceCheck {
 		m.sys.SetCoherenceChecking(false)
 	}

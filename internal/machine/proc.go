@@ -8,6 +8,16 @@ import (
 	"specdsm/internal/sim"
 )
 
+// Synchronization latencies of the abstract barrier and queue lock, in
+// processor cycles.
+const (
+	// barrierExit is the release latency after the last arrival: one
+	// network traversal plus dispatch.
+	barrierExit sim.Cycle = 140
+	// lockTransfer is the remote hand-off latency of the queue lock.
+	lockTransfer sim.Cycle = 300
+)
+
 // proc is one in-order processor: it executes its program sequentially,
 // blocking on every memory access until completion (the paper's simulated
 // processors stall on remote accesses; speculation's benefit is turning
@@ -143,7 +153,7 @@ func (b *barrier) tryRelease() {
 	b.waiters = nil
 	for _, w := range ws {
 		w.sync += now - w.waitStart
-		b.m.kernel.After(b.m.cfg.BarrierExit, w.stepFn)
+		b.m.kernel.After(barrierExit, w.stepFn)
 	}
 }
 
@@ -176,7 +186,7 @@ func (l *lock) acquire(p *proc) {
 	if !l.held {
 		l.held = true
 		l.owner = p.id
-		l.m.kernel.After(l.m.cfg.LockTransfer, p.stepFn)
+		l.m.kernel.After(lockTransfer, p.stepFn)
 		return
 	}
 	l.queue = append(l.queue, p)
@@ -195,5 +205,5 @@ func (l *lock) release(p *proc) {
 	l.owner = next.id
 	now := l.m.kernel.Now()
 	next.sync += now - next.waitStart
-	l.m.kernel.After(l.m.cfg.LockTransfer, next.stepFn)
+	l.m.kernel.After(lockTransfer, next.stepFn)
 }

@@ -15,9 +15,6 @@ func TestSystemAccessors(t *testing.T) {
 	if h.sys.Kernel() != h.k {
 		t.Fatal("Kernel accessor wrong")
 	}
-	if h.sys.Timing() != DefaultTiming() {
-		t.Fatal("Timing accessor wrong")
-	}
 	n := h.sys.Node(2)
 	if n.ID() != 2 {
 		t.Fatalf("node ID = %d", n.ID())

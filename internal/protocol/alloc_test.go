@@ -21,7 +21,7 @@ func newAllocHarness(n int, opts ...Options) *allocHarness {
 	k := sim.NewKernel()
 	return &allocHarness{
 		k:    k,
-		sys:  NewSystem(k, n, DefaultTiming(), network.DefaultConfig(), opts),
+		sys:  NewSystem(k, n, network.DefaultConfig(), opts),
 		noop: func(AccessOutcome) {},
 	}
 }

@@ -232,7 +232,7 @@ func (c *cache) evictOne(keep mem.BlockAddr) bool {
 	if vh.state == lineExclusive {
 		c.stats.EvictionWritebacks++
 		vh.flags |= lfEvictPending
-		c.n.sys.routeAfter(c.n.sys.timing.CacheAccess, c.n.id, victimAddr.Home(), Msg{
+		c.n.sys.routeAfter(CacheAccess, c.n.id, victimAddr.Home(), Msg{
 			Kind:      MsgWriteback,
 			Addr:      victimAddr,
 			Version:   vh.version,
@@ -248,7 +248,6 @@ func (c *cache) evictOne(keep mem.BlockAddr) bool {
 // done fires when the access completes, with its latency classification.
 // The machine layer guarantees one outstanding access per processor.
 func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome)) {
-	t := c.n.sys.timing
 	k := c.n.sys.kernel
 	li, found := c.lookupIdx(addr)
 
@@ -270,7 +269,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 				h.flags |= lfWritten
 			}
 			c.checkObserved(li, addr, h.version)
-			c.doneAfter(t.HitLatency, done, AccessOutcome{Class: class, Latency: t.HitLatency})
+			c.doneAfter(HitLatency, done, AccessOutcome{Class: class, Latency: HitLatency})
 			return
 		}
 	}
@@ -295,7 +294,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			c.touch(h)
 			c.stats.LocalAccesses++
 			c.checkObserved(nli, addr, version)
-			c.doneAfter(t.LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: t.LocalMem})
+			c.doneAfter(LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: LocalMem})
 			return
 		}
 	}
@@ -323,10 +322,10 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 	h.flags |= lfHasPend
 	c.cold[nli].pend = pendingAccess{isWrite: isWrite, start: k.Now(), done: done}
 	c.pendCount++
-	c.n.sys.routeAfter(t.BusOverhead, c.n.id, home, Msg{Kind: MsgReq, Req: kind, Addr: addr})
+	c.n.sys.routeAfter(BusOverhead, c.n.id, home, Msg{Kind: MsgReq, Req: kind, Addr: addr})
 	if isWrite && c.n.opts.EnableSWI && c.n.opts.Active != nil {
 		if prev, candidate := c.n.ewi.Update(addr); candidate {
-			c.n.sys.routeAfter(t.BusOverhead, c.n.id, prev.Home(), Msg{Kind: MsgSWIHint, Addr: prev})
+			c.n.sys.routeAfter(BusOverhead, c.n.id, prev.Home(), Msg{Kind: MsgSWIHint, Addr: prev})
 		}
 	}
 }
@@ -360,7 +359,6 @@ func (c *cache) clearPend(li int32) pendingAccess {
 }
 
 func (c *cache) handleInval(m Msg) {
-	t := c.n.sys.timing
 	li, found := c.lookupIdx(m.Addr)
 	c.stats.InvalsReceived++
 	specUnused := false
@@ -378,7 +376,7 @@ func (c *cache) handleInval(m Msg) {
 			c.cold[li].pend.invalOnFill = true
 		}
 	}
-	c.n.sys.routeAfter(t.CacheAccess, c.n.id, m.Addr.Home(),
+	c.n.sys.routeAfter(CacheAccess, c.n.id, m.Addr.Home(),
 		Msg{Kind: MsgAckInv, Addr: m.Addr, SpecUnused: specUnused})
 }
 
@@ -390,7 +388,6 @@ func (c *cache) handleRecall(m Msg) {
 		c.hot[li].flags &^= lfEvictPending
 		return
 	}
-	t := c.n.sys.timing
 	if !found || c.hot[li].state != lineExclusive {
 		panic(fmt.Sprintf("protocol: recall for non-exclusive line %v at node %d", m.Addr, c.n.id))
 	}
@@ -398,11 +395,10 @@ func (c *cache) handleRecall(m Msg) {
 	h := &c.hot[li]
 	wb := Msg{Kind: MsgWriteback, Addr: m.Addr, Version: h.version, SWI: m.SWI, Written: h.flags&lfWritten != 0}
 	c.drop(li)
-	c.n.sys.routeAfter(t.CacheAccess, c.n.id, m.Addr.Home(), wb)
+	c.n.sys.routeAfter(CacheAccess, c.n.id, m.Addr.Home(), wb)
 }
 
 func (c *cache) handleData(m Msg) {
-	t := c.n.sys.timing
 	li, found := c.lookupIdx(m.Addr)
 	if !found || c.hot[li].flags&lfHasPend == 0 {
 		panic(fmt.Sprintf("protocol: unsolicited data for %v at node %d", m.Addr, c.n.id))
@@ -430,12 +426,11 @@ func (c *cache) handleData(m Msg) {
 		}
 		c.drop(li)
 	}
-	latency := c.n.sys.kernel.Now() + t.FillOverhead - p.start
-	c.doneAfter(t.FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
+	latency := c.n.sys.kernel.Now() + FillOverhead - p.start
+	c.doneAfter(FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
 }
 
 func (c *cache) handleUpgradeAck(m Msg) {
-	t := c.n.sys.timing
 	li, found := c.lookupIdx(m.Addr)
 	if !found || c.hot[li].flags&lfHasPend == 0 || !c.cold[li].pend.isWrite {
 		panic(fmt.Sprintf("protocol: unsolicited upgrade ack for %v at node %d", m.Addr, c.n.id))
@@ -451,8 +446,8 @@ func (c *cache) handleUpgradeAck(m Msg) {
 	h.flags |= lfWritten
 	c.touch(h)
 	c.checkObserved(li, m.Addr, m.Version)
-	latency := c.n.sys.kernel.Now() + t.FillOverhead - p.start
-	c.doneAfter(t.FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
+	latency := c.n.sys.kernel.Now() + FillOverhead - p.start
+	c.doneAfter(FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
 }
 
 // handleSpecData installs a speculatively forwarded read-only copy, or

@@ -22,7 +22,7 @@ func capacityHarness(t *testing.T, nodes, capacity int, fr, swi bool) *harness {
 		}
 	}
 	k := sim.NewKernel()
-	sys := NewSystem(k, nodes, DefaultTiming(), network.DefaultConfig(), opts)
+	sys := NewSystem(k, nodes, network.DefaultConfig(), opts)
 	return &harness{t: t, k: k, sys: sys}
 }
 

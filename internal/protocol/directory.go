@@ -366,7 +366,7 @@ func (d *directory) deliver(src mem.NodeID, msg Msg) {
 	if d.free > start {
 		start = d.free
 	}
-	d.free = start + d.n.sys.timing.DirOccupancy
+	d.free = start + DirOccupancy
 	d.inq = append(d.inq, inMsg{src: src, msg: msg})
 	k.At(d.free, d.processNext)
 }
@@ -500,7 +500,6 @@ func (d *directory) grantAfter(delay sim.Cycle, g grantEvent) {
 }
 
 func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
-	t := d.n.sys.timing
 	h := &d.hot[ei]
 	switch h.state {
 	case dirIdle, dirShared:
@@ -516,7 +515,7 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 		h.state = dirShared
 		h.sharers = h.sharers.With(src)
 		d.startTrans(h, trans{kind: transGrant, requester: src})
-		d.grantAfter(t.MemAccess, grantEvent{
+		d.grantAfter(MemAccess, grantEvent{
 			addr:      addr,
 			ei:        ei,
 			dst:       src,
@@ -590,7 +589,6 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 // otherwise data is supplied after a memory access, with the entry held
 // busy until the grant is on the wire.
 func (d *directory) grantExclusive(addr mem.BlockAddr, ei int32, src mem.NodeID, kind mem.ReqKind, viaUpgradeAck bool) {
-	t := d.n.sys.timing
 	h := &d.hot[ei]
 	d.endTrans(h)
 	h.version++
@@ -606,7 +604,7 @@ func (d *directory) grantExclusive(addr mem.BlockAddr, ei int32, src mem.NodeID,
 		return
 	}
 	d.startTrans(h, trans{kind: transGrant, requester: src})
-	d.grantAfter(t.MemAccess, grantEvent{
+	d.grantAfter(MemAccess, grantEvent{
 		addr:     addr,
 		ei:       ei,
 		dst:      src,
@@ -713,7 +711,6 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		h.flags &^= dfSpecUpgraded
 	}
 	h.owner = mem.NoNode
-	t := d.n.sys.timing
 
 	switch h.tr.kind {
 	case transReadRecall:
@@ -733,7 +730,7 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		h.state = dirShared
 		h.sharers = mem.VecOf(req)
 		d.startTrans(h, trans{kind: transGrant, requester: req})
-		d.grantAfter(t.MemAccess, grantEvent{
+		d.grantAfter(MemAccess, grantEvent{
 			addr:      m.Addr,
 			ei:        ei,
 			dst:       req,
@@ -754,7 +751,7 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		h.flags |= dfSWIWatch
 		d.cold[ei].swiOwner = src
 		d.startTrans(h, trans{kind: transGrant})
-		d.grantAfter(t.MemAccess, grantEvent{
+		d.grantAfter(MemAccess, grantEvent{
 			addr:  m.Addr,
 			ei:    ei,
 			doFR:  true,

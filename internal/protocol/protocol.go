@@ -5,49 +5,35 @@ import (
 	"specdsm/internal/sim"
 )
 
-// Timing collects the latency parameters of the node model, in processor
-// cycles. DefaultTiming is calibrated to Table 1 of the paper.
-type Timing struct {
-	// HitLatency is a processor cache hit.
-	HitLatency sim.Cycle
-	// LocalMem is a local memory (or remote-cache) access that needs no
-	// coherence activity: Table 1's 104 cycles.
-	LocalMem sim.Cycle
-	// BusOverhead is miss detection plus bus acquisition before a request
-	// leaves the node.
-	BusOverhead sim.Cycle
-	// FillOverhead is the bus transfer and cache fill when a response
-	// arrives.
-	FillOverhead sim.Cycle
-	// DirOccupancy is the directory's per-message processing time; the
-	// directory is a serialized resource.
-	DirOccupancy sim.Cycle
-	// MemAccess is the memory read/write at the home node when supplying
-	// or accepting block data.
-	MemAccess sim.Cycle
-	// CacheAccess is the remote-cache probe when servicing an external
-	// invalidation or recall.
-	CacheAccess sim.Cycle
-	// LocalHop is the node-internal hop between the processor side and the
-	// node's own directory (requests to one's own home skip the network).
-	LocalHop sim.Cycle
-}
-
-// DefaultTiming reproduces Table 1: a clean two-hop remote read totals
+// Node-model latencies in processor cycles, calibrated to Table 1 of the
+// paper: a clean two-hop remote read totals
 // 25 + (20+80+20) + 24 + 104 + (20+80+20) + 25 = 418 cycles, local access
 // is 104 cycles, and the remote-to-local ratio is ~4.
-func DefaultTiming() Timing {
-	return Timing{
-		HitLatency:   1,
-		LocalMem:     104,
-		BusOverhead:  25,
-		FillOverhead: 25,
-		DirOccupancy: 24,
-		MemAccess:    104,
-		CacheAccess:  12,
-		LocalHop:     12,
-	}
-}
+const (
+	// HitLatency is a processor cache hit.
+	HitLatency sim.Cycle = 1
+	// LocalMem is a local memory (or remote-cache) access that needs no
+	// coherence activity: Table 1's 104 cycles.
+	LocalMem sim.Cycle = 104
+	// BusOverhead is miss detection plus bus acquisition before a request
+	// leaves the node.
+	BusOverhead sim.Cycle = 25
+	// FillOverhead is the bus transfer and cache fill when a response
+	// arrives.
+	FillOverhead sim.Cycle = 25
+	// DirOccupancy is the directory's per-message processing time; the
+	// directory is a serialized resource.
+	DirOccupancy sim.Cycle = 24
+	// MemAccess is the memory read/write at the home node when supplying
+	// or accepting block data.
+	MemAccess sim.Cycle = 104
+	// CacheAccess is the remote-cache probe when servicing an external
+	// invalidation or recall.
+	CacheAccess sim.Cycle = 12
+	// LocalHop is the node-internal hop between the processor side and the
+	// node's own directory (requests to one's own home skip the network).
+	LocalHop sim.Cycle = 12
+)
 
 // Options configures a node's predictor attachment and speculation.
 type Options struct {

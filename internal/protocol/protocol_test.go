@@ -19,7 +19,7 @@ type harness struct {
 func newHarness(t *testing.T, n int, opts ...Options) *harness {
 	t.Helper()
 	k := sim.NewKernel()
-	sys := NewSystem(k, n, DefaultTiming(), network.DefaultConfig(), opts)
+	sys := NewSystem(k, n, network.DefaultConfig(), opts)
 	return &harness{t: t, k: k, sys: sys}
 }
 

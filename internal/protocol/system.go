@@ -67,7 +67,6 @@ func (n *Node) deliver(src mem.NodeID, msg Msg) {
 type System struct {
 	kernel *sim.Kernel
 	net    *network.Network[Msg]
-	timing Timing
 	nodes  []*Node
 	// sendPool recycles the deferred-send events used by routeAfter.
 	sendPool sim.FreeList[sendEvent]
@@ -106,14 +105,13 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 
 // NewSystem builds an n-node DSM on the given kernel. opts[i] configures
 // node i; a single-element opts slice applies to every node.
-func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts []Options) *System {
+func NewSystem(k *sim.Kernel, n int, netCfg network.Config, opts []Options) *System {
 	if n <= 0 || n > mem.MaxNodes {
 		panic(fmt.Sprintf("protocol: invalid node count %d", n))
 	}
 	s := &System{
 		kernel:       k,
 		net:          network.New[Msg](k, n, netCfg),
-		timing:       timing,
 		checkEnabled: true,
 	}
 	for i := 0; i < n; i++ {
@@ -172,9 +170,6 @@ func (s *System) Nodes() int { return len(s.nodes) }
 // Kernel returns the simulation kernel the system runs on.
 func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
-// Timing returns the latency configuration.
-func (s *System) Timing() Timing { return s.timing }
-
 // NetworkStats returns interconnect counters.
 func (s *System) NetworkStats() network.Stats { return s.net.Stats() }
 
@@ -186,7 +181,7 @@ func (s *System) SetCoherenceChecking(on bool) { s.checkEnabled = on }
 // model and counters), everything else crosses the network.
 func (s *System) route(src, dst mem.NodeID, msg Msg) {
 	if src == dst {
-		s.net.DeliverLocal(src, dst, s.timing.LocalHop, msg)
+		s.net.DeliverLocal(src, dst, LocalHop, msg)
 		return
 	}
 	s.net.Send(src, dst, msg)

@@ -6,6 +6,12 @@
 // the kernel runs them in (time, insertion) order so that simulations are
 // bit-reproducible for a given seed and workload.
 //
+// Run is the one dispatch loop. It drains the queue, or stops early once
+// its event budget is spent: the budget is the only way a run ends with
+// events still pending, and the machine uses it as its runaway guard. A
+// later Run resumes exactly where the budget cut the run, so Run(1)
+// steps one event.
+//
 // # Queue structure
 //
 // The queue is a hierarchical time wheel with three tiers, classified per

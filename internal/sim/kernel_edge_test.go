@@ -5,86 +5,29 @@ import (
 )
 
 // These tests pin the Kernel semantics every queue rewrite must preserve
-// (they survived the pointer-heap → value-heap → time-wheel rewrites
-// unchanged): RunUntil's deadline handling, Stop in the middle of a run,
-// and tie-breaking by insertion order under heavy same-cycle load —
+// (they survived the pointer-heap → value-heap → time-wheel rewrites):
+// a run cut by its event budget in the middle of the queue, and
+// tie-breaking by insertion order under heavy same-cycle load —
 // including events scheduled at the current cycle from inside a handler.
 
-func TestRunUntilStopMidRun(t *testing.T) {
-	k := NewKernel()
-	var fired []Cycle
-	for _, c := range []Cycle{10, 20, 30, 40} {
-		c := c
-		k.At(c, func() {
-			fired = append(fired, c)
-			if c == 20 {
-				k.Stop()
-			}
-		})
-	}
-	n := k.RunUntil(35)
-	if n != 2 || len(fired) != 2 {
-		t.Fatalf("executed %d (fired %v), want 2", n, fired)
-	}
-	// A stopped RunUntil must not advance the clock to the deadline: the
-	// simulation halted at the stopping event's time.
-	if k.Now() != 20 {
-		t.Fatalf("Now = %d after Stop, want 20 (not deadline 35)", k.Now())
-	}
-	if k.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", k.Pending())
-	}
-	// Resume picks up where the stop left off.
-	if n := k.RunUntil(35); n != 1 || k.Now() != 35 {
-		t.Fatalf("resume executed %d at %d, want 1 at 35", n, k.Now())
-	}
-	if n := k.Run(0); n != 1 || k.Now() != 40 {
-		t.Fatalf("drain executed %d at %d, want 1 at 40", n, k.Now())
-	}
-}
-
-func TestRunUntilDeadlineIsInclusive(t *testing.T) {
-	k := NewKernel()
-	ran := false
-	k.At(25, func() { ran = true })
-	if n := k.RunUntil(25); n != 1 || !ran {
-		t.Fatalf("event at the deadline must dispatch (n=%d ran=%v)", n, ran)
-	}
-	if k.Now() != 25 {
-		t.Fatalf("Now = %d, want 25", k.Now())
-	}
-}
-
-func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
-	k := NewKernel()
-	if n := k.RunUntil(100); n != 0 {
-		t.Fatalf("executed %d on empty queue", n)
-	}
-	if k.Now() != 100 {
-		t.Fatalf("Now = %d, want deadline 100", k.Now())
-	}
-	// A deadline in the past never rewinds the clock.
-	if k.RunUntil(50); k.Now() != 100 {
-		t.Fatalf("Now = %d after past deadline, want 100", k.Now())
-	}
-}
-
+// TestStopMidRunKeepsClock cuts a run with its budget: the clock stays
+// at the last dispatched event's time, not the next pending one's.
 func TestStopMidRunKeepsClock(t *testing.T) {
 	k := NewKernel()
 	for i := Cycle(1); i <= 5; i++ {
-		i := i
-		k.At(i*10, func() {
-			if i == 3 {
-				k.Stop()
-			}
-		})
+		k.At(i*10, func() {})
 	}
-	k.Run(0)
+	if n := k.Run(3); n != 3 {
+		t.Fatalf("Run(3) executed %d", n)
+	}
 	if k.Now() != 30 {
-		t.Fatalf("Now = %d, want 30 (the stopping event's time)", k.Now())
+		t.Fatalf("Now = %d, want 30 (the last dispatched event's time)", k.Now())
 	}
 	if k.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", k.Pending())
+	}
+	if n := k.Run(0); n != 2 || k.Now() != 50 {
+		t.Fatalf("resume executed %d at %d, want 2 at 50", n, k.Now())
 	}
 }
 

@@ -44,8 +44,10 @@ type fifo struct {
 	head, tail int32
 }
 
-// Kernel is the event-driven simulation core. The zero value is usable and
-// starts at cycle 0; NewKernel is the conventional constructor.
+// Kernel is the event-driven simulation core; NewKernel builds one with
+// the clock at cycle 0. A run ends when the queue drains or when Run's
+// event budget is spent, which leaves the clock at the last dispatched
+// event and the rest of the queue pending.
 //
 // The queue is a hierarchical time wheel: events within WheelSpan cycles
 // of now sit in per-cycle FIFO buckets (O(1) schedule and dispatch),
@@ -56,11 +58,8 @@ type fifo struct {
 // to the test-only ReferenceKernel's heap order; the differential tests
 // pin this.
 type Kernel struct {
-	now     Cycle
-	seq     uint64
-	stopped bool
-	// executed counts dispatched events, for statistics and runaway guards.
-	executed uint64
+	now Cycle
+	seq uint64
 
 	// Near wheel. nodes is the pooled node arena (index 0 reserved so 0
 	// can mean "nil"); freeHead chains recycled nodes; occ is the bucket
@@ -101,14 +100,14 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	// Arena index 0 is the nil sentinel. Starting the arena at a realistic
+	// standing population skips most of the append-doubling a machine
+	// pays while warming up.
+	return &Kernel{nodes: make([]wheelNode, 1, 1024), limit: WheelSpan}
 }
 
 // Now returns the current simulated cycle.
 func (k *Kernel) Now() Cycle { return k.now }
-
-// Executed returns the number of events dispatched so far.
-func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of events waiting in the queue.
 func (k *Kernel) Pending() int {
@@ -117,18 +116,6 @@ func (k *Kernel) Pending() int {
 		n++
 	}
 	return n
-}
-
-// ensureInit lazily allocates the node arena so the zero-value Kernel
-// stays usable.
-func (k *Kernel) ensureInit() {
-	if k.nodes == nil {
-		// Index 0 is the nil sentinel. Starting the arena at a realistic
-		// standing population skips most of the append-doubling a machine
-		// pays while warming up.
-		k.nodes = make([]wheelNode, 1, 1024)
-		k.limit = k.now + WheelSpan
-	}
 }
 
 // allocNode takes a node from the free list, growing the arena only when
@@ -175,7 +162,6 @@ func (k *Kernel) At(at Cycle, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", at, k.now))
 	}
-	k.ensureInit()
 	k.seq++
 	if k.near == 0 && k.overflow.len() == 0 {
 		if !k.oneValid {
@@ -215,9 +201,6 @@ func (k *Kernel) After(delay Cycle, fn func()) {
 	}
 	k.At(k.now+delay, fn)
 }
-
-// Stop makes Run return after the currently dispatching event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // scanFrom returns the distance (1..WheelSpan-1) from bucket idx to the
 // next occupied bucket, scanning the occupancy bitmap word-wise with
@@ -291,54 +274,19 @@ func (k *Kernel) refill() bool {
 	return true
 }
 
-// pop removes and returns the next event's callback in (time, seq) order,
-// advancing the clock to its cycle; ok is false when the queue is empty.
-// The popped node returns to the free list with its closure cleared so
-// the arena does not pin it.
-func (k *Kernel) pop() (fn func(), ok bool) {
-	if k.cur.head == 0 {
-		if k.oneValid {
-			e := k.one
-			k.one = event{}
-			k.oneValid = false
-			k.advanceTo(e.at) // overflow is empty; this only moves the clock
-			return e.fn, true
-		}
-		if !k.refill() {
-			return nil, false
-		}
-	}
-	i := k.cur.head
-	n := &k.nodes[i]
-	fn = n.fn
-	k.cur.head = n.next
-	if n.next == 0 {
-		k.cur.tail = 0
-	}
-	n.fn = nil
-	n.next = k.freeHead
-	k.freeHead = i
-	k.near--
-	return fn, true
-}
-
 // drainRing dispatches the ring's whole FIFO as one batch — every event
 // already sits at the current cycle, so no per-event scan/refill/register
 // check is needed between dispatches. Handlers that schedule at the
 // current cycle append to the ring mid-drain and are dispatched in the
 // same batch, preserving global insertion order (the ring IS the current
-// cycle's FIFO). Dispatch stops when the ring empties, Stop is called, or
-// budget events have run (budget 0 = unlimited). The node is recycled and
-// its fields copied out before the handler runs: the handler may grow the
-// node arena, invalidating the pointer, and may immediately reuse the
-// freed node for a same-cycle append.
+// cycle's FIFO). Dispatch stops when the ring empties or budget events
+// have run (budget 0 = unlimited). The node is recycled and its fields
+// copied out before the handler runs: the handler may grow the node
+// arena, invalidating the pointer, and may immediately reuse the freed
+// node for a same-cycle append.
 func (k *Kernel) drainRing(budget uint64) uint64 {
 	var n uint64
-	for {
-		i := k.cur.head
-		if i == 0 {
-			break
-		}
+	for i := k.cur.head; i != 0; i = k.cur.head {
 		nd := &k.nodes[i]
 		fn := nd.fn
 		next := nd.next
@@ -350,54 +298,29 @@ func (k *Kernel) drainRing(budget uint64) uint64 {
 			k.cur.tail = 0
 		}
 		k.near--
-		k.executed++
 		n++
 		fn()
-		if k.stopped || n == budget {
+		if n == budget {
 			break
 		}
 	}
 	return n
 }
 
-// peekTime reports the next event's cycle without dispatching or
-// advancing the clock.
-func (k *Kernel) peekTime() (Cycle, bool) {
-	if k.cur.head != 0 {
-		return k.now, true
-	}
-	if k.oneValid {
-		return k.one.at, true
-	}
-	if k.near > 0 {
-		idx := int(k.now) & wheelMask
-		if k.occ[idx>>6]&(1<<uint(idx&63)) != 0 {
-			return k.now, true
-		}
-		return k.now + Cycle(k.scanFrom(idx)), true
-	}
-	if k.overflow.len() > 0 {
-		return k.overflow.top().at, true
-	}
-	return 0, false
-}
-
-// Reset re-arms the kernel for a fresh run: the clock returns to cycle 0,
-// the insertion-sequence counter restarts (so tie-breaking replays
-// identically), and the executed count clears. Queued events are
-// discarded but all storage — the node arena, buckets, occupancy bitmap,
-// and the overflow heap's backing array — is retained; dropped closures
-// are cleared so nothing stays pinned. After a drained run this is O(1):
+// Reset re-arms the kernel for a fresh run: the clock returns to cycle 0
+// and the insertion-sequence counter restarts (so tie-breaking replays
+// identically). Events a budget-cut run left pending are discarded, but
+// all storage — the node arena, buckets, occupancy bitmap, and the
+// overflow heap's backing array — is retained; dropped closures are
+// cleared so nothing stays pinned. After a drained run this is O(1):
 // every arena node is already on the free list. A reset kernel is
 // observably equivalent to a freshly constructed one.
 func (k *Kernel) Reset() {
 	if k.near > 0 || k.overflow.len() > 0 {
-		// Events pending (a stopped run): drop them, clearing their
-		// closures, and rebuild the free list from scratch.
+		// Events pending: drop them, clearing their closures, and rebuild
+		// the free list from scratch.
 		clear(k.nodes)
-		if len(k.nodes) > 0 {
-			k.nodes = k.nodes[:1]
-		}
+		k.nodes = k.nodes[:1]
 		k.freeHead = 0
 		clear(k.buckets[:])
 		clear(k.occ[:])
@@ -409,16 +332,14 @@ func (k *Kernel) Reset() {
 	k.oneValid = false
 	k.now = 0
 	k.seq = 0
-	k.stopped = false
-	k.executed = 0
-	if k.nodes != nil {
-		k.limit = WheelSpan
-	}
+	k.limit = WheelSpan
 }
 
-// Run dispatches events in order until the queue drains, Stop is called,
-// or maxEvents events have executed (0 means no limit). It returns the
-// number of events executed by this call.
+// Run dispatches events in (time, insertion-seq) order until the queue
+// drains or maxEvents events have run (0 means no limit), and returns the
+// number it ran. The budget is the only way a run ends with events still
+// pending; a later Run resumes exactly where it stopped, so Run(1) steps
+// one event.
 //
 // The loop is batched: each iteration makes the dispatch ring non-empty
 // (the one-event register, or a whole cycle spliced from the wheel by
@@ -426,19 +347,14 @@ func (k *Kernel) Reset() {
 // register/refill classification once per cycle instead of once per
 // event.
 func (k *Kernel) Run(maxEvents uint64) uint64 {
-	k.stopped = false
 	var n uint64
-	for !k.stopped {
-		if maxEvents != 0 && n >= maxEvents {
-			break
-		}
+	for maxEvents == 0 || n < maxEvents {
 		if k.cur.head == 0 {
 			if k.oneValid {
 				e := k.one
 				k.one = event{}
 				k.oneValid = false
 				k.advanceTo(e.at) // overflow is empty; this only moves the clock
-				k.executed++
 				n++
 				e.fn()
 				continue
@@ -452,35 +368,6 @@ func (k *Kernel) Run(maxEvents uint64) uint64 {
 			budget = maxEvents - n
 		}
 		n += k.drainRing(budget)
-	}
-	return n
-}
-
-// RunUntil dispatches events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued. Returns the number executed; the
-// clock advances to the deadline if the run was not stopped early.
-func (k *Kernel) RunUntil(deadline Cycle) uint64 {
-	k.stopped = false
-	var n uint64
-	for !k.stopped {
-		if k.cur.head != 0 && k.now <= deadline {
-			// The whole ring sits at the current cycle, already checked
-			// against the deadline: drain it as a batch (same-cycle appends
-			// from handlers land at now and belong to this batch too).
-			n += k.drainRing(0)
-			continue
-		}
-		t, ok := k.peekTime()
-		if !ok || t > deadline {
-			break
-		}
-		fn, _ := k.pop()
-		k.executed++
-		n++
-		fn()
-	}
-	if k.now < deadline && !k.stopped {
-		k.advanceTo(deadline)
 	}
 	return n
 }

@@ -75,25 +75,22 @@ func TestNegativeDelayPanics(t *testing.T) {
 	k.After(-1, func() {})
 }
 
+// TestStop ends a run with its event budget, the only way a run stops
+// with events pending, and resumes it.
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := Cycle(1); i <= 10; i++ {
-		k.At(i, func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
+		k.At(i, func() { count++ })
 	}
-	n := k.Run(0)
+	n := k.Run(3)
 	if n != 3 || count != 3 {
 		t.Fatalf("ran %d events (count %d), want 3", n, count)
 	}
 	if k.Pending() != 7 {
 		t.Fatalf("pending = %d, want 7", k.Pending())
 	}
-	// Run can resume after a Stop.
+	// Run can resume after a budget cut.
 	n = k.Run(0)
 	if n != 7 {
 		t.Fatalf("resume ran %d, want 7", n)
@@ -110,26 +107,6 @@ func TestMaxEvents(t *testing.T) {
 	}
 	if k.Pending() != 6 {
 		t.Fatalf("pending = %d", k.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	var fired []Cycle
-	for _, c := range []Cycle{10, 20, 30, 40} {
-		c := c
-		k.At(c, func() { fired = append(fired, c) })
-	}
-	n := k.RunUntil(25)
-	if n != 2 {
-		t.Fatalf("RunUntil executed %d, want 2", n)
-	}
-	if k.Now() != 25 {
-		t.Fatalf("Now = %d, want clock advanced to deadline 25", k.Now())
-	}
-	n = k.Run(0)
-	if n != 2 || k.Now() != 40 {
-		t.Fatalf("drain executed %d at %d", n, k.Now())
 	}
 }
 
@@ -185,13 +162,21 @@ func TestRandomizedOrdering(t *testing.T) {
 	}
 }
 
+// TestExecutedCounter checks that Run's return value counts every
+// dispatched event, including same-cycle events scheduled from handlers,
+// and that budget-cut runs add up to the whole run.
 func TestExecutedCounter(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 5; i++ {
-		k.At(Cycle(i), func() {})
+		k.At(Cycle(i), func() { k.After(0, func() {}) })
 	}
-	k.Run(0)
-	if k.Executed() != 5 {
-		t.Fatalf("Executed = %d", k.Executed())
+	total := k.Run(2)
+	total += k.Run(5)
+	total += k.Run(0)
+	if total != 10 {
+		t.Fatalf("Run returned %d events in total, want 10", total)
+	}
+	if k.Run(0) != 0 {
+		t.Fatal("Run on a drained kernel dispatched events")
 	}
 }

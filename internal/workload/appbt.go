@@ -15,10 +15,18 @@ import (
 //
 // Blocks on a subcube edge are consumed by a *different* successor in each
 // dimension, so with history depth one every predictor confuses the
-// alternating consumers — and, as the paper observes, the invalidation
+// alternating consumers. The paper observes that the invalidation
 // acknowledgements let Cosmos slightly out-predict MSP here, because the
-// previous consumer's ack identifies the current dimension. Depth two
-// disambiguates and pushes accuracy to ~100% (Figure 8).
+// previous consumer's ack identifies the current dimension; this
+// generator does not reproduce that. Measured at 16 nodes and scale 1.0,
+// depth one gives Cosmos 91.1%, MSP 92.2% and VMSP 91.7%; depth two
+// lifts VMSP to 100% (Cosmos 94.7%, MSP 95.8%); depth four brings all
+// three to 100% (Figure 8).
+//
+// The generator's only random draws are compute-time jitter, which
+// leaves every block's message order unchanged: its predictor rows
+// (Figures 7-8, Tables 3-5) are the same at every seed, and only its
+// execution times (Figure 9) move with the seed, by about 0.1 points.
 func AppBT(p Params) []machine.Program {
 	p = p.withDefaults(18)
 	b := newBuild(p)
