@@ -150,7 +150,11 @@ cover:
 # lines are stripped before comparing — they are the one intentionally
 # non-deterministic part of the output.
 #
-# The second leg checks the same contract across a crash: the same
+# The rtl leg makes the same comparison for the RTL latency sweep, which
+# a default run does not include. It is the one study that varies the
+# network flight latency, which is part of the arena's machine key.
+#
+# The third leg checks the same contract across a crash: the same
 # default run (every paper artifact), checkpointed, is killed mid-way
 # through its speculation study via -crash-after (exit 3 after 9 of the
 # study's 21 simulations; the characterization simulates nothing and
@@ -168,6 +172,9 @@ determinism:
 	$$tmp/paperrepro -scale 0.1 -parallel 1 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p1.txt && \
 	$$tmp/paperrepro -scale 0.1 -parallel 8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p8.txt && \
 	cmp $$tmp/p1.txt $$tmp/p8.txt && echo "determinism: -parallel 1 == -parallel 8" && \
+	$$tmp/paperrepro -only rtl -scale 0.1 -parallel 1 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/r1.txt && \
+	$$tmp/paperrepro -only rtl -scale 0.1 -parallel 8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/r8.txt && \
+	cmp $$tmp/r1.txt $$tmp/r8.txt && echo "determinism: rtl -parallel 1 == -parallel 8" && \
 	$$tmp/paperrepro -scale 0.1 -parallel 1 \
 		-checkpoint $$tmp/ck -checkpoint-every 2 -crash-after 9 >/dev/null 2>&1; \
 	st=$$?; [ $$st -eq 3 ] || { echo "determinism: crashed run exited $$st, want 3"; exit 1; } && \

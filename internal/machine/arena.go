@@ -28,19 +28,11 @@ func NewArena() *Arena {
 
 // Run executes one program per node on the arena's machine for cfg,
 // building the machine on first use of the configuration and resetting
-// it on every reuse. Network timing is not part of the machine's
-// identity: configurations differing only in NetCfg share one machine,
-// which is reconfigured in place per run (Network.Reconfigure), so a
-// latency sweep pays construction once per mode instead of once per
-// sweep point. Results are identical to New(cfg).Run(programs).
+// it on every reuse. Results are identical to New(cfg).Run(programs).
 func (a *Arena) Run(cfg Config, programs []Program) (*Result, error) {
-	cfg = cfg.withDefaults()
-	m, reused := a.machine(cfg)
+	m, reused := a.machine(cfg.withDefaults())
 	if reused {
 		m.Reset()
-	}
-	if m.cfg.NetCfg != cfg.NetCfg {
-		m.ReconfigureNetwork(cfg.NetCfg)
 	}
 	return m.Run(programs)
 }
@@ -64,11 +56,9 @@ func (a *Arena) machine(cfg Config) (*Machine, bool) {
 
 // arenaKey serializes every machine-identity Config field into a
 // comparable string (Config itself holds a slice and a pointer, so it
-// cannot be a map key directly). NetCfg is deliberately omitted: network
-// timing is mutable on a built machine (ReconfigureNetwork), so configs
-// differing only there share one arena slot. Call on a config that
-// already has defaults applied, so equivalent zero-value and explicit
-// configs share one machine.
+// cannot be a map key directly). Call on a config that already has
+// defaults applied, so equivalent zero-value and explicit configs share
+// one machine.
 func (c Config) arenaKey() string {
 	var b strings.Builder
 	b.Grow(96)
@@ -77,6 +67,7 @@ func (c Config) arenaKey() string {
 		b.WriteByte(',')
 	}
 	w(uint64(c.Nodes))
+	w(uint64(c.Flight))
 	w(c.MaxEvents)
 	w(uint64(c.CacheCapacity))
 	var flags uint64

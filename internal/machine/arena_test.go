@@ -108,17 +108,17 @@ func TestArenaRepeatedReuseStable(t *testing.T) {
 	}
 }
 
-// TestArenaReconfiguresNetwork pins the latency-sweep folding: configs
-// that differ only in network timing share one arena machine, which is
-// reconfigured in place per run and still produces results deep-equal to
-// a machine freshly built with that NetCfg — including when the sweep
-// revisits an earlier latency.
-func TestArenaReconfiguresNetwork(t *testing.T) {
+// TestArenaKeysFlight pins the latency sweep's use of the arena: the
+// flight latency is part of a machine's identity, so two flights occupy
+// two machines, and each run, revisits included, is deep-equal to a
+// machine freshly built with that flight.
+func TestArenaKeysFlight(t *testing.T) {
 	arena := NewArena()
 	progs := arenaProgs("pc", 4, 7)
-	for _, flight := range []sim.Cycle{20, 80, 320, 20} {
+	var results []*Result
+	for _, flight := range []sim.Cycle{80, 320, 80, 320} {
 		cfg := arenaCfg("swi")
-		cfg.NetCfg = network.Config{FlightLatency: flight, SendOccupancy: 20, RecvOccupancy: 20}
+		cfg.Flight = flight
 		fresh, err := New(cfg).Run(progs)
 		if err != nil {
 			t.Fatalf("flight %d fresh: %v", flight, err)
@@ -128,17 +128,21 @@ func TestArenaReconfiguresNetwork(t *testing.T) {
 			t.Fatalf("flight %d arena: %v", flight, err)
 		}
 		if !reflect.DeepEqual(fresh, reused) {
-			t.Errorf("flight %d: reconfigured arena machine diverged from fresh build\nfresh:  %+v\nreused: %+v",
+			t.Errorf("flight %d: arena machine diverged from fresh build\nfresh:  %+v\nreused: %+v",
 				flight, fresh, reused)
 		}
+		results = append(results, reused)
 	}
-	if n := arena.Machines(); n != 1 {
-		t.Errorf("arena holds %d machines, want 1 (NetCfg must not split the key)", n)
+	if results[0].Cycles == results[1].Cycles {
+		t.Errorf("flights 80 and 320 both ran %d cycles; the flight must retime the run", results[0].Cycles)
+	}
+	if n := arena.Machines(); n != 2 {
+		t.Errorf("arena holds %d machines, want 2 (one per flight)", n)
 	}
 }
 
 // TestFixedLatenciesFitNearWheel asserts the model's fixed scheduling
-// delays — node timing, default and RTL-sweep network configs, barrier
+// delays — node timing, the default and RTL-sweep network flights, barrier
 // and lock hand-off — all land on the kernel's O(1) near wheel. If a new
 // latency outgrows sim.WheelSpan the simulator stays correct (the
 // overflow heap absorbs it) but the hot path silently slows; this guard
@@ -156,8 +160,8 @@ func TestFixedLatenciesFitNearWheel(t *testing.T) {
 		"LocalHop":     protocol.LocalHop,
 		"BarrierExit":  barrierExit,
 		"LockTransfer": lockTransfer,
-		"MinLatency":   cfg.NetCfg.SendOccupancy + cfg.NetCfg.FlightLatency + cfg.NetCfg.RecvOccupancy,
-		"RTLFlightMax": 320 + cfg.NetCfg.SendOccupancy + cfg.NetCfg.RecvOccupancy,
+		"MinLatency":   network.SendOccupancy + cfg.Flight + network.RecvOccupancy,
+		"RTLFlightMax": network.SendOccupancy + 320 + network.RecvOccupancy,
 	}
 	for name, c := range lat {
 		if c >= sim.WheelSpan {

@@ -28,9 +28,8 @@
 // configuration shape: Arena.Run fetches or builds the machine for a
 // Config and replays each job through it, so an app×mode×seed matrix
 // pays construction once per distinct configuration per worker instead
-// of once per cell. Network timing is not part of a machine's identity —
-// Arena reconfigures the interconnect in place (ReconfigureNetwork), so
-// a latency sweep like RTLSweep shares one machine per mode across all
-// its sweep points. Arenas are single-goroutine; sweep.Run's worker-local
-// state is the intended carrier.
+// of once per cell. The flight latency is part of that shape, so a
+// latency sweep like RTLSweep builds one machine per mode and flight.
+// Arenas are single-goroutine; sweep.Run's worker-local state is the
+// intended carrier.
 package machine

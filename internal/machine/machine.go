@@ -106,8 +106,9 @@ func (s PredictorSpec) build(nodes int) *core.TwoLevel {
 type Config struct {
 	// Nodes is the machine size; the paper simulates 16.
 	Nodes int
-	// NetCfg defaults to Table 1 values when zero.
-	NetCfg network.Config
+	// Flight is the network flight latency in cycles (0 = Table 1's 80);
+	// the NI occupancies are network.SendOccupancy and RecvOccupancy.
+	Flight sim.Cycle
 	// Observers are passive predictor variants instantiated at every
 	// node's directory; their stats are summed machine-wide.
 	Observers []PredictorSpec
@@ -133,8 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 16
 	}
-	if c.NetCfg == (network.Config{}) {
-		c.NetCfg = network.DefaultConfig()
+	if c.Flight == 0 {
+		c.Flight = 80
 	}
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 2_000_000_000
@@ -251,7 +252,7 @@ func New(cfg Config) *Machine {
 			opts[i].Active = preds[len(obs)]
 		}
 	}
-	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.NetCfg, opts)
+	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.Flight, opts)
 	if cfg.DisableCoherenceCheck {
 		m.sys.SetCoherenceChecking(false)
 	}
@@ -306,16 +307,6 @@ func (m *Machine) Reset() {
 	m.running = 0
 }
 
-// ReconfigureNetwork swaps the machine's interconnect timing in place, so
-// an arena can replay one built machine across sweep points that differ
-// only in network configuration (the RTL sweep's flight-latency axis).
-// Call between runs, next to Reset; the machine then behaves exactly like
-// one freshly built with the new NetCfg.
-func (m *Machine) ReconfigureNetwork(cfg network.Config) {
-	m.cfg.NetCfg = cfg
-	m.sys.ReconfigureNetwork(cfg)
-}
-
 // Run executes one program per node to completion and returns the
 // aggregated result. It errors if programs deadlock (unbalanced barriers,
 // abandoned locks) or the event guard trips. Run may be called again on
@@ -337,8 +328,10 @@ func (m *Machine) Run(programs []Program) (*Result, error) {
 		m.running++
 		m.kernel.At(0, p.stepFn)
 	}
+	// Only a run its budget cut short has events left; one that ends in
+	// exactly MaxEvents events completed.
 	executed := m.kernel.Run(m.cfg.MaxEvents)
-	if executed >= m.cfg.MaxEvents {
+	if m.kernel.Pending() > 0 {
 		return nil, fmt.Errorf("machine: event guard tripped at %d events", executed)
 	}
 	for _, p := range m.procs {

@@ -289,12 +289,21 @@ func TestResultAggregates(t *testing.T) {
 	}
 }
 
+// TestEventGuard pins the guard on both sides of its boundary. The
+// program of 100 zero-cycle compute ops takes 101 events (one per op and
+// one to finish): a smaller budget trips the guard, and a run that
+// finishes in exactly MaxEvents events completed and is no runaway.
 func TestEventGuard(t *testing.T) {
-	m := New(Config{Nodes: 1, MaxEvents: 10})
-	_, err := m.Run([]Program{make(Program, 100, 100)})
-	// 100 zero-cycle compute ops exceed the 10-event guard... each op is
-	// one event, so expect the guard error.
-	if err == nil {
-		t.Fatal("expected event-guard error")
+	prog := []Program{make(Program, 100, 100)}
+	for _, budget := range []uint64{10, 100, 101} {
+		r, err := New(Config{Nodes: 1, MaxEvents: budget}).Run(prog)
+		switch {
+		case budget < 101 && err == nil:
+			t.Errorf("budget %d: expected event-guard error", budget)
+		case budget == 101 && err != nil:
+			t.Errorf("budget %d: run within its exact event budget: %v", budget, err)
+		case budget == 101 && r.Events != 101:
+			t.Errorf("budget %d: run took %d events, want 101", budget, r.Events)
+		}
 	}
 }

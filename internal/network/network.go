@@ -7,22 +7,14 @@ import (
 	"specdsm/internal/sim"
 )
 
-// Config holds the interconnect timing parameters, in processor cycles.
-type Config struct {
-	// FlightLatency is the switch traversal time for any src→dst pair.
-	FlightLatency sim.Cycle
-	// SendOccupancy is how long a message occupies the sender NI.
-	SendOccupancy sim.Cycle
-	// RecvOccupancy is how long a message occupies the receiver NI.
-	RecvOccupancy sim.Cycle
-}
-
-// DefaultConfig matches Table 1 of the paper: an 80-cycle network with
-// NI processing calibrated so a clean two-hop remote miss totals 418
-// cycles (see internal/machine for the full latency budget).
-func DefaultConfig() Config {
-	return Config{FlightLatency: 80, SendOccupancy: 20, RecvOccupancy: 20}
-}
+// SendOccupancy and RecvOccupancy are how long a message occupies the
+// sender and the receiver NI, in processor cycles. With Table 1's 80-cycle
+// flight they calibrate a clean two-hop remote miss to 418 cycles (see
+// internal/machine for the full latency budget).
+const (
+	SendOccupancy sim.Cycle = 20
+	RecvOccupancy sim.Cycle = 20
+)
 
 // Handler consumes a delivered message at a node.
 type Handler[T any] func(src mem.NodeID, payload T)
@@ -49,7 +41,7 @@ func (m *inflight[T]) onArrive() {
 		nw.recvQueueCycles += nw.recvFree[m.dst] - begin
 		begin = nw.recvFree[m.dst]
 	}
-	ready := begin + nw.cfg.RecvOccupancy
+	ready := begin + RecvOccupancy
 	nw.recvFree[m.dst] = ready
 	nw.kernel.At(ready, m.deliver)
 }
@@ -72,7 +64,7 @@ func (m *inflight[T]) onDeliver() {
 
 // Network connects n nodes through the simulated fabric.
 type Network[T any] struct {
-	cfg      Config
+	flight   sim.Cycle // switch traversal time for any src→dst pair
 	kernel   *sim.Kernel
 	handlers []Handler[T]
 	sendFree []sim.Cycle // next cycle each sender NI is free
@@ -88,13 +80,14 @@ type Network[T any] struct {
 	recvQueueCycles sim.Cycle
 }
 
-// New creates a network for nodes 0..n-1 on the given kernel.
-func New[T any](k *sim.Kernel, n int, cfg Config) *Network[T] {
+// New creates a network for nodes 0..n-1 on the given kernel, with the
+// given flight latency in processor cycles.
+func New[T any](k *sim.Kernel, n int, flight sim.Cycle) *Network[T] {
 	if n <= 0 || n > mem.MaxNodes {
 		panic(fmt.Sprintf("network: invalid node count %d", n))
 	}
 	return &Network[T]{
-		cfg:      cfg,
+		flight:   flight,
 		kernel:   k,
 		handlers: make([]Handler[T], n),
 		sendFree: make([]sim.Cycle, n),
@@ -134,16 +127,16 @@ func (nw *Network[T]) Send(src, dst mem.NodeID, payload T) {
 		nw.sendQueueCycles += nw.sendFree[int(src)] - start
 		start = nw.sendFree[int(src)]
 	}
-	done := start + nw.cfg.SendOccupancy
+	done := start + SendOccupancy
 	nw.sendFree[int(src)] = done
 	nw.sent++
 
 	m := nw.get(src, dst, payload, true)
 	// Occupancy + flight are fixed small latencies chosen to fit the
-	// kernel's near wheel (sim.WheelSpan covers every Config this repo
+	// kernel's near wheel (sim.WheelSpan covers every flight this repo
 	// sweeps), so arrival scheduling is O(1); only a deep send-queue
 	// backlog can push an arrival out to the overflow heap.
-	nw.kernel.At(done+nw.cfg.FlightLatency, m.arrive)
+	nw.kernel.At(done+nw.flight, m.arrive)
 }
 
 // DeliverLocal hands payload to dst's handler after delay, bypassing the
@@ -156,15 +149,6 @@ func (nw *Network[T]) DeliverLocal(src, dst mem.NodeID, delay sim.Cycle, payload
 	// this schedules on the kernel's near wheel in O(1) — zero delay goes
 	// straight to the same-cycle dispatch ring.
 	nw.kernel.After(delay, m.deliver)
-}
-
-// Reconfigure replaces the interconnect timing parameters of a built
-// network, so one machine can be re-armed across sweep points that vary
-// only the fabric (the RTL sweep's flight-latency axis). Call only on a
-// quiescent network (no messages in flight), typically next to Reset;
-// subsequent sends price at the new configuration.
-func (nw *Network[T]) Reconfigure(cfg Config) {
-	nw.cfg = cfg
 }
 
 // Reset re-arms the network for a fresh run on a reset kernel: NI
@@ -197,9 +181,4 @@ func (nw *Network[T]) Stats() Stats {
 		SendQueueCycles: nw.sendQueueCycles,
 		RecvQueueCycles: nw.recvQueueCycles,
 	}
-}
-
-// MinLatency returns the no-contention latency from send to delivery.
-func (nw *Network[T]) MinLatency() sim.Cycle {
-	return nw.cfg.SendOccupancy + nw.cfg.FlightLatency + nw.cfg.RecvOccupancy
 }

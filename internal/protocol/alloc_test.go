@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"specdsm/internal/mem"
-	"specdsm/internal/network"
 	"specdsm/internal/sim"
 )
 
@@ -21,7 +20,7 @@ func newAllocHarness(n int, opts ...Options) *allocHarness {
 	k := sim.NewKernel()
 	return &allocHarness{
 		k:    k,
-		sys:  NewSystem(k, n, network.DefaultConfig(), opts),
+		sys:  NewSystem(k, n, tableFlight, opts),
 		noop: func(AccessOutcome) {},
 	}
 }

@@ -281,19 +281,8 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 	// produces no coherence message (so it is invisible to predictors).
 	if home == c.n.id {
 		if version, ok := c.n.dir.tryLocalFastPath(addr, isWrite); ok {
-			nli := c.lineIdx(addr)
-			c.install(nli)
-			h := &c.hot[nli]
-			h.state = lineShared
-			h.flags &^= lfSpec | lfReferenced | lfWritten
-			if isWrite {
-				h.state = lineExclusive
-				h.flags |= lfWritten
-			}
-			h.version = version
-			c.touch(h)
+			c.fill(c.lineIdx(addr), addr, version, isWrite, isWrite)
 			c.stats.LocalAccesses++
-			c.checkObserved(nli, addr, version)
 			c.doneAfter(LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: LocalMem})
 			return
 		}
@@ -398,26 +387,31 @@ func (c *cache) handleRecall(m Msg) {
 	c.n.sys.routeAfter(CacheAccess, c.n.id, m.Addr.Home(), wb)
 }
 
+// fill installs a demand copy of addr in line li at version v, exclusive
+// or shared, and marked written when the access that fetched it stores.
+func (c *cache) fill(li int32, addr mem.BlockAddr, v uint64, excl, written bool) {
+	c.install(li)
+	h := &c.hot[li]
+	h.state = lineShared
+	if excl {
+		h.state = lineExclusive
+	}
+	h.version = v
+	h.flags &^= lfSpec | lfReferenced | lfWritten
+	if written {
+		h.flags |= lfWritten
+	}
+	c.touch(h)
+	c.checkObserved(li, addr, v)
+}
+
 func (c *cache) handleData(m Msg) {
 	li, found := c.lookupIdx(m.Addr)
 	if !found || c.hot[li].flags&lfHasPend == 0 {
 		panic(fmt.Sprintf("protocol: unsolicited data for %v at node %d", m.Addr, c.n.id))
 	}
 	p := c.clearPend(li)
-	c.install(li)
-	h := &c.hot[li]
-	h.version = m.Version
-	h.flags &^= lfSpec | lfReferenced | lfWritten
-	if p.isWrite {
-		h.flags |= lfWritten
-	}
-	if m.Excl {
-		h.state = lineExclusive
-	} else {
-		h.state = lineShared
-	}
-	c.touch(h)
-	c.checkObserved(li, m.Addr, m.Version)
+	c.fill(li, m.Addr, m.Version, m.Excl, p.isWrite)
 	if p.invalOnFill {
 		// The invalidation that raced with our fill applies now: the data
 		// satisfies the ordered-earlier access exactly once.

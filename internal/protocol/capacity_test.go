@@ -6,7 +6,6 @@ import (
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
-	"specdsm/internal/network"
 	"specdsm/internal/sim"
 )
 
@@ -22,7 +21,7 @@ func capacityHarness(t *testing.T, nodes, capacity int, fr, swi bool) *harness {
 		}
 	}
 	k := sim.NewKernel()
-	sys := NewSystem(k, nodes, network.DefaultConfig(), opts)
+	sys := NewSystem(k, nodes, tableFlight, opts)
 	return &harness{t: t, k: k, sys: sys}
 }
 

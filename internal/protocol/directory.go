@@ -50,6 +50,8 @@ const (
 // Transactions are pooled per directory (startTrans/endTrans): an entry
 // begins and ends thousands of transactions over a run, and recycling the
 // carrier is what keeps the serve path allocation-free in steady state.
+// A transGrant carrier is also the deferred grant's kernel event: d and
+// run are bound once when the carrier is created and survive recycling.
 type trans struct {
 	kind         transKind
 	requester    mem.NodeID
@@ -62,6 +64,12 @@ type trans struct {
 	swiVerify   core.SWIGuard
 	swiVerifyOn bool
 	sawSpecRef  bool
+	// A grant fires run, which completes the grant on entry ei of
+	// directory d and then, with forward, runs speculative forwarding.
+	forward bool
+	ei      int32
+	d       *directory
+	run     func()
 }
 
 // queuedReq is a waiting request packed into one word — request kind in
@@ -207,38 +215,6 @@ type inMsg struct {
 	msg Msg
 }
 
-// grantEvent is a pooled deferred grant: after the home memory access it
-// optionally sends a data grant, optionally runs speculative read
-// forwarding, and always finishes the entry's transaction. It replaces
-// the per-grant closures that previously dominated directory-side
-// allocation. The entry is referenced by its stable dense-slice index
-// (ei), never by pointer: the entries slice may grow between scheduling
-// and firing, and indices survive that growth.
-type grantEvent struct {
-	d         *directory
-	addr      mem.BlockAddr
-	ei        int32
-	dst       mem.NodeID
-	msg       Msg
-	sendData  bool
-	doFR      bool          // run specForward after the send
-	frExclude mem.ReaderVec // nodes excluded from the forward
-	frSWI     bool          // forward was triggered by SWI (stats)
-	run       func()
-}
-
-func (g *grantEvent) fire() {
-	d, addr, ei := g.d, g.addr, g.ei
-	if g.sendData {
-		d.n.sys.route(d.n.id, g.dst, g.msg)
-	}
-	if g.doFR {
-		d.specForward(addr, ei, g.frExclude, g.frSWI)
-	}
-	d.grantPool.Put(g)
-	d.finish(addr, ei)
-}
-
 // directory is the home-side controller of one node. Per-block state
 // lives inline in the parallel hot/cold slices; table maps a home block
 // to its stable index (entries are created on first touch and never
@@ -260,7 +236,6 @@ type directory struct {
 	inq         []inMsg
 	inqHead     int
 	processNext func()
-	grantPool   sim.FreeList[grantEvent]
 	transPool   sim.FreeList[trans]
 }
 
@@ -307,9 +282,9 @@ func (d *directory) entryIdx(addr mem.BlockAddr) int32 {
 // hot/cold slices, input queue, occupancy horizon, and counters clear,
 // retaining all storage — including each retired entry's waitq and
 // specPending backing arrays, which entryIdx re-adopts when the slot is
-// reused. The grant and transaction pools are kept. Entries must be
-// quiescent (no live transaction, empty waitq), which a completed run
-// guarantees via CheckQuiescent.
+// reused. The transaction pool is kept. Entries must be quiescent (no
+// live transaction, empty waitq), which a completed run guarantees via
+// CheckQuiescent.
 func (d *directory) reset() {
 	d.table.Reset()
 	clear(d.hot)
@@ -334,14 +309,18 @@ func (d *directory) lookupIdx(addr mem.BlockAddr) (int32, bool) {
 	return d.table.Get(addr)
 }
 
-// startTrans begins a transaction on entry h, recycling a pooled carrier.
-func (d *directory) startTrans(h *dirHot, t trans) {
+// startTrans begins a transaction on entry h, recycling a pooled carrier,
+// and returns it.
+func (d *directory) startTrans(h *dirHot, t trans) *trans {
 	tr, ok := d.transPool.Get()
 	if !ok {
-		tr = &trans{}
+		tr = &trans{d: d}
+		tr.run = tr.fireGrant
 	}
+	t.d, t.run = tr.d, tr.run
 	*tr = t
 	h.tr = tr
+	return tr
 }
 
 // endTrans clears entry h's transaction and recycles the carrier. The
@@ -349,10 +328,37 @@ func (d *directory) startTrans(h *dirHot, t trans) {
 // storage.
 func (d *directory) endTrans(h *dirHot) {
 	if tr := h.tr; tr != nil {
-		*tr = trans{}
+		*tr = trans{d: tr.d, run: tr.run}
 		d.transPool.Put(tr)
 		h.tr = nil
 	}
+}
+
+// grant starts entry ei's grant transaction: after the home memory
+// access, fireGrant sends requester the data and, with forward, runs
+// speculative read forwarding. requester mem.NoNode is the forward-only
+// grant that follows an SWI writeback.
+func (d *directory) grant(ei int32, requester mem.NodeID, forward bool) {
+	tr := d.startTrans(&d.hot[ei], trans{kind: transGrant, requester: requester, forward: forward, ei: ei})
+	d.n.sys.kernel.After(MemAccess, tr.run)
+}
+
+// fireGrant completes a grant transaction. The data message is built
+// from the entry now: the entry has been busy since grant started it, so
+// its state and version are the ones the grant made.
+func (tr *trans) fireGrant() {
+	d, ei, req := tr.d, tr.ei, tr.requester
+	h := &d.hot[ei]
+	addr := d.cold[ei].addr
+	var exclude mem.ReaderVec
+	if req != mem.NoNode {
+		d.n.sys.route(d.n.id, req, Msg{Kind: MsgData, Addr: addr, Version: h.version, Excl: h.state == dirExclusive})
+		exclude = mem.VecOf(req)
+	}
+	if tr.forward {
+		d.specForward(addr, ei, exclude, req == mem.NoNode)
+	}
+	d.finish(addr, ei)
 }
 
 // deliver enqueues a directory-bound message behind the directory's
@@ -444,18 +450,11 @@ func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.Bl
 // request served after an SWI completes. The watch bit lives in the hot
 // flags so unwatched entries (the common case) never read the cold guard.
 func (d *directory) checkSWIWatch(ei int32, kind mem.ReqKind, src mem.NodeID) (verify core.SWIGuard, verifyOn bool) {
-	h := &d.hot[ei]
-	if h.flags&dfSWIWatch == 0 {
-		return core.SWIGuard{}, false
-	}
-	h.flags &^= dfSWIWatch
-	c := &d.cold[ei]
-	guard := c.swiGuard
-	c.swiGuard = core.SWIGuard{}
-	if src != c.swiOwner {
+	guard, owner, ok := d.takeSWIWatch(ei)
+	if !ok || src != owner {
 		return core.SWIGuard{}, false // a consumer intervened: SWI succeeded
 	}
-	if kind == mem.ReqRead || h.flags&dfHasSpec == 0 {
+	if kind == mem.ReqRead || d.hot[ei].flags&dfHasSpec == 0 {
 		// The producer wants the block back before anyone consumed it.
 		d.premature(guard)
 		return core.SWIGuard{}, false
@@ -464,6 +463,21 @@ func (d *directory) checkSWIWatch(ei int32, kind mem.ReqKind, src mem.NodeID) (v
 	// outstanding: defer the verdict to the invalidation acks — if no
 	// consumer referenced its copy, the SWI was premature.
 	return guard, true
+}
+
+// takeSWIWatch clears entry ei's premature-invalidation watch, returning
+// its guard and the node whose SWI writeback set it; ok is false when no
+// watch is set.
+func (d *directory) takeSWIWatch(ei int32) (guard core.SWIGuard, owner mem.NodeID, ok bool) {
+	h := &d.hot[ei]
+	if h.flags&dfSWIWatch == 0 {
+		return core.SWIGuard{}, mem.NoNode, false
+	}
+	h.flags &^= dfSWIWatch
+	c := &d.cold[ei]
+	guard = c.swiGuard
+	c.swiGuard = core.SWIGuard{}
+	return guard, c.swiOwner, true
 }
 
 func (d *directory) premature(guard core.SWIGuard) {
@@ -485,20 +499,6 @@ func (d *directory) serve(addr mem.BlockAddr, ei int32, kind mem.ReqKind, src me
 	}
 }
 
-// grantAfter schedules a pooled grantEvent after the given delay.
-func (d *directory) grantAfter(delay sim.Cycle, g grantEvent) {
-	ev, ok := d.grantPool.Get()
-	if !ok {
-		ev = &grantEvent{}
-		ev.run = ev.fire
-	}
-	run := ev.run
-	*ev = g
-	ev.run = run
-	ev.d = d
-	d.n.sys.kernel.After(delay, ev.run)
-}
-
 func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 	h := &d.hot[ei]
 	switch h.state {
@@ -514,16 +514,7 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 		}
 		h.state = dirShared
 		h.sharers = h.sharers.With(src)
-		d.startTrans(h, trans{kind: transGrant, requester: src})
-		d.grantAfter(MemAccess, grantEvent{
-			addr:      addr,
-			ei:        ei,
-			dst:       src,
-			msg:       Msg{Kind: MsgData, Addr: addr, Version: h.version},
-			sendData:  true,
-			doFR:      phaseStart && d.n.opts.EnableFR,
-			frExclude: mem.VecOf(src),
-		})
+		d.grant(ei, src, phaseStart && d.n.opts.EnableFR)
 	case dirExclusive:
 		if h.owner == src {
 			panic(fmt.Sprintf("protocol: owner %d re-reading %v", src, addr))
@@ -589,28 +580,27 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 // otherwise data is supplied after a memory access, with the entry held
 // busy until the grant is on the wire.
 func (d *directory) grantExclusive(addr mem.BlockAddr, ei int32, src mem.NodeID, kind mem.ReqKind, viaUpgradeAck bool) {
-	h := &d.hot[ei]
-	d.endTrans(h)
-	h.version++
-	h.state = dirExclusive
-	h.owner = src
-	h.sharers = mem.ReaderVec{}
-	v := h.version
-	d.noteVersion(ei, addr, v)
+	d.endTrans(&d.hot[ei])
+	v := d.own(addr, ei, src)
 	if viaUpgradeAck {
 		d.stats.UpgradeGrants++
 		d.n.sys.route(d.n.id, src, Msg{Kind: MsgUpgradeAck, Addr: addr, Version: v})
 		d.finish(addr, ei)
 		return
 	}
-	d.startTrans(h, trans{kind: transGrant, requester: src})
-	d.grantAfter(MemAccess, grantEvent{
-		addr:     addr,
-		ei:       ei,
-		dst:      src,
-		msg:      Msg{Kind: MsgData, Addr: addr, Version: v, Excl: true},
-		sendData: true,
-	})
+	d.grant(ei, src, false)
+}
+
+// own makes node the exclusive owner of entry ei at a new version and
+// returns that version.
+func (d *directory) own(addr mem.BlockAddr, ei int32, node mem.NodeID) uint64 {
+	h := &d.hot[ei]
+	h.version++
+	h.state = dirExclusive
+	h.owner = node
+	h.sharers = mem.ReaderVec{}
+	d.noteVersion(ei, addr, h.version)
+	return h.version
 }
 
 // finish clears the entry's transaction and serves queued requests until
@@ -670,36 +660,18 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 	d.observe(m.Addr, ei, core.MsgWriteback, src)
 	h := &d.hot[ei]
 	d.stats.Writebacks++
-	if h.tr == nil {
-		// Only a capacity eviction may write back unsolicited; it retires
-		// the ownership in place. (If a recall is outstanding, the
-		// voluntary writeback instead falls through and serves as that
-		// recall's response — the crossing recall is ignored at the
-		// cache.)
-		if !m.Voluntary {
-			panic(fmt.Sprintf("protocol: unsolicited writeback for %v from %d", m.Addr, src))
-		}
-		if h.state != dirExclusive || h.owner != src {
-			panic(fmt.Sprintf("protocol: voluntary writeback for %v from %d but directory says %v owner %d",
-				m.Addr, src, h.state, h.owner))
-		}
-		if m.Version != h.version {
-			panic(fmt.Sprintf("protocol: voluntary writeback version %d != directory %d for %v",
-				m.Version, h.version, m.Addr))
-		}
-		if h.flags&dfSpecUpgraded != 0 {
-			if !m.Written {
-				d.stats.SpecUpgradeMisfires++
-			}
-			h.flags &^= dfSpecUpgraded
-		}
-		h.state = dirIdle
-		h.owner = mem.NoNode
-		h.sharers = mem.ReaderVec{}
-		return
+	// A writeback answers the entry's outstanding recall, or it comes
+	// from a capacity eviction (Voluntary) and retires the ownership of a
+	// quiescent entry in place. A voluntary writeback that crosses a
+	// recall answers it; the cache ignores the crossing recall.
+	tr := h.tr
+	recall := tr != nil && (tr.kind == transReadRecall || tr.kind == transWriteRecall || tr.kind == transSWI)
+	if !recall && (tr != nil || !m.Voluntary) {
+		panic(fmt.Sprintf("protocol: unsolicited writeback for %v from %d", m.Addr, src))
 	}
-	if h.owner != src {
-		panic(fmt.Sprintf("protocol: writeback for %v from non-owner %d", m.Addr, src))
+	if h.state != dirExclusive || h.owner != src {
+		panic(fmt.Sprintf("protocol: writeback for %v from %d but directory says %v owner %d",
+			m.Addr, src, h.state, h.owner))
 	}
 	if m.Version != h.version {
 		panic(fmt.Sprintf("protocol: writeback version %d != directory %d for %v", m.Version, h.version, m.Addr))
@@ -710,55 +682,26 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		}
 		h.flags &^= dfSpecUpgraded
 	}
+	h.state = dirIdle
 	h.owner = mem.NoNode
-
-	switch h.tr.kind {
+	h.sharers = mem.ReaderVec{}
+	if tr == nil {
+		return
+	}
+	kind, req, reqKind := tr.kind, tr.requester, tr.reqKind
+	d.endTrans(h)
+	switch kind {
 	case transReadRecall:
-		req := h.tr.requester
-		d.endTrans(h)
-		h.state = dirIdle
-		h.sharers = mem.ReaderVec{}
-		// Migratory sharing arrives through this recall path: if the
-		// predictor expects the reader to upgrade next, grant exclusively
-		// (speculative upgrade extension).
-		if d.specUpgradeApplies(m.Addr, ei, req) {
-			d.stats.SpecUpgrades++
-			h.flags |= dfSpecUpgraded
-			d.grantExclusive(m.Addr, ei, req, mem.ReqWrite, false)
-			return
-		}
-		h.state = dirShared
-		h.sharers = mem.VecOf(req)
-		d.startTrans(h, trans{kind: transGrant, requester: req})
-		d.grantAfter(MemAccess, grantEvent{
-			addr:      m.Addr,
-			ei:        ei,
-			dst:       req,
-			msg:       Msg{Kind: MsgData, Addr: m.Addr, Version: h.version},
-			sendData:  true,
-			doFR:      d.n.opts.EnableFR,
-			frExclude: mem.VecOf(req),
-		})
+		// The read is served against the now-Idle entry, so migratory
+		// sharing arriving through a recall can be granted exclusively
+		// (speculative upgrade extension) and a shared grant starts FR.
+		d.serveRead(m.Addr, ei, req)
 	case transWriteRecall:
-		req, reqKind := h.tr.requester, h.tr.reqKind
-		h.state = dirIdle
-		h.sharers = mem.ReaderVec{}
 		d.grantExclusive(m.Addr, ei, req, reqKind, false)
 	case transSWI:
-		d.endTrans(h)
-		h.state = dirIdle
-		h.sharers = mem.ReaderVec{}
 		h.flags |= dfSWIWatch
 		d.cold[ei].swiOwner = src
-		d.startTrans(h, trans{kind: transGrant})
-		d.grantAfter(MemAccess, grantEvent{
-			addr:  m.Addr,
-			ei:    ei,
-			doFR:  true,
-			frSWI: true,
-		})
-	default:
-		panic(fmt.Sprintf("protocol: writeback during %v transaction for %v", h.tr.kind, m.Addr))
+		d.grant(ei, mem.NoNode, true)
 	}
 }
 
@@ -772,45 +715,23 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 		return 0, false
 	}
 	self := d.n.id
-	if !isWrite {
-		if h.state == dirIdle || h.state == dirShared {
-			d.resolveLocalSWIWatch(ei)
-			h.state = dirShared
-			h.sharers = h.sharers.With(self)
-			return h.version, true
-		}
-		// state Exclusive: even owner==self is possible in finite-cache
-		// mode (the line was evicted and its voluntary writeback is still
-		// in flight); take the slow path, which queues behind it.
+	// An Exclusive entry takes the slow path, which queues behind the
+	// owner: even owner==self is possible in finite-cache mode (the line
+	// was evicted and its voluntary writeback is still in flight). A
+	// write also needs every other sharer gone (an Idle entry has none).
+	if h.state == dirExclusive || (isWrite && !h.sharers.Without(self).Empty()) {
 		return 0, false
 	}
-	soleLocal := h.state == dirIdle ||
-		(h.state == dirShared && h.sharers.Without(self).Empty())
-	if !soleLocal {
-		return 0, false
-	}
-	d.resolveLocalSWIWatch(ei)
-	h.version++
-	h.state = dirExclusive
-	h.owner = self
-	h.sharers = mem.ReaderVec{}
-	d.noteVersion(ei, addr, h.version)
-	return h.version, true
-}
-
-// resolveLocalSWIWatch applies the premature-invalidation watch to local
-// fast-path accesses: the home node's processor is itself the producer in
-// many sharing patterns, and its silent local re-access after an SWI is
-// exactly the "producer was not done" signal.
-func (d *directory) resolveLocalSWIWatch(ei int32) {
-	if d.hot[ei].flags&dfSWIWatch == 0 {
-		return
-	}
-	d.hot[ei].flags &^= dfSWIWatch
-	c := &d.cold[ei]
-	guard := c.swiGuard
-	c.swiGuard = core.SWIGuard{}
-	if d.n.id == c.swiOwner {
+	// The home node's processor is itself the producer in many sharing
+	// patterns, and its silent local re-access after an SWI is exactly
+	// the "producer was not done" signal.
+	if guard, owner, ok := d.takeSWIWatch(ei); ok && owner == self {
 		d.premature(guard)
 	}
+	if isWrite {
+		return d.own(addr, ei, self), true
+	}
+	h.state = dirShared
+	h.sharers = h.sharers.With(self)
+	return h.version, true
 }

@@ -65,9 +65,11 @@
 //     the previous value, so a protocol bug that corrupts one cannot hide
 //     itself. A check is one slice read and write at an index the caller
 //     already holds.
-//   - Directory transactions, grant events, completion callbacks, and
-//     delayed sends all ride pooled carriers (sim.FreeList) whose kernel
-//     closures are bound once per object.
+//   - Directory transactions, completion callbacks, and delayed sends
+//     all ride pooled carriers (sim.FreeList) whose kernel closures are
+//     bound once per object. A deferred grant is its entry's transaction
+//     carrier: the grant's event fires from it and builds the data
+//     message from the still-busy entry.
 //   - Transient per-block state (the outstanding miss, the
 //     eviction-writeback marker, speculative-copy tracking) is folded into
 //     the cold record and retired by clearing its hot flag, so no map

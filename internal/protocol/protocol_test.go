@@ -6,9 +6,11 @@ import (
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
-	"specdsm/internal/network"
 	"specdsm/internal/sim"
 )
+
+// tableFlight is Table 1's 80-cycle network flight latency.
+const tableFlight sim.Cycle = 80
 
 type harness struct {
 	t   *testing.T
@@ -19,7 +21,7 @@ type harness struct {
 func newHarness(t *testing.T, n int, opts ...Options) *harness {
 	t.Helper()
 	k := sim.NewKernel()
-	sys := NewSystem(k, n, network.DefaultConfig(), opts)
+	sys := NewSystem(k, n, tableFlight, opts)
 	return &harness{t: t, k: k, sys: sys}
 }
 
@@ -528,13 +530,16 @@ func TestRandomStressCoherence(t *testing.T) {
 }
 
 func TestPassiveObserversSeeIdenticalStreams(t *testing.T) {
-	// Attach Cosmos/MSP/VMSP as passive observers; their tracked counts
-	// must relate (Cosmos sees requests plus acks/writebacks).
+	// Attach Cosmos/MSP/VMSP as passive observers at the block's home;
+	// their tracked counts must relate (Cosmos sees requests plus
+	// acks/writebacks). A predictor is never shared between directories:
+	// their entry indices overlap.
 	cosmos := core.NewCosmos(1)
 	msp := core.NewMSP(1)
 	vmsp := core.NewVMSP(1)
-	opts := []Options{{Observers: []core.Predictor{cosmos, msp, vmsp}}}
-	h := newHarness(t, 4, opts[0], opts[0], opts[0], opts[0])
+	opts := make([]Options, 4)
+	opts[0].Observers = []core.Predictor{cosmos, msp, vmsp}
+	h := newHarness(t, 4, opts...)
 	addr := mem.MakeAddr(0, 0)
 	for i := 0; i < 5; i++ {
 		producerConsumerRound(h, addr)

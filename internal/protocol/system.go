@@ -103,28 +103,27 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 	s.kernel.After(delay, ev.run)
 }
 
-// NewSystem builds an n-node DSM on the given kernel. opts[i] configures
-// node i; a single-element opts slice applies to every node.
-func NewSystem(k *sim.Kernel, n int, netCfg network.Config, opts []Options) *System {
+// NewSystem builds an n-node DSM on the given kernel, with a network
+// flight latency of flight cycles. opts[i] configures node i; no opts builds
+// plain Base-DSM nodes. Options are never shared between nodes: each
+// directory indexes its predictors by its own entry indices (see
+// core.Predictor), so every node needs predictor instances of its own.
+func NewSystem(k *sim.Kernel, n int, flight sim.Cycle, opts []Options) *System {
 	if n <= 0 || n > mem.MaxNodes {
 		panic(fmt.Sprintf("protocol: invalid node count %d", n))
 	}
+	if len(opts) != 0 && len(opts) != n {
+		panic(fmt.Sprintf("protocol: %d options for %d nodes, want 0 or %d", len(opts), n, n))
+	}
 	s := &System{
 		kernel:       k,
-		net:          network.New[Msg](k, n, netCfg),
+		net:          network.New[Msg](k, n, flight),
 		checkEnabled: true,
 	}
 	for i := 0; i < n; i++ {
 		var o Options
-		switch {
-		case len(opts) == 1:
-			o = opts[0]
-		case len(opts) == n:
+		if len(opts) == n {
 			o = opts[i]
-		case len(opts) == 0:
-			// zero Options: plain Base-DSM node
-		default:
-			panic("protocol: opts must have length 0, 1, or n")
 		}
 		node := &Node{id: mem.NodeID(i), sys: s, opts: o}
 		node.cache = newCache(node)
@@ -152,13 +151,6 @@ func (s *System) Reset() {
 	}
 	s.net.Reset()
 	s.violations = s.violations[:0]
-}
-
-// ReconfigureNetwork swaps the interconnect timing of a built system, for
-// reuse across sweep points that vary only the fabric. Call only on a
-// quiescent system, alongside Reset.
-func (s *System) ReconfigureNetwork(cfg network.Config) {
-	s.net.Reconfigure(cfg)
 }
 
 // Node returns node id.

@@ -6,7 +6,6 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/machine"
 	"specdsm/internal/mem"
-	"specdsm/internal/network"
 	"specdsm/internal/sim"
 	"specdsm/internal/workload"
 )
@@ -290,14 +289,10 @@ func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) 
 	if opts.CacheCapacity < 0 {
 		return cfg, "", fmt.Errorf("specdsm: negative cache capacity %d", opts.CacheCapacity)
 	}
-	if opts.NetworkFlight != 0 {
-		if opts.NetworkFlight < 0 {
-			return cfg, "", fmt.Errorf("specdsm: negative network flight latency %d", opts.NetworkFlight)
-		}
-		nc := network.DefaultConfig()
-		nc.FlightLatency = sim.Cycle(opts.NetworkFlight)
-		cfg.NetCfg = nc
+	if opts.NetworkFlight < 0 {
+		return cfg, "", fmt.Errorf("specdsm: negative network flight latency %d", opts.NetworkFlight)
 	}
+	cfg.Flight = sim.Cycle(opts.NetworkFlight)
 	var specs []machine.PredictorSpec
 	for _, o := range opts.Observers {
 		k, err := o.Kind.kind()
