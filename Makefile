@@ -86,14 +86,18 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # loc tracks size next to speed: per package — the root, the simulator
-# layers (sim, network, core, protocol, machine, trace), the sweep and
-# remote layers,
-# and the CLI layer (both commands and internal/cli) —
+# layers (mem, sim, network, core, protocol, machine, trace), the
+# workload generators and the packages beside them (analytic, report,
+# fault, wire), the sweep and remote layers, and the CLI layer (every
+# command and internal/cli), so the all row counts every non-test Go
+# file outside examples/ and perfbench/ —
 # the code-only lines (non-blank, non-comment, outside _test.go files),
 # all lines of those files, and the exported-API line count
 # (`go doc -short`, 0 for a command).
 loc:
-	@for d in . internal/sim internal/network internal/core internal/protocol internal/machine internal/trace internal/sweep internal/remote cmd/paperrepro cmd/specdsm internal/cli; do \
+	@for d in . internal/mem internal/sim internal/network internal/core internal/protocol internal/machine internal/trace \
+		internal/workload internal/analytic internal/report internal/fault internal/wire internal/sweep internal/remote \
+		cmd/paperrepro cmd/specdsm cmd/sweepd cmd/traceeval cmd/benchcheck cmd/benchjson internal/cli; do \
 		ls $$d/*.go | grep -v '_test\.go$$' | xargs awk -v pkg=$$d -v api=$$($(GO) doc -short ./$$d | wc -l) \
 			'{ t = $$0; sub(/^[ \t]+/, "", t) } t != "" && substr(t, 1, 2) != "//" { code++ } \
 			END { printf "%-18s %5d code lines %5d total lines %4d API lines\n", pkg, code, NR, api }'; \

@@ -23,8 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -33,22 +31,16 @@ import (
 	"syscall"
 
 	"specdsm"
+	"specdsm/internal/cli"
 	"specdsm/internal/remote"
 )
 
 func main() {
 	spec, err := parseDaemon(os.Args[1:], os.Stderr)
 	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Exit("sweepd", cli.Usage(err))
 	}
-	if err := serve(spec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Exit("sweepd", serve(spec))
 }
 
 func serve(spec daemonSpec) error {

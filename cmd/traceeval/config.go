@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"specdsm"
+	"specdsm/internal/cli"
 )
 
 // options is the fully parsed and validated CLI configuration. Every
@@ -57,12 +58,12 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 }
 
 func parseKinds(csv string) ([]specdsm.PredictorKind, error) {
+	list, err := cli.SplitList("traceeval", "-kinds", csv)
+	if err != nil {
+		return nil, err
+	}
 	var out []specdsm.PredictorKind
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			return nil, fmt.Errorf("traceeval: empty entry in -kinds %q", csv)
-		}
+	for _, s := range list {
 		k, ok := kindByName(s)
 		if !ok {
 			return nil, fmt.Errorf("traceeval: unknown predictor kind %q (have %s)", s, kindList(", "))
@@ -73,12 +74,12 @@ func parseKinds(csv string) ([]specdsm.PredictorKind, error) {
 }
 
 func parseDepths(csv string) ([]int, error) {
+	list, err := cli.SplitList("traceeval", "-depths", csv)
+	if err != nil {
+		return nil, err
+	}
 	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			return nil, fmt.Errorf("traceeval: empty entry in -depths %q", csv)
-		}
+	for _, s := range list {
 		d, err := strconv.Atoi(s)
 		if err != nil {
 			return nil, fmt.Errorf("traceeval: bad depth %q (want an integer in [1,%d])", s, specdsm.MaxDepth)

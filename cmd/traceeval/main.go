@@ -14,28 +14,20 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"specdsm"
+	"specdsm/internal/cli"
 )
 
 func main() {
 	o, err := parseOptions(os.Args[1:], os.Stderr)
 	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Exit("traceeval", cli.Usage(err))
 	}
-	if err := run(o, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Exit("traceeval", run(o, os.Stdout))
 }
 
 // run evaluates the configured predictors on the trace and writes the

@@ -1,7 +1,7 @@
-// Package cli is the command-line front end paperrepro and specdsm
-// share: the eight sweep flags bound straight into a specdsm.StudyConfig
-// and checked once, the comma-list splitter, and the exit-status
-// mapping.
+// Package cli is the command-line front end the commands share: the
+// eight sweep flags paperrepro and specdsm bind straight into a
+// specdsm.StudyConfig and check once, and, for every command, the
+// comma-list splitter and the exit-status mapping.
 package cli
 
 import (

@@ -72,8 +72,6 @@ type Census struct {
 	Blocks int
 	// Entries counts pattern-table entries across all blocks.
 	Entries int
-	// HistoryDepth is the predictor's configured depth.
-	HistoryDepth int
 }
 
 // EntriesPerBlock is the average number of pattern-table entries per

@@ -608,9 +608,8 @@ func (p *TwoLevel) RetractReader(bi int32, n mem.NodeID) {
 // Census returns pattern-table occupancy for storage accounting.
 func (p *TwoLevel) Census() Census {
 	return Census{
-		HistoryDepth: p.depth,
-		Blocks:       p.liveBlocks,
-		Entries:      p.store.len(),
+		Blocks:  p.liveBlocks,
+		Entries: p.store.len(),
 	}
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -145,20 +144,19 @@ func (c Config) withDefaults() Config {
 
 // ProcStats is the per-processor time breakdown. Figure 9 reports two
 // buckets: computation (Compute+Sync) and remote-request waiting (ReqWait).
+// The processor is the one counter of access classes: every read and
+// write it issues completes as exactly one of Hits, SpecHits, Locals and
+// Remotes (the cache reports the class and keeps no count of its own).
 type ProcStats struct {
 	Compute  sim.Cycle // compute ops, cache hits, local memory accesses
 	Sync     sim.Cycle // barrier and lock waiting
 	ReqWait  sim.Cycle // coherence-transaction waiting
 	Finish   sim.Cycle
-	Accesses uint64
 	Hits     uint64
 	SpecHits uint64
 	Locals   uint64
 	Remotes  uint64
 }
-
-// Busy is the Figure 9 "computation" bucket.
-func (p ProcStats) Busy() sim.Cycle { return p.Compute + p.Sync }
 
 // Result aggregates one run.
 type Result struct {
@@ -190,16 +188,6 @@ type PredictorResult struct {
 	Census core.Census
 }
 
-// RequestShare is the fraction of aggregate processor time spent waiting
-// on coherence transactions (the dark bar segment of Figure 9).
-func (r *Result) RequestShare() float64 {
-	total := r.TotalCompute + r.TotalSync + r.TotalReqWait
-	if total == 0 {
-		return 0
-	}
-	return float64(r.TotalReqWait) / float64(total)
-}
-
 // Machine is one ready-to-run simulated CC-NUMA.
 type Machine struct {
 	cfg    Config
@@ -207,12 +195,12 @@ type Machine struct {
 	sys    *protocol.System
 	// specs lists the attached predictors (Config.Observers, then
 	// Config.Active) and preds their instances, [node][spec index].
-	specs    []PredictorSpec
-	preds    [][]*core.TwoLevel
-	procs    []*proc
-	barriers map[int]*barrier
-	locks    map[int]*lock
-	running  int
+	specs   []PredictorSpec
+	preds   [][]*core.TwoLevel
+	procs   []*proc
+	barrier barrier
+	locks   map[int]*lock
+	running int
 }
 
 // New builds a machine from cfg.
@@ -220,11 +208,11 @@ func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	k := sim.NewKernel()
 	m := &Machine{
-		cfg:      cfg,
-		kernel:   k,
-		barriers: make(map[int]*barrier),
-		locks:    make(map[int]*lock),
+		cfg:    cfg,
+		kernel: k,
+		locks:  make(map[int]*lock),
 	}
+	m.barrier.m = m
 	m.specs = cfg.Observers
 	if cfg.Active != nil {
 		m.specs = append(slices.Clip(m.specs), *cfg.Active)
@@ -296,9 +284,7 @@ func (m *Machine) Reset() {
 			p.Reset()
 		}
 	}
-	for _, b := range m.barriers {
-		b.waiters = b.waiters[:0]
-	}
+	m.barrier.waiters = m.barrier.waiters[:0]
 	for _, l := range m.locks {
 		l.held = false
 		l.owner = 0
@@ -376,7 +362,6 @@ func (m *Machine) collect(events uint64) *Result {
 			Sync:     p.sync,
 			ReqWait:  p.reqWait,
 			Finish:   p.finishTime,
-			Accesses: p.accesses,
 			Hits:     p.hits,
 			SpecHits: p.specHits,
 			Locals:   p.locals,
@@ -414,7 +399,6 @@ func addStats(a, b core.Stats) core.Stats {
 func addCensus(a, b core.Census) core.Census {
 	a.Blocks += b.Blocks
 	a.Entries += b.Entries
-	a.HistoryDepth = b.HistoryDepth
 	return a
 }
 
@@ -423,10 +407,7 @@ func addDirStats(dst *protocol.DirStats, s protocol.DirStats) {
 	dst.Writes += s.Writes
 	dst.Upgrades += s.Upgrades
 	dst.InvalsSent += s.InvalsSent
-	dst.RecallsSent += s.RecallsSent
 	dst.AcksReceived += s.AcksReceived
-	dst.Writebacks += s.Writebacks
-	dst.QueuedReqs += s.QueuedReqs
 	dst.UpgradeGrants += s.UpgradeGrants
 	dst.SpecReadsFR += s.SpecReadsFR
 	dst.SpecReadsSWI += s.SpecReadsSWI
@@ -438,20 +419,8 @@ func addDirStats(dst *protocol.DirStats, s protocol.DirStats) {
 }
 
 func addCacheStats(dst *protocol.CacheStats, s protocol.CacheStats) {
-	dst.Hits += s.Hits
-	dst.SpecHits += s.SpecHits
-	dst.LocalAccesses += s.LocalAccesses
-	dst.ProtocolReads += s.ProtocolReads
-	dst.ProtocolWrites += s.ProtocolWrites
-	dst.InvalsReceived += s.InvalsReceived
-	dst.RecallsReceived += s.RecallsReceived
-	dst.SpecInstalled += s.SpecInstalled
 	dst.SpecDropped += s.SpecDropped
-	dst.SpecReferenced += s.SpecReferenced
 	dst.Evictions += s.Evictions
 	dst.EvictionWritebacks += s.EvictionWritebacks
 	dst.SpecDeclinedFull += s.SpecDeclinedFull
 }
-
-// ErrDeadlock reports a workload that cannot make progress.
-var ErrDeadlock = errors.New("machine: deadlock")

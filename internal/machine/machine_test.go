@@ -56,7 +56,8 @@ func TestAccessAccounting(t *testing.T) {
 	if p.ReqWait != 418 {
 		t.Fatalf("reqWait = %d, want 418", p.ReqWait)
 	}
-	if share := r.RequestShare(); share < 0.7 {
+	total := r.TotalCompute + r.TotalSync + r.TotalReqWait
+	if share := float64(r.TotalReqWait) / float64(total); share < 0.7 {
 		t.Fatalf("request share = %.2f, want > 0.7 for this program", share)
 	}
 }
@@ -95,6 +96,34 @@ func TestBarrierReuseAcrossPhases(t *testing.T) {
 	}
 	if _, err := m.Run(progs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBarrierReleaseZeroAllocs guards the barrier's waiter list: once a
+// machine has run, a run allocates the same with 50 barrier episodes per
+// processor as with 10, so a release reuses the list instead of
+// allocating it again.
+func TestBarrierReleaseZeroAllocs(t *testing.T) {
+	runAllocs := func(barriers int) float64 {
+		progs := make([]Program, 4)
+		for i := range progs {
+			for j := 0; j < barriers; j++ {
+				progs[i] = append(progs[i], Compute(sim.Cycle(10*(i+1))), Barrier())
+			}
+		}
+		m := New(smallCfg(4))
+		if _, err := m.Run(progs); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			m.Reset()
+			if _, err := m.Run(progs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := runAllocs(10), runAllocs(50); many != few {
+		t.Fatalf("a run allocates %.0f with 10 barriers but %.0f with 50", few, many)
 	}
 }
 
@@ -228,7 +257,11 @@ func TestSpeculationReducesRequestWait(t *testing.T) {
 	if swi.Dir.SpecReadsSWI == 0 || fr.Dir.SpecReadsFR == 0 {
 		t.Fatalf("speculation counters empty: fr=%d swi=%d", fr.Dir.SpecReadsFR, swi.Dir.SpecReadsSWI)
 	}
-	if swi.Cache.SpecHits == 0 {
+	var specHits uint64
+	for _, p := range swi.Procs {
+		specHits += p.SpecHits
+	}
+	if specHits == 0 {
 		t.Fatal("no speculative hits recorded")
 	}
 }

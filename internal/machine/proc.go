@@ -31,7 +31,6 @@ type proc struct {
 	compute  sim.Cycle
 	sync     sim.Cycle
 	reqWait  sim.Cycle
-	accesses uint64
 	hits     uint64
 	specHits uint64
 	locals   uint64
@@ -63,7 +62,7 @@ func (p *proc) rearm(prog Program) {
 	p.prog = prog
 	p.pc = 0
 	p.compute, p.sync, p.reqWait = 0, 0, 0
-	p.accesses, p.hits, p.specHits, p.locals, p.remotes = 0, 0, 0, 0, 0
+	p.hits, p.specHits, p.locals, p.remotes = 0, 0, 0, 0
 	p.finished = false
 	p.finishTime = 0
 	p.waitStart = 0
@@ -76,7 +75,7 @@ func (p *proc) step() {
 		p.m.running--
 		// A processor finishing can satisfy a barrier among the remaining
 		// runners (workloads where epilogues differ in barrier counts).
-		p.m.recheckBarriers()
+		p.m.barrier.tryRelease()
 		return
 	}
 	op := p.prog[p.pc]
@@ -86,11 +85,10 @@ func (p *proc) step() {
 		p.compute += op.Cycles
 		p.m.kernel.After(op.Cycles, p.stepFn)
 	case OpRead, OpWrite:
-		p.accesses++
 		p.m.sys.Node(p.id).Access(op.Kind == OpWrite, op.Addr, p.accessDone)
 	case OpBarrier:
 		p.waitStart = p.m.kernel.Now()
-		p.m.barrier(op.ID).arrive(p)
+		p.m.barrier.arrive(p)
 	case OpLock:
 		p.waitStart = p.m.kernel.Now()
 		p.m.lock(op.ID).acquire(p)
@@ -122,21 +120,12 @@ func (p *proc) onAccessDone(out protocol.AccessOutcome) {
 	p.step()
 }
 
-// barrier is a centralized all-processor barrier. Waiting time counts as
-// synchronization (folded into Figure 9's computation bucket, per the
-// paper's definition).
+// barrier is the machine's one centralized all-processor barrier: every
+// OpBarrier arrives at it. Waiting time counts as synchronization (folded
+// into Figure 9's computation bucket, per the paper's definition).
 type barrier struct {
 	m       *Machine
 	waiters []*proc
-}
-
-func (m *Machine) barrier(id int) *barrier {
-	b := m.barriers[id]
-	if b == nil {
-		b = &barrier{m: m}
-		m.barriers[id] = b
-	}
-	return b
 }
 
 func (b *barrier) arrive(p *proc) {
@@ -148,19 +137,14 @@ func (b *barrier) tryRelease() {
 	if len(b.waiters) == 0 || len(b.waiters) < b.m.running {
 		return
 	}
+	// Releasing only schedules the waiters' next steps, so none arrives
+	// again before the slice is truncated for reuse.
 	now := b.m.kernel.Now()
-	ws := b.waiters
-	b.waiters = nil
-	for _, w := range ws {
+	for _, w := range b.waiters {
 		w.sync += now - w.waitStart
 		b.m.kernel.After(barrierExit, w.stepFn)
 	}
-}
-
-func (m *Machine) recheckBarriers() {
-	for _, b := range m.barriers {
-		b.tryRelease()
-	}
+	b.waiters = b.waiters[:0]
 }
 
 // lock is an abstract FIFO queue lock with a fixed hand-off latency,

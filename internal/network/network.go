@@ -26,12 +26,8 @@ type inflight[T any] struct {
 	nw       *Network[T]
 	src, dst mem.NodeID
 	payload  T
-	// counted marks messages that entered through Send (and so count in
-	// the delivered statistic); DeliverLocal bypasses the NI model and the
-	// network counters, like the node-internal hop it models.
-	counted bool
-	arrive  func()
-	deliver func()
+	arrive   func()
+	deliver  func()
 }
 
 func (m *inflight[T]) onArrive() {
@@ -48,9 +44,6 @@ func (m *inflight[T]) onArrive() {
 
 func (m *inflight[T]) onDeliver() {
 	nw := m.nw
-	if m.counted {
-		nw.delivered++
-	}
 	h := nw.handlers[m.dst]
 	if h == nil {
 		panic(fmt.Sprintf("network: no handler for node %d", m.dst))
@@ -72,8 +65,7 @@ type Network[T any] struct {
 	pool     sim.FreeList[inflight[T]]
 
 	// Stats
-	sent      uint64
-	delivered uint64
+	sent uint64
 	// sendQueueCycles accumulates cycles messages spent waiting for a
 	// busy sender NI (a contention measure).
 	sendQueueCycles sim.Cycle
@@ -106,14 +98,14 @@ func (nw *Network[T]) SetHandler(id mem.NodeID, h Handler[T]) {
 
 // get returns a carrier from the pool, creating (and binding its event
 // closures for) a new one only when the pool is empty.
-func (nw *Network[T]) get(src, dst mem.NodeID, payload T, counted bool) *inflight[T] {
+func (nw *Network[T]) get(src, dst mem.NodeID, payload T) *inflight[T] {
 	m, ok := nw.pool.Get()
 	if !ok {
 		m = &inflight[T]{nw: nw}
 		m.arrive = m.onArrive
 		m.deliver = m.onDeliver
 	}
-	m.src, m.dst, m.payload, m.counted = src, dst, payload, counted
+	m.src, m.dst, m.payload = src, dst, payload
 	return m
 }
 
@@ -131,7 +123,7 @@ func (nw *Network[T]) Send(src, dst mem.NodeID, payload T) {
 	nw.sendFree[int(src)] = done
 	nw.sent++
 
-	m := nw.get(src, dst, payload, true)
+	m := nw.get(src, dst, payload)
 	// Occupancy + flight are fixed small latencies chosen to fit the
 	// kernel's near wheel (sim.WheelSpan covers every flight this repo
 	// sweeps), so arrival scheduling is O(1); only a deep send-queue
@@ -144,7 +136,7 @@ func (nw *Network[T]) Send(src, dst mem.NodeID, payload T) {
 // between co-located controllers. It exists here so node-internal traffic
 // shares the pooled carrier path.
 func (nw *Network[T]) DeliverLocal(src, dst mem.NodeID, delay sim.Cycle, payload T) {
-	m := nw.get(src, dst, payload, false)
+	m := nw.get(src, dst, payload)
 	// The local hop is a fixed small latency (Table 1's 12 cycles), so
 	// this schedules on the kernel's near wheel in O(1) — zero delay goes
 	// straight to the same-cycle dispatch ring.
@@ -160,15 +152,14 @@ func (nw *Network[T]) Reset() {
 	clear(nw.sendFree)
 	clear(nw.recvFree)
 	nw.sent = 0
-	nw.delivered = 0
 	nw.sendQueueCycles = 0
 	nw.recvQueueCycles = 0
 }
 
-// Stats reports message and contention counters.
+// Stats reports message and contention counters. Sent counts messages
+// that entered through Send; a completed run has delivered every one.
 type Stats struct {
 	Sent            uint64
-	Delivered       uint64
 	SendQueueCycles sim.Cycle
 	RecvQueueCycles sim.Cycle
 }
@@ -177,7 +168,6 @@ type Stats struct {
 func (nw *Network[T]) Stats() Stats {
 	return Stats{
 		Sent:            nw.sent,
-		Delivered:       nw.delivered,
 		SendQueueCycles: nw.sendQueueCycles,
 		RecvQueueCycles: nw.recvQueueCycles,
 	}

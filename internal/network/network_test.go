@@ -135,15 +135,52 @@ func TestSelfSendPaysNICosts(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	k, nw := testNet(t, 2)
-	nw.SetHandler(1, func(mem.NodeID, any) {})
+	delivered := 0
+	nw.SetHandler(1, func(mem.NodeID, any) { delivered++ })
 	k.At(0, func() {
 		nw.Send(0, 1, nil)
 		nw.Send(0, 1, nil)
 	})
 	k.Run(0)
 	st := nw.Stats()
-	if st.Sent != 2 || st.Delivered != 2 {
-		t.Fatalf("stats = %+v", st)
+	if st.Sent != 2 || delivered != 2 {
+		t.Fatalf("stats = %+v, delivered %d", st, delivered)
+	}
+}
+
+// TestDeliverLocalBypassesNIs pins the node-internal hop: the message is
+// handed over exactly delay cycles later, occupies neither NI (a Send from
+// the same node in the same cycle, and reaching the same receiver as a
+// local delivery, keeps its uncontended latency), and is not counted as
+// sent.
+func TestDeliverLocalBypassesNIs(t *testing.T) {
+	const delay sim.Cycle = 12
+	k, nw := testNet(t, 2)
+	at := map[string]sim.Cycle{}
+	h := func(src mem.NodeID, payload any) {
+		if src != 0 {
+			t.Errorf("src = %d, want 0", src)
+		}
+		at[payload.(string)] = k.Now()
+	}
+	nw.SetHandler(0, h)
+	nw.SetHandler(1, h)
+	k.At(100, func() {
+		nw.DeliverLocal(0, 0, delay, "local")
+		nw.DeliverLocal(0, 1, delay, "local-to-1")
+		nw.Send(0, 1, "sent")
+	})
+	// Lands at node 1 in the cycle the send reaches node 1's receiver NI.
+	k.At(200-delay, func() { nw.DeliverLocal(0, 1, delay, "at-arrival") })
+	k.Run(0)
+	if at["local"] != 100+delay || at["local-to-1"] != 100+delay || at["at-arrival"] != 200 {
+		t.Fatalf("local deliveries at %v, want %d and 200", at, 100+delay)
+	}
+	if want := 100 + SendOccupancy + tableFlight + RecvOccupancy; at["sent"] != want {
+		t.Fatalf("send delivered at %d, want uncontended %d", at["sent"], want)
+	}
+	if st := nw.Stats(); st.Sent != 1 || st.SendQueueCycles != 0 || st.RecvQueueCycles != 0 {
+		t.Fatalf("stats = %+v, want one send and no queueing", st)
 	}
 }
 

@@ -259,11 +259,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			class := ClassHit
 			if h.flags&(lfSpec|lfReferenced) == lfSpec {
 				h.flags |= lfReferenced
-				c.stats.SpecReferenced++
 				class = ClassSpecHit
-				c.stats.SpecHits++
-			} else {
-				c.stats.Hits++
 			}
 			if isWrite {
 				h.flags |= lfWritten
@@ -282,7 +278,6 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 	if home == c.n.id {
 		if version, ok := c.n.dir.tryLocalFastPath(addr, isWrite); ok {
 			c.fill(c.lineIdx(addr), addr, version, isWrite, isWrite)
-			c.stats.LocalAccesses++
 			c.doneAfter(LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: LocalMem})
 			return
 		}
@@ -302,11 +297,6 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 		} else {
 			kind = mem.ReqWrite
 		}
-	}
-	if isWrite {
-		c.stats.ProtocolWrites++
-	} else {
-		c.stats.ProtocolReads++
 	}
 	h.flags |= lfHasPend
 	c.cold[nli].pend = pendingAccess{isWrite: isWrite, start: k.Now(), done: done}
@@ -349,7 +339,6 @@ func (c *cache) clearPend(li int32) pendingAccess {
 
 func (c *cache) handleInval(m Msg) {
 	li, found := c.lookupIdx(m.Addr)
-	c.stats.InvalsReceived++
 	specUnused := false
 	switch {
 	case found && c.hot[li].state == lineShared:
@@ -380,7 +369,6 @@ func (c *cache) handleRecall(m Msg) {
 	if !found || c.hot[li].state != lineExclusive {
 		panic(fmt.Sprintf("protocol: recall for non-exclusive line %v at node %d", m.Addr, c.n.id))
 	}
-	c.stats.RecallsReceived++
 	h := &c.hot[li]
 	wb := Msg{Kind: MsgWriteback, Addr: m.Addr, Version: h.version, SWI: m.SWI, Written: h.flags&lfWritten != 0}
 	c.drop(li)
@@ -469,7 +457,6 @@ func (c *cache) handleSpecData(m Msg) {
 	h.flags &^= lfReferenced | lfWritten
 	h.flags |= lfSpec
 	c.touch(h)
-	c.stats.SpecInstalled++
 }
 
 // sweepSpecLines reports speculative lines never referenced by the end of

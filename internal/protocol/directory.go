@@ -439,7 +439,6 @@ func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.Bl
 	ei := d.entryIdx(addr)
 	d.observe(addr, ei, core.ReqMsgType(kind), src)
 	if d.hot[ei].tr != nil {
-		d.stats.QueuedReqs++
 		d.pushWait(ei, packReq(kind, src))
 		return
 	}
@@ -520,7 +519,6 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 			panic(fmt.Sprintf("protocol: owner %d re-reading %v", src, addr))
 		}
 		d.startTrans(h, trans{kind: transReadRecall, requester: src, reqKind: mem.ReqRead})
-		d.stats.RecallsSent++
 		d.n.sys.route(d.n.id, h.owner, Msg{Kind: MsgRecall, Addr: addr})
 	}
 }
@@ -569,7 +567,6 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 			panic(fmt.Sprintf("protocol: owner %d re-requesting write for %v", src, addr))
 		}
 		d.startTrans(h, trans{kind: transWriteRecall, requester: src, reqKind: kind})
-		d.stats.RecallsSent++
 		d.n.sys.route(d.n.id, h.owner, Msg{Kind: MsgRecall, Addr: addr})
 	}
 }
@@ -659,7 +656,6 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 	ei := d.entryIdx(m.Addr)
 	d.observe(m.Addr, ei, core.MsgWriteback, src)
 	h := &d.hot[ei]
-	d.stats.Writebacks++
 	// A writeback answers the entry's outstanding recall, or it comes
 	// from a capacity eviction (Voluntary) and retires the ownership of a
 	// quiescent entry in place. A voluntary writeback that crosses a

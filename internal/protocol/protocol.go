@@ -104,18 +104,12 @@ type AccessOutcome struct {
 	Latency sim.Cycle
 }
 
-// CacheStats counts processor-side events at one node.
+// CacheStats counts the events only one node's cache sees. Access
+// classes (hits, speculative hits, local and remote accesses) are not
+// here: every access reports its class in its AccessOutcome, and the
+// processor that issued it counts it.
 type CacheStats struct {
-	Hits            uint64
-	SpecHits        uint64
-	LocalAccesses   uint64
-	ProtocolReads   uint64
-	ProtocolWrites  uint64
-	InvalsReceived  uint64
-	RecallsReceived uint64
-	SpecInstalled   uint64
-	SpecDropped     uint64
-	SpecReferenced  uint64
+	SpecDropped uint64
 	// Finite-cache mode.
 	Evictions          uint64
 	EvictionWritebacks uint64
@@ -130,10 +124,7 @@ type DirStats struct {
 	Upgrades uint64
 	// Protocol actions.
 	InvalsSent    uint64
-	RecallsSent   uint64
 	AcksReceived  uint64
-	Writebacks    uint64
-	QueuedReqs    uint64
 	UpgradeGrants uint64
 	// Speculation (reads forwarded speculatively, by trigger).
 	SpecReadsFR    uint64

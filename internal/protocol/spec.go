@@ -39,7 +39,6 @@ func (d *directory) maybeSWI(addr mem.BlockAddr, writer mem.NodeID) {
 	d.cold[ei].swiGuard = guard
 	d.startTrans(h, trans{kind: transSWI, requester: writer})
 	d.stats.SWIRecalls++
-	d.stats.RecallsSent++
 	d.n.sys.route(d.n.id, writer, Msg{Kind: MsgRecall, Addr: addr, SWI: true})
 }
 

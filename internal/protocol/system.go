@@ -37,7 +37,7 @@ func (n *Node) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome)
 	n.cache.Access(isWrite, addr, done)
 }
 
-// CacheStats returns the node's processor-side counters.
+// CacheStats returns the counters only the node's cache sees.
 func (n *Node) CacheStats() CacheStats { return n.cache.stats }
 
 // DirStats returns the node's home-side counters.

@@ -58,7 +58,7 @@ func writeMsg(w io.Writer, m *msg) error {
 }
 
 func testRunner() Runner {
-	return RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
+	return Runner(func(ctx context.Context, i int) ([]byte, error) {
 		return rowPayload(i), nil
 	})
 }
@@ -641,7 +641,7 @@ func TestUndecodableRowIsRequeued(t *testing.T) {
 func TestJobFailureDeliveredInOrder(t *testing.T) {
 	const failAt = 7
 	const text = "job 7: deterministic fatal failure"
-	failing := RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
+	failing := Runner(func(ctx context.Context, i int) ([]byte, error) {
 		if i == failAt {
 			return nil, errors.New(text)
 		}
@@ -660,7 +660,7 @@ func TestJobFailureDeliveredInOrder(t *testing.T) {
 // TestKeepGoingDeliversAllFailures pins keep-going mode: failures are
 // delivered in place and the sweep continues to the end.
 func TestKeepGoingDeliversAllFailures(t *testing.T) {
-	flaky := RunnerFunc(func(ctx context.Context, i int) ([]byte, error) {
+	flaky := Runner(func(ctx context.Context, i int) ([]byte, error) {
 		if i%5 == 2 {
 			return nil, fmt.Errorf("job %d failed", i)
 		}

@@ -12,22 +12,14 @@ import (
 	"specdsm/internal/fault"
 )
 
-// Runner executes one registered study's jobs on a worker. Run returns
+// Runner executes one registered study's jobs on a worker. It returns
 // the binary encoding of the result row (the row type's AppendBinary,
 // which the dispatcher's sweep decodes with UnmarshalBinary) for the
 // given absolute job index, or the job's (already retry-settled)
-// failure. Implementations are used from one goroutine at a time — the
-// server builds a fresh Runner per connection, so per-runner state (a
+// failure. A Runner is called from one goroutine at a time — the server
+// builds a fresh Runner per connection, so state it closes over (a
 // machine.Arena) needs no locking.
-type Runner interface {
-	Run(ctx context.Context, index int) ([]byte, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(ctx context.Context, index int) ([]byte, error)
-
-// Run implements Runner.
-func (f RunnerFunc) Run(ctx context.Context, index int) ([]byte, error) { return f(ctx, index) }
+type Runner func(ctx context.Context, index int) ([]byte, error)
 
 // DefaultHeartbeatEvery is the worker's liveness cadence while a batch
 // executes. It must be comfortably under the dispatcher's per-frame
@@ -179,7 +171,7 @@ func (s *Server) runBatch(ctx context.Context, lc *lockedConn, runner Runner, m 
 			return false
 		}
 		start := time.Now()
-		payload, err := runner.Run(ctx, idx)
+		payload, err := runner(ctx, idx)
 		done := msg{Op: opJobDone, Seq: m.Seq, Index: idx, Payload: payload, DurNS: int64(time.Since(start))}
 		if err != nil {
 			// The failure is job-level and already settled (the runner

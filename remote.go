@@ -192,13 +192,13 @@ func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 		return nil, err
 	}
 	arena := machine.NewArena()
-	return remote.RunnerFunc(func(ctx context.Context, j int) ([]byte, error) {
+	return func(ctx context.Context, j int) ([]byte, error) {
 		r, err := sweep.RunOne(ctx, p, arena, rs.Base, j, rs.job)
 		if err != nil {
 			return nil, err
 		}
 		return r.AppendBinary(nil)
-	}), nil
+	}, nil
 }
 
 // streamStudy is the execution backend every study driver fans out on:

@@ -378,7 +378,6 @@ func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 		Reads:               res.Dir.Reads,
 		Writes:              res.Dir.Writes,
 		Upgrades:            res.Dir.Upgrades,
-		SpecHits:            res.Cache.SpecHits,
 		SpecReadsFR:         res.Dir.SpecReadsFR,
 		SpecReadsSWI:        res.Dir.SpecReadsSWI,
 		SpecReadUnused:      res.Dir.SpecReadUnused,
@@ -392,6 +391,9 @@ func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 		EvictionWritebacks:  res.Cache.EvictionWritebacks,
 		NetMsgs:             res.Network.Sent,
 		Events:              res.Events,
+	}
+	for _, p := range res.Procs {
+		out.SpecHits += p.SpecHits
 	}
 	for _, pr := range res.Predictors {
 		out.Predictors = append(out.Predictors, predictorResult(pr))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"specdsm/internal/analytic"
+	"specdsm/internal/machine"
 )
 
 func TestAppNamesAndInfos(t *testing.T) {
@@ -368,6 +369,53 @@ func TestAllAppsAllModes(t *testing.T) {
 			for _, mode := range []Mode{ModeBase, ModeFR, ModeSWI} {
 				if _, err := Run(w, MachineOptions{Mode: mode}); err != nil {
 					t.Fatalf("%s: %v", mode, err)
+				}
+			}
+		})
+	}
+}
+
+// TestAccessClassesCoverEveryAccess ties the processors' access classes
+// to the programs: on every processor, Hits+SpecHits+Locals+Remotes is
+// the number of reads and writes its program issues, and the reported
+// SpecHits is the processors' sum.
+func TestAccessClassesCoverEveryAccess(t *testing.T) {
+	for _, app := range AppNames() {
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			w, err := AppWorkload(app, WorkloadParams{Nodes: 16, Scale: 0.25, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := make([]uint64, len(w.programs))
+			for i, prog := range w.programs {
+				for _, op := range prog {
+					if op.Kind == machine.OpRead || op.Kind == machine.OpWrite {
+						ops[i]++
+					}
+				}
+			}
+			for _, mode := range []Mode{ModeBase, ModeFR, ModeSWI} {
+				cfg, _, err := buildConfig(w, MachineOptions{Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := machine.New(cfg).Run(w.programs)
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				var specHits uint64
+				for i, p := range res.Procs {
+					if got := p.Hits + p.SpecHits + p.Locals + p.Remotes; got != ops[i] {
+						t.Errorf("%s: proc %d classes sum to %d, program has %d reads and writes", mode, i, got, ops[i])
+					}
+					specHits += p.SpecHits
+				}
+				if r := convert(w, mode, res); r.SpecHits != specHits {
+					t.Errorf("%s: RunResult.SpecHits = %d, processors' sum %d", mode, r.SpecHits, specHits)
+				}
+				if mode == ModeSWI && specHits == 0 {
+					t.Errorf("%s: no speculative hits", mode)
 				}
 			}
 		})
