@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # BENCH_OUT names the trajectory point `make bench` records. Bump the PR
 # number when landing a perf PR so the old point stays committed next to
 # the new one and bench-check can diff them.
-BENCH_OUT ?= BENCH_PR30.json
+BENCH_OUT ?= BENCH_PR34.json
 
 .PHONY: check api fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke perfbench bench-leaks leaks cover profile loc
 
@@ -206,8 +206,10 @@ race:
 # bench runs every benchmark — the per-table/figure study benches, the
 # hot-path microbenches (Observe — including the nine-predictor,
 # 4096-block leg whose tables outgrow the caches — KernelSchedule,
-# DirectoryServe, CacheHit with the coherence checker on and off), and
-# the loopback remote-dispatch leg (per-job dispatcher
+# DirectoryServe, CacheHit with the coherence checker on and off), the
+# workload-generation leg (every app at the fleet size and at 16 nodes /
+# scale 1.0, uncached, so its B/op is the generator's own allocation),
+# and the loopback remote-dispatch leg (per-job dispatcher
 # overhead: claim/exec/result round-trips over a real TCP connection,
 # microseconds per job, so distribution cost stays visible next to the
 # simulation benches it amortizes into) — with -benchmem, and records
@@ -279,6 +281,8 @@ bench:
 	  GOGC=off $(GO) test -bench=. -benchmem -benchtime=100000x -count=5 -run='^$$' ./internal/sim ./internal/protocol && \
 	  sleep $(BENCH_COOLDOWN) && \
 	  $(GO) test -bench=LoopbackDispatch -benchmem -benchtime=200x -count=3 -run='^$$' ./internal/remote && \
+	  sleep $(BENCH_COOLDOWN) && \
+	  $(GO) test -bench=Generate -benchmem -benchtime=1000x -count=5 -run='^$$' ./internal/workload && \
 	  sleep $(BENCH_COOLDOWN) && \
 	  $(GO) test -bench=Fig6AnalyticModel -benchmem -benchtime=200x -count=3 -run='^$$' . && \
 	  sleep $(BENCH_COOLDOWN) && \

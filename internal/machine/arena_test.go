@@ -191,3 +191,29 @@ func TestMachineRearmZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestArenaRunAllocs pins what a warm Arena.Run allocates on a 16-node
+// run with nine observers: two for the arena key, then the Result and
+// its Procs and Predictors slices, each sized once rather than grown by
+// append (which took 9).
+func TestArenaRunAllocs(t *testing.T) {
+	cfg := Config{Nodes: 16}
+	for _, kind := range []core.Kind{core.KindCosmos, core.KindMSP, core.KindVMSP} {
+		for _, depth := range []int{1, 2, 4} {
+			cfg.Observers = append(cfg.Observers, PredictorSpec{Kind: kind, Depth: depth})
+		}
+	}
+	progs := arenaProgs("pc", 16, 7)
+	arena := NewArena()
+	if _, err := arena.Run(cfg, progs); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := arena.Run(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 5 {
+		t.Errorf("warm Arena.Run allocates %.2f/op, want at most 5", avg)
+	}
+}

@@ -349,6 +349,7 @@ func opAt(prog Program, pc int) any {
 
 func (m *Machine) collect(events uint64) *Result {
 	r := &Result{
+		Procs:      make([]ProcStats, len(m.procs)),
 		Predictors: make([]PredictorResult, len(m.specs)),
 		Network:    m.sys.NetworkStats(),
 		Events:     events,
@@ -356,8 +357,8 @@ func (m *Machine) collect(events uint64) *Result {
 	for j, spec := range m.specs {
 		r.Predictors[j].Spec = spec
 	}
-	for _, p := range m.procs {
-		ps := ProcStats{
+	for i, p := range m.procs {
+		r.Procs[i] = ProcStats{
 			Compute:  p.compute,
 			Sync:     p.sync,
 			ReqWait:  p.reqWait,
@@ -367,7 +368,6 @@ func (m *Machine) collect(events uint64) *Result {
 			Locals:   p.locals,
 			Remotes:  p.remotes,
 		}
-		r.Procs = append(r.Procs, ps)
 		r.TotalCompute += p.compute
 		r.TotalSync += p.sync
 		r.TotalReqWait += p.reqWait

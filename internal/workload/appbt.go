@@ -159,7 +159,7 @@ func AppBT(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }
 
 // gridDims factors n into a 3-D grid, preferring wide x.

@@ -59,7 +59,7 @@ func Barnes(p Params) []machine.Program {
 		// Force computation: partial, re-ordered traversals. Each reader
 		// visits its blocks in a fresh random order with heavy compute
 		// between reads (barnes is computation-bound).
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range blocks {
 			for _, r := range blk.readers {
 				reads[r] = append(reads[r], blk.addr)
@@ -81,5 +81,5 @@ func Barnes(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

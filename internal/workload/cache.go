@@ -16,8 +16,11 @@ import (
 //
 // Immutability contract: cached programs are shared across goroutines and
 // machine runs, so neither callers nor the machine layer may ever mutate
-// a returned Program (the simulator only reads them; generators build
-// fresh slices before publishing).
+// a returned Program (the simulator only reads them). A generation's
+// programs share one backing array that no builder keeps: the recycled
+// builder copies them out before it is reused, and each program is
+// capped at its length, so an append reallocates instead of writing
+// into the next program.
 
 // genKey identifies one cached generation. Params is a comparable struct
 // of scalars, so the raw value (pre-defaulting) is the key; two Params

@@ -19,4 +19,11 @@
 // program sets are shared across goroutines and machine runs and are
 // immutable by contract: the simulator only reads them, and no caller
 // may modify a returned Program.
+//
+// Each generation returns its programs in one backing array, each
+// program a subslice capped at its own length: an append to one
+// program reallocates rather than reaching its neighbour's ops. The
+// per-node buffers the programs are built in belong to a recycled
+// builder, which a generation takes from a free list, reseeds, and
+// returns once it has copied the programs out.
 package workload

@@ -67,7 +67,7 @@ func EM3D(p Params) []machine.Program {
 		b.barrierAll()
 		// Consumers read their remote dependencies in a fixed (static
 		// graph) order, staggered by their own local work.
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range blocks {
 			for _, c := range blk.consumers {
 				reads[c] = append(reads[c], blk.addr)
@@ -88,5 +88,5 @@ func EM3D(p Params) []machine.Program {
 		phase(eBlocks)
 		phase(hBlocks)
 	}
-	return b.progs
+	return b.finish()
 }

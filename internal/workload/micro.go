@@ -59,7 +59,7 @@ func ProducerConsumer(p MicroParams) []machine.Program {
 			b.write(producer, a)
 		}
 		b.barrierAll()
-		reads := make([][]mem.BlockAddr, p.Nodes)
+		reads := b.readLists()
 		for i, a := range addrs {
 			for _, c := range consumers[i] {
 				reads[c] = append(reads[c], a)
@@ -75,7 +75,7 @@ func ProducerConsumer(p MicroParams) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }
 
 // MigratoryPattern builds pure migratory sharing: each block is visited by
@@ -105,7 +105,7 @@ func MigratoryPattern(p MicroParams) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }
 
 // StencilPattern builds near-neighbour sharing: each node owns a strip of
@@ -143,5 +143,5 @@ func StencilPattern(p MicroParams) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

@@ -75,7 +75,7 @@ func Moldyn(p Params) []machine.Program {
 		}
 		b.barrierAll()
 		// Consumers read remote coordinates, staggered.
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range pcBlocks {
 			for _, c := range blk.consumers {
 				reads[c] = append(reads[c], blk.addr)
@@ -102,5 +102,5 @@ func Moldyn(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

@@ -60,7 +60,7 @@ func Ocean(p Params) []machine.Program {
 		}
 		b.barrierAll()
 		// Single consumer per block reads the neighbour boundary.
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range blocks {
 			reads[blk.cons] = append(reads[blk.cons], blk.addr)
 		}
@@ -85,5 +85,5 @@ func Ocean(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

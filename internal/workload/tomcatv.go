@@ -64,7 +64,7 @@ func Tomcatv(p Params) []machine.Program {
 		}
 		b.barrierAll()
 		// Consumers read the neighbour's boundary, staggered.
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range blocks {
 			reads[blk.cons] = append(reads[blk.cons], blk.addr)
 		}
@@ -78,5 +78,5 @@ func Tomcatv(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

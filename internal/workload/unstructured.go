@@ -83,7 +83,7 @@ func Unstructured(p Params) []machine.Program {
 		// Wide read sharing with per-iteration re-ordering: each reader
 		// visits its blocks in a fresh random order with little compute —
 		// unstructured is communication-bound.
-		reads := make([][]mem.BlockAddr, b.nodes)
+		reads := b.readLists()
 		for _, blk := range pcBlocks {
 			for _, r := range blk.readers {
 				reads[r] = append(reads[r], blk.addr)
@@ -119,5 +119,5 @@ func Unstructured(p Params) []machine.Program {
 		}
 		b.barrierAll()
 	}
-	return b.progs
+	return b.finish()
 }

@@ -3,7 +3,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"specdsm/internal/machine"
 	"specdsm/internal/mem"
@@ -155,31 +157,91 @@ func Names() []string {
 	return out
 }
 
-// build accumulates per-node programs.
+// build accumulates per-node programs. Builders are recycled through a
+// free list: a generation takes one, appends into its per-node buffers,
+// and finish copies the programs out and returns the builder, so a warm
+// generation allocates little beyond the programs it returns.
 type build struct {
 	nodes int
 	progs []machine.Program
 	rng   *rand.Rand
 	// next per-home block index for address allocation.
 	next []uint64
+	// reads holds per-node reader lists, reused by readLists.
+	reads [][]mem.BlockAddr
 }
+
+// builders is the free list of idle builders. A plain mutex-guarded
+// list rather than a sync.Pool, which may drop items at any time.
+var builders struct {
+	sync.Mutex
+	free []*build
+}
+
+// maxFreeBuilders bounds the free list: one idle builder per concurrent
+// generator is all a sweep's workers can use.
+const maxFreeBuilders = 8
 
 func newBuild(p Params) *build {
 	if p.Nodes < 2 || p.Nodes > mem.MaxNodes {
 		panic(fmt.Sprintf("workload: invalid node count %d", p.Nodes))
 	}
-	b := &build{
-		nodes: p.Nodes,
-		progs: make([]machine.Program, p.Nodes),
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		next:  make([]uint64, p.Nodes),
+	var b *build
+	builders.Lock()
+	if n := len(builders.free); n > 0 {
+		b = builders.free[n-1]
+		builders.free = builders.free[:n-1]
 	}
-	// Pre-size each program past append's small-slice doubling chain;
-	// real program lengths are in the thousands of ops.
-	for i := range b.progs {
-		b.progs[i] = make(machine.Program, 0, 256)
+	builders.Unlock()
+	if b == nil {
+		b = &build{rng: rand.New(rand.NewSource(p.Seed))}
+	} else {
+		// Seed restarts the source exactly as NewSource(p.Seed) would.
+		b.rng.Seed(p.Seed)
 	}
+	b.nodes = p.Nodes
+	b.progs = slices.Grow(b.progs[:0], p.Nodes)[:p.Nodes]
+	for n := range b.progs {
+		b.progs[n] = b.progs[n][:0]
+	}
+	b.next = slices.Grow(b.next[:0], p.Nodes)[:p.Nodes]
+	clear(b.next)
 	return b
+}
+
+// finish copies the programs into one exact-size backing array and
+// returns the builder to the free list. Each program is a subslice
+// capped at its length, so an append to one can never reach its
+// neighbour's ops.
+func (b *build) finish() []machine.Program {
+	total := 0
+	for _, prog := range b.progs {
+		total += len(prog)
+	}
+	flat := make([]machine.Op, total)
+	out := make([]machine.Program, b.nodes)
+	off := 0
+	for n, prog := range b.progs {
+		end := off + copy(flat[off:], prog)
+		out[n] = flat[off:end:end]
+		off = end
+	}
+	builders.Lock()
+	if len(builders.free) < maxFreeBuilders {
+		builders.free = append(builders.free, b)
+	}
+	builders.Unlock()
+	return out
+}
+
+// readLists returns one empty reader list per node, reusing the
+// builder's storage; the lists are valid until the next call.
+func (b *build) readLists() [][]mem.BlockAddr {
+	b.reads = slices.Grow(b.reads[:0], b.nodes)[:b.nodes]
+	for n := range b.reads {
+		b.reads[n] = b.reads[n][:0]
+	}
+	return b.reads
 }
 
 // alloc returns a fresh block homed at the given node.

@@ -395,8 +395,11 @@ func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 	for _, p := range res.Procs {
 		out.SpecHits += p.SpecHits
 	}
-	for _, pr := range res.Predictors {
-		out.Predictors = append(out.Predictors, predictorResult(pr))
+	if len(res.Predictors) > 0 {
+		out.Predictors = make([]PredictorResult, len(res.Predictors))
+		for i, pr := range res.Predictors {
+			out.Predictors[i] = predictorResult(pr)
+		}
 	}
 	return out
 }

@@ -421,3 +421,17 @@ func TestAccessClassesCoverEveryAccess(t *testing.T) {
 		})
 	}
 }
+
+// TestConvertAllocs pins convert at two allocations for a 16-node run
+// with nine predictors: the RunResult and its Predictors slice, sized
+// once rather than grown by append (which took 6).
+func TestConvertAllocs(t *testing.T) {
+	res := &machine.Result{
+		Procs:      make([]machine.ProcStats, 16),
+		Predictors: make([]machine.PredictorResult, 9),
+	}
+	w := Workload{Name: "em3d", Nodes: 16}
+	if avg := testing.AllocsPerRun(20, func() { convert(w, ModeBase, res) }); avg > 2 {
+		t.Errorf("convert allocates %.2f/op, want at most 2", avg)
+	}
+}
