@@ -25,5 +25,8 @@
 // program reallocates rather than reaching its neighbour's ops. The
 // per-node buffers the programs are built in belong to a recycled
 // builder, which a generation takes from a free list, reseeds, and
-// returns once it has copied the programs out.
+// returns once it has copied the programs out. A builder whose buffers
+// are far larger than the programs it just produced is dropped instead,
+// so buffers a large generation grew do not stay idle once generations
+// shrink.
 package workload

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"specdsm/internal/machine"
+	"specdsm/internal/mem"
 )
 
 // genCase is one generator at one size.
@@ -133,6 +134,7 @@ func TestRecycledBuilderMatchesCold(t *testing.T) {
 // builder at the fleet size: at most twice the program set's own bytes.
 func TestGenerateAllocGuard(t *testing.T) {
 	const gens = 20
+	dropFreeBuilders()
 	for _, app := range Apps() {
 		progs := app.Generate(fleetParams)
 		ops := 0
@@ -150,6 +152,37 @@ func TestGenerateAllocGuard(t *testing.T) {
 		t.Logf("%s: %d B per generation, %.2fx its %d ops", app.Name, per, float64(per)/float64(size), ops)
 		if per > 2*size {
 			t.Errorf("%s: one generation allocates %d B, want at most %d (2x its %d ops)", app.Name, per, 2*size, ops)
+		}
+	}
+}
+
+// TestIdleBuildersReleaseLargeBuffers checks that buffers grown by large
+// generations do not stay idle once generations shrink, even when a
+// small builder sits behind them on the free list: every idle builder is
+// reused in turn, and finish drops one that holds far more than it
+// produced.
+func TestIdleBuildersReleaseLargeBuffers(t *testing.T) {
+	const largeOps = 1 << 14
+	dropFreeBuilders()
+	large := Params{Nodes: 32, Seed: 1}
+	bs := []*build{newBuild(large), newBuild(large), newBuild(large), newBuild(fleetParams)}
+	for _, b := range bs[:3] {
+		for i := 0; i < largeOps; i++ {
+			b.read(mem.NodeID(i%b.nodes), b.alloc(0))
+		}
+	}
+	bs[3].read(0, bs[3].alloc(0))
+	for _, b := range bs {
+		b.finish()
+	}
+	for i := range bs {
+		Apps()[i].Generate(fleetParams)
+	}
+	builders.Lock()
+	defer builders.Unlock()
+	for i, b := range builders.free {
+		if held := b.held(); held >= largeOps*int(unsafe.Sizeof(machine.Op{})) {
+			t.Errorf("idle builder %d still holds %d B of a large generation's buffers", i, held)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"specdsm/internal/machine"
 	"specdsm/internal/mem"
@@ -172,15 +173,22 @@ type build struct {
 }
 
 // builders is the free list of idle builders. A plain mutex-guarded
-// list rather than a sync.Pool, which may drop items at any time.
+// list rather than a sync.Pool, which may drop items at any time. It
+// holds at most as many builders as generations ever ran at once, and
+// hands them out oldest first, so every idle builder is reused in turn
+// and meets finish's size check.
 var builders struct {
 	sync.Mutex
 	free []*build
 }
 
-// maxFreeBuilders bounds the free list: one idle builder per concurrent
-// generator is all a sweep's workers can use.
-const maxFreeBuilders = 8
+// keepRatio bounds what an idle builder may hold: finish drops a builder
+// whose buffers exceed keepRatio times the programs it just produced, so
+// buffers grown by a large generation are released once generations
+// shrink. Append growth leaves at most 2x per node and the fleet-size
+// apps differ by about 3x, so a sweep cycling the seven apps at one size
+// keeps its builders.
+const keepRatio = 8
 
 func newBuild(p Params) *build {
 	if p.Nodes < 2 || p.Nodes > mem.MaxNodes {
@@ -188,9 +196,9 @@ func newBuild(p Params) *build {
 	}
 	var b *build
 	builders.Lock()
-	if n := len(builders.free); n > 0 {
-		b = builders.free[n-1]
-		builders.free = builders.free[:n-1]
+	if len(builders.free) > 0 {
+		b = builders.free[0]
+		builders.free = slices.Delete(builders.free, 0, 1)
 	}
 	builders.Unlock()
 	if b == nil {
@@ -210,9 +218,9 @@ func newBuild(p Params) *build {
 }
 
 // finish copies the programs into one exact-size backing array and
-// returns the builder to the free list. Each program is a subslice
-// capped at its length, so an append to one can never reach its
-// neighbour's ops.
+// returns the builder to the free list, unless it holds far more than
+// these programs need. Each program is a subslice capped at its length,
+// so an append to one can never reach its neighbour's ops.
 func (b *build) finish() []machine.Program {
 	total := 0
 	for _, prog := range b.progs {
@@ -226,12 +234,25 @@ func (b *build) finish() []machine.Program {
 		out[n] = flat[off:end:end]
 		off = end
 	}
-	builders.Lock()
-	if len(builders.free) < maxFreeBuilders {
+	if b.held() <= keepRatio*total*int(unsafe.Sizeof(machine.Op{})) {
+		builders.Lock()
 		builders.free = append(builders.free, b)
+		builders.Unlock()
 	}
-	builders.Unlock()
 	return out
+}
+
+// held returns the bytes of buffer the builder keeps, including the
+// slots past the current node count that a larger generation grew.
+func (b *build) held() int {
+	ops, addrs := 0, 0
+	for _, prog := range b.progs[:cap(b.progs)] {
+		ops += cap(prog)
+	}
+	for _, rs := range b.reads[:cap(b.reads)] {
+		addrs += cap(rs)
+	}
+	return ops*int(unsafe.Sizeof(machine.Op{})) + addrs*int(unsafe.Sizeof(mem.BlockAddr(0)))
 }
 
 // readLists returns one empty reader list per node, reusing the
