@@ -152,7 +152,9 @@ cover:
 # ("output is byte-identical for every worker count") checked end to end
 # on every gate run, not just in unit tests. The bracketed wall-clock
 # lines are stripped before comparing — they are the one intentionally
-# non-deterministic part of the output.
+# non-deterministic part of the output. Both runs are checkpointed, and
+# their .speculation files must be byte-identical too: checkpoint
+# contents do not depend on the worker count.
 #
 # The rtl leg makes the same comparison for the RTL latency sweep, which
 # a default run does not include. It is the one study that varies the
@@ -173,9 +175,10 @@ cover:
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/paperrepro ./cmd/paperrepro && \
-	$$tmp/paperrepro -scale 0.1 -parallel 1 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p1.txt && \
-	$$tmp/paperrepro -scale 0.1 -parallel 8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p8.txt && \
+	$$tmp/paperrepro -scale 0.1 -parallel 1 -checkpoint $$tmp/c1 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p1.txt && \
+	$$tmp/paperrepro -scale 0.1 -parallel 8 -checkpoint $$tmp/c8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/p8.txt && \
 	cmp $$tmp/p1.txt $$tmp/p8.txt && echo "determinism: -parallel 1 == -parallel 8" && \
+	cmp $$tmp/c1.speculation $$tmp/c8.speculation && echo "determinism: checkpoint at -parallel 1 == -parallel 8" && \
 	$$tmp/paperrepro -only rtl -scale 0.1 -parallel 1 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/r1.txt && \
 	$$tmp/paperrepro -only rtl -scale 0.1 -parallel 8 | sed -E 's/\[[^]]*: [0-9].*\]/[time]/' > $$tmp/r8.txt && \
 	cmp $$tmp/r1.txt $$tmp/r8.txt && echo "determinism: rtl -parallel 1 == -parallel 8" && \

@@ -358,8 +358,8 @@ func BenchmarkAblationHistoryDepthCost(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(study[0].Get(Cosmos, d).EntriesPerBlock, "cosmosPTE")
-			b.ReportMetric(study[0].Get(VMSP, d).EntriesPerBlock, "vmspPTE")
+			b.ReportMetric(study[0].Get(Cosmos, d).EntriesPerBlock(), "cosmosPTE")
+			b.ReportMetric(study[0].Get(VMSP, d).EntriesPerBlock(), "vmspPTE")
 		})
 	}
 }

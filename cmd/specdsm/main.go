@@ -133,7 +133,7 @@ func writeReport(out io.Writer, r *specdsm.RunResult, ops int, opts specdsm.Mach
 	}
 	for i, p := range r.Predictors {
 		fmt.Fprintf(&b, "predictor %-7s d=%d  accuracy %5.1f%%  coverage %5.1f%%  pte %.1f",
-			p.Kind, p.Depth, p.Accuracy*100, p.Coverage*100, p.EntriesPerBlock)
+			p.Kind, p.Depth, p.Accuracy()*100, p.Coverage()*100, p.EntriesPerBlock())
 		// Outside Base mode the last entry is the active predictor; next
 		// to observers it is labelled, since an observer may share its
 		// configuration.

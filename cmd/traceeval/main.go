@@ -49,9 +49,14 @@ func run(o options, out io.Writer) error {
 	fmt.Fprintf(out, "%-8s %5s %10s %10s %10s %9s %9s %7s %8s\n",
 		"pred", "depth", "tracked", "predicted", "correct", "accuracy", "coverage", "pte", "bytes/bl")
 	for _, r := range results {
-		fmt.Fprintf(out, "%-8s %5d %10d %10d %10d %8.1f%% %8.1f%% %7.1f %8.1f\n",
+		// The paper's storage formulas describe a depth-one entry only.
+		bytes := "-"
+		if r.Depth == 1 {
+			bytes = fmt.Sprintf("%.1f", r.BytesPerBlock())
+		}
+		fmt.Fprintf(out, "%-8s %5d %10d %10d %10d %8.1f%% %8.1f%% %7.1f %8s\n",
 			r.Kind, r.Depth, r.Tracked, r.Predicted, r.Correct,
-			r.Accuracy*100, r.Coverage*100, r.EntriesPerBlock, r.BytesPerBlock)
+			r.Accuracy()*100, r.Coverage()*100, r.EntriesPerBlock(), bytes)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,10 +75,10 @@ func TestParseOptionsErrors(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd captures a real trace and evaluates it through run,
-// checking the offline table against the online predictor study of the
-// same run.
-func TestRunEndToEnd(t *testing.T) {
+// captureTrace writes a small producer/consumer trace and returns its
+// path.
+func captureTrace(t *testing.T) string {
+	t.Helper()
 	wl, err := specdsm.MicroWorkload(specdsm.PatternProducerConsumer,
 		specdsm.WorkloadParams{Nodes: 4, Iterations: 6})
 	if err != nil {
@@ -94,8 +95,14 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	o, err := parseOptions([]string{"-in", path, "-kinds", "MSP,VMSP", "-depths", "1,2"}, io.Discard)
+// runTable runs traceeval with args on a fresh trace and returns its
+// output.
+func runTable(t *testing.T, args ...string) string {
+	t.Helper()
+	o, err := parseOptions(append([]string{"-in", captureTrace(t)}, args...), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +110,14 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run(o, &out); err != nil {
 		t.Fatal(err)
 	}
-	got := out.String()
+	return out.String()
+}
+
+// TestRunEndToEnd captures a real trace and evaluates it through run,
+// checking the offline table against the online predictor study of the
+// same run.
+func TestRunEndToEnd(t *testing.T) {
+	got := runTable(t, "-kinds", "MSP,VMSP", "-depths", "1,2")
 	if !strings.Contains(got, "trace: producer-consumer, 4 nodes") {
 		t.Fatalf("missing summary line:\n%s", got)
 	}
@@ -116,6 +130,32 @@ func TestRunEndToEnd(t *testing.T) {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("output missing %q:\n%s", frag, got)
 		}
+	}
+}
+
+// TestBytesPerBlockDepthOneOnly pins the bytes/bl column to the
+// paper's Table 4 formulas, which describe a depth-one entry: a deeper
+// entry keys more symbols, so its rows print "-" rather than the
+// depth-one figure.
+func TestBytesPerBlockDepthOneOnly(t *testing.T) {
+	got := runTable(t, "-depths", "1,4")
+	rows := 0
+	for _, line := range strings.Split(got, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 9 || (f[1] != "1" && f[1] != "4") {
+			continue
+		}
+		rows++
+		bytes := f[len(f)-1]
+		if _, err := strconv.ParseFloat(bytes, 64); f[1] == "1" && err != nil {
+			t.Errorf("%s at depth 1 prints bytes/bl %q, want a number", f[0], bytes)
+		}
+		if f[1] == "4" && bytes != "-" {
+			t.Errorf("%s at depth 4 prints bytes/bl %q, want -", f[0], bytes)
+		}
+	}
+	if rows != 6 {
+		t.Fatalf("got %d predictor rows, want 6:\n%s", rows, got)
 	}
 }
 

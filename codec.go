@@ -11,11 +11,11 @@ import (
 // process that simulated it: a sweepd worker sends it in its jobDone
 // frame, the dispatcher decodes it once, and the checkpoint stores it.
 // Fields are written in a fixed order in the internal/wire encoding —
-// integers as varints, floats as their IEEE-754 bits (NaN payloads and
-// -0 survive), strings and the Predictors slice with a length prefix.
-// Changing the layout changes the bytes every shard and checkpoint
-// exchanges, so it must bump remote.ProtoVersion and the checkpoint
-// format version with it.
+// integers as varints, strings and the Predictors slice with a length
+// prefix. A row carries counts only: every ratio is a method over them,
+// so no float crosses the wire. Changing the layout changes the bytes
+// every shard and checkpoint exchanges, so it must bump
+// remote.ProtoVersion and the checkpoint format version with it.
 
 // AppendBinary appends r's binary encoding to b (encoding.BinaryAppender).
 func (r *RunResult) AppendBinary(b []byte) ([]byte, error) {
@@ -36,21 +36,17 @@ func (r *RunResult) AppendBinary(b []byte) ([]byte, error) {
 		b = binary.AppendUvarint(b, p.Tracked)
 		b = binary.AppendUvarint(b, p.Predicted)
 		b = binary.AppendUvarint(b, p.Correct)
-		b = wire.AppendFloat(b, p.Accuracy)
-		b = wire.AppendFloat(b, p.Coverage)
-		b = wire.AppendFloat(b, p.CorrectFraction)
 		b = binary.AppendVarint(b, int64(p.Blocks))
 		b = binary.AppendVarint(b, int64(p.Entries))
-		b = wire.AppendFloat(b, p.EntriesPerBlock)
-		b = wire.AppendFloat(b, p.BytesPerBlock)
 	}
 	return b, nil
 }
 
 // UnmarshalBinary decodes one AppendBinary encoding into r
 // (encoding.BinaryUnmarshaler). A cut-short, malformed or overlong
-// encoding is an error, and no length in it can make the decoder
-// allocate more than the encoding's own size.
+// encoding is an error, as is a predictor kind other than Cosmos, MSP
+// or VMSP, and no length in it can make the decoder allocate more than
+// the encoding's own size.
 func (r *RunResult) UnmarshalBinary(data []byte) error {
 	d := wire.Reader{B: data}
 	*r = RunResult{Workload: d.Text(), Mode: Mode(d.Text()), Nodes: int(d.Varint())}
@@ -67,12 +63,14 @@ func (r *RunResult) UnmarshalBinary(data []byte) error {
 			p.Kind = PredictorKind(d.Text())
 			p.Depth = int(d.Varint())
 			p.Tracked, p.Predicted, p.Correct = d.Uvarint(), d.Uvarint(), d.Uvarint()
-			p.Accuracy, p.Coverage, p.CorrectFraction = d.Float(), d.Float(), d.Float()
 			p.Blocks, p.Entries = int(d.Varint()), int(d.Varint())
-			p.EntriesPerBlock, p.BytesPerBlock = d.Float(), d.Float()
 		}
 	}
-	if err := d.Done(); err != nil {
+	err := d.Done()
+	for i := 0; err == nil && i < len(r.Predictors); i++ {
+		_, err = r.Predictors[i].Kind.kind()
+	}
+	if err != nil {
 		return fmt.Errorf("specdsm: decoding RunResult: %w", err)
 	}
 	return nil

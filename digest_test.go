@@ -104,10 +104,33 @@ func renderSweep(cfg StudyConfig) ([]string, error) {
 		}
 	}
 	err := RunSweepStream(cfg, opts, func(i int, r *RunResult) error {
-		fmt.Fprintf(&b, "%d %+v\n", i, *r)
+		fmt.Fprintf(&b, "%d %s\n", i, rowText(r))
 		return nil
 	}, fail)
 	return []string{b.String()}, err
+}
+
+// rowText prints r with %+v, each predictor's ratios in the positions
+// of the fields that once stored them, so the sweep digests pin the
+// ratio methods' values as well as the counts.
+func rowText(r *RunResult) string {
+	type withRatios struct {
+		Kind                                PredictorKind
+		Depth                               int
+		Tracked, Predicted, Correct         uint64
+		Accuracy, Coverage, CorrectFraction float64
+		Blocks, Entries                     int
+		EntriesPerBlock, BytesPerBlock      float64
+	}
+	ps := make([]withRatios, len(r.Predictors))
+	for i, p := range r.Predictors {
+		ps[i] = withRatios{p.Kind, p.Depth, p.Tracked, p.Predicted, p.Correct,
+			p.Accuracy(), p.Coverage(), p.CorrectFraction(), p.Blocks, p.Entries,
+			p.EntriesPerBlock(), p.BytesPerBlock()}
+	}
+	row := *r
+	row.Predictors = nil
+	return strings.Replace(fmt.Sprintf("%+v", row), "Predictors:[]", fmt.Sprintf("Predictors:%+v", ps), 1)
 }
 
 // TestStudyOutputDigests renders each study (and keep-going runs under

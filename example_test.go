@@ -73,7 +73,7 @@ func ExamplePredictorStudyStream() {
 		msp := app.Get(specdsm.MSP, 1)
 		vmsp := app.Get(specdsm.VMSP, 1)
 		fmt.Printf("%s: VMSP at least as accurate as MSP: %v\n",
-			app.App, vmsp.Accuracy >= msp.Accuracy)
+			app.App, vmsp.Accuracy() >= msp.Accuracy())
 		return nil
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func ExampleRun_observers() {
 	cosmos, _ := r.Predictor(specdsm.Cosmos, 1)
 	vmsp, _ := r.Predictor(specdsm.VMSP, 1)
 	fmt.Println("Cosmos also tracks acknowledgements:", cosmos.Tracked > vmsp.Tracked)
-	fmt.Println("VMSP at least as accurate:", vmsp.Accuracy >= cosmos.Accuracy)
+	fmt.Println("VMSP at least as accurate:", vmsp.Accuracy() >= cosmos.Accuracy())
 	// Output:
 	// Cosmos also tracks acknowledgements: true
 	// VMSP at least as accurate: true

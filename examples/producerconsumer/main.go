@@ -42,7 +42,7 @@ func main() {
 		"pred", "tracked", "predicted", "correct", "accuracy", "pte")
 	for _, p := range r.Predictors {
 		fmt.Printf("%-8s %10d %10d %10d %7.1f%% %6.1f\n",
-			p.Kind, p.Tracked, p.Predicted, p.Correct, p.Accuracy*100, p.EntriesPerBlock)
+			p.Kind, p.Tracked, p.Predicted, p.Correct, p.Accuracy()*100, p.EntriesPerBlock())
 	}
 
 	fmt.Println()

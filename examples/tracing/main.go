@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("%-8s %6s %9s %9s %6s\n", "pred", "depth", "accuracy", "coverage", "pte")
 	for _, r := range results {
 		fmt.Printf("%-8s %6d %8.1f%% %8.1f%% %6.1f\n",
-			r.Kind, r.Depth, r.Accuracy*100, r.Coverage*100, r.EntriesPerBlock)
+			r.Kind, r.Depth, r.Accuracy()*100, r.Coverage()*100, r.EntriesPerBlock())
 	}
 	fmt.Println()
 	fmt.Println("unstructured is the paper's showcase for VMSP: its wide, re-ordered")

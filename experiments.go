@@ -38,7 +38,7 @@ type StudyConfig struct {
 	// simulation job with the job's index and wall-clock duration — live
 	// sweep progress on big matrices. Jobs complete concurrently and out
 	// of index order when Parallel > 1, so the callback must be safe for
-	// concurrent use (sweep.Progress wraps a log/slog logger suitably).
+	// concurrent use (sweep.ProgressETA wraps a log/slog logger suitably).
 	// The hook never affects study results.
 	OnJobDone func(index int, d time.Duration)
 	// Progress, when non-nil, logs every completed simulation job at
@@ -196,8 +196,9 @@ func (c StudyConfig) workloadParams() WorkloadParams {
 // Base-DSM run: all three predictor kinds at every configured depth,
 // observing the identical message stream.
 type AppPrediction struct {
-	App     string
-	Results map[PredictorConfig]PredictorResult
+	App string
+	// Predictors are the Base run's observers, in attachment order.
+	Predictors []PredictorResult
 	// Requests supports normalization.
 	Reads, Writes, Upgrades uint64
 	// Failed carries the job's error text when the study ran with
@@ -206,9 +207,12 @@ type AppPrediction struct {
 	Failed string
 }
 
-// Get returns the result for (kind, depth).
+// Get returns the result for (kind, depth), as RunResult.Predictor
+// does; the zero PredictorResult when that configuration did not
+// observe.
 func (a AppPrediction) Get(kind PredictorKind, depth int) PredictorResult {
-	return a.Results[PredictorConfig{Kind: kind, Depth: depth}]
+	p, _ := findPredictor(a.Predictors, kind, depth)
+	return p
 }
 
 // PredictorStudyStream runs Base-DSM once per application with all
@@ -245,11 +249,8 @@ func observers(depths []int) (obs []PredictorConfig) {
 func appPrediction(app string, base *RunResult, failed string) AppPrediction {
 	ap := AppPrediction{App: app, Failed: failed}
 	if failed == "" {
-		ap.Results = make(map[PredictorConfig]PredictorResult, len(base.Predictors))
+		ap.Predictors = base.Predictors
 		ap.Reads, ap.Writes, ap.Upgrades = base.Reads, base.Writes, base.Upgrades
-		for _, pr := range base.Predictors {
-			ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
-		}
 	}
 	return ap
 }
@@ -326,9 +327,9 @@ func Figure7(study []AppPrediction) []Figure7Row {
 		}
 		out = append(out, Figure7Row{
 			App:    ap.App,
-			Cosmos: ap.Get(Cosmos, 1).Accuracy,
-			MSP:    ap.Get(MSP, 1).Accuracy,
-			VMSP:   ap.Get(VMSP, 1).Accuracy,
+			Cosmos: ap.Get(Cosmos, 1).Accuracy(),
+			MSP:    ap.Get(MSP, 1).Accuracy(),
+			VMSP:   ap.Get(VMSP, 1).Accuracy(),
 		})
 	}
 	return out
@@ -358,7 +359,7 @@ func Figure8(study []AppPrediction, depths []int) []Figure8Row {
 		row := Figure8Row{App: ap.App, Depths: depths, Accuracy: make(map[PredictorKind][]float64)}
 		for _, kind := range Kinds() {
 			for _, d := range depths {
-				row.Accuracy[kind] = append(row.Accuracy[kind], ap.Get(kind, d).Accuracy)
+				row.Accuracy[kind] = append(row.Accuracy[kind], ap.Get(kind, d).Accuracy())
 			}
 		}
 		out = append(out, row)
@@ -391,8 +392,8 @@ func Table3(study []AppPrediction) []Table3Row {
 		}
 		for _, kind := range Kinds() {
 			pr := ap.Get(kind, 1)
-			row.Coverage[kind] = pr.Coverage
-			row.Correct[kind] = pr.CorrectFraction
+			row.Coverage[kind] = pr.Coverage()
+			row.Correct[kind] = pr.CorrectFraction()
 		}
 		out = append(out, row)
 	}
@@ -425,9 +426,9 @@ func Table4(study []AppPrediction) []Table4Row {
 			Bytes: make(map[PredictorKind]float64),
 		}
 		for _, kind := range Kinds() {
-			row.PTE1[kind] = ap.Get(kind, 1).EntriesPerBlock
-			row.PTE4[kind] = ap.Get(kind, 4).EntriesPerBlock
-			row.Bytes[kind] = ap.Get(kind, 1).BytesPerBlock
+			row.PTE1[kind] = ap.Get(kind, 1).EntriesPerBlock()
+			row.PTE4[kind] = ap.Get(kind, 4).EntriesPerBlock()
+			row.Bytes[kind] = ap.Get(kind, 1).BytesPerBlock()
 		}
 		out = append(out, row)
 	}

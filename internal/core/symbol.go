@@ -88,9 +88,6 @@ func (s Symbol) Equal(o Symbol) bool {
 	return s.Type == o.Type && s.Node == o.Node && s.Vec.Equal(o.Vec)
 }
 
-// Valid reports whether the symbol holds a real observation.
-func (s Symbol) Valid() bool { return s.Type != MsgInvalid }
-
 func (s Symbol) String() string {
 	if s.Type == MsgRead && !s.Vec.Empty() {
 		return fmt.Sprintf("<Read,%v>", s.Vec)

@@ -1,12 +1,9 @@
 package machine
 
-import (
-	"strconv"
-	"strings"
-)
+import "slices"
 
-// Arena is a reusable pool of built machines, keyed by configuration
-// shape. Sweep workers construct their simulated machine once and replay
+// Arena is a reusable pool of built machines, one per configuration.
+// Sweep workers construct their simulated machine once and replay
 // every subsequent job through it: Run fetches (or builds, on first use
 // of a configuration) the machine for cfg, re-arms it with Reset, and
 // executes the programs. Because Reset restores a machine to its
@@ -18,13 +15,11 @@ import (
 // An arena is NOT safe for concurrent use; give each sweep worker its
 // own (sweep.Run's worker-local state is the intended carrier).
 type Arena struct {
-	machines map[string]*Machine
+	machines []*Machine
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{machines: make(map[string]*Machine)}
-}
+func NewArena() *Arena { return &Arena{} }
 
 // Run executes one program per node on the arena's machine for cfg,
 // building the machine on first use of the configuration and resetting
@@ -42,60 +37,28 @@ func (a *Arena) Run(cfg Config, programs []Program) (*Result, error) {
 func (a *Arena) Machines() int { return len(a.machines) }
 
 // machine fetches the machine for cfg (which must already have defaults
-// applied), reporting whether it already ran (and therefore needs a
-// Reset before reuse); a miss builds it fresh.
+// applied, so equivalent zero-value and explicit configs share one
+// machine), reporting whether it already ran (and therefore needs a
+// Reset before reuse); a miss builds it fresh. An arena holds a handful
+// of configurations, so a linear scan finds one without building a key.
 func (a *Arena) machine(cfg Config) (*Machine, bool) {
-	key := cfg.arenaKey()
-	if m, ok := a.machines[key]; ok {
-		return m, true
+	for _, m := range a.machines {
+		if m.cfg.same(cfg) {
+			return m, true
+		}
 	}
 	m := New(cfg)
-	a.machines[key] = m
+	a.machines = append(a.machines, m)
 	return m, false
 }
 
-// arenaKey serializes every machine-identity Config field into a
-// comparable string (Config itself holds a slice and a pointer, so it
-// cannot be a map key directly). Call on a config that already has
-// defaults applied, so equivalent zero-value and explicit configs share
-// one machine.
-func (c Config) arenaKey() string {
-	var b strings.Builder
-	b.Grow(96)
-	w := func(v uint64) {
-		b.WriteString(strconv.FormatUint(v, 10))
-		b.WriteByte(',')
-	}
-	w(uint64(c.Nodes))
-	w(uint64(c.Flight))
-	w(c.MaxEvents)
-	w(uint64(c.CacheCapacity))
-	var flags uint64
-	if c.EnableFR {
-		flags |= 1
-	}
-	if c.EnableSWI {
-		flags |= 2
-	}
-	if c.EnableSpecUpgrade {
-		flags |= 4
-	}
-	if c.DisableCoherenceCheck {
-		flags |= 8
-	}
-	w(flags)
-	spec := func(s PredictorSpec) {
-		w(uint64(s.Kind))
-		w(uint64(s.Depth))
-		w(uint64(s.Confidence))
-	}
-	for _, s := range c.Observers {
-		b.WriteByte('o')
-		spec(s)
-	}
-	if c.Active != nil {
-		b.WriteByte('a')
-		spec(*c.Active)
-	}
-	return b.String()
+// same reports whether c and o describe the same machine: every field
+// equal, the observer lists element by element and the active
+// predictors by value.
+func (c Config) same(o Config) bool {
+	return c.Nodes == o.Nodes && c.Flight == o.Flight && c.MaxEvents == o.MaxEvents &&
+		c.CacheCapacity == o.CacheCapacity && c.EnableFR == o.EnableFR && c.EnableSWI == o.EnableSWI &&
+		c.EnableSpecUpgrade == o.EnableSpecUpgrade && c.DisableCoherenceCheck == o.DisableCoherenceCheck &&
+		slices.Equal(c.Observers, o.Observers) &&
+		(c.Active == nil) == (o.Active == nil) && (c.Active == nil || *c.Active == *o.Active)
 }

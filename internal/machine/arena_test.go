@@ -3,6 +3,7 @@ package machine
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"specdsm/internal/core"
@@ -141,6 +142,44 @@ func TestArenaKeysFlight(t *testing.T) {
 	}
 }
 
+// TestConfigSameSeesEveryField changes one Config field at a time and
+// requires the arena's match to tell the configs apart, so a field
+// added to Config without a line in same fails here instead of sharing
+// one machine between two configurations.
+func TestConfigSameSeesEveryField(t *testing.T) {
+	base := arenaCfg("swi").withDefaults()
+	if !base.same(arenaCfg("swi").withDefaults()) {
+		t.Fatal("two builds of one config differ")
+	}
+	for i := range reflect.TypeFor[Config]().NumField() {
+		o := base
+		o.Observers = slices.Clone(base.Observers)
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Slice:
+			f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		case reflect.Pointer:
+			f.Set(reflect.Zero(f.Type()))
+		default:
+			t.Fatalf("Config.%s: unhandled kind %v", reflect.TypeFor[Config]().Field(i).Name, f.Kind())
+		}
+		if base.same(o) {
+			t.Errorf("configs differing in Config.%s match", reflect.TypeFor[Config]().Field(i).Name)
+		}
+	}
+	o := base
+	o.Active = &PredictorSpec{Kind: base.Active.Kind, Depth: base.Active.Depth + 1}
+	if base.same(o) {
+		t.Error("configs with different active predictors match")
+	}
+}
+
 // TestFixedLatenciesFitNearWheel asserts the model's fixed scheduling
 // delays — node timing, the default and RTL-sweep network flights, barrier
 // and lock hand-off — all land on the kernel's O(1) near wheel. If a new
@@ -193,9 +232,9 @@ func TestMachineRearmZeroAllocs(t *testing.T) {
 }
 
 // TestArenaRunAllocs pins what a warm Arena.Run allocates on a 16-node
-// run with nine observers: two for the arena key, then the Result and
-// its Procs and Predictors slices, each sized once rather than grown by
-// append (which took 9).
+// run with nine observers: the Result and its Procs and Predictors
+// slices, each sized once rather than grown by append. Matching the
+// config to its machine allocates nothing.
 func TestArenaRunAllocs(t *testing.T) {
 	cfg := Config{Nodes: 16}
 	for _, kind := range []core.Kind{core.KindCosmos, core.KindMSP, core.KindVMSP} {
@@ -213,7 +252,7 @@ func TestArenaRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 5 {
-		t.Errorf("warm Arena.Run allocates %.2f/op, want at most 5", avg)
+	if avg > 3 {
+		t.Errorf("warm Arena.Run allocates %.2f/op, want at most 3", avg)
 	}
 }

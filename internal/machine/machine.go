@@ -203,9 +203,16 @@ type Machine struct {
 	running int
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg. The machine keeps its own copy of the
+// observer list and the active spec, so an Arena can match later
+// configs against it whatever the caller does with its slices.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
+	cfg.Observers = slices.Clone(cfg.Observers)
+	if cfg.Active != nil {
+		active := *cfg.Active
+		cfg.Active = &active
+	}
 	k := sim.NewKernel()
 	m := &Machine{
 		cfg:    cfg,

@@ -14,7 +14,7 @@ import (
 // pins it on both ends, so a stale worker refuses cleanly instead of
 // mis-decoding frames. It covers the frame layout below and the row
 // encoding jobDone frames carry.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // Message ops. One universal frame type keeps the framing layer dumb:
 // every frame is a length prefix plus one binary-encoded msg, so a

@@ -53,7 +53,7 @@ import (
 // is refused as a mismatch.
 const (
 	ckptMagic   = "SPDSMCKP"
-	ckptVersion = 3
+	ckptVersion = 4
 	// ckptFixed is the header size without the key: magic, version,
 	// keyLen.
 	ckptFixed = 8 + 4 + 4

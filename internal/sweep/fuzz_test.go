@@ -54,7 +54,7 @@ func FuzzCheckpointFrames(f *testing.F) {
 	f.Add([]byte("SPDSMCKP"))
 	f.Add([]byte{})
 
-	header := append([]byte("SPDSMCKP"), 3, 0, 0, 0, byte(len(key)), 0, 0, 0)
+	header := append([]byte("SPDSMCKP"), 4, 0, 0, 0, byte(len(key)), 0, 0, 0)
 	header = append(header, key...)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

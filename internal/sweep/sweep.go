@@ -10,7 +10,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"specdsm/internal/fault"
@@ -36,8 +35,8 @@ type Pool struct {
 	// succeeds, with the job's absolute study index and wall-clock
 	// duration, from the executor that settled it — concurrently and
 	// out of index order. Jobs replayed from a checkpoint do not fire
-	// it. It exists for progress reporting (see Progress and
-	// ProgressETA) and must not affect results.
+	// it. It exists for progress reporting (see ProgressETA) and must
+	// not affect results.
 	OnJobDone func(index int, d time.Duration)
 	// Retries is the per-job retry budget for transient failures: a job
 	// whose error satisfies IsTransient is re-run in place — same index,
@@ -289,32 +288,20 @@ func (p *Pool) injector() *fault.Injector {
 	return p.Inject
 }
 
-// Progress returns an OnJobDone callback that reports each completed
-// job through logger at Info level, with the job's index, the running
-// count of completed jobs, and the job's wall-clock duration. The
-// returned callback is safe for concurrent use, so it can drive a
-// multi-worker pool directly:
-//
-//	pool := sweep.New(cfg.Parallel)
-//	pool.OnJobDone = sweep.Progress(slog.Default())
-func Progress(logger *slog.Logger) func(index int, d time.Duration) {
-	var done atomic.Int64
-	return func(index int, d time.Duration) {
-		logger.Info("sweep job done",
-			"index", index, "completed", done.Add(1), "dur", d.Round(time.Millisecond))
-	}
-}
-
 // etaWindow is how many recent completion timestamps ProgressETA keeps:
 // the ETA tracks the *current* completion rate (workers warmed up, caches
 // hot) rather than averaging over the whole sweep's history.
 const etaWindow = 32
 
-// ProgressETA is Progress for a sweep of known total job count: every
-// completed job logs index, completed/total, duration, and an ETA
-// estimated from the completion rate over a sliding window of the most
-// recent completions (report.Rolling). Like Progress, the returned
-// callback is safe for concurrent use and only observes the sweep.
+// ProgressETA returns an OnJobDone callback for a sweep of known total
+// job count: every completed job logs, through logger at Info level,
+// its index, completed/total, duration, and an ETA estimated from the
+// completion rate over a sliding window of the most recent completions
+// (report.Rolling). The callback is safe for concurrent use, so it can
+// drive a multi-worker pool directly, and only observes the sweep:
+//
+//	pool := sweep.New(cfg.Parallel)
+//	pool.OnJobDone = sweep.ProgressETA(slog.Default(), jobs)
 func ProgressETA(logger *slog.Logger, total int) func(index int, d time.Duration) {
 	var (
 		mu    sync.Mutex

@@ -143,35 +143,6 @@ func TestOnJobDoneSkipsFailedJobs(t *testing.T) {
 	}
 }
 
-// TestProgressLogsThroughSlog checks the slog adapter: every completed
-// job produces one Info line carrying index, completed count, and
-// duration.
-func TestProgressLogsThroughSlog(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logger := slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
-	p := sweep.New(4)
-	p.OnJobDone = sweep.Progress(logger)
-	const n = 8
-	_, err := sweep.Collect(context.Background(), p, n,
-		func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != n {
-		t.Fatalf("got %d log lines, want %d:\n%s", len(lines), n, buf.String())
-	}
-	for i := 0; i < n; i++ {
-		if !strings.Contains(buf.String(), fmt.Sprintf("index=%d", i)) {
-			t.Errorf("no log line for job index %d", i)
-		}
-	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("completed=%d", n)) {
-		t.Errorf("final completed count %d never logged", n)
-	}
-}
-
 // TestProgressETALogsTotalsAndETA checks the ETA adapter: every job
 // logs completed/total, and an eta attribute appears once enough
 // completions exist to estimate a rate.

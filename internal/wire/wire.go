@@ -1,15 +1,13 @@
 // Package wire is the bounded binary encoding shared by the shard
 // protocol's frames (internal/remote) and the RunResult row codec that
-// crosses shards and checkpoints: varints for integers, IEEE-754 bits
-// for floats, and a uvarint length before every string, byte run or
-// list.
+// crosses shards and checkpoints: varints for integers and a uvarint
+// length before every string, byte run or list.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrMalformed reports an encoding that is cut short, carries a bad
@@ -24,12 +22,6 @@ func AppendBytes(b, p []byte) []byte {
 // AppendString appends s with its uvarint length prefix.
 func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// AppendFloat appends f's IEEE-754 bits, so NaN payloads and -0
-// survive.
-func AppendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
 // Reader decodes an encoding front to back. The first short or
@@ -96,17 +88,6 @@ func (r *Reader) Bytes() []byte {
 
 // Text reads a length-prefixed string.
 func (r *Reader) Text() string { return string(r.Bytes()) }
-
-// Float reads AppendFloat's eight bytes.
-func (r *Reader) Float() float64 {
-	if len(r.B) < 8 {
-		r.fail()
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.B))
-	r.B = r.B[8:]
-	return f
-}
 
 // Done reports the first decoding error, or one for bytes left over.
 func (r *Reader) Done() error {

@@ -109,7 +109,7 @@ func renderNodeScaling(rows []nodeScaling) string {
 		}
 		a := r.Active()
 		t.AddRow(r.App, fmt.Sprint(r.Nodes),
-			report.Pct(a.Accuracy), report.Pct(a.Coverage),
+			report.Pct(a.Accuracy()), report.Pct(a.Coverage()),
 			fmt.Sprint(r.SpecReads()), report.Pct(r.UnusedFraction()),
 			report.F1(r.MsgsPerRequest()), fmt.Sprint(r.Run.Cycles))
 	}

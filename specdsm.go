@@ -43,17 +43,15 @@ func Kinds() []PredictorKind { return []PredictorKind{Cosmos, MSP, VMSP} }
 // instead of discovering the limit mid-run.
 const MaxDepth = core.MaxDepth
 
+// kind returns the core predictor k names: core.Kind.String spells
+// each kind's PredictorKind.
 func (k PredictorKind) kind() (core.Kind, error) {
-	switch k {
-	case Cosmos:
-		return core.KindCosmos, nil
-	case MSP:
-		return core.KindMSP, nil
-	case VMSP:
-		return core.KindVMSP, nil
-	default:
-		return 0, fmt.Errorf("specdsm: unknown predictor kind %q", k)
+	for c := core.KindCosmos; c <= core.KindVMSP; c++ {
+		if string(k) == c.String() {
+			return c, nil
+		}
 	}
+	return 0, fmt.Errorf("specdsm: unknown predictor kind %q", k)
 }
 
 // PredictorConfig selects a predictor variant and history depth.
@@ -64,6 +62,19 @@ type PredictorConfig struct {
 	Kind       PredictorKind
 	Depth      int
 	Confidence int
+}
+
+// spec validates c's kind and depth and translates it into the machine's
+// predictor spec: the one place a PredictorConfig is checked.
+func (c PredictorConfig) spec() (machine.PredictorSpec, error) {
+	k, err := c.Kind.kind()
+	if err != nil {
+		return machine.PredictorSpec{}, err
+	}
+	if c.Depth < 1 || c.Depth > core.MaxDepth {
+		return machine.PredictorSpec{}, fmt.Errorf("specdsm: %s depth %d out of range [1,%d]", c.Kind, c.Depth, core.MaxDepth)
+	}
+	return machine.PredictorSpec{Kind: k, Depth: c.Depth, Confidence: c.Confidence}, nil
 }
 
 // WorkloadParams sizes a workload instantiation. Zero values select the
@@ -211,20 +222,48 @@ type MachineOptions struct {
 	CacheCapacity int
 }
 
-// PredictorResult reports one predictor's measurements over a run.
+// PredictorResult reports one predictor's measurements over a run: the
+// messages it tracked, predicted and predicted correctly, and the blocks
+// and pattern-table entries it allocated. The paper's ratios are methods
+// over these counts.
 type PredictorResult struct {
-	Kind            PredictorKind
-	Depth           int
-	Tracked         uint64
-	Predicted       uint64
-	Correct         uint64
-	Accuracy        float64 // Correct/Predicted   (Figures 7-8)
-	Coverage        float64 // Predicted/Tracked   (Table 3)
-	CorrectFraction float64 // Correct/Tracked     (Table 3, parenthesized)
-	Blocks          int
-	Entries         int
-	EntriesPerBlock float64 // Table 4 "pte"
-	BytesPerBlock   float64 // Table 4 "ovh" (depth-1 formulas)
+	Kind      PredictorKind
+	Depth     int
+	Tracked   uint64
+	Predicted uint64
+	Correct   uint64
+	Blocks    int
+	Entries   int
+}
+
+func (p PredictorResult) stats() core.Stats {
+	return core.Stats{Tracked: p.Tracked, Predicted: p.Predicted, Correct: p.Correct}
+}
+
+// Accuracy is Correct/Predicted (Figures 7-8).
+func (p PredictorResult) Accuracy() float64 { return p.stats().Accuracy() }
+
+// Coverage is Predicted/Tracked (Table 3).
+func (p PredictorResult) Coverage() float64 { return p.stats().Coverage() }
+
+// CorrectFraction is Correct/Tracked (Table 3, parenthesized).
+func (p PredictorResult) CorrectFraction() float64 { return p.stats().CorrectFraction() }
+
+// EntriesPerBlock is the average pattern-table entries per allocated
+// block (Table 4 "pte").
+func (p PredictorResult) EntriesPerBlock() float64 {
+	return core.Census{Blocks: p.Blocks, Entries: p.Entries}.EntriesPerBlock()
+}
+
+// BytesPerBlock is the storage per allocated block by the paper's
+// depth-one formulas (Table 4 "ovh"); it does not describe a deeper
+// entry, which keys more symbols. It is 0 for an unknown Kind.
+func (p PredictorResult) BytesPerBlock() float64 {
+	k, err := p.Kind.kind()
+	if err != nil {
+		return 0
+	}
+	return core.BytesPerBlock(k, p.EntriesPerBlock())
 }
 
 // RunResult aggregates one simulation run.
@@ -293,18 +332,13 @@ func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) 
 		return cfg, "", fmt.Errorf("specdsm: negative network flight latency %d", opts.NetworkFlight)
 	}
 	cfg.Flight = sim.Cycle(opts.NetworkFlight)
-	var specs []machine.PredictorSpec
 	for _, o := range opts.Observers {
-		k, err := o.Kind.kind()
+		spec, err := o.spec()
 		if err != nil {
 			return cfg, "", err
 		}
-		if o.Depth < 1 || o.Depth > core.MaxDepth {
-			return cfg, "", fmt.Errorf("specdsm: observer depth %d out of range [1,%d]", o.Depth, core.MaxDepth)
-		}
-		specs = append(specs, machine.PredictorSpec{Kind: k, Depth: o.Depth, Confidence: o.Confidence})
+		cfg.Observers = append(cfg.Observers, spec)
 	}
-	cfg.Observers = specs
 
 	mode := opts.Mode
 	if mode == "" {
@@ -328,14 +362,11 @@ func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) 
 		if opts.Active != nil {
 			active = *opts.Active
 		}
-		k, err := active.Kind.kind()
+		spec, err := active.spec()
 		if err != nil {
 			return cfg, "", err
 		}
-		if active.Depth < 1 || active.Depth > core.MaxDepth {
-			return cfg, "", fmt.Errorf("specdsm: active depth %d out of range [1,%d]", active.Depth, core.MaxDepth)
-		}
-		cfg.Active = &machine.PredictorSpec{Kind: k, Depth: active.Depth, Confidence: active.Confidence}
+		cfg.Active = &spec
 	}
 	return cfg, mode, nil
 }
@@ -406,29 +437,14 @@ func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 
 // predictorResult reports what one predictor measured.
 func predictorResult(pr machine.PredictorResult) PredictorResult {
-	spec, st, cs := pr.Spec, pr.Stats, pr.Census
-	var kind PredictorKind
-	switch spec.Kind {
-	case core.KindCosmos:
-		kind = Cosmos
-	case core.KindMSP:
-		kind = MSP
-	case core.KindVMSP:
-		kind = VMSP
-	}
 	return PredictorResult{
-		Kind:            kind,
-		Depth:           spec.Depth,
-		Tracked:         st.Tracked,
-		Predicted:       st.Predicted,
-		Correct:         st.Correct,
-		Accuracy:        st.Accuracy(),
-		Coverage:        st.Coverage(),
-		CorrectFraction: st.CorrectFraction(),
-		Blocks:          cs.Blocks,
-		Entries:         cs.Entries,
-		EntriesPerBlock: cs.EntriesPerBlock(),
-		BytesPerBlock:   core.BytesPerBlock(spec.Kind, cs.EntriesPerBlock()),
+		Kind:      PredictorKind(pr.Spec.Kind.String()),
+		Depth:     pr.Spec.Depth,
+		Tracked:   pr.Stats.Tracked,
+		Predicted: pr.Stats.Predicted,
+		Correct:   pr.Stats.Correct,
+		Blocks:    pr.Census.Blocks,
+		Entries:   pr.Census.Entries,
 	}
 }
 
@@ -437,7 +453,12 @@ func predictorResult(pr machine.PredictorResult) PredictorResult {
 // predictor's kind and depth shadows it. Read the active predictor as
 // the last entry of Predictors in FR and SWI modes.
 func (r *RunResult) Predictor(kind PredictorKind, depth int) (PredictorResult, bool) {
-	for _, p := range r.Predictors {
+	return findPredictor(r.Predictors, kind, depth)
+}
+
+// findPredictor returns the first of ps with the given kind and depth.
+func findPredictor(ps []PredictorResult, kind PredictorKind, depth int) (PredictorResult, bool) {
+	for _, p := range ps {
 		if p.Kind == kind && p.Depth == depth {
 			return p, true
 		}

@@ -73,15 +73,12 @@ func evaluateTrace(tr *trace.Trace, configs []PredictorConfig) ([]PredictorResul
 	var preds []*core.TwoLevel
 	var observers []core.Predictor
 	for _, c := range configs {
-		k, err := c.Kind.kind()
+		spec, err := c.spec()
 		if err != nil {
 			return nil, TraceSummary{}, err
 		}
-		if c.Depth < 1 || c.Depth > core.MaxDepth {
-			return nil, TraceSummary{}, fmt.Errorf("specdsm: predictor depth %d out of range [1,%d]", c.Depth, core.MaxDepth)
-		}
-		p := core.NewSized(k, c.Depth, nodes)
-		specs = append(specs, machine.PredictorSpec{Kind: k, Depth: c.Depth})
+		p := core.NewSized(spec.Kind, spec.Depth, nodes)
+		specs = append(specs, spec)
 		preds, observers = append(preds, p), append(observers, p)
 	}
 	trace.Replay(tr, observers...)
