@@ -17,8 +17,8 @@ BENCH_OUT ?= BENCH_PR34.json
 # harness (kill + corrupt + -resume under injected faults), the
 # distributed chaos harness (a real sweepd fleet with one worker
 # SIGKILLed mid-batch and another injecting connection faults), a
-# short fuzz leg over the reader-vector, pattern-key, checkpoint, row
-# and wire-frame decoders and the predictor's successor links, a
+# short fuzz leg over the reader-vector, pattern-key, checkpoint, row,
+# wire-frame and trace decoders and the predictor's successor links, a
 # one-iteration benchmark smoke run so the benches cannot silently rot,
 # the bench-history regression check over the committed BENCH_PR<N>.json
 # records, the end-to-end benchmark module's vet and tests, one short
@@ -129,9 +129,12 @@ chaos:
 # key is always refused, the adopted prefix is the input's own whole
 # frames and a second resume drops nothing), the
 # RunResult row codec and the wire-frame decoder (no panic, no
-# allocation past the input, every valid encoding round-trips), and the
+# allocation past the input, every valid encoding round-trips), the
 # predictor's successor links against a twin that probes for every
-# history (link invariants after every operation, identical results). Five
+# history (link invariants after every operation, identical results),
+# and offline trace evaluation on arbitrary bytes seeded with a captured
+# em3d trace (an error or a panic-free evaluation whose counts fit the
+# trace). Five
 # seconds each is a smoke test, not a campaign — run `go test -fuzz`
 # with a longer -fuzztime for real exploration; the corpus persists
 # under the build cache either way.
@@ -141,6 +144,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzObserveLinks -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointFrames -fuzztime=5s ./internal/sweep
 	$(GO) test -run='^$$' -fuzz=FuzzRowCodec -fuzztime=5s .
+	$(GO) test -run='^$$' -fuzz=FuzzEvaluateTrace -fuzztime=5s .
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/remote
 
 # cover prints per-package statement coverage over the full test suite.

@@ -29,7 +29,7 @@ func TestArenaStudyRowEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/seed%d fresh: %v", app, mode, seed, err)
 				}
-				reused, err := runInArena(arena, w, opts)
+				reused, err := simulate(arena.Run, w, opts)
 				if err != nil {
 					t.Fatalf("%s/%s/seed%d arena: %v", app, mode, seed, err)
 				}

@@ -4,11 +4,13 @@ package main
 // keep-going mode under injected panics, a micro-pattern run and an
 // observed run, each run through the built binary at a tiny scale,
 // hashed and compared against digests recorded from a known-good build.
-// specdsm prints no wall-clock lines, so nothing is masked.
+// specdsm prints no wall-clock lines, so nothing is masked. A captured
+// trace is pinned too: the file's bytes and traceeval's report on it.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"syscall"
@@ -44,5 +46,47 @@ func TestCLIOutputDigests(t *testing.T) {
 				t.Errorf("digest %s, want %s; output:\n%s", d, c.digest, out)
 			}
 		})
+	}
+}
+
+// TestTraceOutDigests pins the bytes of a -trace-out file, cycle stamps
+// included, and traceeval's report on it at every depth.
+func TestTraceOutDigests(t *testing.T) {
+	dir := t.TempDir()
+	sd, te := filepath.Join(dir, "specdsm"), filepath.Join(dir, "traceeval")
+	for bin, pkg := range map[string]string{sd: ".", te: "../traceeval"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	file := filepath.Join(dir, "em3d.trace")
+	run := func(bin string, args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v", cmd.Args, err)
+		}
+		return out
+	}
+	run(sd, "-app", "em3d", "-mode", "swi", "-scale", "0.25", "-iters", "4", "-nodes", "8", "-trace-out", file)
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := run(te, "-in", file, "-depths", "1,2,4")
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		digest string
+	}{
+		{"trace file", raw, "d2475e243f460198490ca46d15e55f178811ba6fbac9a7c770432450fd8433e9"},
+		{"traceeval", report, "99fdd40001be8bbec41ecc15859b40d3a4adf7da42bfa49ee8e7f7ef695d2ae0"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if d := hex.EncodeToString(sum[:]); d != c.digest {
+			t.Errorf("%s digest %s, want %s", c.name, d, c.digest)
+		}
 	}
 }

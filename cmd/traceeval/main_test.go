@@ -168,3 +168,25 @@ func TestRunMissingFile(t *testing.T) {
 		t.Fatal("expected open error for missing trace")
 	}
 }
+
+// A trace no machine could have recorded is a runtime error (exit
+// status 1) naming the offending event, not a panic.
+func TestRunRejectsMalformedTrace(t *testing.T) {
+	for _, tc := range []struct{ trace, want string }{
+		{`{"nodes":5000,"events":[]}`, "node count 5000 out of range"},
+		{`{"nodes":4,"events":[{"c":1,"a":0,"t":1,"n":3000}]}`, "event 0: source node 3000 of 4"},
+		{`{"nodes":4,"events":[{"c":1,"a":0,"t":1,"n":1},{"c":2,"a":0,"t":200,"n":1}]}`, "event 1: unknown message type 200"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.trace")
+		if err := os.WriteFile(path, []byte(`{"format":1,"version":1,"trace":`+tc.trace+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o, err := parseOptions([]string{"-in", path}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run on %s: error %v, want one containing %q", tc.trace, err, tc.want)
+		}
+	}
+}

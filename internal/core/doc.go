@@ -17,10 +17,12 @@
 //     eliminating read re-ordering effects.
 //
 // A predictor plays one of two roles. As a passive observer (§7.2–7.3)
-// it only scores the directory's message stream: that is the Predictor
-// interface, one method, Observe, which a trace recorder satisfies too.
-// As the active predictor (§4, §7.4) one VMSP drives speculation, and
-// the protocol calls the speculation methods of *TwoLevel directly:
+// it only scores a recorded directory message stream: that is the
+// Predictor interface, one method, Observe, which trace.Replay calls.
+// One observer scores a whole machine's stream, whether the machine
+// replays it as it runs or a trace file is evaluated later. As
+// the active predictor (§4, §7.4) one VMSP per node drives speculation,
+// and the protocol calls the speculation methods of *TwoLevel directly:
 // predicted upcoming reader sets with verification feedback (pruning
 // mispredicted readers), the Speculative Write-Invalidation premature
 // bit, and the history updates for speculatively forwarded copies. The
@@ -63,8 +65,9 @@
 //     captured before a Reset degrades to a no-op instead of corrupting
 //     reused storage. A predictor keeps no block lookup of its own: a
 //     block's record sits at the dense block index the caller passes
-//     with each message (the directory's entry index, resolved once per
-//     message for every attached predictor; see Predictor). The record
+//     with each message (the replayed stream's block number, or the
+//     directory's entry index, resolved once per message; see
+//     Predictor). The record
 //     slice grows to a new index on first touch, and a live flag keeps
 //     never-touched records below the high-water index out of lookups
 //     and out of Census.Blocks. Pattern keys still carry the block

@@ -84,20 +84,21 @@ func (c Census) EntriesPerBlock() float64 {
 }
 
 // Predictor is the passive-observer contract (§7.2–7.3): something fed
-// the directory's incoming message stream. Cosmos, MSP and VMSP
-// (TwoLevel) score it; a trace recorder captures it. The active
-// predictor that drives speculation (§4) is always a *TwoLevel, whose
-// speculation methods the protocol calls directly.
+// a directory message stream. Cosmos, MSP and VMSP (TwoLevel) score it.
+// Passive observers are fed the machine's recorded stream by
+// trace.Replay, whole or in pieces, whether a machine scores its own
+// run or a trace file is evaluated offline. The active predictor that
+// drives speculation (§4) is always a *TwoLevel, fed online by its
+// node's directory, whose speculation methods the protocol calls
+// directly.
 //
-// Every message names its block twice: by address and by bi, the
-// block's dense index in the observing directory (the directory's own
-// entry index, resolved once per message). A TwoLevel keeps its
-// per-block history at bi and keys pattern entries by address, so bi
-// must be a non-negative index that names the same block, and only that
-// block, for every call the predictor sees between Resets. An index is
-// dense per directory: an observer attached to several directories (the
-// trace recorder, via machine.Machine.AttachObserver) must key by
-// address and ignore bi.
+// Every message names its block twice: by address and by bi, a dense
+// index for the block (trace.Replay's first-appearance numbering of the
+// stream, or the directory's own entry index for the active predictor).
+// A TwoLevel keeps its per-block history at bi and keys pattern entries
+// by address, so bi must be a non-negative index that names the same
+// block, and only that block, for every call the predictor sees between
+// Resets.
 type Predictor interface {
 	// Observe feeds one directory-incoming message for block addr, at
 	// block index bi, and returns the scoring outcome. Observe must be

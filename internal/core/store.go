@@ -1,6 +1,10 @@
 package core
 
-import "specdsm/internal/mem"
+import (
+	"slices"
+
+	"specdsm/internal/mem"
+)
 
 // Structure-of-arrays pattern-entry storage.
 //
@@ -101,6 +105,12 @@ const confMax = 3
 // alloc appends a new entry predicting (tn, vid) for key and returns its
 // index. tn/vid are the pack()/vecID packings of the predicted symbol.
 func (s *entryStore) alloc(key patternKey, tn uint16, vid uint64) int32 {
+	if len(s.keys) == cap(s.keys) {
+		// Double: append grows a large slice by about a quarter at a
+		// time, and a store scoring a whole machine's stream is large.
+		s.keys = slices.Grow(s.keys, len(s.keys)+1)
+		s.hot = slices.Grow(s.hot, len(s.hot)+1)
+	}
 	s.keys = append(s.keys, key)
 	s.hot = append(s.hot, entryHot{tn: tn, vec: vid, succ: noEntry})
 	return int32(len(s.keys) - 1)

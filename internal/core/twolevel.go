@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"specdsm/internal/mem"
 )
@@ -173,27 +174,35 @@ func NewSized(kind Kind, depth, nodes int) *TwoLevel {
 	if nodes < 1 || nodes > mem.MaxNodes {
 		panic(fmt.Sprintf("core: node count %d out of range [1, %d]", nodes, mem.MaxNodes))
 	}
-	// The containers are pre-sized for a typical per-node working set so
-	// that cold-path table growth costs a handful of allocations instead
-	// of a full doubling chain per structure (sizing only; behaviour and
-	// contents are unchanged).
-	const presize = 256
 	p := &TwoLevel{
 		kind:        kind,
 		depth:       depth,
 		blockStates: make([]blockState, 0, 128),
 		table:       patTable{vecKeys: kind == KindVMSP},
-		store: &entryStore{
-			keys: make([]patternKey, 0, presize),
-			hot:  make([]entryHot, 0, presize),
-		},
-		maxChain: mem.InlineNodes,
+		store:       &entryStore{},
+		maxChain:    mem.InlineNodes,
 	}
 	if nodes > mem.InlineNodes {
 		p.store.vecs = &vecIntern{}
 		p.maxChain = nodes
 	}
+	p.Reserve(1)
 	return p
+}
+
+// presizeEntries is one directory's typical pattern-entry count: the
+// store starts at that size, so that cold-path growth costs a handful of
+// allocations instead of a full growth chain.
+const presizeEntries = 256
+
+// Reserve presizes the pattern-entry store for the typical working set
+// of the given number of directories, so that a predictor scoring a
+// whole machine's stream starts near its final size instead of growing
+// through a chain of large reallocations. It is sizing only: behaviour
+// and contents are unchanged.
+func (p *TwoLevel) Reserve(directories int) {
+	p.store.keys = slices.Grow(p.store.keys, directories*presizeEntries)
+	p.store.hot = slices.Grow(p.store.hot, directories*presizeEntries)
 }
 
 // NewCosmos returns the general message predictor baseline.

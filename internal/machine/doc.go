@@ -1,19 +1,26 @@
 // Package machine assembles the full simulated CC-NUMA: in-order
 // processors executing per-node programs of memory accesses, compute
 // delays, and synchronization, on top of the coherence protocol
-// (internal/protocol), with predictors (internal/core) attached at every
-// directory.
+// (internal/protocol), with predictors (internal/core) scoring the
+// directories' message streams.
 //
 // The machine produces the measurements behind every experiment in the
 // paper: execution-time breakdowns (Figure 9), request/speculation counts
-// (Table 5), and — through passively attached predictors — accuracy,
-// coverage, and storage occupancy (Figures 7-8, Tables 3-4).
+// (Table 5), and — through passive observers — accuracy, coverage, and
+// storage occupancy (Figures 7-8, Tables 3-4).
 //
-// Config attaches predictors in two roles: Observers only score the
-// directory message stream, and Active, when set, also drives FR/SWI
-// speculation. Every node gets its own instance of each; Result.Predictors
-// reports each attached predictor once, summed across nodes, in
-// attachment order — the observers, then the active predictor.
+// Config attaches predictors in two roles. Active, when set, drives
+// FR/SWI speculation, so every node's directory feeds its own instance
+// as each message arrives. Observers only score: when any are set, the
+// directories record their incoming messages as one machine-wide stream
+// (protocol.System.Record), and the machine replays it through one
+// instance per observer as it runs, a slice of the run at a time, so
+// the stream never holds more than one slice. Score is that scoring path
+// for any recorded stream, so a trace file evaluated offline
+// (specdsm.EvaluateTrace) is scored exactly as the run that wrote it
+// (Record copies a run's whole stream out for that). Result.Predictors
+// reports each attached predictor once in attachment order — the
+// observers, then the active predictor summed across nodes.
 //
 // # Run arenas
 //

@@ -9,6 +9,7 @@ import (
 	"specdsm/internal/network"
 	"specdsm/internal/protocol"
 	"specdsm/internal/sim"
+	"specdsm/internal/trace"
 )
 
 // OpKind enumerates program operations.
@@ -77,9 +78,11 @@ func Unlock(id int) Op { return Op{Kind: OpUnlock, ID: id} }
 // Program is the op sequence executed by one processor.
 type Program []Op
 
-// PredictorSpec names a predictor variant to instantiate per node.
-// Confidence > 0 gates the speculation surfaces on 2-bit per-entry
-// confidence counters (an extension; 0 is the paper's behaviour).
+// PredictorSpec names a predictor variant: an observer, built once per
+// machine to score its directory stream, or the active predictor, built
+// once per node. Confidence > 0 gates the speculation surfaces on 2-bit
+// per-entry confidence counters (an extension; 0 is the paper's
+// behaviour).
 type PredictorSpec struct {
 	Kind       core.Kind
 	Depth      int
@@ -108,8 +111,10 @@ type Config struct {
 	// Flight is the network flight latency in cycles (0 = Table 1's 80);
 	// the NI occupancies are network.SendOccupancy and RecvOccupancy.
 	Flight sim.Cycle
-	// Observers are passive predictor variants instantiated at every
-	// node's directory; their stats are summed machine-wide.
+	// Observers are passive predictor variants. When any are set, the
+	// directories record their incoming messages as one machine-wide
+	// stream, which the machine scores as it runs through one predictor
+	// per observer (see Score).
 	Observers []PredictorSpec
 	// Active enables speculation with this predictor variant (the paper
 	// uses VMSP depth 1).
@@ -180,8 +185,9 @@ type Result struct {
 	Events           uint64
 }
 
-// PredictorResult is what one attached predictor measured, summed
-// across every node's instance of it.
+// PredictorResult is what one attached predictor measured: an
+// observer over the whole stream, the active predictor summed across
+// every node's instance of it.
 type PredictorResult struct {
 	Spec   PredictorSpec
 	Stats  core.Stats
@@ -193,14 +199,17 @@ type Machine struct {
 	cfg    Config
 	kernel *sim.Kernel
 	sys    *protocol.System
-	// specs lists the attached predictors (Config.Observers, then
-	// Config.Active) and preds their instances, [node][spec index].
-	specs   []PredictorSpec
-	preds   [][]*core.TwoLevel
-	procs   []*proc
-	barrier barrier
-	locks   map[int]*lock
-	running int
+	// observers score stream as the run goes (see run), and keep, when
+	// set, receives a copy of it (Record). active holds each node's
+	// active predictor (none without Config.Active).
+	observers observers
+	stream    trace.Trace
+	keep      *trace.Trace
+	active    []*core.TwoLevel
+	procs     []*proc
+	barrier   barrier
+	locks     map[int]*lock
+	running   int
 }
 
 // New builds a machine from cfg. The machine keeps its own copy of the
@@ -215,41 +224,31 @@ func New(cfg Config) *Machine {
 	}
 	k := sim.NewKernel()
 	m := &Machine{
-		cfg:    cfg,
-		kernel: k,
-		locks:  make(map[int]*lock),
+		cfg:       cfg,
+		kernel:    k,
+		locks:     make(map[int]*lock),
+		observers: newObservers(cfg.Observers, cfg.Nodes, cfg.Nodes), // each sees every directory
 	}
 	m.barrier.m = m
-	m.specs = cfg.Observers
-	if cfg.Active != nil {
-		m.specs = append(slices.Clip(m.specs), *cfg.Active)
-	}
 	opts := make([]protocol.Options, cfg.Nodes)
-	m.preds = make([][]*core.TwoLevel, cfg.Nodes)
-	for i := range m.preds {
-		preds := make([]*core.TwoLevel, len(m.specs))
-		var obs []core.Predictor
-		for j, spec := range m.specs {
-			preds[j] = spec.build(cfg.Nodes)
-			if j < len(cfg.Observers) {
-				obs = append(obs, preds[j])
-			}
-		}
-		m.preds[i] = preds
+	for i := range opts {
 		opts[i] = protocol.Options{
-			Observers:         obs,
 			EnableFR:          cfg.EnableFR,
 			EnableSWI:         cfg.EnableSWI,
 			EnableSpecUpgrade: cfg.EnableSpecUpgrade,
 			CacheCapacity:     cfg.CacheCapacity,
 		}
 		if cfg.Active != nil {
-			opts[i].Active = preds[len(obs)]
+			opts[i].Active = cfg.Active.build(cfg.Nodes)
+			m.active = append(m.active, opts[i].Active)
 		}
 	}
 	m.sys = protocol.NewSystem(k, cfg.Nodes, cfg.Flight, opts)
 	if cfg.DisableCoherenceCheck {
 		m.sys.SetCoherenceChecking(false)
+	}
+	if len(cfg.Observers) > 0 {
+		m.sys.Record(&m.stream)
 	}
 	return m
 }
@@ -257,22 +256,13 @@ func New(cfg Config) *Machine {
 // System exposes the underlying protocol system (tests, examples).
 func (m *Machine) System() *protocol.System { return m.sys }
 
-// Kernel exposes the simulation clock (e.g., for trace recorders).
-func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
-
-// AttachObserver adds one pre-instantiated passive observer to every
-// node's directory, seeing the machine-wide directory message stream in
-// processing order. Must be called before Run. The observer belongs to
-// the caller: Reset leaves it alone and Result.Predictors covers only
-// Config's predictors. Each directory passes its own dense entry index
-// as the block index (see core.Predictor), and the directories' indices
-// overlap, so a shared observer must key its state by block address and
-// ignore the index, as trace.Recorder does; a core.TwoLevel cannot be
-// attached here.
-func (m *Machine) AttachObserver(p core.Predictor) {
-	for i := 0; i < m.cfg.Nodes; i++ {
-		m.sys.Node(mem.NodeID(i)).AddObserver(p)
-	}
+// Record makes the machine append every message its directories
+// process from now on to t.Events, in processing order: the stream its
+// observers score, whole. t belongs to the caller; Reset leaves it
+// alone.
+func (m *Machine) Record(t *trace.Trace) {
+	m.keep = t
+	m.sys.Record(&m.stream)
 }
 
 // Reset re-arms a machine that has completed a run so it can Run again:
@@ -286,10 +276,12 @@ func (m *Machine) AttachObserver(p core.Predictor) {
 func (m *Machine) Reset() {
 	m.kernel.Reset()
 	m.sys.Reset()
-	for _, preds := range m.preds {
-		for _, p := range preds {
-			p.Reset()
-		}
+	m.stream.Reset()
+	for _, p := range m.observers.preds {
+		p.Reset()
+	}
+	for _, p := range m.active {
+		p.Reset()
 	}
 	m.barrier.waiters = m.barrier.waiters[:0]
 	for _, l := range m.locks {
@@ -323,7 +315,7 @@ func (m *Machine) Run(programs []Program) (*Result, error) {
 	}
 	// Only a run its budget cut short has events left; one that ends in
 	// exactly MaxEvents events completed.
-	executed := m.kernel.Run(m.cfg.MaxEvents)
+	executed := m.run()
 	if m.kernel.Pending() > 0 {
 		return nil, fmt.Errorf("machine: event guard tripped at %d events", executed)
 	}
@@ -347,6 +339,31 @@ func (m *Machine) Run(programs []Program) (*Result, error) {
 	return m.collect(executed), nil
 }
 
+// streamSlice is how many kernel events run between two scorings of the
+// stream: at most one directory message each, so the stream stays short
+// enough to replay from cache.
+const streamSlice = 8192
+
+// run runs the kernel until its queue drains or MaxEvents events have
+// run, and returns how many ran. Every streamSlice events the observers
+// score the stream recorded so far, which is copied to the kept trace,
+// if any, and cut, keeping its block numbering: the stream's storage
+// does not grow with the run.
+func (m *Machine) run() uint64 {
+	var n uint64
+	for {
+		n += m.kernel.Run(min(streamSlice, m.cfg.MaxEvents-n))
+		trace.Replay(&m.stream, m.observers.each...)
+		if m.keep != nil {
+			m.keep.Events = append(m.keep.Events, m.stream.Events...)
+		}
+		m.stream.Events = m.stream.Events[:0]
+		if m.kernel.Pending() == 0 || n == m.cfg.MaxEvents {
+			return n
+		}
+	}
+}
+
 func opAt(prog Program, pc int) any {
 	if pc-1 >= 0 && pc-1 < len(prog) {
 		return prog[pc-1]
@@ -355,15 +372,15 @@ func opAt(prog Program, pc int) any {
 }
 
 func (m *Machine) collect(events uint64) *Result {
+	// One entry per observer, then one for the active predictor.
+	npred := len(m.cfg.Observers) + min(len(m.active), 1)
 	r := &Result{
 		Procs:      make([]ProcStats, len(m.procs)),
-		Predictors: make([]PredictorResult, len(m.specs)),
+		Predictors: make([]PredictorResult, npred),
 		Network:    m.sys.NetworkStats(),
 		Events:     events,
 	}
-	for j, spec := range m.specs {
-		r.Predictors[j].Spec = spec
-	}
+	m.observers.results(r.Predictors)
 	for i, p := range m.procs {
 		r.Procs[i] = ProcStats{
 			Compute:  p.compute,
@@ -387,26 +404,20 @@ func (m *Machine) collect(events uint64) *Result {
 		addDirStats(&r.Dir, node.DirStats())
 		addCacheStats(&r.Cache, node.CacheStats())
 		r.UnreferencedSpec += node.SweepUnreferencedSpec()
-		for j, p := range m.preds[i] {
-			pr := &r.Predictors[j]
-			pr.Stats = addStats(pr.Stats, p.Stats())
-			pr.Census = addCensus(pr.Census, p.Census())
+	}
+	if m.cfg.Active != nil {
+		pr := &r.Predictors[npred-1]
+		pr.Spec = *m.cfg.Active
+		for _, p := range m.active {
+			s, c := p.Stats(), p.Census()
+			pr.Stats.Tracked += s.Tracked
+			pr.Stats.Predicted += s.Predicted
+			pr.Stats.Correct += s.Correct
+			pr.Census.Blocks += c.Blocks
+			pr.Census.Entries += c.Entries
 		}
 	}
 	return r
-}
-
-func addStats(a, b core.Stats) core.Stats {
-	a.Tracked += b.Tracked
-	a.Predicted += b.Predicted
-	a.Correct += b.Correct
-	return a
-}
-
-func addCensus(a, b core.Census) core.Census {
-	a.Blocks += b.Blocks
-	a.Entries += b.Entries
-	return a
 }
 
 func addDirStats(dst *protocol.DirStats, s protocol.DirStats) {
@@ -430,4 +441,46 @@ func addCacheStats(dst *protocol.CacheStats, s protocol.CacheStats) {
 	dst.Evictions += s.Evictions
 	dst.EvictionWritebacks += s.EvictionWritebacks
 	dst.SpecDeclinedFull += s.SpecDeclinedFull
+}
+
+// Score replays a recorded directory stream through one predictor per
+// spec, each built for the stream's machine size, and returns their
+// measurements in spec order. It is the one scoring path of passive
+// observers: a machine with observers scores its own stream the same
+// way as it runs.
+func Score(t *trace.Trace, specs []PredictorSpec) []PredictorResult {
+	o := newObservers(specs, t.Nodes, 1)
+	trace.Replay(t, o.each...)
+	out := make([]PredictorResult, len(specs))
+	o.results(out)
+	return out
+}
+
+// observers holds one predictor per observer spec. A predictor keeps its
+// state per block, so one instance fed the machine-wide stream measures
+// what one instance per directory would have measured, summed.
+type observers struct {
+	specs []PredictorSpec
+	preds []*core.TwoLevel
+	each  []core.Predictor // preds, as trace.Replay takes them
+}
+
+// newObservers builds the predictors for a machine of nodes nodes, each
+// reserving room for the working set of that many directories.
+func newObservers(specs []PredictorSpec, nodes, directories int) observers {
+	o := observers{specs: specs}
+	for _, s := range specs {
+		p := s.build(nodes)
+		p.Reserve(directories)
+		o.preds = append(o.preds, p)
+		o.each = append(o.each, p)
+	}
+	return o
+}
+
+// results writes each observer's measurements to the head of out.
+func (o observers) results(out []PredictorResult) {
+	for i, p := range o.preds {
+		out[i] = PredictorResult{Spec: o.specs[i], Stats: p.Stats(), Census: p.Census()}
+	}
 }

@@ -8,10 +8,13 @@ import (
 	"specdsm/internal/trace"
 )
 
-func TestAttachObserverSeesAllDirectories(t *testing.T) {
+// Record copies the machine-wide directory stream to the caller's
+// trace: it sees every directory, stamps the machine's clock, and a
+// reused machine appends its next run.
+func TestRecordSeesAllDirectories(t *testing.T) {
 	m := New(Config{Nodes: 4})
-	rec := trace.NewRecorder(m.Kernel(), "test", 4, 0)
-	m.AttachObserver(rec)
+	var tr trace.Trace
+	m.Record(&tr)
 	// Traffic to two different homes.
 	progs := []Program{
 		{Write(mem.MakeAddr(1, 0)), Read(mem.MakeAddr(2, 0))},
@@ -22,16 +25,15 @@ func TestAttachObserverSeesAllDirectories(t *testing.T) {
 	if _, err := m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	tr := rec.Trace()
 	if len(tr.Events) == 0 {
-		t.Fatal("recorder saw nothing")
+		t.Fatal("stream recorded nothing")
 	}
 	homes := map[mem.NodeID]bool{}
 	for _, e := range tr.Events {
 		homes[mem.BlockAddr(e.Addr).Home()] = true
 	}
 	if !homes[1] || !homes[2] {
-		t.Fatalf("recorder missed a directory: %v", homes)
+		t.Fatalf("stream missed a directory: %v", homes)
 	}
 	// Events carry nonzero cycles (stamped by the machine's kernel).
 	var sawNonzero bool
@@ -42,6 +44,11 @@ func TestAttachObserverSeesAllDirectories(t *testing.T) {
 	}
 	if !sawNonzero {
 		t.Fatal("events not clock-stamped")
+	}
+	n := len(tr.Events)
+	m.Reset()
+	if _, err := m.Run(progs); err != nil || len(tr.Events) != 2*n {
+		t.Fatalf("rerun left %d events (err %v), want %d", len(tr.Events), err, 2*n)
 	}
 }
 

@@ -5,15 +5,13 @@ import (
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
+	"specdsm/internal/trace"
 )
 
 func TestSystemAccessors(t *testing.T) {
 	h := newHarness(t, 3)
 	if h.sys.Nodes() != 3 {
 		t.Fatalf("Nodes = %d", h.sys.Nodes())
-	}
-	if h.sys.Kernel() != h.k {
-		t.Fatal("Kernel accessor wrong")
 	}
 	n := h.sys.Node(2)
 	if n.ID() != 2 {
@@ -46,20 +44,38 @@ func TestSetCoherenceCheckingOff(t *testing.T) {
 	}
 }
 
-func TestAddObserverOnNode(t *testing.T) {
+// Record captures every directory's incoming messages as one stream,
+// in processing order and stamped with the kernel's cycle, until it is
+// switched off.
+func TestRecordCapturesDirectoryMessages(t *testing.T) {
 	h := newHarness(t, 2)
-	p := core.NewMSP(1)
-	h.sys.Node(1).AddObserver(p)
-	// Traffic to node 1's home blocks reaches the added observer.
-	h.read(0, mem.MakeAddr(1, 0))
-	if p.Stats().Tracked == 0 {
-		t.Fatal("added observer saw nothing")
+	var tr trace.Trace
+	h.sys.Record(&tr)
+	a, b := mem.MakeAddr(1, 0), mem.MakeAddr(0, 0)
+	h.read(0, a)  // remote read at home 1
+	h.write(1, a) // local write at home 1; node 0's copy acks the invalidation
+	h.read(1, b)  // remote read at home 0
+	h.sys.Record(nil)
+	h.read(0, b)
+	want := []trace.Event{
+		{Addr: uint64(a), Type: uint8(core.MsgRead), Node: 0},
+		{Addr: uint64(a), Type: uint8(core.MsgWrite), Node: 1},
+		{Addr: uint64(a), Type: uint8(core.MsgAckInv), Node: 0},
+		{Addr: uint64(b), Type: uint8(core.MsgRead), Node: 1},
 	}
-	// Traffic to node 0's home does not (observer attached at node 1 only).
-	before := p.Stats().Tracked
-	h.read(1, mem.MakeAddr(0, 0))
-	if p.Stats().Tracked != before {
-		t.Fatal("observer saw traffic for another node's directory")
+	if len(tr.Events) != len(want) {
+		t.Fatalf("recorded %+v, want %d events", tr.Events, len(want))
+	}
+	var last int64
+	for i, e := range tr.Events {
+		if e.Cycle <= last {
+			t.Fatalf("event %d at cycle %d, after %d", i, e.Cycle, last)
+		}
+		last = e.Cycle
+		e.Cycle = 0
+		if e != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
+		}
 	}
 	h.finish()
 }

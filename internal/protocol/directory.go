@@ -6,6 +6,7 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
 	"specdsm/internal/sim"
+	"specdsm/internal/trace"
 )
 
 type dirState uint8
@@ -414,16 +415,16 @@ func (d *directory) process(src mem.NodeID, m Msg) {
 	}
 }
 
-// observe feeds one incoming message for entry ei to every attached
-// predictor; the entry index is each predictor's block index (see
-// core.Predictor), so the block is resolved once per message.
+// observe hands one incoming message for entry ei to the recorded
+// stream, if any, and to the active predictor, whose block index is the
+// entry index (see core.Predictor), so the block is resolved once per
+// message.
 func (d *directory) observe(addr mem.BlockAddr, ei int32, t core.MsgType, node mem.NodeID) {
-	o := core.Observation{Type: t, Node: node}
-	for _, p := range d.n.opts.Observers {
-		p.Observe(addr, ei, o)
+	if s := d.n.sys.stream; s != nil {
+		s.Events = append(s.Events, trace.Event{Cycle: int64(d.n.sys.kernel.Now()), Addr: uint64(addr), Type: uint8(t), Node: uint16(node)})
 	}
 	if a := d.n.opts.Active; a != nil {
-		a.Observe(addr, ei, o)
+		a.Observe(addr, ei, core.Observation{Type: t, Node: node})
 	}
 }
 

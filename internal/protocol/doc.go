@@ -13,12 +13,15 @@
 //     FIFO queue of requests that arrive while a transaction is in flight
 //     (the blocking directory is one of the two race sources that perturb
 //     message predictors; network-interface queueing is the other);
-//   - optionally, predictors (internal/core) fed the directory's
-//     incoming message stream: passive observers (Options.Observers, the
-//     one-method core.Predictor) that only score it, and one active
-//     *core.TwoLevel (Options.Active) that also drives read speculation
-//     via the First-Read (FR) and Speculative Write-Invalidation (SWI)
-//     triggers.
+//   - optionally, an active predictor (Options.Active, a *core.TwoLevel
+//     from internal/core) fed the directory's incoming message stream,
+//     which drives read speculation via the First-Read (FR) and
+//     Speculative Write-Invalidation (SWI) triggers.
+//
+// Passive observers are not attached to directories. System.Record
+// makes every directory append its incoming messages to one
+// machine-wide stream (a trace.Trace), in processing order, which the
+// machine layer scores.
 //
 // The speculation machinery never modifies base protocol transitions: it
 // only schedules existing operations early (an early recall, an early
@@ -48,9 +51,9 @@
 //   - Both slices are indexed through mem.BlockMap (first touch goes
 //     through BlockMap.Reserve, a single-probe get-or-insert). The
 //     directory resolves a block once per incoming message, before the
-//     predictors see it, and hands that entry index to every observer
-//     and to the active predictor as their block index (see
-//     core.Predictor), so no predictor probes a block table of its own.
+//     active predictor sees it, and hands that entry index to it as its
+//     block index (see core.Predictor), so it probes no block table of
+//     its own.
 //     Indices are stable for the lifetime of the table — growth appends,
 //     Reset truncates — so deferred events and kernel callbacks reference
 //     entries by int32 index, never by pointer, and a *dirHot/*lineHot

@@ -35,16 +35,13 @@ const (
 	LocalHop sim.Cycle = 12
 )
 
-// Options configures a node's predictor attachment and speculation.
+// Options configures a node's speculation.
 type Options struct {
-	// Observers are passive predictors fed every message arriving at this
-	// node's directory. They never influence protocol behaviour; they are
-	// how Figures 7-8 and Tables 3-4 measure Cosmos/MSP/VMSP on identical
-	// message streams.
-	Observers []core.Predictor
 	// Active is the predictor consulted for speculation (the paper's
-	// speculative DSMs use a VMSP with history depth one). It also
-	// observes all messages. Nil disables speculation entirely.
+	// speculative DSMs use a VMSP with history depth one). It observes
+	// every message arriving at this node's directory, online, because
+	// FR and SWI act on its predictions as they arise. Nil disables
+	// speculation entirely.
 	Active *core.TwoLevel
 	// EnableFR turns on First-Read triggering of read-sequence speculation.
 	EnableFR bool

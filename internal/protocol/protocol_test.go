@@ -7,6 +7,7 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
 	"specdsm/internal/sim"
+	"specdsm/internal/trace"
 )
 
 // tableFlight is Table 1's 80-cycle network flight latency.
@@ -530,20 +531,20 @@ func TestRandomStressCoherence(t *testing.T) {
 }
 
 func TestPassiveObserversSeeIdenticalStreams(t *testing.T) {
-	// Attach Cosmos/MSP/VMSP as passive observers at the block's home;
-	// their tracked counts must relate (Cosmos sees requests plus
-	// acks/writebacks). A predictor is never shared between directories:
-	// their entry indices overlap.
+	// Score the recorded stream with Cosmos/MSP/VMSP as passive
+	// observers; their tracked counts must relate (Cosmos sees requests
+	// plus acks/writebacks).
 	cosmos := core.NewCosmos(1)
 	msp := core.NewMSP(1)
 	vmsp := core.NewVMSP(1)
-	opts := make([]Options, 4)
-	opts[0].Observers = []core.Predictor{cosmos, msp, vmsp}
-	h := newHarness(t, 4, opts...)
+	h := newHarness(t, 4)
+	var tr trace.Trace
+	h.sys.Record(&tr)
 	addr := mem.MakeAddr(0, 0)
 	for i := 0; i < 5; i++ {
 		producerConsumerRound(h, addr)
 	}
+	trace.Replay(&tr, cosmos, msp, vmsp)
 	cs, ms, vs := cosmos.Stats(), msp.Stats(), vmsp.Stats()
 	if ms.Tracked != vs.Tracked {
 		t.Fatalf("MSP/VMSP tracked differ: %d vs %d", ms.Tracked, vs.Tracked)

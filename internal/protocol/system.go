@@ -7,6 +7,7 @@ import (
 	"specdsm/internal/mem"
 	"specdsm/internal/network"
 	"specdsm/internal/sim"
+	"specdsm/internal/trace"
 )
 
 // Node is one DSM node: a processor-side cache controller plus the
@@ -25,12 +26,6 @@ type Node struct {
 
 // ID returns the node's identifier.
 func (n *Node) ID() mem.NodeID { return n.id }
-
-// AddObserver attaches one more passive predictor to this node's
-// directory. Must be called before simulation starts.
-func (n *Node) AddObserver(p core.Predictor) {
-	n.opts.Observers = append(n.opts.Observers, p)
-}
 
 // Access issues a processor load or store. done fires at completion.
 func (n *Node) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome)) {
@@ -70,6 +65,8 @@ type System struct {
 	nodes  []*Node
 	// sendPool recycles the deferred-send events used by routeAfter.
 	sendPool sim.FreeList[sendEvent]
+	// stream, when set, receives every directory-incoming message.
+	stream *trace.Trace
 
 	// Coherence checking (simulator-level omniscience, assertions only).
 	checkEnabled bool
@@ -106,8 +103,8 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 // NewSystem builds an n-node DSM on the given kernel, with a network
 // flight latency of flight cycles. opts[i] configures node i; no opts builds
 // plain Base-DSM nodes. Options are never shared between nodes: each
-// directory indexes its predictors by its own entry indices (see
-// core.Predictor), so every node needs predictor instances of its own.
+// directory indexes its active predictor by its own entry indices (see
+// core.Predictor), so every node needs an instance of its own.
 func NewSystem(k *sim.Kernel, n int, flight sim.Cycle, opts []Options) *System {
 	if n <= 0 || n > mem.MaxNodes {
 		panic(fmt.Sprintf("protocol: invalid node count %d", n))
@@ -139,8 +136,9 @@ func NewSystem(k *sim.Kernel, n int, flight sim.Cycle, opts []Options) *System {
 // early-write-invalidate table clear, the network's occupancy horizons and
 // counters clear, and the coherence checker forgets its version history
 // (it lives in the cache and directory slices that reset truncates).
-// Attached predictors are NOT reset — they belong to the caller (the
-// machine layer owns and resets them alongside this call). Call only on
+// Active predictors and the recorded stream are NOT reset — they belong
+// to the caller (the machine layer owns and resets them alongside this
+// call). Call only on
 // a quiescent system (a completed run); a reset system is observably
 // equivalent to a freshly constructed one.
 func (s *System) Reset() {
@@ -159,11 +157,14 @@ func (s *System) Node(id mem.NodeID) *Node { return s.nodes[id] }
 // Nodes returns the node count.
 func (s *System) Nodes() int { return len(s.nodes) }
 
-// Kernel returns the simulation kernel the system runs on.
-func (s *System) Kernel() *sim.Kernel { return s.kernel }
-
 // NetworkStats returns interconnect counters.
 func (s *System) NetworkStats() network.Stats { return s.net.Stats() }
+
+// Record appends every message arriving at any directory to t.Events
+// from now on: one machine-wide stream in processing order, each event
+// stamped with the kernel's cycle, for passive predictors to score
+// (trace.Replay). Record(nil) stops recording.
+func (s *System) Record(t *trace.Trace) { s.stream = t }
 
 // SetCoherenceChecking toggles the version checker (on by default).
 func (s *System) SetCoherenceChecking(on bool) { s.checkEnabled = on }

@@ -17,7 +17,7 @@ import (
 	"specdsm/internal/fault"
 )
 
-// Checkpoint file format (version 3). A checkpoint persists the ordered
+// Checkpoint file format (version 4). A checkpoint persists the ordered
 // prefix of jobs a streaming sweep has already settled — emitted rows
 // and, in keep-going mode, recorded failures — so an interrupted sweep
 // resumes by replaying the saved prefix and running only the remaining
@@ -28,7 +28,7 @@ import (
 // Layout (all integers little-endian):
 //
 //	magic    [8]byte  "SPDSMCKP"
-//	version  uint32   3
+//	version  uint32   4
 //	keyLen   uint32
 //	key      [keyLen]byte   study identity (name + config + job count)
 //	frames, one per settled job, each:

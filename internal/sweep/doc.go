@@ -54,10 +54,10 @@
 // Pool.OnJobDone is an optional per-job completion hook (absolute
 // study index + wall-clock duration) for live progress on big
 // matrices; it fires once per job that runs and succeeds, never for
-// rows replayed from a checkpoint. Progress adapts it to a log/slog
-// logger, and ProgressETA adds completed/total counts plus an ETA from
-// a sliding window of recent completions. The hook observes jobs,
-// never influences them.
+// rows replayed from a checkpoint. ProgressETA adapts it to a log/slog
+// logger that reports completed/total counts plus an ETA from a sliding
+// window of recent completions. The hook observes jobs, never
+// influences them.
 //
 // # Failure model
 //

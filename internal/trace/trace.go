@@ -8,7 +8,6 @@ import (
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
-	"specdsm/internal/sim"
 )
 
 // Event is one directory-incoming coherence message.
@@ -23,12 +22,17 @@ type Event struct {
 	Node uint16 `json:"n"`
 }
 
-// Trace is a captured run.
+// Trace is a directory message stream: the machine-wide sequence of
+// messages its directories processed, in processing order.
 type Trace struct {
 	Workload string  `json:"workload"`
 	Nodes    int     `json:"nodes"`
 	Seed     int64   `json:"seed"`
 	Events   []Event `json:"events"`
+
+	// blocks is Replay's block numbering, kept with the trace so that a
+	// stream replayed in pieces is numbered as one.
+	blocks mem.BlockMap
 }
 
 // Blocks returns the number of distinct blocks in the trace.
@@ -40,64 +44,32 @@ func (t *Trace) Blocks() int {
 	return len(seen)
 }
 
-// Clock provides the current simulation time (implemented by sim.Kernel).
-type Clock interface {
-	Now() sim.Cycle
+// Reset empties the trace and forgets its block numbering, keeping
+// both storages, so that it can record a new stream.
+func (t *Trace) Reset() {
+	t.Events = t.Events[:0]
+	t.blocks.Reset()
 }
 
-// Recorder captures directory message streams. It is a core.Predictor,
-// the passive-observer contract, so it attaches wherever a scoring
-// observer can; it scores nothing.
-type Recorder struct {
-	clock Clock
-	trace Trace
-}
-
-// NewRecorder creates a recorder stamping events with the given clock.
-func NewRecorder(clock Clock, workload string, nodes int, seed int64) *Recorder {
-	return &Recorder{
-		clock: clock,
-		trace: Trace{Workload: workload, Nodes: nodes, Seed: seed},
-	}
-}
-
-// Trace returns the captured trace (shared, not copied).
-func (r *Recorder) Trace() *Trace { return &r.trace }
-
-// Observe implements core.Predictor by recording the message. It keys
-// nothing by the block index: one recorder sees every directory (see
-// machine.Machine.AttachObserver), whose indices overlap.
-func (r *Recorder) Observe(addr mem.BlockAddr, _ int32, obs core.Observation) core.Outcome {
-	var cycle int64
-	if r.clock != nil {
-		cycle = int64(r.clock.Now())
-	}
-	r.trace.Events = append(r.trace.Events, Event{
-		Cycle: cycle,
-		Addr:  uint64(addr),
-		Type:  uint8(obs.Type),
-		Node:  uint16(obs.Node),
-	})
-	return core.Outcome{}
-}
-
-var _ core.Predictor = (*Recorder)(nil)
-
-// Replay feeds the trace's events, in captured order, to each predictor
+// Replay feeds the trace's events, in recorded order, to each predictor
 // and returns nothing; inspect the predictors' Stats/Census afterwards.
-// Captured order preserves per-block arrival order, which is all the
-// (per-block) two-level predictors depend on.
+// Recorded order preserves per-block arrival order, which is all the
+// (per-block) two-level predictors depend on, so one predictor scoring
+// the whole machine's stream measures what one instance per directory
+// would have measured, summed.
 //
 // Replay plays the directory's part of the core.Predictor contract for
 // the whole trace: it numbers blocks densely in first-appearance order,
-// one lookup per event shared by every predictor. The numbering is local
-// to one call, so a predictor fed by more than one Replay must be Reset
-// in between.
+// one lookup per event shared by every predictor. The numbering stays
+// with the trace until Reset, so a stream may be replayed in pieces:
+// replay the events recorded so far, empty Events (keeping the trace),
+// record more, replay again. Replaying the same events twice numbers
+// them the same way, but a predictor fed them twice must be Reset in
+// between. Replay must not run concurrently on one trace.
 func Replay(t *Trace, predictors ...core.Predictor) {
-	var blocks mem.BlockMap
 	for _, e := range t.Events {
 		addr := mem.BlockAddr(e.Addr)
-		bi, _ := blocks.Reserve(addr, int32(blocks.Len()))
+		bi, _ := t.blocks.Reserve(addr, int32(t.blocks.Len()))
 		obs := core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)}
 		for _, p := range predictors {
 			p.Observe(addr, bi, obs)
@@ -124,7 +96,10 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. It refuses a trace a
+// machine could not have recorded: a node count outside [1,
+// mem.MaxNodes], or an event whose source or block home is not one of
+// those nodes, or whose type is not a directory-incoming message.
 func Read(r io.Reader) (*Trace, error) {
 	var env fileEnvelope
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -134,8 +109,22 @@ func Read(r io.Reader) (*Trace, error) {
 	if env.Format != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format %d", env.Format)
 	}
-	if env.Trace == nil {
+	t := env.Trace
+	if t == nil {
 		return nil, fmt.Errorf("trace: empty envelope")
 	}
-	return env.Trace, nil
+	if t.Nodes < 1 || t.Nodes > mem.MaxNodes {
+		return nil, fmt.Errorf("trace: node count %d out of range [1, %d]", t.Nodes, mem.MaxNodes)
+	}
+	for i, e := range t.Events {
+		switch {
+		case int(e.Node) >= t.Nodes:
+			return nil, fmt.Errorf("trace: event %d: source node %d of %d", i, e.Node, t.Nodes)
+		case int(mem.BlockAddr(e.Addr).Home()) >= t.Nodes:
+			return nil, fmt.Errorf("trace: event %d: block home %d of %d", i, mem.BlockAddr(e.Addr).Home(), t.Nodes)
+		case core.MsgType(e.Type) < core.MsgRead || core.MsgType(e.Type) > core.MsgWriteback:
+			return nil, fmt.Errorf("trace: event %d: unknown message type %d", i, e.Type)
+		}
+	}
+	return t, nil
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"specdsm/internal/core"
 	"specdsm/internal/mem"
-	"specdsm/internal/sim"
 )
 
 func sampleTrace() *Trace {
@@ -64,32 +64,33 @@ func TestBlocksCount(t *testing.T) {
 	}
 }
 
-func TestRecorderCaptures(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRecorder(k, "wl", 4, 9)
-	addr := mem.MakeAddr(1, 5)
-	k.At(100, func() {
-		r.Observe(addr, 0, core.Observation{Type: core.MsgRead, Node: 2})
-	})
-	k.Run(0)
-	tr := r.Trace()
-	if len(tr.Events) != 1 {
-		t.Fatalf("%d events", len(tr.Events))
+// Read refuses a trace no machine could have recorded, naming the
+// offending event, instead of handing it to a predictor that would panic
+// on it or silently score it.
+func TestReadRejectsMalformedTraces(t *testing.T) {
+	home3 := mem.MakeAddr(3, 0)
+	for _, tc := range []struct {
+		name, trace, want string
+	}{
+		{"no nodes", `{"nodes":0,"events":[]}`, "node count 0 out of range"},
+		{"too many nodes", `{"nodes":5000,"events":[]}`, "node count 5000 out of range"},
+		{"source node", `{"nodes":4,"events":[{"c":1,"a":0,"t":1,"n":0},{"c":2,"a":0,"t":1,"n":3000}]}`, "event 1: source node 3000 of 4"},
+		{"block home", `{"nodes":2,"events":[{"c":1,"a":` + strconv.FormatUint(uint64(home3), 10) + `,"t":1,"n":0}]}`, "event 0: block home 3 of 2"},
+		{"type zero", `{"nodes":2,"events":[{"c":1,"a":0,"t":0,"n":0}]}`, "event 0: unknown message type 0"},
+		{"type 200", `{"nodes":2,"events":[{"c":1,"a":0,"t":1,"n":0},{"c":1,"a":0,"t":1,"n":1},{"c":1,"a":0,"t":200,"n":0}]}`, "event 2: unknown message type 200"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(strings.NewReader(`{"format":1,"version":1,"trace":` + tc.trace + `}`))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
-	e := tr.Events[0]
-	if e.Cycle != 100 || e.Addr != uint64(addr) || core.MsgType(e.Type) != core.MsgRead || e.Node != 2 {
-		t.Fatalf("event = %+v", e)
-	}
-	if tr.Workload != "wl" || tr.Nodes != 4 || tr.Seed != 9 {
-		t.Fatalf("metadata = %+v", tr)
-	}
-}
-
-func TestRecorderIsInertPredictor(t *testing.T) {
-	r := NewRecorder(nil, "", 2, 0)
-	addr := mem.MakeAddr(0, 0)
-	if out := r.Observe(addr, 0, core.Observation{Type: core.MsgRead, Node: 1}); out != (core.Outcome{}) {
-		t.Fatalf("recorder scored a message: %+v", out)
+	// The largest well-formed values are accepted.
+	ok := `{"format":1,"version":1,"trace":{"nodes":4096,"events":[{"c":1,"a":` +
+		strconv.FormatUint(uint64(mem.MakeAddr(4095, 0)), 10) + `,"t":5,"n":4095}]}}`
+	if _, err := Read(strings.NewReader(ok)); err != nil {
+		t.Fatalf("well-formed edge trace refused: %v", err)
 	}
 }
 

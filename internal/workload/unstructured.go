@@ -60,16 +60,22 @@ func Unstructured(p Params) []machine.Program {
 	type migBlock struct {
 		addr mem.BlockAddr
 		head mem.NodeID
-		even []mem.NodeID
-		odd  []mem.NodeID
+		even [2]mem.NodeID
+		odd  [2]mem.NodeID
 	}
 	var migBlocks []migBlock
 	for c := 0; c < chains; c++ {
 		procs := b.perm(b.nodes)
 		head := mem.NodeID(procs[0])
-		even := []mem.NodeID{mem.NodeID(procs[1]), mem.NodeID(procs[2])}
-		odd := []mem.NodeID{mem.NodeID(procs[3]), mem.NodeID(procs[4])}
+		even := [2]mem.NodeID{mem.NodeID(procs[1]), mem.NodeID(procs[2])}
+		odd := [2]mem.NodeID{mem.NodeID(procs[3]), mem.NodeID(procs[4])}
 		migBlocks = append(migBlocks, migBlock{b.allocRR(c), head, even, odd})
+	}
+	// visit is the k-th visit of a reduction chain to its block.
+	visit := func(k int, proc mem.NodeID, addr mem.BlockAddr) {
+		b.compute(proc, b.jitter(150+k*900, 250))
+		b.read(proc, addr)
+		b.write(proc, addr)
 	}
 
 	for it := 0; it < p.Iterations; it++ {
@@ -91,7 +97,7 @@ func Unstructured(p Params) []machine.Program {
 		}
 		for n := 0; n < b.nodes; n++ {
 			r := mem.NodeID(n)
-			order := make([]int, len(reads[r]))
+			order := b.scratch(len(reads[r]))
 			for i := range order {
 				order[i] = i
 			}
@@ -107,14 +113,13 @@ func Unstructured(p Params) []machine.Program {
 		b.barrierAll()
 		// Reduction: head visits first, then the parity-selected tail.
 		for _, blk := range migBlocks {
-			visit := append([]mem.NodeID{blk.head}, blk.even...)
+			tail := blk.even
 			if it%2 == 1 {
-				visit = append([]mem.NodeID{blk.head}, blk.odd...)
+				tail = blk.odd
 			}
-			for k, proc := range visit {
-				b.compute(proc, b.jitter(150+k*900, 250))
-				b.read(proc, blk.addr)
-				b.write(proc, blk.addr)
+			visit(0, blk.head, blk.addr)
+			for k, proc := range tail {
+				visit(k+1, proc, blk.addr)
 			}
 		}
 		b.barrierAll()

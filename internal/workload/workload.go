@@ -170,6 +170,8 @@ type build struct {
 	next []uint64
 	// reads holds per-node reader lists, reused by readLists.
 	reads [][]mem.BlockAddr
+	// ints is the scratch behind perm and scratch.
+	ints []int
 }
 
 // builders is the free list of idle builders. A plain mutex-guarded
@@ -318,8 +320,24 @@ func (b *build) jitter(base, spread int) sim.Cycle {
 	return sim.Cycle(base + b.rng.Intn(spread))
 }
 
-// perm returns a random permutation of 0..n-1.
-func (b *build) perm(n int) []int { return b.rng.Perm(n) }
+// scratch returns n ints of the builder's scratch storage, valid until
+// the next call of scratch or perm.
+func (b *build) scratch(n int) []int {
+	b.ints = slices.Grow(b.ints[:0], n)[:n]
+	return b.ints
+}
+
+// perm returns a random permutation of 0..n-1 in the builder's scratch
+// (see scratch), drawing from the generator exactly as rand.Perm does.
+func (b *build) perm(n int) []int {
+	m := b.scratch(n)
+	for i := range m {
+		j := b.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
 // pickOthers selects k distinct nodes other than excl.
 func (b *build) pickOthers(k int, excl mem.NodeID) []mem.NodeID {

@@ -98,7 +98,7 @@ func (rs studySpec) job(_ context.Context, arena *machine.Arena, j int) (*RunRes
 	if err != nil {
 		return nil, err
 	}
-	return runInArena(arena, w, opts)
+	return simulate(arena.Run, w, opts)
 }
 
 // digit peels the lowest mixed-radix digit of *j off an axis into *v;

@@ -201,7 +201,8 @@ func MicroWorkload(pattern MicroPattern, p WorkloadParams) (Workload, error) {
 type MachineOptions struct {
 	// Mode selects Base-DSM, FR-DSM, or SWI-DSM. Empty means Base.
 	Mode Mode
-	// Observers attach passive predictors at every directory.
+	// Observers score the directories' message stream with passive
+	// predictors, one per entry.
 	Observers []PredictorConfig
 	// Active overrides the speculation predictor (default: VMSP depth 1,
 	// as in the paper's §7.4).
@@ -373,16 +374,17 @@ func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) 
 
 // Run simulates the workload on a machine configured by opts.
 func Run(w Workload, opts MachineOptions) (*RunResult, error) {
-	return runInArena(machine.NewArena(), w, opts)
+	return simulate(machine.NewArena().Run, w, opts)
 }
 
-// runInArena is Run against a worker-local run arena: the simulated
-// machine for the options' configuration is built once per arena and
-// re-armed in place for every subsequent run, so a sweep worker pays
-// machine construction once per distinct configuration instead of once
-// per job. Results are identical to Run (the arena reset-equivalence
-// tests pin this).
-func runInArena(a *machine.Arena, w Workload, opts MachineOptions) (*RunResult, error) {
+// simulate is Run through run, which executes the programs on a machine
+// built for the options' configuration. A sweep worker passes its own
+// run arena's Run: the machine for a configuration is built once per
+// arena and re-armed in place for every subsequent run, so the worker
+// pays machine construction once per distinct configuration instead of
+// once per job. Results are identical to Run (the arena
+// reset-equivalence tests pin this).
+func simulate(run func(machine.Config, []machine.Program) (*machine.Result, error), w Workload, opts MachineOptions) (*RunResult, error) {
 	if len(w.programs) == 0 {
 		return nil, fmt.Errorf("specdsm: empty workload")
 	}
@@ -390,7 +392,7 @@ func runInArena(a *machine.Arena, w Workload, opts MachineOptions) (*RunResult, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := a.Run(cfg, w.programs)
+	res, err := run(cfg, w.programs)
 	if err != nil {
 		return nil, fmt.Errorf("specdsm: %s/%s: %w", w.Name, mode, err)
 	}
@@ -426,26 +428,28 @@ func convert(w Workload, mode Mode, res *machine.Result) *RunResult {
 	for _, p := range res.Procs {
 		out.SpecHits += p.SpecHits
 	}
-	if len(res.Predictors) > 0 {
-		out.Predictors = make([]PredictorResult, len(res.Predictors))
-		for i, pr := range res.Predictors {
-			out.Predictors[i] = predictorResult(pr)
-		}
-	}
+	out.Predictors = predictorResults(res.Predictors)
 	return out
 }
 
-// predictorResult reports what one predictor measured.
-func predictorResult(pr machine.PredictorResult) PredictorResult {
-	return PredictorResult{
-		Kind:      PredictorKind(pr.Spec.Kind.String()),
-		Depth:     pr.Spec.Depth,
-		Tracked:   pr.Stats.Tracked,
-		Predicted: pr.Stats.Predicted,
-		Correct:   pr.Stats.Correct,
-		Blocks:    pr.Census.Blocks,
-		Entries:   pr.Census.Entries,
+// predictorResults reports what each predictor measured (nil for none).
+func predictorResults(prs []machine.PredictorResult) []PredictorResult {
+	if len(prs) == 0 {
+		return nil
 	}
+	out := make([]PredictorResult, len(prs))
+	for i, pr := range prs {
+		out[i] = PredictorResult{
+			Kind:      PredictorKind(pr.Spec.Kind.String()),
+			Depth:     pr.Spec.Depth,
+			Tracked:   pr.Stats.Tracked,
+			Predicted: pr.Stats.Predicted,
+			Correct:   pr.Stats.Correct,
+			Blocks:    pr.Census.Blocks,
+			Entries:   pr.Census.Entries,
+		}
+	}
+	return out
 }
 
 // Predictor returns the result for one attached predictor configuration:

@@ -1,12 +1,9 @@
 package specdsm
 
 import (
-	"fmt"
 	"io"
 
-	"specdsm/internal/core"
 	"specdsm/internal/machine"
-	"specdsm/internal/mem"
 	"specdsm/internal/trace"
 )
 
@@ -21,30 +18,23 @@ type TraceSummary struct {
 
 // CaptureTrace runs the workload and writes the coherence message streams
 // observed at the directories to w as JSON, returning the run result and
-// a trace summary. The captured stream is exactly what a passive
-// predictor attached to the run would have observed, so offline
-// evaluation (EvaluateTrace) reproduces online predictor measurements
-// bit-for-bit.
+// a trace summary. The trace is the very stream the run's observers are
+// scored from, so offline evaluation (EvaluateTrace) reproduces online
+// predictor measurements bit-for-bit.
 func CaptureTrace(wl Workload, opts MachineOptions, out io.Writer) (*RunResult, TraceSummary, error) {
-	if len(wl.programs) == 0 {
-		return nil, TraceSummary{}, fmt.Errorf("specdsm: empty workload")
-	}
-	cfg, mode, err := buildConfig(wl, opts)
+	tr := &trace.Trace{Workload: wl.Name, Nodes: wl.Nodes, Seed: wl.seed}
+	res, err := simulate(func(cfg machine.Config, progs []machine.Program) (*machine.Result, error) {
+		m := machine.New(cfg)
+		m.Record(tr)
+		return m.Run(progs)
+	}, wl, opts)
 	if err != nil {
 		return nil, TraceSummary{}, err
 	}
-	m := machine.New(cfg)
-	rec := trace.NewRecorder(m.Kernel(), wl.Name, wl.Nodes, wl.seed)
-	m.AttachObserver(rec)
-	res, err := m.Run(wl.programs)
-	if err != nil {
-		return nil, TraceSummary{}, fmt.Errorf("specdsm: %s/%s: %w", wl.Name, mode, err)
-	}
-	tr := rec.Trace()
 	if err := trace.Write(out, tr); err != nil {
 		return nil, TraceSummary{}, err
 	}
-	return convert(wl, mode, res), summarize(tr), nil
+	return res, summarize(tr), nil
 }
 
 func summarize(tr *trace.Trace) TraceSummary {
@@ -58,33 +48,18 @@ func summarize(tr *trace.Trace) TraceSummary {
 }
 
 // EvaluateTrace reads a trace written by CaptureTrace and evaluates the
-// given predictor configurations on it offline, without re-simulation.
+// given predictor configurations on it offline, without re-simulation,
+// through the same scoring path a run's observers take. A trace no
+// machine could have recorded is an error.
 func EvaluateTrace(in io.Reader, configs []PredictorConfig) ([]PredictorResult, TraceSummary, error) {
 	tr, err := trace.Read(in)
 	if err != nil {
 		return nil, TraceSummary{}, err
 	}
-	return evaluateTrace(tr, configs)
-}
-
-func evaluateTrace(tr *trace.Trace, configs []PredictorConfig) ([]PredictorResult, TraceSummary, error) {
-	nodes := max(tr.Nodes, mem.InlineNodes)
-	var specs []machine.PredictorSpec
-	var preds []*core.TwoLevel
-	var observers []core.Predictor
-	for _, c := range configs {
-		spec, err := c.spec()
-		if err != nil {
-			return nil, TraceSummary{}, err
-		}
-		p := core.NewSized(spec.Kind, spec.Depth, nodes)
-		specs = append(specs, spec)
-		preds, observers = append(preds, p), append(observers, p)
+	// The observers a Base run of the traced machine would attach.
+	cfg, _, err := buildConfig(Workload{Nodes: tr.Nodes}, MachineOptions{Observers: configs})
+	if err != nil {
+		return nil, TraceSummary{}, err
 	}
-	trace.Replay(tr, observers...)
-	var out []PredictorResult
-	for i, p := range preds {
-		out = append(out, predictorResult(machine.PredictorResult{Spec: specs[i], Stats: p.Stats(), Census: p.Census()}))
-	}
-	return out, summarize(tr), nil
+	return predictorResults(machine.Score(tr, cfg.Observers)), summarize(tr), nil
 }

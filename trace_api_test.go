@@ -178,3 +178,46 @@ func TestDuplicateObserversMeasureOnce(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEvaluateTrace feeds arbitrary bytes to EvaluateTrace, seeded with
+// a captured em3d trace and malformed variants: any input either fails
+// to evaluate or evaluates without a panic, and a trace that evaluates
+// yields one result per configuration whose counts fit its events.
+func FuzzEvaluateTrace(f *testing.F) {
+	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 2, Scale: 0.25})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, _, err := specdsm.CaptureTrace(w, specdsm.MachineOptions{Mode: specdsm.ModeSWI}, &buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, tr := range []string{
+		`{"nodes":5000,"events":[]}`,
+		`{"nodes":4,"events":[{"c":1,"a":0,"t":1,"n":3000}]}`,
+		`{"nodes":4,"events":[{"c":1,"a":0,"t":200,"n":1}]}`,
+	} {
+		f.Add([]byte(`{"format":1,"version":1,"trace":` + tr + `}`))
+	}
+	var configs []specdsm.PredictorConfig
+	for _, kind := range specdsm.Kinds() {
+		for _, d := range []int{1, 2, 4} {
+			configs = append(configs, specdsm.PredictorConfig{Kind: kind, Depth: d})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		results, sum, err := specdsm.EvaluateTrace(bytes.NewReader(data), configs)
+		if err != nil {
+			return
+		}
+		if len(results) != len(configs) {
+			t.Fatalf("%d results for %d configurations", len(results), len(configs))
+		}
+		for _, r := range results {
+			if r.Correct > r.Predicted || r.Predicted > r.Tracked || r.Tracked > uint64(sum.Events) || r.Blocks > sum.Blocks {
+				t.Fatalf("%s d=%d: counts %+v exceed a trace of %d events over %d blocks", r.Kind, r.Depth, r, sum.Events, sum.Blocks)
+			}
+		}
+	})
+}

@@ -31,7 +31,7 @@ func TestWideArenaRowEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d/%s fresh: %v", nodes, mode, err)
 			}
-			reused, err := runInArena(arena, w, opts)
+			reused, err := simulate(arena.Run, w, opts)
 			if err != nil {
 				t.Fatalf("N=%d/%s arena: %v", nodes, mode, err)
 			}
